@@ -13,7 +13,6 @@ from .engine import (
     LevelMap,
     MergeSets,
     Solution,
-    bruteforce_solutions,
     certain_merges,
     enumerate_solutions,
     is_possible,
@@ -30,7 +29,6 @@ from .engine import (
 )
 from .errors import (
     DataError,
-    DomainTooLarge,
     EntresError,
     MissingSimScore,
     NonEntityMerge,
@@ -60,9 +58,6 @@ from .model import (
     Kind,
     MergePair,
     entity,
-    eqrel_close,
-    identity,
-    induce,
     value,
 )
 from .rules import (
@@ -72,7 +67,6 @@ from .rules import (
     Schema,
     SimSafetyViolation,
     Specification,
-    data_sim_safety,
     load_spec,
     parse_spec,
     transform,
@@ -89,7 +83,6 @@ from .simkit import (
     sim_all,
     sim_cs,
     sim_opt,
-    sim_score,
 )
 from .cli import evaluate, ingest, load_truth
 
@@ -97,21 +90,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnswerSet", "Constant", "DataError", "Database", "DenialConstraint",
-    "DerivStep", "DomainTooLarge", "EntresError", "EqRel", "Fact", "Kind",
-    "LevelMap", "MergePair", "MergeSets", "MissingSimScore", "NULL",
-    "NodeKind", "NonEntityMerge", "NotASolution", "NotInSolution",
-    "OnDemandResolver", "ProofNode", "ProofTree", "Rule", "RuleKind",
-    "Schema", "SimResolver", "SimSafetyViolation", "SimStore", "SimTable",
-    "Solution", "SpecError", "SpecSyntaxError", "Specification",
-    "StrictResolver", "TableResolver", "TfidfModel", "UnknownConstant",
-    "Witness", "answers", "bruteforce_solutions", "build_registry",
-    "certain_merges", "data_sim_safety", "dc_satisfied",
-    "enumerate_solutions", "entity", "eqrel_close", "evaluate", "identity",
-    "induce", "ingest", "is_possible", "is_solution", "lb", "levels",
-    "load_spec", "load_truth", "loose_ub", "maximal_solutions",
-    "merge_sets", "parse_spec", "possible_merges", "proof_tree",
-    "rule_depth", "rule_satisfied", "sim_all", "sim_cs", "sim_opt",
-    "sim_score", "solve_one", "to_dot", "to_json", "transform", "ub",
-    "validate_proof_tree", "validate_sim_safety", "value",
-    "verify_solution",
+    "DerivStep", "EntresError", "EqRel", "Fact", "Kind", "LevelMap",
+    "MergePair", "MergeSets", "MissingSimScore", "NULL", "NodeKind",
+    "NonEntityMerge", "NotASolution", "NotInSolution", "OnDemandResolver",
+    "ProofNode", "ProofTree", "Rule", "RuleKind", "Schema", "SimResolver",
+    "SimSafetyViolation", "SimStore", "SimTable", "Solution", "SpecError",
+    "SpecSyntaxError", "Specification", "StrictResolver", "TableResolver",
+    "TfidfModel", "UnknownConstant", "Witness", "answers", "build_registry",
+    "certain_merges", "dc_satisfied", "enumerate_solutions", "entity",
+    "evaluate", "ingest", "is_possible", "is_solution", "lb", "levels",
+    "load_spec", "load_truth", "loose_ub", "maximal_solutions", "merge_sets",
+    "parse_spec", "possible_merges", "proof_tree", "rule_depth",
+    "rule_satisfied", "sim_all", "sim_cs", "sim_opt", "solve_one", "to_dot",
+    "to_json", "transform", "ub", "validate_proof_tree",
+    "validate_sim_safety", "value", "verify_solution",
 ]

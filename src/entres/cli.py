@@ -224,10 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="treat null as a regular distinct constant in inequalities, "
              "or falsify any inequality touching it",
     )
-    p.add_argument(
-        "--seed", type=int, default=0,
-        help="reserved; the pipeline is deterministic and ignores it",
-    )
     return p
 
 
@@ -281,7 +277,7 @@ def _export_store(store: SimStore, out: Path) -> list[Path]:
 
 
 def _prepare_sims(
-    args, spec: Specification, db: Database
+    args, spec: Specification, db: Database, knobs: dict
 ) -> tuple[object | None, SimStore | None]:
     """Resolver for the engine plus the materialized store (None for the
     table strategy, which serves lookups directly)."""
@@ -290,7 +286,6 @@ def _prepare_sims(
     if args.sim.startswith("table:"):
         table = SimTable.load(args.sim[len("table:"):])
         return TableResolver(table), None
-    knobs = {"null_inequality": args.null_inequality}
     if args.sim == "all":
         store = sim_all(db, spec)
     elif args.sim == "cs":
@@ -332,6 +327,8 @@ def _metrics_io(
 
 def run(args, parser: argparse.ArgumentParser) -> int:
     mode, mode_arg = _parse_mode(args.mode, parser)
+    if mode == "eval" and not args.truth:
+        parser.error("mode eval requires --truth")
     spec = load_spec(args.spec)
 
     if mode == "validate":
@@ -352,7 +349,9 @@ def run(args, parser: argparse.ArgumentParser) -> int:
 
     t0 = time.perf_counter()
     db = ingest(args.data, spec.schema, args.null_token)
-    sims, store = _prepare_sims(args, spec, db)
+    if mode == "explain":
+        a, b = (_entity_by_text(db, text) for text in mode_arg)
+    sims, store = _prepare_sims(args, spec, db, knobs)
     timing.preprocess = time.perf_counter() - t0
 
     code = 0
@@ -421,8 +420,6 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             if args.truth:
                 _metrics_io(pairs, args.truth, out)
         elif mode == "eval":
-            if not args.truth:
-                parser.error("mode eval requires --truth")
             _metrics_io(sol.pairs(), args.truth, out)
         elif mode == "levels":
             t0 = time.perf_counter()
@@ -437,8 +434,6 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"levels: {len(lm)} merges -> {dest}")
         else:
-            a = _entity_by_text(db, mode_arg[0])
-            b = _entity_by_text(db, mode_arg[1])
             tree = proof_tree(db, spec, sims, sol, (a, b), **knobs)
             dot_dest = out / "explain.dot"
             dot_dest.write_text(to_dot(tree, spec), encoding="utf-8")

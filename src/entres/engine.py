@@ -14,17 +14,14 @@ satisfies every hard rule and denial constraint. This module computes:
   - possible_merges / certain_merges / is_possible: union over all
                  solutions and intersection over maximal solutions;
   - levels:      recursion depth of each merge (the round of the
-                 rule-application chain that first produces it);
-  - bruteforce_solutions: the literal breadth-first exploration of the
-                 candidate space, used as the test oracle.
+                 rule-application chain that first produces it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import DomainTooLarge, NotASolution
+from .errors import NotASolution
 from .matcher import (
     SimResolver,
     dc_satisfied,
@@ -40,9 +37,6 @@ from .rules import (
     transform,
     var_positions,
 )
-
-#: matcher keyword knobs accepted by every operation here
-_KNOB_NAMES = ("null_join_guard", "null_inequality")
 
 
 @dataclass(frozen=True, slots=True)
@@ -472,49 +466,6 @@ def levels(
         keep = sol.eq.nontrivial_pairs()
         found = {p: lv for p, lv in found.items() if p in keep}
     return LevelMap(found)
-
-
-# ------------------------------------------------------------------ oracle
-
-
-def bruteforce_solutions(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    max_entities: int = 20,
-    **knobs,
-) -> set[frozenset[MergePair]]:
-    """Exhaustive exploration of the candidate space, straight from the
-    definitions: start at identity, apply any single rule answer, close,
-    repeat; collect the states satisfying all hard rules and constraints.
-
-    Guarded to small instances; everything else in this module is validated
-    against it."""
-    if len(db.entity_refs()) > max_entities:
-        raise DomainTooLarge(
-            f"{len(db.entity_refs())} entity refs exceeds the "
-            f"{max_entities} limit"
-        )
-    all_rules = spec.all_rules()
-    start = EqRel(db.domain)
-    seen = {start.signature()}
-    stack = [start]
-    out: set[frozenset[MergePair]] = set()
-    while stack:
-        e = stack.pop()
-        if all(
-            rule_satisfied(r, db, e, sims, **knobs) for r in spec.hard
-        ) and all(dc_satisfied(dc, db, e, **knobs) for dc in spec.dcs):
-            out.add(e.nontrivial_pairs())
-        for rule in all_rules:
-            for i, j in merge_candidates(rule, db, e, sims, None, **knobs):
-                child = e.clone()
-                child.merge_ids(i, j)
-                sig = child.signature()
-                if sig not in seen:
-                    seen.add(sig)
-                    stack.append(child)
-    return out
 
 
 # ------------------------------------------------------------ verification

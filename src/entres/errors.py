@@ -66,10 +66,6 @@ class NotASolution(EntresError):
     """Equivalence relation offered where a solution was required."""
 
 
-class DomainTooLarge(EntresError):
-    """Brute-force oracle refused an instance above its size guard."""
-
-
 # --- explanations ---
 
 class NotInSolution(EntresError):

@@ -1,23 +1,16 @@
 """Kernel selection: the compiled extension when importable, the pure-Python
-fallback otherwise. Set ENTRES_PURE_KERNELS=1 to force the fallback."""
+fallback otherwise."""
 
 from __future__ import annotations
 
-import os
+try:
+    from . import _kernels as _impl
 
-from . import _kernels_py
+    BACKEND = "c"
+except ImportError:
+    from . import _kernels_py as _impl  # type: ignore[no-redef]
 
-if os.environ.get("ENTRES_PURE_KERNELS") == "1":
-    _impl = _kernels_py
     BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "c"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
 
 levenshtein = _impl.levenshtein
 lev_score = _impl.lev_score

@@ -221,9 +221,6 @@ class EqRel:
     def same(self, a: Constant, b: Constant) -> bool:
         return self._find(self.id_of(a)) == self._find(self.id_of(b))
 
-    def same_ids(self, i: int, j: int) -> bool:
-        return self._find(i) == self._find(j)
-
     def merge_ids(self, i: int, j: int) -> bool:
         """Union the classes of i and j; returns True if they were distinct.
         Raises NonEntityMerge when a non-entity constant is involved."""
@@ -305,32 +302,3 @@ class EqRel:
         nt = [cls for cls in self.classes() if len(cls) > 1]
         return f"EqRel({len(self._consts)} constants, {len(nt)} merged classes)"
 
-
-def identity(domain: Iterable[Constant]) -> EqRel:
-    """The identity relation over the given domain."""
-    return EqRel(domain)
-
-
-def eqrel_close(
-    pairs: Iterable[MergePair | tuple[Constant, Constant]],
-    domain: Iterable[Constant],
-) -> EqRel:
-    """Least equivalence relation over domain containing the given pairs."""
-    e = EqRel(domain)
-    for p in pairs:
-        a, b = p
-        if a == b:
-            if not a.is_entity():
-                raise NonEntityMerge(f"cannot merge {a!r} with {b!r}")
-            continue
-        e.merge(a, b)
-    return e
-
-
-def induce(db: Database, e: EqRel) -> Database:
-    """The induced database: every constant replaced by its representative.
-
-    Requires e's domain to cover db's domain."""
-    return Database(
-        Fact(f.relation, tuple(e.rep(c) for c in f.args)) for f in db.facts
-    )

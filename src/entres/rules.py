@@ -217,18 +217,6 @@ def var_positions(body: RuleBody) -> dict[Var, tuple[tuple[str, int], ...]]:
     return {v: tuple(ps) for v, ps in occ.items()}
 
 
-def sim_positions(spec: Specification) -> frozenset[tuple[str, int]]:
-    """(relation, position) pairs feeding any similarity atom of any rule."""
-    out: set[tuple[str, int]] = set()
-    for rule in spec.all_rules():
-        occ = var_positions(rule.body)
-        for satom in rule.body.sim_atoms:
-            for term in (satom.left, satom.right):
-                if isinstance(term, Var):
-                    out.update(occ.get(term, ()))
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------- tokenizer
 
 _TOKEN_RE = re.compile(
@@ -755,26 +743,6 @@ def validate_sim_safety(spec: Specification) -> list[SimSafetyViolation]:
                             SimSafetyViolation(rule.label, rel, decl.attributes[i])
                         )
     return out
-
-
-def data_sim_safety(spec: Specification, db) -> list[str]:
-    """Warnings for constants occurring both at a merge position and at a
-    similarity position in the data."""
-    merge_vals: set = set()
-    sim_vals: set = set()
-    sim_pos = sim_positions(spec)
-    merge_pos = spec.schema.merge_positions()
-    for fact in db.facts:
-        for i, c in enumerate(fact.args):
-            if (fact.relation, i) in merge_pos:
-                merge_vals.add(c)
-            if (fact.relation, i) in sim_pos:
-                sim_vals.add(c)
-    overlap = sorted(merge_vals & sim_vals, key=lambda c: c.text)
-    return [
-        f"constant {c!r} occurs both at a merge position and at a "
-        f"similarity position" for c in overlap
-    ]
 
 
 # ---------------------------------------------------------------- transform

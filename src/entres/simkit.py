@@ -190,33 +190,6 @@ class SimTable:
         return len(self._scores)
 
 
-def sim_score(
-    func: str,
-    a: Constant,
-    b: Constant,
-    *,
-    model: TfidfModel | None = None,
-    table: SimTable | None = None,
-) -> int:
-    """Score one pair with a named backend. tfidf needs its corpus model,
-    table needs the loaded extension."""
-    if a.is_null() or b.is_null():
-        raise ValueError("similarity is undefined on the null constant")
-    if func == "lev":
-        return kernels.lev_score(a.text, b.text)
-    if func == "jw":
-        return kernels.jw_score(a.text, b.text)
-    if func == "tfidf":
-        if model is None:
-            raise ValueError("tfidf scoring needs a corpus model")
-        return model.score(a.text, b.text)
-    if func == "table":
-        if table is None:
-            raise ValueError("table scoring needs a loaded extension")
-        return table.score(a.text, b.text)
-    raise ValueError(f"unknown similarity backend {func!r}")
-
-
 # ---------------------------------------------------------------- registry
 
 Scorer = Callable[[str, str], int]

@@ -5,7 +5,9 @@ algorithms: repeated-pass set merging instead of union-find, brute-force
 binding enumeration over fact tuples instead of indexed joins, value
 iteration instead of round chains. The only package imports are the public
 data model and the rule AST, never the algorithms under test, so agreement
-between the two sides is meaningful evidence.
+between the two sides is meaningful evidence. The one exception is
+`bruteforce_solutions`, which walks the candidate space with the package's
+own matcher and union-find: it checks the solution search, not the matcher.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import replace
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
-from entres.model import Constant, Database, Fact, MergePair
+from entres.matcher import dc_satisfied, merge_candidates, rule_satisfied
+from entres.model import Constant, Database, EqRel, Fact, MergePair
 from entres.rules import (
     DenialConstraint,
     Rule,
@@ -346,6 +349,44 @@ def pm_cm(
     maxima = maximal_sets(sols)
     cm = set.intersection(*(set(s) for s in maxima))
     return frozenset(pm), frozenset(cm)
+
+
+def bruteforce_solutions(
+    db: Database,
+    spec: Specification,
+    sims,
+    max_entities: int = 20,
+    **knobs,
+) -> set[frozenset[MergePair]]:
+    """Exhaustive exploration of the candidate space, straight from the
+    definitions: start at identity, apply any single rule answer, close,
+    repeat; collect the states satisfying all hard rules and constraints.
+    Refuses instances with more than max_entities entity references."""
+    if len(db.entity_refs()) > max_entities:
+        raise ValueError(
+            f"{len(db.entity_refs())} entity refs exceeds the "
+            f"{max_entities} limit"
+        )
+    all_rules = spec.all_rules()
+    start = EqRel(db.domain)
+    seen = {start.signature()}
+    stack = [start]
+    out: set[frozenset[MergePair]] = set()
+    while stack:
+        e = stack.pop()
+        if all(
+            rule_satisfied(r, db, e, sims, **knobs) for r in spec.hard
+        ) and all(dc_satisfied(dc, db, e, **knobs) for dc in spec.dcs):
+            out.add(e.nontrivial_pairs())
+        for rule in all_rules:
+            for i, j in merge_candidates(rule, db, e, sims, None, **knobs):
+                child = e.clone()
+                child.merge_ids(i, j)
+                sig = child.signature()
+                if sig not in seen:
+                    seen.add(sig)
+                    stack.append(child)
+    return out
 
 
 # --------------------------------------------------------- min rule depth

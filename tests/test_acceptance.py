@@ -13,7 +13,6 @@ import pytest
 
 from entres.cli import evaluate, ingest
 from entres.engine import (
-    bruteforce_solutions,
     enumerate_solutions,
     is_possible,
     lb,
@@ -31,6 +30,7 @@ from entres.simkit import SimTable, StrictResolver, TableResolver, sim_cs, sim_o
 from conftest import MUSIC, e
 from instances import chain_instance, generate
 from oracles import (
+    bruteforce_solutions,
     class_pairs,
     close_classes,
     maximal_sets,

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from entres import engine
 from entres.cli import evaluate, ingest, load_truth, main, write_pairs
 from entres.errors import HeaderMismatch, MissingFile, RaggedRow
 from entres.model import NULL, Fact, MergePair
+from entres.rules import load_spec
+from entres.simkit import sim_all, sim_cs
 
 from conftest import MUSIC, e, v
 
@@ -20,6 +23,23 @@ SIM_ARG = f"table:{MUSIC / 'simtable.tsv'}"
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def bundle(tmp_path, spec_text, **tables):
+    """Write a spec and one TSV per relation; returns (spec path, data dir)."""
+    spec = tmp_path / "spec.er"
+    spec.write_text(spec_text)
+    d = tmp_path / "data"
+    d.mkdir()
+    for rel, text in tables.items():
+        (d / f"{rel}.tsv").write_text(text)
+    return spec, d
+
+
+def expected_pairs(pairs):
+    return ["left\tright"] + sorted(
+        f"{p.left.text}\t{p.right.text}" for p in pairs
+    )
 
 
 def music_args(mode, out, *extra):
@@ -302,22 +322,145 @@ class TestExitCodes:
         assert run(*music_args("explain:zz,s2", tmp_path / "o")) == 3
         assert "data error:" in capsys.readouterr().err
 
-    def test_no_solution(self, tmp_path, capsys):
-        spec = tmp_path / "inc.er"
-        spec.write_text(
+    @staticmethod
+    def inconsistent(tmp_path, mode):
+        spec, d = bundle(
+            tmp_path,
             "relation R(rid: id, k: val) merge [rid];\n"
             "hard h: R(x, k), R(y, k) => eq(x, y);\n"
-            "deny d: R(x, u), R(x, w), u != w;\n"
+            "deny d: R(x, u), R(x, w), u != w;\n",
+            R="rid\tk\na\tsame\nb\tsame\na\tother\n",
         )
-        d = tmp_path / "data"
-        d.mkdir()
-        (d / "R.tsv").write_text("rid\tk\na\tsame\nb\tsame\na\tother\n")
-        code = run(
-            "--spec", spec, "--data", d, "--mode", "solve-one",
+        return run(
+            "--spec", spec, "--data", d, "--mode", mode,
             "--out", tmp_path / "o",
         )
-        assert code == 4
+
+    def test_no_solution(self, tmp_path, capsys):
+        assert self.inconsistent(tmp_path, "solve-one") == 4
         assert "no solution exists" in capsys.readouterr().err
+
+    def test_eval_without_truth_fails_before_search(self, tmp_path, capsys):
+        assert self.inconsistent(tmp_path, "eval") == 1
+        assert "requires --truth" in capsys.readouterr().err
+
+    def test_unknown_explain_constant_fails_before_search(
+        self, tmp_path, capsys
+    ):
+        assert self.inconsistent(tmp_path, "explain:zz,a") == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "'zz'" in err
+
+
+class TestOptionValues:
+    """Each option value's output file equals the API call it stands for."""
+
+    def test_levels_scope_ub(self, tmp_path):
+        # x shares a title with s1 and with s2, so the unrestricted chain
+        # relates s1 and s2 in round 1; d keeps x out of every solution,
+        # where s1 and s2 merge only after their bands do, in round 2
+        spec, d = bundle(
+            tmp_path,
+            "relation B(bid: id, k: val) merge [bid];\n"
+            "relation S(sid: id, t: val, bid: id) merge [sid];\n"
+            "relation Q(sid: id, v: val);\n"
+            "hard h: B(x, k), B(y, k) => eq(x, y);\n"
+            "soft band: S(x, t, b), S(y, t2, b) ~> eq(x, y);\n"
+            "soft title: S(x, t, b), S(y, t, b2) ~> eq(x, y);\n"
+            "deny d: Q(s, v), Q(s, w), v != w;\n",
+            B="bid\tk\na\t1\nb\t1\n",
+            S="sid\tt\tbid\ns1\tt1\ta\ns2\tt2\tb\nx\tt1\tz\nx\tt2\tz\n",
+            Q="sid\tv\ns1\tq\ns2\tq\nx\tp\n",
+        )
+        lspec = load_spec(str(spec))
+        db = ingest(str(d), lspec.schema)
+        sol = engine.solve_one(db, lspec)
+        files = {}
+        for scope in ("solution", "ub"):
+            out = tmp_path / scope
+            assert run(
+                "--spec", spec, "--data", d, "--mode", "levels",
+                "--levels-scope", scope, "--out", out,
+            ) == 0
+            lm = engine.levels(db, lspec, None, sol, scope=scope)
+            files[scope] = (out / "levels.tsv").read_text().splitlines()
+            assert files[scope] == ["left\tright\tlevel"] + [
+                f"{p.left.text}\t{p.right.text}\t{lv}" for p, lv in lm.items()
+            ]
+        assert "s1\ts2\t2" in files["solution"]
+        assert "s1\ts2\t1" in files["ub"]
+
+    def test_null_inequality_fail(self, tmp_path):
+        spec, d = bundle(
+            tmp_path,
+            "relation R(rid: id, k: val, u: val) merge [rid];\n"
+            "soft s: R(x, k, u), R(y, k, w), u != w ~> eq(x, y);\n",
+            R="rid\tk\tu\na\t1\tp\nb\t1\t\nc\t2\tp\nc2\t2\tq\n",
+        )
+        lspec = load_spec(str(spec))
+        db = ingest(str(d), lspec.schema)
+        files = {}
+        for policy in ("distinct", "fail"):
+            out = tmp_path / policy
+            assert run(
+                "--spec", spec, "--data", d, "--mode", "ub",
+                "--null-inequality", policy, "--out", out,
+            ) == 0
+            e_ub = engine.ub(db, lspec, null_inequality=policy)
+            files[policy] = (out / "ub.tsv").read_text().splitlines()
+            assert files[policy] == expected_pairs(e_ub.nontrivial_pairs())
+        assert files["distinct"] == ["left\tright", "a\tb", "c\tc2"]
+        assert files["fail"] == ["left\tright", "c\tc2"]
+
+    def test_null_token(self, tmp_path):
+        spec, d = bundle(
+            tmp_path,
+            "relation R(rid: id, k: val) merge [rid];\n"
+            "hard h: R(x, k), R(y, k) => eq(x, y);\n",
+            R="rid\tk\na\tNA\nb\tNA\nc\t1\nd\t1\n",
+        )
+        lspec = load_spec(str(spec))
+        files = {}
+        for token in ("", "NA"):
+            out = tmp_path / f"tok{token}"
+            assert run(
+                "--spec", spec, "--data", d, "--mode", "lb",
+                "--null-token", token, "--out", out,
+            ) == 0
+            db = ingest(str(d), lspec.schema, null_token=token)
+            files[token] = (out / "lb.tsv").read_text().splitlines()
+            assert files[token] == expected_pairs(
+                engine.lb(db, lspec).nontrivial_pairs()
+            )
+        assert files[""] == ["left\tright", "a\tb", "c\td"]
+        assert files["NA"] == ["left\tright", "c\td"]
+
+    def test_sim_cs(self, tmp_path):
+        # c is short-hinted but read by no similarity atom: sim all scores
+        # its values, sim cs does not
+        spec, d = bundle(
+            tmp_path,
+            "relation R(rid: id, a: short, c: short) merge [rid];\n"
+            "soft s: R(x, a, c), R(y, a2, c2), sim(a, a2) >= 90 ~> eq(x, y);\n",
+            R="rid\ta\tc\nr1\tmartha\tzzz\nr2\tmarhta\tyyy\n",
+        )
+        lspec = load_spec(str(spec))
+        db = ingest(str(d), lspec.schema)
+        files = {}
+        for strategy, materialize in (("cs", sim_cs), ("all", sim_all)):
+            out = tmp_path / strategy
+            assert run(
+                "--spec", spec, "--data", d, "--sim", strategy,
+                "--mode", "sim", "--out", out,
+            ) == 0
+            store = materialize(db, lspec)
+            files[strategy] = (out / "sim_jw.tsv").read_text().splitlines()
+            assert files[strategy] == ["left\tright\tscore"] + [
+                f"{a.text}\t{b.text}\t{sc / 100:.2f}"
+                for a, b, sc in store.rows("jw")
+            ]
+        assert len(files["cs"]) < len(files["all"])
+        assert "marhta\tmartha\t96.11" in files["cs"]
 
 
 class TestDeterminism:

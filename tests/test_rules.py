@@ -16,7 +16,6 @@ from entres.rules import (
     body_vars,
     join_vars,
     parse_spec,
-    sim_positions,
     transform,
     validate_sim_safety,
     var_positions,
@@ -215,11 +214,6 @@ class TestBodyHelpers:
         assert Var("x") in body_vars(r.body)
         assert join_vars(r.body) == frozenset({Var("b")})
         assert var_positions(r.body)[Var("a2")] == (("R", 1),)
-
-    def test_sim_positions_on_music(self, music_spec):
-        assert sim_positions(music_spec) == frozenset(
-            {("Band", 1), ("Band", 2), ("Song", 1)}
-        )
 
 
 class TestTransforms:

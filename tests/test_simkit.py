@@ -24,7 +24,6 @@ from entres.simkit import (
     sim_cs,
     sim_functions,
     sim_opt,
-    sim_score,
 )
 
 from conftest import e, v
@@ -191,26 +190,6 @@ class TestSimStore:
         ]
         assert len(list(s)) == 3
         assert len(s.key_set()) == 3
-
-
-class TestScoreDispatch:
-    def test_backends(self):
-        assert sim_score("jw", v("MARTHA"), v("MARHTA")) == 9611
-        assert sim_score("lev", v("1965"), v("1966")) == 7500
-
-    def test_table_dispatch(self, music_table):
-        got = sim_score(
-            "table", v("Pink Floyd"), v("The Pink Floyd"), table=music_table
-        )
-        assert got == 10000
-
-    def test_null_operands_rejected(self):
-        with pytest.raises(ValueError, match="null"):
-            sim_score("jw", v("a"), NULL)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="zap"):
-            sim_score("zap", v("a"), v("b"))
 
 
 class TestResolvers:
