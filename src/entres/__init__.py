@@ -84,9 +84,21 @@ from .simkit import (
     sim_cs,
     sim_opt,
 )
-from .cli import evaluate, ingest, load_truth
 
 __version__ = "0.1.0"
+
+#: names served from .cli on first use: importing .cli here would run it
+#: twice under `python -m entres.cli`
+_CLI_NAMES = ("evaluate", "ingest", "load_truth")
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnswerSet", "Constant", "DataError", "Database", "DenialConstraint",

@@ -10,7 +10,10 @@ satisfies every hard rule and denial constraint. This module computes:
                  similarity scores at all);
   - solve_one, enumerate_solutions, maximal_solutions: depth-first search
                  over soft-rule applications with hard saturation after
-                 every step and memoization on partition signatures;
+                 every step and memoization on partition signatures. The
+                 search runs on an explicit stack and is delta-driven: a
+                 child re-evaluates rules and constraints only on rows that
+                 touch the classes its merges grew (see _Search);
   - possible_merges / certain_merges / is_possible: union over all
                  solutions and intersection over maximal solutions;
   - levels:      recursion depth of each merge (the round of the
@@ -20,6 +23,7 @@ satisfies every hard rule and denial constraint. This module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet, Iterator
 
 from .errors import NotASolution
 from .matcher import (
@@ -32,6 +36,7 @@ from .model import Constant, Database, EqRel, MergePair
 from .rules import (
     DenialConstraint,
     Rule,
+    RuleBody,
     Specification,
     Var,
     transform,
@@ -116,49 +121,60 @@ def _saturate(
     e: EqRel,
     sims: SimResolver | None,
     record: list[DerivStep] | None = None,
+    dirty: AbstractSet[int] | None = None,
     **knobs,
-) -> EqRel:
-    """Semi-naive fixpoint: apply every rule answer and close, repeating
-    with delta-restricted evaluation until no new merge appears. Mutates
-    and returns e."""
-    n = len(e)
-    dirty: frozenset[int] | None = None
+) -> set[int]:
+    """Semi-naive fixpoint: apply every rule answer and close, then evaluate
+    again with each relational atom in turn pinned to rows touching a class
+    the last round grew, until no new merge appears. Mutates e and returns
+    the ids of every class it grew.
+
+    With dirty=None the first round evaluates in full. Otherwise e must be
+    closed under the rules but for matches on a row touching a dirty id, as
+    a saturated state is after merges whose classes dirty covers: any other
+    match held before those merges, with the same answer."""
+    grown: set[int] = set()
     while True:
         found: list[tuple[str, int, int]] = []
         for rule in rules:
             for i, j in merge_candidates(rule, db, e, sims, dirty, **knobs):
                 found.append((rule.label, i, j))
         if not found:
-            return e
-        before = [e.canon_id(i) for i in range(n)]
+            return grown
+        merged: list[int] = []
         for label, i, j in sorted(set(found)):
-            if e.merge_ids(i, j) and record is not None:
-                record.append(
-                    DerivStep(label, MergePair.of(e.const(i), e.const(j)))
-                )
-        dirty = frozenset(
-            i for i in range(n) if e.canon_id(i) != before[i]
-        )
+            if e.merge_ids(i, j):
+                merged.append(i)
+                if record is not None:
+                    record.append(
+                        DerivStep(label, MergePair.of(e.const(i), e.const(j)))
+                    )
+        dirty = e.class_ids(merged)
+        grown |= dirty
 
 
 def lb(db: Database, spec: Specification, sims: SimResolver | None = None,
        **knobs) -> EqRel:
     """Least fixpoint of the hard rules: merges present in every solution."""
-    return _saturate(db, spec.hard, EqRel(db.domain), sims, **knobs)
+    e = EqRel(db.domain)
+    _saturate(db, spec.hard, e, sims, **knobs)
+    return e
 
 
 def ub(db: Database, spec: Specification, sims: SimResolver | None = None,
        **knobs) -> EqRel:
     """Fixpoint with soft rules promoted to hard: no solution merges more."""
-    rules = transform(spec, "ub").hard
-    return _saturate(db, rules, EqRel(db.domain), sims, **knobs)
+    e = EqRel(db.domain)
+    _saturate(db, transform(spec, "ub").hard, e, sims, **knobs)
+    return e
 
 
 def loose_ub(db: Database, spec: Specification, **knobs) -> EqRel:
     """The ub fixpoint with similarity atoms dropped; a similarity-free
     overapproximation that needs no scores."""
-    rules = transform(spec, "loose_ub").hard
-    return _saturate(db, rules, EqRel(db.domain), None, **knobs)
+    e = EqRel(db.domain)
+    _saturate(db, transform(spec, "loose_ub").hard, e, None, **knobs)
+    return e
 
 
 # ------------------------------------------------------------------ search
@@ -169,13 +185,14 @@ def _hint_of(spec: Specification, rel: str, pos: int) -> str:
     return decl.hints[pos] if decl else "val"
 
 
-def _merge_monotone(dc: DenialConstraint, spec: Specification) -> bool:
-    """A constraint is merge-monotone when no inequality operand can change
-    its representative as classes grow: variables reading only non-id
-    columns, or value constants. Violations of such constraints persist
-    under further merges, so they may prune whole search subtrees."""
-    occ = var_positions(dc.body)
-    for natom in dc.body.neq_atoms:
+def _merge_monotone(body: RuleBody, spec: Specification) -> bool:
+    """A body is merge-monotone when no inequality operand can change its
+    representative as classes grow: variables reading only non-id columns,
+    or value constants. A match of such a body persists under further
+    merges, so a constraint violation persists in a whole search subtree
+    and a rule answer stays an answer (up to canonical ids)."""
+    occ = var_positions(body)
+    for natom in body.neq_atoms:
         for term in (natom.left, natom.right):
             if isinstance(term, Var):
                 if any(
@@ -188,13 +205,48 @@ def _merge_monotone(dc: DenialConstraint, spec: Specification) -> bool:
     return True
 
 
+@dataclass(slots=True)
+class _Node:
+    """A search state on the DFS stack: its candidates per branching rule
+    (as canonical id pairs) and the sorted answers not yet tried."""
+
+    e: EqRel
+    deriv: tuple[DerivStep, ...]
+    cands: list[set[tuple[int, int]]]
+    todo: Iterator[tuple[str, int, int]]
+
+
 class _Search:
     """Depth-first exploration of hard-saturated candidate states.
 
     Children (one extra soft answer, then hard saturation) are explored
     before the state itself is recorded, so solutions arrive biased toward
     larger merge sets; memoization on partition signatures collapses
-    permuted application orders."""
+    permuted application orders. The DFS keeps its states on an explicit
+    stack, so search depth does not grow the Python stack.
+
+    The search is delta-driven (semi-naive evaluation between nodes). A
+    child differs from its parent, which passed the pruning constraints and
+    is hard-saturated, only in the classes its merges grew; their members
+    are the child's dirty ids, and every body match that is new at the
+    child uses a row touching one. So at a child:
+
+      - hard saturation starts pinned to the dirty ids;
+      - a rule's candidates are the parent's, re-canonicalised and without
+        pairs now in one class, plus the answers of matches pinned to the
+        dirty ids. That needs the parent's matches to persist, so a rule
+        whose inequality atoms are not merge-monotone is evaluated in full
+        instead;
+      - merge-monotone constraints are checked only on matches pinned to
+        the dirty ids; the rest are checked in full once a state's subtree
+        is done.
+
+    Eager hard saturation is complete only when no rule answer can disable
+    another, that is when every rule is merge-monotone. Otherwise a hard
+    merge can turn false an inequality a pending soft answer needs, so the
+    search starts at the identity, hard answers are branches like soft
+    ones (no state is hard-saturated), and a state counts only once it has
+    no hard answer left."""
 
     def __init__(
         self,
@@ -213,10 +265,17 @@ class _Search:
         self.stop_pair: MergePair | None = None
         self.found_stop = False
         self.pruning_dcs = tuple(
-            dc for dc in spec.dcs if _merge_monotone(dc, spec)
+            dc for dc in spec.dcs if _merge_monotone(dc.body, spec)
         )
         self.checked_dcs = tuple(
-            dc for dc in spec.dcs if not _merge_monotone(dc, spec)
+            dc for dc in spec.dcs if not _merge_monotone(dc.body, spec)
+        )
+        self.eager = all(
+            _merge_monotone(rule.body, spec) for rule in spec.all_rules()
+        )
+        self.branching = spec.soft if self.eager else spec.soft + spec.hard
+        self.incremental = tuple(
+            _merge_monotone(rule.body, spec) for rule in self.branching
         )
 
     def _done(self) -> bool:
@@ -233,49 +292,93 @@ class _Search:
         self.stop_pair = stop_pair
         if limit is not None and limit <= 0:
             return []
+        start = EqRel(self.db.domain)
         steps: list[DerivStep] = []
-        start = _saturate(
-            self.db, self.spec.hard, EqRel(self.db.domain), self.sims,
-            record=steps, **self.knobs,
-        )
-        self._visit(start, tuple(steps))
+        if self.eager:
+            _saturate(
+                self.db, self.spec.hard, start, self.sims, record=steps,
+                **self.knobs,
+            )
+        root = self._enter(start, tuple(steps))
+        stack = [root] if root is not None else []
+        while stack:
+            node = stack[-1]
+            step = next(node.todo, None)
+            if step is not None:
+                child = self._child(node, *step)
+                if child is not None:
+                    stack.append(child)
+                continue
+            stack.pop()
+            self._finish(node)
+            if self._done():
+                break
         return self.results
 
-    def _visit(self, e: EqRel, deriv: tuple[DerivStep, ...]) -> None:
-        if self._done():
-            return
+    def _child(self, parent: _Node, label: str, i: int, j: int) -> _Node | None:
+        """Apply one answer to the parent's state, hard-saturate from the
+        merged class when saturation is eager, and enter the result."""
+        e = parent.e.clone()
+        steps = [DerivStep(label, MergePair.of(e.const(i), e.const(j)))]
+        e.merge_ids(i, j)
+        dirty = e.class_ids((i,))
+        if self.eager:
+            dirty |= _saturate(
+                self.db, self.spec.hard, e, self.sims, record=steps,
+                dirty=dirty, **self.knobs,
+            )
+        return self._enter(e, parent.deriv + tuple(steps), parent.cands, dirty)
+
+    def _enter(
+        self,
+        e: EqRel,
+        deriv: tuple[DerivStep, ...],
+        parent_cands: list[set[tuple[int, int]]] | None = None,
+        dirty: set[int] | None = None,
+    ) -> _Node | None:
+        """The node for a new state, or None when the memo already holds
+        it or a pruning constraint fails. The root passes no parent
+        candidates and no dirty ids, and is evaluated in full."""
         sig = e.signature()
         if sig in self.memo:
-            return
+            return None
         self.memo.add(sig)
         for dc in self.pruning_dcs:
-            if not dc_satisfied(dc, self.db, e, **self.knobs):
-                return  # violation persists in the whole subtree
-        candidates: list[tuple[str, int, int]] = []
-        for rule in self.spec.soft:
-            for i, j in merge_candidates(
-                rule, self.db, e, self.sims, None, **self.knobs
-            ):
-                candidates.append((rule.label, i, j))
-        for label, i, j in sorted(set(candidates)):
-            if self._done():
-                return
-            child = e.clone()
-            steps = [DerivStep(label, MergePair.of(e.const(i), e.const(j)))]
-            child.merge_ids(i, j)
-            _saturate(
-                self.db, self.spec.hard, child, self.sims,
-                record=steps, **self.knobs,
-            )
-            self._visit(child, deriv + tuple(steps))
-        if self._done():
+            if not dc_satisfied(dc, self.db, e, dirty, **self.knobs):
+                return None  # violation persists in the whole subtree
+        cands: list[set[tuple[int, int]]] = []
+        for k, rule in enumerate(self.branching):
+            if parent_cands is None or not self.incremental[k]:
+                got = merge_candidates(
+                    rule, self.db, e, self.sims, None, **self.knobs
+                )
+            else:
+                got = merge_candidates(
+                    rule, self.db, e, self.sims, dirty, **self.knobs
+                )
+                for a, b in parent_cands[k]:
+                    a, b = e.canon_id(a), e.canon_id(b)
+                    if a != b:
+                        got.add((a, b) if a < b else (b, a))
+            cands.append(got)
+        todo = sorted({
+            (rule.label, i, j)
+            for rule, got in zip(self.branching, cands)
+            for i, j in got
+        })
+        return _Node(e, deriv, cands, iter(todo))
+
+    def _finish(self, node: _Node) -> None:
+        """Record the state once its subtree is done, if it has no hard
+        answer left and passes the constraints that were not checked on
+        the way down."""
+        if any(node.cands[len(self.spec.soft):]):
             return
         for dc in self.checked_dcs:
-            if not dc_satisfied(dc, self.db, e, **self.knobs):
+            if not dc_satisfied(dc, self.db, node.e, **self.knobs):
                 return
-        sol = Solution(e, deriv)
-        self.results.append(sol)
-        if self.stop_pair is not None and self.stop_pair in e:
+        self.results.append(Solution(node.e, node.deriv))
+        if self.stop_pair is not None and self.stop_pair in node.e:
             self.found_stop = True
 
 

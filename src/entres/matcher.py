@@ -5,7 +5,9 @@ Evaluation is representative-level: every fact argument is mapped to the
 canonical id of its class, then bodies are joined with index nested loops
 over per-relation, per-position hash indexes. This is equivalent to querying
 the induced database and expanding preimages, which the public answers()
-operation exposes directly.
+operation exposes directly. Facts are read in the database's interned form
+(id tuples numbered as EqRel numbers the domain), and semi-naive evaluation
+pins one atom to the rows the database's use-lists give for the dirty ids.
 
 Conventions baked in here:
   - inequality atoms compare class representatives;
@@ -23,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Protocol
+from typing import AbstractSet, Iterator, Protocol
 
 from .errors import MissingSimScore
-from .model import Constant, Database, EqRel, Fact, MergePair
+from .model import NULL, Constant, Database, EqRel, Fact, MergePair
 from .rules import (
     DenialConstraint,
     Rule,
@@ -76,11 +78,12 @@ class AnswerSet:
 
 
 class _Eval:
-    """One body evaluation over (db, e). Builds per-relation rows keyed by
-    canonical ids and lazy per-position indexes."""
+    """One body evaluation over (db, e). Canonicalises the database's
+    interned rows of each body relation and builds lazy per-position
+    indexes over them."""
 
     __slots__ = (
-        "body", "db", "e", "sims", "guard", "null_neq",
+        "body", "db", "e", "sims", "guard", "null_neq", "null_id",
         "rows", "indexes", "joinset", "res_args", "dead",
     )
 
@@ -93,27 +96,32 @@ class _Eval:
         null_join_guard: bool,
         null_inequality: str,
     ):
+        if e.domain is not db.consts and e.domain != db.consts:
+            raise ValueError(
+                "the equivalence relation is not over the database's domain"
+            )
         self.body = body
         self.db = db
         self.e = e
         self.sims = sims
         self.guard = null_join_guard
         self.null_neq = null_inequality
+        self.null_id = e.try_id(NULL)
         self.joinset = join_vars(body)
-        self.rows: dict[str, list[tuple[Fact, tuple[int, ...], tuple[int, ...]]]] = {}
+        self.rows: dict[str, list[tuple[Fact, tuple[int, ...]]]] = {}
         self.indexes: dict[tuple[str, int], dict[int, list]] = {}
         self.dead = False
 
+        canon = e.canon_ids().__getitem__
         for atom in body.rel_atoms:
             rel = atom.relation
-            if rel in self.rows:
-                continue
-            rel_rows = []
-            for fact in db.by_relation.get(rel, ()):
-                raw = tuple(e.id_of(c) for c in fact.args)
-                canon = tuple(e.canon_id(i) for i in raw)
-                rel_rows.append((fact, raw, canon))
-            self.rows[rel] = rel_rows
+            if rel not in self.rows:
+                self.rows[rel] = [
+                    (fact, tuple(map(canon, raw)))
+                    for fact, raw in zip(
+                        db.by_relation.get(rel, ()), db.rows.get(rel, ())
+                    )
+                ]
 
         # resolve atom arguments: ("v", Var) or ("c", canonical id);
         # a constant outside the domain can never match any fact
@@ -137,7 +145,7 @@ class _Eval:
         if idx is None:
             idx = {}
             for row in self.rows[rel]:
-                idx.setdefault(row[2][pos], []).append(row)
+                idx.setdefault(row[1][pos], []).append(row)
             self.indexes[key] = idx
         return idx
 
@@ -197,25 +205,29 @@ class _Eval:
     def solutions(
         self,
         pin: int | None = None,
-        dirty: frozenset[int] | None = None,
+        dirty: AbstractSet[int] | None = None,
         need_facts: bool = False,
     ) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
         """Yield (binding, facts-per-atom) for every body match. With a pin,
-        the pinned atom ranges only over rows touching a dirty id."""
+        the pinned atom ranges only over rows touching a dirty id, read from
+        the database's use-lists."""
         if self.dead:
             return
         atoms = self.body.rel_atoms
         order = self._order(pin)
         binding: dict[Var, int] = {}
         orig: dict[Var, Constant] = {}
+        null_id = self.null_id
         facts: list[Fact | None] = [None] * len(atoms)
 
         pinned_rows = None
         if pin is not None:
             assert dirty is not None
+            rel = atoms[pin].relation
+            uses, rows = self.db.uses.get(rel, {}), self.rows[rel]
             pinned_rows = [
-                row for row in self.rows[atoms[pin].relation]
-                if any(i in dirty for i in row[1])
+                rows[k]
+                for k in sorted({k for i in dirty for k in uses.get(i, ())})
             ]
             if not pinned_rows:
                 return
@@ -240,7 +252,7 @@ class _Eval:
                 return
             ai = order[k]
             resolved = self.res_args[ai]
-            for fact, raw, canon in candidates(k, ai):
+            for fact, canon in candidates(k, ai):
                 trail: list[Var] = []
                 ok = True
                 for pos, (tag, val) in enumerate(resolved):
@@ -256,8 +268,7 @@ class _Eval:
                             ok = False
                             break
                         continue
-                    const = self.e.const(cid)
-                    if self.guard and const.is_null() and val in self.joinset:
+                    if self.guard and cid == null_id and val in self.joinset:
                         ok = False
                         break
                     binding[val] = cid
@@ -273,7 +284,13 @@ class _Eval:
                     del binding[v]
                     del orig[v]
 
-        yield from rec(0)
+        try:
+            yield from rec(0)
+        finally:
+            # rec's closure refers to rec: clear the cell so the cycle, which
+            # holds this evaluation's rows, is freed without waiting for the
+            # cyclic collector
+            rec = None  # noqa: F841
 
 
 def _head_rep(
@@ -326,7 +343,7 @@ def merge_candidates(
     db: Database,
     e: EqRel,
     sims: SimResolver | None,
-    dirty: frozenset[int] | None = None,
+    dirty: AbstractSet[int] | None = None,
     *,
     null_join_guard: bool = True,
     null_inequality: str = "distinct",
@@ -373,12 +390,19 @@ def dc_satisfied(
     dc: DenialConstraint,
     db: Database,
     e: EqRel,
+    dirty: AbstractSet[int] | None = None,
     *,
     null_join_guard: bool = True,
     null_inequality: str = "distinct",
 ) -> bool:
-    """True iff the constraint body has no match over the induced database."""
+    """True iff the constraint body has no match over the induced database.
+    With a dirty id set, only matches on a row touching a dirty id are
+    looked for (each relational atom pinned in turn): enough when every
+    other match already existed at a state known to satisfy the
+    constraint."""
     ev = _Eval(dc.body, db, e, None, null_join_guard, null_inequality)
-    for _ in ev.solutions():
-        return False
+    pins = (None,) if dirty is None else range(len(dc.body.rel_atoms))
+    for pin in pins:
+        for _ in ev.solutions(pin=pin, dirty=dirty):
+            return False
     return True

@@ -104,9 +104,14 @@ class MergePair:
 class Database:
     """Immutable fact store. Facts are deduplicated and kept in a fixed
     deterministic order; the domain is the set of constants occurring in
-    facts."""
+    facts.
 
-    __slots__ = ("facts", "domain", "by_relation")
+    The interned form is built once: `consts` numbers the domain in the
+    sorted order EqRel uses, `rows[rel]` holds each fact of `by_relation[rel]`
+    as a tuple of those ids (same order), and `uses[rel][i]` lists the
+    positions in `rows[rel]` of the rows mentioning id i."""
+
+    __slots__ = ("facts", "domain", "by_relation", "consts", "rows", "uses")
 
     def __init__(self, facts: Iterable[Fact] = ()):
         ordered = sorted(set(facts), key=_fact_key)
@@ -120,6 +125,18 @@ class Database:
             r: tuple(fs) for r, fs in grouped.items()
         }
         self.domain: frozenset[Constant] = frozenset(dom)
+        self.consts: tuple[Constant, ...] = tuple(sorted(dom, key=_const_key))
+        ids = {c: i for i, c in enumerate(self.consts)}
+        self.rows: dict[str, tuple[tuple[int, ...], ...]] = {}
+        self.uses: dict[str, dict[int, tuple[int, ...]]] = {}
+        for r, fs in self.by_relation.items():
+            rows = tuple(tuple(ids[a] for a in f.args) for f in fs)
+            uses: dict[int, list[int]] = {}
+            for k, row in enumerate(rows):
+                for i in set(row):
+                    uses.setdefault(i, []).append(k)
+            self.rows[r] = rows
+            self.uses[r] = {i: tuple(ks) for i, ks in uses.items()}
 
     def relations(self) -> tuple[str, ...]:
         return tuple(sorted(self.by_relation))
@@ -151,29 +168,36 @@ class Database:
 class EqRel:
     """Equivalence relation over a fixed domain of constants.
 
-    Backed by a union-find; only entity references may be merged, so Value
-    and Null constants always sit in singleton classes. The canonical
-    representative of a class is its lexicographically least member, which
-    makes representatives independent of merge order.
+    Only entity references may be merged, so Value and Null constants always
+    sit in singleton classes. The canonical representative of a class is its
+    lexicographically least member, which makes representatives independent
+    of merge order. Ids number the domain in that same order, so the least
+    member is the smallest id.
+
+    Backed by quick-find with union by size: `_root[i]` names i's class and
+    `_next` links each class's members into a cycle, so a merge relabels the
+    smaller class and a class's members are walked without a scan.
     """
 
-    __slots__ = ("_consts", "_ids", "_parent", "_size", "_least")
+    __slots__ = ("_consts", "_ids", "_root", "_size", "_least", "_next")
 
     def __init__(self, domain: Iterable[Constant] = ()):
-        consts = sorted(set(domain), key=_const_key)
-        self._consts: list[Constant] = consts
+        consts = tuple(sorted(set(domain), key=_const_key))
+        self._consts: tuple[Constant, ...] = consts
         self._ids: dict[Constant, int] = {c: i for i, c in enumerate(consts)}
         n = len(consts)
-        self._parent: list[int] = list(range(n))
+        self._root: list[int] = list(range(n))
+        # size[root] and least[root]: member count and smallest member id;
+        # size is 0 for an id that is no longer a root
         self._size: list[int] = [1] * n
-        # least[root] = id of the lexicographically least member of the class
         self._least: list[int] = list(range(n))
+        self._next: list[int] = list(range(n))
 
     # -- identity bookkeeping --
 
     @property
     def domain(self) -> tuple[Constant, ...]:
-        return tuple(self._consts)
+        return self._consts
 
     def __len__(self) -> int:
         return len(self._consts)
@@ -194,32 +218,29 @@ class EqRel:
         other = object.__new__(EqRel)
         other._consts = self._consts
         other._ids = self._ids
-        other._parent = self._parent.copy()
+        other._root = self._root.copy()
         other._size = self._size.copy()
         other._least = self._least.copy()
+        other._next = self._next.copy()
         return other
 
     # -- union-find --
 
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
     def canon_id(self, cid: int) -> int:
         """Id of the canonical (least) member of cid's class."""
-        return self._least[self._find(cid)]
+        return self._least[self._root[cid]]
+
+    def canon_ids(self) -> list[int]:
+        """The canonical id of every id, indexed by id."""
+        least = self._least
+        return [least[r] for r in self._root]
 
     def rep(self, c: Constant) -> Constant:
         """Canonical representative of c's class."""
         return self._consts[self.canon_id(self.id_of(c))]
 
     def same(self, a: Constant, b: Constant) -> bool:
-        return self._find(self.id_of(a)) == self._find(self.id_of(b))
+        return self._root[self.id_of(a)] == self._root[self.id_of(b)]
 
     def merge_ids(self, i: int, j: int) -> bool:
         """Union the classes of i and j; returns True if they were distinct.
@@ -227,16 +248,22 @@ class EqRel:
         a, b = self._consts[i], self._consts[j]
         if not (a.is_entity() and b.is_entity()):
             raise NonEntityMerge(f"cannot merge {a!r} with {b!r}")
-        ri, rj = self._find(i), self._find(j)
+        root, nxt = self._root, self._next
+        ri, rj = root[i], root[j]
         if ri == rj:
             return False
         if self._size[ri] < self._size[rj]:
             ri, rj = rj, ri
-        self._parent[rj] = ri
+        k = rj
+        while True:
+            root[k] = ri
+            k = nxt[k]
+            if k == rj:
+                break
+        nxt[ri], nxt[rj] = nxt[rj], nxt[ri]
         self._size[ri] += self._size[rj]
-        li, lj = self._least[ri], self._least[rj]
-        if _const_key(self._consts[lj]) < _const_key(self._consts[li]):
-            self._least[ri] = lj
+        self._size[rj] = 0
+        self._least[ri] = min(self._least[ri], self._least[rj])
         return True
 
     def merge(self, a: Constant, b: Constant) -> bool:
@@ -244,22 +271,25 @@ class EqRel:
 
     # -- class inspection --
 
+    def class_ids(self, cids: Iterable[int]) -> set[int]:
+        """Ids of every member of the classes of the given ids."""
+        nxt = self._next
+        out: set[int] = set()
+        for k in cids:
+            while k not in out:
+                out.add(k)
+                k = nxt[k]
+        return out
+
     def classes(self) -> list[list[Constant]]:
         """All classes, each sorted, the list sorted by least member."""
         groups: dict[int, list[int]] = {}
-        for i in range(len(self._consts)):
-            groups.setdefault(self._find(i), []).append(i)
-        out = [sorted((self._consts[i] for i in ids), key=_const_key)
-               for ids in groups.values()]
-        out.sort(key=lambda cls: _const_key(cls[0]))
-        return out
+        for i, r in enumerate(self._root):
+            groups.setdefault(r, []).append(i)
+        return [[self._consts[i] for i in ids] for ids in sorted(groups.values())]
 
     def members(self, c: Constant) -> list[Constant]:
-        root = self._find(self.id_of(c))
-        return sorted(
-            (x for i, x in enumerate(self._consts) if self._find(i) == root),
-            key=_const_key,
-        )
+        return [self._consts[i] for i in sorted(self.class_ids((self.id_of(c),)))]
 
     def nontrivial_pairs(self) -> frozenset[MergePair]:
         """Every unordered pair of distinct constants sharing a class."""
@@ -272,16 +302,13 @@ class EqRel:
 
     def signature(self) -> frozenset[frozenset[int]]:
         """Hashable canonical form: the non-singleton classes as id sets."""
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self._consts)):
-            groups.setdefault(self._find(i), []).append(i)
         return frozenset(
-            frozenset(ids) for ids in groups.values() if len(ids) > 1
+            frozenset(self.class_ids((r,)))
+            for r, size in enumerate(self._size) if size > 1
         )
 
     def is_identity(self) -> bool:
-        return all(self._parent[i] == i and self._size[i] == 1
-                   for i in range(len(self._parent)))
+        return all(size < 2 for size in self._size)
 
     def __contains__(self, pair: object) -> bool:
         if isinstance(pair, MergePair):

@@ -142,3 +142,53 @@ def chain_instance(depth: int) -> Instance:
 
 def family(count: int, start: int = 0, hard_only: bool = False) -> list[Instance]:
     return [generate(seed, hard_only) for seed in range(start, start + count)]
+
+
+def generate_neq(seed: int) -> Instance:
+    """A family member whose soft rules carry inequality atoms, drawn from
+    its own random stream (`generate` is unaffected). `r1` compares value
+    columns, which merging never changes, so the search derives a child's
+    `r1` candidates from its parent's; `s1` compares a reference column and
+    `s2` a variable with an entity constant, either of which can turn false
+    as classes grow, so the search evaluates those rules in full at every
+    state and, as a hard merge could disable their answers, searches hard
+    answers as branches too."""
+    rng = random.Random(f"neq-{seed}")
+
+    def rule(label: str, body: str, kind: str | None = None) -> str:
+        k = kind or rng.choice(["hard", "soft", "soft"])
+        arrow = "=>" if k == "hard" else "~>"
+        return f"{k} {label}: {body} {arrow} eq(x, y);"
+
+    lines = [
+        "relation R(rid: id, a: val, b: val) merge [rid];",
+        "relation S(sid: id, t: val, r: id) merge [sid];",
+        rule("r1", "R(x, a, b), R(y, a, b2), b != b2", "soft"),
+        rule("s1", "S(x, t, r), S(y, t, r2), r != r2", "soft"),
+    ]
+    if rng.random() < 0.6:
+        thr = rng.choice([80, 85, 90])
+        lines.append(rule("r2", f"R(x, a, b), R(y, a2, b), sim(a, a2) >= {thr}"))
+    if rng.random() < 0.5:
+        lines.append(rule("s2", "S(x, t, r), S(y, t2, r), x != @s0", "soft"))
+    if rng.random() < 0.5:
+        lines.append(rule("s3", "S(x, t, r), S(y, t2, r)"))
+    if rng.random() < 0.5:
+        lines.append("deny d1: R(x, a, b), R(x, a2, b2), b != b2;")
+    if rng.random() < 0.4:
+        lines.append("deny d2: S(x, t, r), S(x, t2, r2), r != r2;")
+
+    n_r = rng.randint(3, 5)
+    n_s = rng.randint(3, 5)
+    facts: list[Fact] = []
+    for i in range(n_r):
+        b = NULL if rng.random() < 0.1 else val(rng.choice(POOL_B))
+        facts.append(Fact("R", (ent(f"r{i}"), val(rng.choice(POOL_A)), b)))
+    for j in range(n_s):
+        ref = NULL if rng.random() < 0.08 else ent(f"r{rng.randrange(n_r)}")
+        facts.append(Fact("S", (ent(f"s{j}"), val(rng.choice(POOL_T)), ref)))
+
+    knobs: dict = {}
+    if rng.random() < 0.15:
+        knobs["null_inequality"] = "fail"
+    return _finish(seed, lines, facts, knobs)

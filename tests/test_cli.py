@@ -2,7 +2,10 @@
 codes, and rerun determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from entres.model import NULL, Fact, MergePair
 from entres.rules import load_spec
 from entres.simkit import sim_all, sim_cs
 
-from conftest import MUSIC, e, v
+from conftest import MUSIC, ROOT, e, v
 
 P = MergePair.of
 SIM_ARG = f"table:{MUSIC / 'simtable.tsv'}"
@@ -134,6 +137,16 @@ class TestTruthFiles:
             P(e("a"), e("c")),
             P(e("b"), e("c")),
         }
+
+    def test_cluster_header_documented_in_readme_loads(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        found = re.search(
+            r"clustering with header\s+`(\w+)`/`(\w+)`", readme
+        )
+        assert found, "README no longer documents the clustering header"
+        p = tmp_path / "clusters.tsv"
+        p.write_text("{}\t{}\na\t1\nb\t1\n".format(*found.groups()))
+        assert load_truth(str(p)) == {P(e("a"), e("b"))}
 
     def test_unknown_header_rejected(self, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -476,3 +489,28 @@ class TestDeterminism:
         assert [p.name for p in first] == [p.name for p in second]
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+class TestPackageImport:
+    def test_module_run_writes_nothing_to_stderr(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "entres.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert "usage:" in done.stdout
+        assert done.stderr == ""
+
+    def test_cli_names_still_import_from_the_package(self):
+        import entres
+        from entres import evaluate as ev, ingest as ing, load_truth as lt
+
+        assert (ev, ing, lt) == (evaluate, ingest, load_truth)
+        assert {"evaluate", "ingest", "load_truth"} <= set(entres.__all__)
+        with pytest.raises(AttributeError):
+            entres.no_such_name

@@ -2,10 +2,13 @@
 and differential checks against the brute-force oracles."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from entres.engine import (
+    _merge_monotone,
+    _saturate,
     certain_merges,
     enumerate_solutions,
     is_possible,
@@ -21,11 +24,12 @@ from entres.engine import (
     verify_solution,
 )
 from entres.errors import NotASolution
+from entres.matcher import dc_satisfied, merge_candidates
 from entres.model import Database, EqRel, Fact, MergePair
 from entres.rules import parse_spec
 
 from conftest import e, v
-from instances import chain_instance, generate
+from instances import chain_instance, generate, generate_neq
 from oracles import (
     bruteforce_solutions,
     class_pairs,
@@ -292,3 +296,196 @@ class TestHardOnly:
         assert len(sols) == 1
         floor = lb(inst.db, inst.spec, inst.sims, **inst.knobs)
         assert sols[0].pairs() == floor.nontrivial_pairs()
+
+
+class TestDeltaSearch:
+    """The search derives each child from its parent: hard saturation pinned
+    to the classes the merges grew, soft candidates carried over and
+    re-canonicalised, monotone constraints checked on the delta only. Each
+    shortcut must equal the full evaluation at every reachable state."""
+
+    @staticmethod
+    def _check_walk(db, spec, sims, knobs, max_states=40):
+        soft = [r for r in spec.soft if _merge_monotone(r.body, spec)]
+        pruning = [dc for dc in spec.dcs if _merge_monotone(dc.body, spec)]
+        start = EqRel(db.domain)
+        _saturate(db, spec.hard, start, sims, **knobs)
+        todo, seen, checked = [start], {start.signature()}, 0
+        while todo and len(seen) <= max_states:
+            parent = todo.pop()
+            if not all(dc_satisfied(dc, db, parent, **knobs) for dc in pruning):
+                continue  # the search expands no child of such a state
+            before = {
+                r.label: merge_candidates(r, db, parent, sims, None, **knobs)
+                for r in soft
+            }
+            for rule in spec.soft:
+                for i, j in merge_candidates(rule, db, parent, sims, None, **knobs):
+                    child = parent.clone()
+                    child.merge_ids(i, j)
+                    full = child.clone()
+                    dirty = child.class_ids((i,))
+                    dirty |= _saturate(
+                        db, spec.hard, child, sims, dirty=dirty, **knobs
+                    )
+                    _saturate(db, spec.hard, full, sims, **knobs)
+                    assert child.signature() == full.signature()
+                    for r in soft:
+                        carried = {
+                            tuple(sorted((child.canon_id(a), child.canon_id(b))))
+                            for a, b in before[r.label]
+                        }
+                        carried = {(a, b) for a, b in carried if a != b}
+                        delta = merge_candidates(
+                            r, db, child, sims, dirty, **knobs
+                        )
+                        assert carried | delta == merge_candidates(
+                            r, db, child, sims, None, **knobs
+                        )
+                    for dc in pruning:
+                        assert dc_satisfied(
+                            dc, db, child, dirty, **knobs
+                        ) == dc_satisfied(dc, db, child, **knobs)
+                    checked += 1
+                    if child.signature() not in seen:
+                        seen.add(child.signature())
+                        todo.append(child)
+        return checked
+
+    def test_music_bundle(self, music):
+        db, spec, sims = music
+        assert self._check_walk(db, spec, sims, {}) >= 3
+
+    def test_family(self):
+        checked = 0
+        for seed in range(60):
+            inst = generate(seed)
+            checked += self._check_walk(
+                inst.db, inst.spec, inst.sims, inst.knobs
+            )
+        for seed in range(20):
+            inst = generate_neq(seed)
+            checked += self._check_walk(
+                inst.db, inst.spec, inst.sims, inst.knobs
+            )
+        assert checked >= 200
+
+    def test_entity_constant_in_a_body_atom(self):
+        # merging a and b moves @b's representative to a, so rows that only
+        # mention a start to match T(x, @b): saturation must pin every member
+        # of a grown class, not only the ids whose representative changed
+        spec = parse_spec(
+            "relation R(rid: id, k: val) merge [rid];\n"
+            "relation T(tid: id, r: id) merge [tid];\n"
+            "hard h1: R(x, k), R(y, k) => eq(x, y);\n"
+            "hard h2: T(x, @b), T(y, @b) => eq(x, y);\n"
+        )
+        db = Database(
+            [
+                Fact("R", (e("a"), v("k1"))),
+                Fact("R", (e("b"), v("k1"))),
+                Fact("T", (e("t1"), e("a"))),
+                Fact("T", (e("t3"), e("a"))),
+            ]
+        )
+        want = {P(e("a"), e("b")), P(e("t1"), e("t3"))}
+        assert lb(db, spec, None).nontrivial_pairs() == want
+        assert class_pairs(naive_lb(db, spec, None)) == want
+        assert [s.pairs() for s in enumerate_solutions(db, spec, None)] == [want]
+
+    def test_deep_chain_needs_no_recursion(self):
+        n = 300
+        spec = parse_spec(
+            "relation C(cid: id, k: val) merge [cid];\n"
+            "soft c1: C(x, k), C(y, k) ~> eq(x, y);\n"
+        )
+        db = Database(
+            [Fact("C", (e(f"a{i:03}"), v(f"k{i:03}"))) for i in range(n)]
+            + [Fact("C", (e(f"b{i:03}"), v(f"k{i:03}"))) for i in range(n)]
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            sol = solve_one(db, spec, None)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sol is not None
+        assert sol.pairs() == {
+            P(e(f"a{i:03}"), e(f"b{i:03}")) for i in range(n)
+        }
+
+
+class TestInequalityFamily:
+    """generate_neq's soft rules read inequalities on value columns (carried
+    from parent to child), on a reference column and against an entity
+    constant (evaluated in full, with hard answers searched as branches)."""
+
+    def test_engine_agrees_with_both_oracles(self):
+        consistent = 0
+        for seed in range(300):
+            inst = generate_neq(seed)
+            sols = enumerate_solutions(
+                inst.db, inst.spec, inst.sims, **inst.knobs
+            )
+            got = {s.pairs() for s in sols}
+            assert got == naive_solutions(
+                inst.db, inst.spec, simfn_of(inst.sims), **inst.knobs
+            ), seed
+            assert got == bruteforce_solutions(
+                inst.db, inst.spec, inst.sims, **inst.knobs
+            ), seed
+            assert all(
+                verify_solution(inst.db, inst.spec, inst.sims, s, **inst.knobs)
+                for s in sols
+            ), seed
+            consistent += bool(got)
+            if consistent >= 200:
+                break
+        assert consistent >= 200
+
+    def test_hard_merge_does_not_hide_a_soft_answer(self):
+        # r0 and r1 must merge; s1 and s3 may merge only while their
+        # references still differ, that is before the hard merge
+        spec = parse_spec(
+            "relation R(rid: id, a: val) merge [rid];\n"
+            "relation S(sid: id, t: val, r: id) merge [sid];\n"
+            "hard h: R(x, a), R(y, a) => eq(x, y);\n"
+            "soft s: S(x, t, r), S(y, t, r2), r != r2 ~> eq(x, y);\n"
+        )
+        db = Database(
+            [
+                Fact("R", (e("r0"), v("same"))),
+                Fact("R", (e("r1"), v("same"))),
+                Fact("S", (e("s1"), v("t"), e("r1"))),
+                Fact("S", (e("s3"), v("t"), e("r0"))),
+            ]
+        )
+        rr, ss = P(e("r0"), e("r1")), P(e("s1"), e("s3"))
+        want = {frozenset({rr}), frozenset({rr, ss})}
+        assert naive_solutions(db, spec, None) == want
+        assert {s.pairs() for s in enumerate_solutions(db, spec, None)} == want
+
+    def test_hard_rule_with_an_id_inequality_replays(self):
+        # applying h1 first falsifies h2's inequality, so {p1~p2} alone is a
+        # solution; saturating both hard rules in one round would also
+        # record an h2 step that is no answer at its point of the derivation
+        spec = parse_spec(
+            "relation P(pid: id, k: val) merge [pid];\n"
+            "relation R(rid: id, a: val, r: id) merge [rid];\n"
+            "hard h1: P(x, k), P(y, k) => eq(x, y);\n"
+            "hard h2: R(x, a, r), R(y, a, r2), r != r2 => eq(x, y);\n"
+        )
+        db = Database(
+            [
+                Fact("P", (e("p1"), v("k"))),
+                Fact("P", (e("p2"), v("k"))),
+                Fact("R", (e("x1"), v("a"), e("p1"))),
+                Fact("R", (e("x2"), v("a"), e("p2"))),
+            ]
+        )
+        pp, xx = P(e("p1"), e("p2")), P(e("x1"), e("x2"))
+        want = {frozenset({pp}), frozenset({pp, xx})}
+        assert naive_solutions(db, spec, None) == want
+        sols = enumerate_solutions(db, spec, None)
+        assert {s.pairs() for s in sols} == want
+        assert all(verify_solution(db, spec, None, s) for s in sols)

@@ -40,6 +40,16 @@ class TestAnswerBasics:
         assert (e("r1"), e("r2")) in ans.rep_tuples
         assert (e("r1"), e("r1")) in ans.rep_tuples  # reflexive matches too
 
+    def test_relation_over_another_domain_rejected(self):
+        # rows are read as ids numbered over the database's own domain, so
+        # an equivalence relation numbering a different domain cannot apply
+        spec, db = spec_db(
+            JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
+        )
+        wider = EqRel(db.domain | {e("r0")})
+        with pytest.raises(ValueError, match="domain"):
+            answers(spec.hard[0].body, spec.hard[0].head, db, wider)
+
     def test_preimage_expansion(self):
         spec, db = spec_db(
             JOIN,
