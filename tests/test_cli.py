@@ -1,6 +1,8 @@
 """Command line surface: ingestion, truth files, metrics, every mode, exit
 codes, and rerun determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -474,6 +476,60 @@ class TestOptionValues:
             ]
         assert len(files["cs"]) < len(files["all"])
         assert "marhta\tmartha\t96.11" in files["cs"]
+
+
+GOLDEN = ROOT / "tests" / "golden" / "music"
+
+#: golden case -> arguments after the shared music bundle arguments
+GOLDEN_CASES = {
+    "lb": ("--mode", "lb"),
+    "ub": ("--mode", "ub"),
+    "loose-ub": ("--mode", "loose-ub"),
+    "solve-one": ("--mode", "solve-one"),
+    "enumerate": ("--mode", "enumerate"),
+    "maximal": ("--mode", "maximal"),
+    "pm": ("--mode", "pm"),
+    "cm": ("--mode", "cm"),
+    "levels": ("--mode", "levels"),
+    "levels-scope-ub": ("--mode", "levels", "--levels-scope", "ub"),
+    "explain": ("--mode", "explain:s1,s2"),
+    "eval": ("--mode", "eval", "--truth", MUSIC / "truth_pairs.tsv"),
+    "ub-null-fail": ("--mode", "ub", "--null-inequality", "fail"),
+}
+
+
+def golden_outputs(case, workdir):
+    """Run one golden case from workdir with `--out out`, so printed paths
+    do not depend on where it runs. Returns file name -> bytes for every
+    file written, plus `stdout.txt`: the stdout without its timing line."""
+    args = [
+        "--spec", MUSIC / "music.er", "--data", MUSIC, "--sim", SIM_ARG,
+        *GOLDEN_CASES[case], "--out", "out",
+    ]
+    buf = io.StringIO()
+    with contextlib.chdir(workdir), contextlib.redirect_stdout(buf):
+        assert main([str(a) for a in args]) == 0
+    got = {
+        p.name: p.read_bytes() for p in sorted((workdir / "out").iterdir())
+    }
+    lines = buf.getvalue().splitlines(keepends=True)
+    got["stdout.txt"] = "".join(
+        line for line in lines if not line.startswith("timing:")
+    ).encode()
+    return got
+
+
+class TestGolden:
+    """Every music mode's files and stdout match the committed outputs byte
+    for byte. Regenerate a case by writing golden_outputs() into
+    tests/golden/music/<case>/ (only when an output change is intended)."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_outputs_match(self, case, tmp_path):
+        want = {
+            p.name: p.read_bytes() for p in sorted((GOLDEN / case).iterdir())
+        }
+        assert golden_outputs(case, tmp_path) == want
 
 
 class TestDeterminism:
