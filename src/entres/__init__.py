@@ -48,7 +48,15 @@ from .explain import (
     to_json,
     validate_proof_tree,
 )
-from .matcher import AnswerSet, SimResolver, Witness, answers, dc_satisfied, rule_satisfied
+from .matcher import (
+    AnswerSet,
+    Context,
+    SimResolver,
+    Witness,
+    answers,
+    dc_satisfied,
+    rule_satisfied,
+)
 from .model import (
     NULL,
     Constant,
@@ -101,14 +109,15 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AnswerSet", "Constant", "DataError", "Database", "DenialConstraint",
-    "DerivStep", "EntresError", "EqRel", "Fact", "Kind", "LevelMap",
-    "MergePair", "MergeSets", "MissingSimScore", "NULL", "NodeKind",
-    "NonEntityMerge", "NotASolution", "NotInSolution", "OnDemandResolver",
-    "ProofNode", "ProofTree", "Rule", "RuleKind", "Schema", "SimResolver",
-    "SimSafetyViolation", "SimStore", "SimTable", "Solution", "SpecError",
-    "SpecSyntaxError", "Specification", "StrictResolver", "TableResolver",
-    "TfidfModel", "UnknownConstant", "Witness", "answers", "build_registry",
+    "AnswerSet", "Constant", "Context", "DataError", "Database",
+    "DenialConstraint", "DerivStep", "EntresError", "EqRel", "Fact", "Kind",
+    "LevelMap", "MergePair", "MergeSets", "MissingSimScore", "NULL",
+    "NodeKind", "NonEntityMerge", "NotASolution", "NotInSolution",
+    "OnDemandResolver", "ProofNode", "ProofTree", "Rule", "RuleKind",
+    "Schema", "SimResolver", "SimSafetyViolation", "SimStore", "SimTable",
+    "Solution", "SpecError", "SpecSyntaxError", "Specification",
+    "StrictResolver", "TableResolver", "TfidfModel", "UnknownConstant",
+    "Witness", "answers", "build_registry",
     "certain_merges", "dc_satisfied", "enumerate_solutions", "entity",
     "evaluate", "ingest", "is_possible", "is_solution", "lb", "levels",
     "load_spec", "load_truth", "loose_ub", "maximal_solutions", "merge_sets",

@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -35,6 +36,7 @@ from .errors import (
     UnknownConstant,
 )
 from .explain import proof_tree, rule_depth, to_dot, to_json
+from .matcher import Context
 from .model import NULL, Constant, Database, Fact, MergePair, entity, value
 from .rules import Schema, Specification, load_spec, validate_sim_safety
 from .simkit import (
@@ -277,21 +279,21 @@ def _export_store(store: SimStore, out: Path) -> list[Path]:
 
 
 def _prepare_sims(
-    args, spec: Specification, db: Database, knobs: dict
+    args, ctx: Context
 ) -> tuple[object | None, SimStore | None]:
     """Resolver for the engine plus the materialized store (None for the
     table strategy, which serves lookups directly)."""
-    if not sim_functions(spec):
+    if not sim_functions(ctx.spec):
         return None, None
     if args.sim.startswith("table:"):
         table = SimTable.load(args.sim[len("table:"):])
         return TableResolver(table), None
     if args.sim == "all":
-        store = sim_all(db, spec)
+        store = sim_all(ctx.db, ctx.spec)
     elif args.sim == "cs":
-        store = sim_cs(db, spec)
+        store = sim_cs(ctx.db, ctx.spec)
     elif args.sim == "opt":
-        store, _ = sim_opt(db, spec, **knobs)
+        store, _ = sim_opt(ctx)
     else:
         raise DataError(
             f"unknown similarity strategy {args.sim!r}; "
@@ -345,13 +347,14 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     timing = _Timing()
-    knobs = {"null_inequality": args.null_inequality}
 
     t0 = time.perf_counter()
     db = ingest(args.data, spec.schema, args.null_token)
     if mode == "explain":
         a, b = (_entity_by_text(db, text) for text in mode_arg)
-    sims, store = _prepare_sims(args, spec, db, knobs)
+    ctx = Context(db, spec, null_inequality=args.null_inequality)
+    sims, store = _prepare_sims(args, ctx)
+    ctx = replace(ctx, sims=sims)
     timing.preprocess = time.perf_counter() - t0
 
     code = 0
@@ -368,11 +371,11 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     elif mode in ("lb", "ub", "loose-ub"):
         t0 = time.perf_counter()
         if mode == "lb":
-            e = engine.lb(db, spec, sims, **knobs)
+            e = engine.lb(ctx)
         elif mode == "ub":
-            e = engine.ub(db, spec, sims, **knobs)
+            e = engine.ub(ctx)
         else:
-            e = engine.loose_ub(db, spec, **knobs)
+            e = engine.loose_ub(ctx)
         timing.fixpoint = time.perf_counter() - t0
         pairs = e.nontrivial_pairs()
         dest = out / f"{mode}.tsv"
@@ -383,9 +386,9 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     elif mode in ("enumerate", "maximal"):
         t0 = time.perf_counter()
         if mode == "enumerate":
-            sols = engine.enumerate_solutions(db, spec, sims, n=mode_arg, **knobs)
+            sols = engine.enumerate_solutions(ctx, n=mode_arg)
         else:
-            sols = engine.maximal_solutions(db, spec, sims, n=mode_arg, **knobs)
+            sols = engine.maximal_solutions(ctx, n=mode_arg)
         timing.solve = time.perf_counter() - t0
         if not sols:
             print("no solution exists", file=sys.stderr)
@@ -396,7 +399,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             print(f"{mode} {k}: {len(sol.pairs())} merges -> {dest}")
     elif mode in ("solve-one", "pm", "cm", "eval", "levels", "explain"):
         t0 = time.perf_counter()
-        sol = engine.solve_one(db, spec, sims, **knobs)
+        sol = engine.solve_one(ctx)
         timing.solve = time.perf_counter() - t0
         if sol is None:
             print("no solution exists", file=sys.stderr)
@@ -410,9 +413,9 @@ def run(args, parser: argparse.ArgumentParser) -> int:
         elif mode in ("pm", "cm"):
             t0 = time.perf_counter()
             if mode == "pm":
-                pairs = engine.possible_merges(db, spec, sims, **knobs)
+                pairs = engine.possible_merges(ctx)
             else:
-                pairs = engine.certain_merges(db, spec, sims, **knobs)
+                pairs = engine.certain_merges(ctx)
             timing.solve += time.perf_counter() - t0
             dest = out / f"{mode}.tsv"
             write_pairs(dest, pairs)
@@ -423,9 +426,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             _metrics_io(sol.pairs(), args.truth, out)
         elif mode == "levels":
             t0 = time.perf_counter()
-            lm = engine.levels(
-                db, spec, sims, sol, scope=args.levels_scope, **knobs
-            )
+            lm = engine.levels(ctx, sol, scope=args.levels_scope)
             timing.fixpoint += time.perf_counter() - t0
             dest = out / "levels.tsv"
             lines = ["left\tright\tlevel"] + [
@@ -434,7 +435,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"levels: {len(lm)} merges -> {dest}")
         else:
-            tree = proof_tree(db, spec, sims, sol, (a, b), **knobs)
+            tree = proof_tree(ctx, sol, (a, b))
             dot_dest = out / "explain.dot"
             dot_dest.write_text(to_dot(tree, spec), encoding="utf-8")
             json_dest = out / "explain.json"

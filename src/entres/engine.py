@@ -4,7 +4,8 @@ A candidate solution is any equivalence relation reachable from identity by
 repeatedly applying one rule answer and closing. A solution additionally
 satisfies every hard rule and denial constraint. This module computes:
 
-  - lb / ub:     fixpoints of the hard-only and all-rules-as-hard programs,
+  - lb / ub:     fixpoints of the merge-monotone hard rules and of every
+                 rule as hard with its non-monotone inequalities dropped,
                  bounding every solution from below and above;
   - loose_ub:    the ub fixpoint with similarity atoms dropped (needs no
                  similarity scores at all);
@@ -22,22 +23,23 @@ satisfies every hard rule and denial constraint. This module computes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterator
+from dataclasses import dataclass, replace
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import NotASolution
 from .matcher import (
-    SimResolver,
+    Context,
     dc_satisfied,
     merge_candidates,
     rule_satisfied,
 )
-from .model import Constant, Database, EqRel, MergePair
+from .model import Constant, EqRel, MergePair
 from .rules import (
-    DenialConstraint,
+    NeqAtom,
     Rule,
     RuleBody,
     Specification,
+    Term,
     Var,
     transform,
     var_positions,
@@ -116,13 +118,11 @@ class LevelMap:
 
 
 def _saturate(
-    db: Database,
+    ctx: Context,
     rules: tuple[Rule, ...],
     e: EqRel,
-    sims: SimResolver | None,
     record: list[DerivStep] | None = None,
     dirty: AbstractSet[int] | None = None,
-    **knobs,
 ) -> set[int]:
     """Semi-naive fixpoint: apply every rule answer and close, then evaluate
     again with each relational atom in turn pinned to rows touching a class
@@ -137,7 +137,7 @@ def _saturate(
     while True:
         found: list[tuple[str, int, int]] = []
         for rule in rules:
-            for i, j in merge_candidates(rule, db, e, sims, dirty, **knobs):
+            for i, j in merge_candidates(rule, ctx, e, dirty):
                 found.append((rule.label, i, j))
         if not found:
             return grown
@@ -153,27 +153,31 @@ def _saturate(
         grown |= dirty
 
 
-def lb(db: Database, spec: Specification, sims: SimResolver | None = None,
-       **knobs) -> EqRel:
-    """Least fixpoint of the hard rules: merges present in every solution."""
-    e = EqRel(db.domain)
-    _saturate(db, spec.hard, e, sims, **knobs)
+def lb(ctx: Context) -> EqRel:
+    """Least fixpoint of the merge-monotone hard rules: merges present in
+    every solution. A hard rule with an inequality that can turn false as
+    classes grow need not fire in every solution, so it is left out."""
+    spec = ctx.spec
+    e = ctx.identity()
+    _saturate(
+        ctx, tuple(r for r in spec.hard if _merge_monotone(r.body, spec)), e
+    )
     return e
 
 
-def ub(db: Database, spec: Specification, sims: SimResolver | None = None,
-       **knobs) -> EqRel:
-    """Fixpoint with soft rules promoted to hard: no solution merges more."""
-    e = EqRel(db.domain)
-    _saturate(db, transform(spec, "ub").hard, e, sims, **knobs)
+def ub(ctx: Context) -> EqRel:
+    """Fixpoint with soft rules promoted to hard and non-monotone
+    inequalities dropped: no solution merges more."""
+    e = ctx.identity()
+    _saturate(ctx, _relaxed(transform(ctx.spec, "ub").hard, ctx.spec), e)
     return e
 
 
-def loose_ub(db: Database, spec: Specification, **knobs) -> EqRel:
+def loose_ub(ctx: Context) -> EqRel:
     """The ub fixpoint with similarity atoms dropped; a similarity-free
     overapproximation that needs no scores."""
-    e = EqRel(db.domain)
-    _saturate(db, transform(spec, "loose_ub").hard, e, None, **knobs)
+    e = ctx.identity()
+    _saturate(ctx, _relaxed(transform(ctx.spec, "loose_ub").hard, ctx.spec), e)
     return e
 
 
@@ -185,24 +189,45 @@ def _hint_of(spec: Specification, rel: str, pos: int) -> str:
     return decl.hints[pos] if decl else "val"
 
 
+def _neq_monotone(
+    natom: NeqAtom,
+    occ: dict[Var, tuple[tuple[str, int], ...]],
+    spec: Specification,
+) -> bool:
+    """No operand of the inequality can change its representative as
+    classes grow: variables reading only non-id columns, or value
+    constants."""
+    def fixed(term: Term) -> bool:
+        if isinstance(term, Var):
+            return all(
+                _hint_of(spec, rel, pos) != "id"
+                for rel, pos in occ.get(term, ())
+            )
+        return not term.is_entity()
+    return fixed(natom.left) and fixed(natom.right)
+
+
 def _merge_monotone(body: RuleBody, spec: Specification) -> bool:
-    """A body is merge-monotone when no inequality operand can change its
-    representative as classes grow: variables reading only non-id columns,
-    or value constants. A match of such a body persists under further
-    merges, so a constraint violation persists in a whole search subtree
-    and a rule answer stays an answer (up to canonical ids)."""
+    """A body is merge-monotone when all its inequalities are. A match of
+    such a body persists under further merges, so a constraint violation
+    persists in a whole search subtree and a rule answer stays an answer
+    (up to canonical ids)."""
     occ = var_positions(body)
-    for natom in body.neq_atoms:
-        for term in (natom.left, natom.right):
-            if isinstance(term, Var):
-                if any(
-                    _hint_of(spec, rel, pos) == "id"
-                    for rel, pos in occ.get(term, ())
-                ):
-                    return False
-            elif term.is_entity():
-                return False
-    return True
+    return all(_neq_monotone(n, occ, spec) for n in body.neq_atoms)
+
+
+def _relaxed(rules: Iterable[Rule], spec: Specification) -> tuple[Rule, ...]:
+    """The rules without their non-monotone inequalities: each has every
+    answer of the original at every state, and its answers persist as
+    classes grow, so its fixpoint contains every reachable state."""
+    out = []
+    for rule in rules:
+        occ = var_positions(rule.body)
+        keep = tuple(
+            n for n in rule.body.neq_atoms if _neq_monotone(n, occ, spec)
+        )
+        out.append(replace(rule, body=replace(rule.body, neq_atoms=keep)))
+    return tuple(out)
 
 
 @dataclass(slots=True)
@@ -248,17 +273,9 @@ class _Search:
     ones (no state is hard-saturated), and a state counts only once it has
     no hard answer left."""
 
-    def __init__(
-        self,
-        db: Database,
-        spec: Specification,
-        sims: SimResolver | None,
-        knobs: dict,
-    ):
-        self.db = db
-        self.spec = spec
-        self.sims = sims
-        self.knobs = knobs
+    def __init__(self, ctx: Context):
+        spec = ctx.spec
+        self.ctx = ctx
         self.memo: set[frozenset[frozenset[int]]] = set()
         self.results: list[Solution] = []
         self.limit: int | None = None
@@ -292,13 +309,10 @@ class _Search:
         self.stop_pair = stop_pair
         if limit is not None and limit <= 0:
             return []
-        start = EqRel(self.db.domain)
+        start = self.ctx.identity()
         steps: list[DerivStep] = []
         if self.eager:
-            _saturate(
-                self.db, self.spec.hard, start, self.sims, record=steps,
-                **self.knobs,
-            )
+            _saturate(self.ctx, self.ctx.spec.hard, start, record=steps)
         root = self._enter(start, tuple(steps))
         stack = [root] if root is not None else []
         while stack:
@@ -324,8 +338,7 @@ class _Search:
         dirty = e.class_ids((i,))
         if self.eager:
             dirty |= _saturate(
-                self.db, self.spec.hard, e, self.sims, record=steps,
-                dirty=dirty, **self.knobs,
+                self.ctx, self.ctx.spec.hard, e, record=steps, dirty=dirty
             )
         return self._enter(e, parent.deriv + tuple(steps), parent.cands, dirty)
 
@@ -344,18 +357,14 @@ class _Search:
             return None
         self.memo.add(sig)
         for dc in self.pruning_dcs:
-            if not dc_satisfied(dc, self.db, e, dirty, **self.knobs):
+            if not dc_satisfied(dc, self.ctx, e, dirty):
                 return None  # violation persists in the whole subtree
         cands: list[set[tuple[int, int]]] = []
         for k, rule in enumerate(self.branching):
             if parent_cands is None or not self.incremental[k]:
-                got = merge_candidates(
-                    rule, self.db, e, self.sims, None, **self.knobs
-                )
+                got = merge_candidates(rule, self.ctx, e)
             else:
-                got = merge_candidates(
-                    rule, self.db, e, self.sims, dirty, **self.knobs
-                )
+                got = merge_candidates(rule, self.ctx, e, dirty)
                 for a, b in parent_cands[k]:
                     a, b = e.canon_id(a), e.canon_id(b)
                     if a != b:
@@ -372,37 +381,26 @@ class _Search:
         """Record the state once its subtree is done, if it has no hard
         answer left and passes the constraints that were not checked on
         the way down."""
-        if any(node.cands[len(self.spec.soft):]):
+        if any(node.cands[len(self.ctx.spec.soft):]):
             return
         for dc in self.checked_dcs:
-            if not dc_satisfied(dc, self.db, node.e, **self.knobs):
+            if not dc_satisfied(dc, self.ctx, node.e):
                 return
         self.results.append(Solution(node.e, node.deriv))
         if self.stop_pair is not None and self.stop_pair in node.e:
             self.found_stop = True
 
 
-def enumerate_solutions(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    n: int | None = None,
-    **knobs,
-) -> list[Solution]:
+def enumerate_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions with pairwise distinct merge sets (all of them
     when n is None), in deterministic search order."""
-    return _Search(db, spec, sims, knobs).run(limit=n)
+    return _Search(ctx).run(limit=n)
 
 
-def solve_one(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    **knobs,
-) -> Solution | None:
+def solve_one(ctx: Context) -> Solution | None:
     """Some solution, or None when the specification is inconsistent with
     the data. Biased toward a subset-maximal one by the search order."""
-    found = enumerate_solutions(db, spec, sims, n=1, **knobs)
+    found = enumerate_solutions(ctx, n=1)
     return found[0] if found else None
 
 
@@ -419,43 +417,27 @@ def _maximal_filter(solutions: list[Solution]) -> list[Solution]:
     return out
 
 
-def maximal_solutions(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    n: int | None = None,
-    **knobs,
-) -> list[Solution]:
+def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions whose merge sets are subset-maximal among all
     solutions, largest first."""
     if n is not None and n <= 0:
         return []
-    maxima = _maximal_filter(enumerate_solutions(db, spec, sims, **knobs))
+    maxima = _maximal_filter(enumerate_solutions(ctx))
     return maxima if n is None else maxima[:n]
 
 
-def possible_merges(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    **knobs,
-) -> frozenset[MergePair]:
+def possible_merges(ctx: Context) -> frozenset[MergePair]:
     """Pairs merged in at least one solution."""
     out: set[MergePair] = set()
-    for sol in enumerate_solutions(db, spec, sims, **knobs):
+    for sol in enumerate_solutions(ctx):
         out |= sol.pairs()
     return frozenset(out)
 
 
-def certain_merges(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    **knobs,
-) -> frozenset[MergePair]:
+def certain_merges(ctx: Context) -> frozenset[MergePair]:
     """Pairs merged in every maximal solution; empty when no solution
     exists."""
-    maxima = maximal_solutions(db, spec, sims, **knobs)
+    maxima = maximal_solutions(ctx)
     if not maxima:
         return frozenset()
     common = set(maxima[0].pairs())
@@ -465,36 +447,25 @@ def certain_merges(
 
 
 def is_possible(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    pair: MergePair | tuple[Constant, Constant] | None = None,
-    **knobs,
+    ctx: Context, pair: MergePair | tuple[Constant, Constant]
 ) -> bool:
     """True iff some solution merges the pair. Reflexive pairs are possible
     exactly when a solution exists at all."""
-    if pair is None:
-        raise TypeError("is_possible requires a pair")
     a, b = pair
     if a == b:
-        return solve_one(db, spec, sims, **knobs) is not None
-    if a not in db.domain or b not in db.domain:
+        return solve_one(ctx) is not None
+    if a not in ctx.db.domain or b not in ctx.db.domain:
         return False
     target = MergePair.of(a, b)
-    results = _Search(db, spec, sims, knobs).run(stop_pair=target)
+    results = _Search(ctx).run(stop_pair=target)
     return any(target in sol.eq for sol in results)
 
 
-def merge_sets(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-    **knobs,
-) -> MergeSets:
+def merge_sets(ctx: Context) -> MergeSets:
     """lb, ub, pm and cm in one call."""
-    lbset = lb(db, spec, sims, **knobs).nontrivial_pairs()
-    ubset = ub(db, spec, sims, **knobs).nontrivial_pairs()
-    sols = enumerate_solutions(db, spec, sims, **knobs)
+    lbset = lb(ctx).nontrivial_pairs()
+    ubset = ub(ctx).nontrivial_pairs()
+    sols = enumerate_solutions(ctx)
     if not sols:
         return MergeSets(lbset, ubset, frozenset(), frozenset(), False)
     pm: set[MergePair] = set()
@@ -510,59 +481,52 @@ def merge_sets(
 # ------------------------------------------------------------------ levels
 
 
-def is_solution(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None,
-    e: EqRel,
-    **knobs,
-) -> bool:
+def is_solution(ctx: Context, e: EqRel) -> bool:
     """Check the solution conditions directly: every hard rule and every
     denial constraint satisfied at e."""
     return all(
-        rule_satisfied(r, db, e, sims, **knobs) for r in spec.hard
+        rule_satisfied(r, ctx, e) for r in ctx.spec.hard
     ) and all(
-        dc_satisfied(dc, db, e, **knobs) for dc in spec.dcs
+        dc_satisfied(dc, ctx, e) for dc in ctx.spec.dcs
     )
 
 
-def levels(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None,
-    sol: Solution,
-    scope: str = "solution",
-    **knobs,
-) -> LevelMap:
+def levels(ctx: Context, sol: Solution, scope: str = "solution") -> LevelMap:
     """Level of each merge in the solution: the first round of the
     rule-application chain that relates the pair, counting rule
     applications but not transitive closure.
 
     scope="solution" (default) admits only rule answers already merged in
     the solution; scope="ub" runs the unrestricted all-rules chain and then
-    reports the pairs the solution contains."""
+    reports the pairs the solution contains. Rounds after the first
+    evaluate only matches touching a class the previous round grew: every
+    other match held a round earlier, and its answer was merged then or,
+    being outside the solution, is still left out."""
     if scope not in ("solution", "ub"):
         raise ValueError(f"unknown levels scope {scope!r}")
-    if not is_solution(db, spec, sims, sol.eq, **knobs):
+    if not is_solution(ctx, sol.eq):
         raise NotASolution("levels() requires a valid solution")
-    rules = transform(spec, "ub").hard
-    e = EqRel(db.domain)
+    rules = transform(ctx.spec, "ub").hard
+    e = ctx.identity()
     found: dict[MergePair, int] = {}
     level = 0
+    dirty: set[int] | None = None
     while True:
         level += 1
         new_ids: set[tuple[int, int]] = set()
         for rule in rules:
-            for i, j in merge_candidates(rule, db, e, sims, None, **knobs):
+            for i, j in merge_candidates(rule, ctx, e, dirty):
                 if scope == "solution" and not sol.eq.same(e.const(i), e.const(j)):
                     continue
                 new_ids.add((i, j))
         before = e.nontrivial_pairs()
-        changed = False
+        merged: list[int] = []
         for i, j in sorted(new_ids):
-            changed |= e.merge_ids(i, j)
-        if not changed:
+            if e.merge_ids(i, j):
+                merged.append(i)
+        if not merged:
             break
+        dirty = e.class_ids(merged)
         for pair in e.nontrivial_pairs() - before:
             found[pair] = level
     if scope == "ub":
@@ -574,23 +538,17 @@ def levels(
 # ------------------------------------------------------------ verification
 
 
-def verify_solution(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None,
-    sol: Solution,
-    **knobs,
-) -> bool:
+def verify_solution(ctx: Context, sol: Solution) -> bool:
     """Soundness check used by the test suite: the derivation replays from
     identity (each applied pair is an answer of its rule at its step) and
     reproduces exactly sol.eq, which satisfies all hard rules and
     constraints."""
-    e = EqRel(db.domain)
+    e = ctx.identity()
     for step in sol.derivation:
-        rule = spec.rule_by_label(step.label)
+        rule = ctx.spec.rule_by_label(step.label)
         if rule is None:
             return False
-        cands = merge_candidates(rule, db, e, sims, None, **knobs)
+        cands = merge_candidates(rule, ctx, e)
         i = e.canon_id(e.id_of(step.pair.left))
         j = e.canon_id(e.id_of(step.pair.right))
         key = (i, j) if i < j else (j, i)
@@ -599,4 +557,4 @@ def verify_solution(
         e.merge_ids(i, j)
     if e.signature() != sol.eq.signature():
         return False
-    return is_solution(db, spec, sims, sol.eq, **knobs)
+    return is_solution(ctx, sol.eq)

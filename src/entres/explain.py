@@ -29,7 +29,7 @@ from enum import Enum
 
 from .engine import Solution
 from .errors import NotInSolution
-from .matcher import SimResolver, Witness, answers
+from .matcher import Context, SimResolver, Witness, answers
 from .model import Constant, Database, EqRel, Fact, Kind, MergePair
 from .rules import Rule, RuleBody, Specification, Var, transform
 
@@ -130,19 +130,9 @@ def _witness_key(w: Witness):
 
 
 class _Builder:
-    def __init__(
-        self,
-        db: Database,
-        spec: Specification,
-        sims: SimResolver | None,
-        sol: Solution,
-        knobs: dict,
-    ):
-        self.db = db
-        self.spec = spec
-        self.sims = sims
+    def __init__(self, ctx: Context, sol: Solution):
+        self.ctx = ctx
         self.sol = sol
-        self.knobs = knobs
         self.rounds: list[_Round] = []
         self.level: dict[MergePair, int] = {}
         self.cache: dict[MergePair, ProofNode] = {}
@@ -151,15 +141,15 @@ class _Builder:
     # -- the level chain, with witnesses kept per round
 
     def _run_chain(self) -> None:
-        rules = transform(self.spec, "ub").hard
-        e = EqRel(self.db.domain)
+        rules = transform(self.ctx.spec, "ub").hard
+        e = self.ctx.identity()
         while True:
             rnd = _Round(prev=e.clone())
             merged: list[tuple[int, int]] = []
             for rule in rules:
                 ans = answers(
-                    rule.body, rule.head, self.db, e, self.sims,
-                    expand=False, witnesses=True, **self.knobs,
+                    rule.body, rule.head, self.ctx, e,
+                    expand=False, witnesses=True,
                 )
                 assert ans.witnesses is not None
                 for u, v in sorted(
@@ -337,8 +327,8 @@ class _Builder:
         for satom in rule.body.sim_atoms:
             sa = self._sim_const(satom.left, occ, wit)
             sb = self._sim_const(satom.right, occ, wit)
-            assert self.sims is not None
-            score = self.sims.score(satom.func_id, sa, sb)
+            assert self.ctx.sims is not None
+            score = self.ctx.sims.score(satom.func_id, sa, sb)
             children.append(
                 ProofNode(
                     kind=NodeKind.SIM,
@@ -362,12 +352,9 @@ class _Builder:
 
 
 def proof_tree(
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None,
+    ctx: Context,
     sol: Solution,
     pair: MergePair | tuple[Constant, Constant],
-    **knobs,
 ) -> ProofTree:
     """A proof tree for the pair in the solution, of minimal rule-depth
     (equal to the pair's level)."""
@@ -377,7 +364,7 @@ def proof_tree(
     target = MergePair.of(a, b)
     if target not in sol.eq:
         raise NotInSolution(f"({a.text}, {b.text}) is not merged in the solution")
-    builder = _Builder(db, spec, sims, sol, knobs)
+    builder = _Builder(ctx, sol)
     return ProofTree(root=builder.build(a, b), pair=target)
 
 

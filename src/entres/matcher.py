@@ -1,4 +1,5 @@
-"""Evaluate rule and constraint bodies against a database plus equivalence
+"""Evaluate rule and constraint bodies in an evaluation context (database,
+specification, similarity resolver, null policies) against an equivalence
 relation.
 
 Evaluation is representative-level: every fact argument is mapped to the
@@ -15,7 +16,7 @@ Conventions baked in here:
     sim-safe specifications) and are evaluated last, after all joins;
   - a join variable (two or more occurrences among relational atoms) may
     never bind the Null constant, so merges cannot flow through missing
-    values; `null_join_guard=False` disables this for mutation testing;
+    values;
   - Null inequality policy: `distinct` treats Null as a regular constant
     (unequal to everything but itself), `fail` falsifies any inequality
     with a Null operand.
@@ -33,6 +34,7 @@ from .rules import (
     DenialConstraint,
     Rule,
     RuleBody,
+    Specification,
     Term,
     Var,
     join_vars,
@@ -43,6 +45,31 @@ class SimResolver(Protocol):
     """Anything that can score a similarity function on two constants."""
 
     def score(self, func: str, a: Constant, b: Constant) -> int: ...
+
+
+@dataclass(frozen=True, slots=True)
+class Context:
+    """What every evaluation reads besides the equivalence relation: the
+    database, the specification, the similarity resolver (None when no
+    similarity atom is evaluated) and the null policies."""
+
+    db: Database
+    spec: Specification
+    sims: SimResolver | None = None
+    null_inequality: str = "distinct"
+    null_join_guard: bool = True
+
+    def __post_init__(self) -> None:
+        if self.null_inequality not in ("distinct", "fail"):
+            raise ValueError(
+                f"unknown null inequality policy {self.null_inequality!r}; "
+                f"expected 'distinct' or 'fail'"
+            )
+
+    def identity(self) -> EqRel:
+        """A fresh identity relation over the database's domain, numbered
+        as the database's interned rows are."""
+        return EqRel.numbered(self.db.consts, self.db.ids)
 
 
 @dataclass(slots=True)
@@ -78,34 +105,24 @@ class AnswerSet:
 
 
 class _Eval:
-    """One body evaluation over (db, e). Canonicalises the database's
+    """One body evaluation over (ctx.db, e). Canonicalises the database's
     interned rows of each body relation and builds lazy per-position
     indexes over them."""
 
     __slots__ = (
-        "body", "db", "e", "sims", "guard", "null_neq", "null_id",
-        "rows", "indexes", "joinset", "res_args", "dead",
+        "body", "ctx", "e", "null_id", "rows", "indexes", "joinset",
+        "res_args", "dead",
     )
 
-    def __init__(
-        self,
-        body: RuleBody,
-        db: Database,
-        e: EqRel,
-        sims: SimResolver | None,
-        null_join_guard: bool,
-        null_inequality: str,
-    ):
+    def __init__(self, body: RuleBody, ctx: Context, e: EqRel):
+        db = ctx.db
         if e.domain is not db.consts and e.domain != db.consts:
             raise ValueError(
                 "the equivalence relation is not over the database's domain"
             )
         self.body = body
-        self.db = db
+        self.ctx = ctx
         self.e = e
-        self.sims = sims
-        self.guard = null_join_guard
-        self.null_neq = null_inequality
         self.null_id = e.try_id(NULL)
         self.joinset = join_vars(body)
         self.rows: dict[str, list[tuple[Fact, tuple[int, ...]]]] = {}
@@ -179,26 +196,28 @@ class _Eval:
         return term if cid is None else self.e.const(self.e.canon_id(cid))
 
     def _neq_ok(self, binding: dict[Var, int]) -> bool:
+        fail = self.ctx.null_inequality == "fail"
         for natom in self.body.neq_atoms:
             a = self._resolve_rep(natom.left, binding)
             b = self._resolve_rep(natom.right, binding)
-            if self.null_neq == "fail" and (a.is_null() or b.is_null()):
+            if fail and (a.is_null() or b.is_null()):
                 return False
             if a == b:
                 return False
         return True
 
     def _sim_ok(self, orig: dict[Var, Constant]) -> bool:
+        sims = self.ctx.sims
         for satom in self.body.sim_atoms:
             a = orig[satom.left] if isinstance(satom.left, Var) else satom.left
             b = orig[satom.right] if isinstance(satom.right, Var) else satom.right
             if a.is_null() or b.is_null():
                 return False
-            if self.sims is None:
+            if sims is None:
                 raise MissingSimScore(
                     f"no similarity resolver supplied for {satom.func_id!r}"
                 )
-            if self.sims.score(satom.func_id, a, b) < satom.threshold:
+            if sims.score(satom.func_id, a, b) < satom.threshold:
                 return False
         return True
 
@@ -218,13 +237,14 @@ class _Eval:
         binding: dict[Var, int] = {}
         orig: dict[Var, Constant] = {}
         null_id = self.null_id
+        guard = self.ctx.null_join_guard
         facts: list[Fact | None] = [None] * len(atoms)
 
         pinned_rows = None
         if pin is not None:
             assert dirty is not None
             rel = atoms[pin].relation
-            uses, rows = self.db.uses.get(rel, {}), self.rows[rel]
+            uses, rows = self.ctx.db.uses.get(rel, {}), self.rows[rel]
             pinned_rows = [
                 rows[k]
                 for k in sorted({k for i in dirty for k in uses.get(i, ())})
@@ -268,7 +288,7 @@ class _Eval:
                             ok = False
                             break
                         continue
-                    if self.guard and cid == null_id and val in self.joinset:
+                    if guard and cid == null_id and val in self.joinset:
                         ok = False
                         break
                     binding[val] = cid
@@ -302,21 +322,18 @@ def _head_rep(
 def answers(
     body: RuleBody,
     head: tuple[Term, ...],
-    db: Database,
+    ctx: Context,
     e: EqRel,
-    sims: SimResolver | None = None,
     *,
     expand: bool = True,
     witnesses: bool = False,
-    null_join_guard: bool = True,
-    null_inequality: str = "distinct",
 ) -> AnswerSet:
-    """All head tuples derivable from body matches over (db, e).
+    """All head tuples derivable from body matches over (ctx.db, e).
 
     Representative-level tuples are always produced; with expand=True the
     answer set additionally contains every preimage tuple (each
     representative replaced by each member of its class)."""
-    ev = _Eval(body, db, e, sims, null_join_guard, null_inequality)
+    ev = _Eval(body, ctx, e)
     reps: set[tuple[Constant, ...]] = set()
     wits: dict[tuple[Constant, ...], list[Witness]] | None = (
         {} if witnesses else None
@@ -340,18 +357,14 @@ def answers(
 
 def merge_candidates(
     rule: Rule,
-    db: Database,
+    ctx: Context,
     e: EqRel,
-    sims: SimResolver | None,
     dirty: AbstractSet[int] | None = None,
-    *,
-    null_join_guard: bool = True,
-    null_inequality: str = "distinct",
 ) -> set[tuple[int, int]]:
     """Distinct-class entity answer pairs of a merge rule, as canonical id
     pairs (smaller id first). With a dirty id set, evaluates semi-naively:
     each relational atom in turn is pinned to rows touching the delta."""
-    ev = _Eval(rule.body, db, e, sims, null_join_guard, null_inequality)
+    ev = _Eval(rule.body, ctx, e)
     out: set[tuple[int, int]] = set()
     pins: tuple[int | None, ...]
     if dirty is None:
@@ -368,17 +381,9 @@ def merge_candidates(
     return out
 
 
-def rule_satisfied(
-    rule: Rule,
-    db: Database,
-    e: EqRel,
-    sims: SimResolver | None = None,
-    *,
-    null_join_guard: bool = True,
-    null_inequality: str = "distinct",
-) -> bool:
+def rule_satisfied(rule: Rule, ctx: Context, e: EqRel) -> bool:
     """True iff every answer pair of the rule is already within one class."""
-    ev = _Eval(rule.body, db, e, sims, null_join_guard, null_inequality)
+    ev = _Eval(rule.body, ctx, e)
     for binding, _ in ev.solutions():
         a, b = _head_rep(ev, rule.head, binding)
         if a != b:
@@ -388,19 +393,16 @@ def rule_satisfied(
 
 def dc_satisfied(
     dc: DenialConstraint,
-    db: Database,
+    ctx: Context,
     e: EqRel,
     dirty: AbstractSet[int] | None = None,
-    *,
-    null_join_guard: bool = True,
-    null_inequality: str = "distinct",
 ) -> bool:
     """True iff the constraint body has no match over the induced database.
     With a dirty id set, only matches on a row touching a dirty id are
     looked for (each relational atom pinned in turn): enough when every
     other match already existed at a state known to satisfy the
     constraint."""
-    ev = _Eval(dc.body, db, e, None, null_join_guard, null_inequality)
+    ev = _Eval(dc.body, ctx, e)
     pins = (None,) if dirty is None else range(len(dc.body.rel_atoms))
     for pin in pins:
         for _ in ev.solutions(pin=pin, dirty=dirty):

@@ -107,11 +107,14 @@ class Database:
     facts.
 
     The interned form is built once: `consts` numbers the domain in the
-    sorted order EqRel uses, `rows[rel]` holds each fact of `by_relation[rel]`
-    as a tuple of those ids (same order), and `uses[rel][i]` lists the
-    positions in `rows[rel]` of the rows mentioning id i."""
+    sorted order EqRel uses and `ids` maps each constant to its number,
+    `rows[rel]` holds each fact of `by_relation[rel]` as a tuple of those
+    ids (same order), and `uses[rel][i]` lists the positions in `rows[rel]`
+    of the rows mentioning id i."""
 
-    __slots__ = ("facts", "domain", "by_relation", "consts", "rows", "uses")
+    __slots__ = (
+        "facts", "domain", "by_relation", "consts", "ids", "rows", "uses",
+    )
 
     def __init__(self, facts: Iterable[Fact] = ()):
         ordered = sorted(set(facts), key=_fact_key)
@@ -126,7 +129,7 @@ class Database:
         }
         self.domain: frozenset[Constant] = frozenset(dom)
         self.consts: tuple[Constant, ...] = tuple(sorted(dom, key=_const_key))
-        ids = {c: i for i, c in enumerate(self.consts)}
+        ids = self.ids = {c: i for i, c in enumerate(self.consts)}
         self.rows: dict[str, tuple[tuple[int, ...], ...]] = {}
         self.uses: dict[str, dict[int, tuple[int, ...]]] = {}
         for r, fs in self.by_relation.items():
@@ -183,8 +186,24 @@ class EqRel:
 
     def __init__(self, domain: Iterable[Constant] = ()):
         consts = tuple(sorted(set(domain), key=_const_key))
+        self._start(consts, {c: i for i, c in enumerate(consts)})
+
+    @classmethod
+    def numbered(
+        cls, consts: tuple[Constant, ...], ids: dict[Constant, int]
+    ) -> "EqRel":
+        """The identity over a domain already numbered in this class's
+        order (`consts` sorted, `ids` its inverse), sharing both, as
+        `Database.consts` and `Database.ids` are."""
+        e = object.__new__(cls)
+        e._start(consts, ids)
+        return e
+
+    def _start(
+        self, consts: tuple[Constant, ...], ids: dict[Constant, int]
+    ) -> None:
         self._consts: tuple[Constant, ...] = consts
-        self._ids: dict[Constant, int] = {c: i for i, c in enumerate(consts)}
+        self._ids: dict[Constant, int] = ids
         n = len(consts)
         self._root: list[int] = list(range(n))
         # size[root] and least[root]: member count and smallest member id;

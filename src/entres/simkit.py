@@ -24,11 +24,12 @@ import math
 import re
 from collections import Counter
 from decimal import Decimal, InvalidOperation
+from dataclasses import replace
 from typing import Callable, Iterable, Iterator
 
 from . import engine, kernels
 from .errors import DataError, MissingSimScore
-from .matcher import answers
+from .matcher import Context, answers
 from .model import Constant, Database, Kind, MergePair
 from .rules import Specification, Var, transform, var_positions
 
@@ -398,28 +399,27 @@ def sim_cs(
 
 
 def sim_opt(
-    db: Database,
-    spec: Specification,
+    ctx: Context,
     registry: dict[str, Scorer] | None = None,
-    **knobs,
 ) -> tuple[SimStore, frozenset[MergePair]]:
     """Three-phase optimized materialization. Returns the score store and
-    the overapproximating merge set U (exactly the ub fixpoint's merges)."""
-    registry = build_registry(spec, db) if registry is None else registry
+    the overapproximating merge set U (exactly the ub fixpoint's merges).
+    The context's own resolver is not consulted."""
+    if registry is None:
+        registry = build_registry(ctx.spec, ctx.db)
     store = SimStore()
     resolver = OnDemandResolver(store, registry)
 
     # phase 1: upper-bound fixpoint with on-demand external calls
-    e_ub = engine.ub(db, spec, resolver, **knobs)
+    e_ub = engine.ub(replace(ctx, sims=resolver))
 
     # phase 2: one candidate-collection rule per similarity atom
-    derived = transform(spec, "sim_phase2")
+    derived = transform(ctx.spec, "sim_phase2")
 
     # phase 3: evaluate once under the overapproximation, score the misses
+    unscored = replace(ctx, sims=None)
     for rule in derived.hard:
-        ans = answers(
-            rule.body, rule.head, db, e_ub, sims=None, expand=False, **knobs
-        )
+        ans = answers(rule.body, rule.head, unscored, e_ub, expand=False)
         for a, b in sorted(ans.rep_tuples, key=lambda t: (t[0].text, t[1].text)):
             if a == b or a.is_null() or b.is_null():
                 continue

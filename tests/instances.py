@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from entres.matcher import Context
 from entres.model import NULL, Constant, Database, Fact, Kind
 from entres.rules import Specification, parse_spec
 from entres.simkit import SimStore, StrictResolver, sim_all
@@ -45,6 +46,11 @@ class Instance:
     store: SimStore | None
     sims: StrictResolver | None
     knobs: dict = field(default_factory=dict)
+
+    @property
+    def ctx(self) -> Context:
+        """The evaluation context the engine reads the instance through."""
+        return Context(self.db, self.spec, self.sims, **self.knobs)
 
     def __repr__(self) -> str:
         return f"Instance(seed={self.seed}, {len(self.db)} facts)"

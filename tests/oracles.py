@@ -16,7 +16,12 @@ from dataclasses import replace
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
-from entres.matcher import dc_satisfied, merge_candidates, rule_satisfied
+from entres.matcher import (
+    Context,
+    dc_satisfied,
+    merge_candidates,
+    rule_satisfied,
+)
 from entres.model import Constant, Database, EqRel, Fact, MergePair
 from entres.rules import (
     DenialConstraint,
@@ -368,6 +373,7 @@ def bruteforce_solutions(
             f"{max_entities} limit"
         )
     all_rules = spec.all_rules()
+    ctx = Context(db, spec, sims, **knobs)
     start = EqRel(db.domain)
     seen = {start.signature()}
     stack = [start]
@@ -375,11 +381,11 @@ def bruteforce_solutions(
     while stack:
         e = stack.pop()
         if all(
-            rule_satisfied(r, db, e, sims, **knobs) for r in spec.hard
-        ) and all(dc_satisfied(dc, db, e, **knobs) for dc in spec.dcs):
+            rule_satisfied(r, ctx, e) for r in spec.hard
+        ) and all(dc_satisfied(dc, ctx, e) for dc in spec.dcs):
             out.add(e.nontrivial_pairs())
         for rule in all_rules:
-            for i, j in merge_candidates(rule, db, e, sims, None, **knobs):
+            for i, j in merge_candidates(rule, ctx, e):
                 child = e.clone()
                 child.merge_ids(i, j)
                 sig = child.signature()

@@ -23,6 +23,7 @@ from entres.engine import (
     ub,
 )
 from entres.explain import proof_tree, rule_depth, validate_proof_tree
+from entres.matcher import Context
 from entres.model import MergePair
 from entres.rules import load_spec
 from entres.simkit import SimTable, StrictResolver, TableResolver, sim_cs, sim_opt
@@ -71,9 +72,7 @@ def bundle():
         seed += 1
         esols = [
             s.pairs()
-            for s in enumerate_solutions(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            )
+            for s in enumerate_solutions(inst.ctx)
         ]
         osols = naive_solutions(
             inst.db, inst.spec, simfn_of(inst.sims), **inst.knobs
@@ -92,32 +91,33 @@ def test_criterion_1_golden_walkthrough():
         spec = load_spec(str(MUSIC / "music.er"))
         db = ingest(str(MUSIC), spec.schema)
         sims = TableResolver(SimTable.load(str(MUSIC / "simtable.tsv")))
+        ctx = Context(db, spec, sims)
 
         bb = P(e("b1"), e("b2"))
         s12 = P(e("s1"), e("s2"))
         s13 = P(e("s1"), e("s3"))
         s23 = P(e("s2"), e("s3"))
 
-        assert lb(db, spec, sims).nontrivial_pairs() == {bb}
-        assert ub(db, spec, sims).nontrivial_pairs() == {bb, s12, s13, s23}
-        maxima = {s.pairs() for s in maximal_solutions(db, spec, sims)}
+        assert lb(ctx).nontrivial_pairs() == {bb}
+        assert ub(ctx).nontrivial_pairs() == {bb, s12, s13, s23}
+        maxima = {s.pairs() for s in maximal_solutions(ctx)}
         assert maxima == {
             frozenset({bb, s12}),
             frozenset({bb, s23}),
         }
-        ms = merge_sets(db, spec, sims)
+        ms = merge_sets(ctx)
         assert ms.pm == {bb, s12, s23}
         assert ms.cm == {bb}
-        assert not is_possible(db, spec, sims, (e("s1"), e("s3")))
+        assert not is_possible(ctx, (e("s1"), e("s3")))
 
         e1 = next(
             s
-            for s in maximal_solutions(db, spec, sims)
+            for s in maximal_solutions(ctx)
             if s.pairs() == {bb, s12}
         )
-        lm = levels(db, spec, sims, e1)
+        lm = levels(ctx, e1)
         assert lm[s12] == 2 and lm[bb] == 1
-        tree = proof_tree(db, spec, sims, e1, s12)
+        tree = proof_tree(ctx, e1, s12)
         assert validate_proof_tree(tree, db, spec, sims) == []
         assert rule_depth(tree) == 2
 
@@ -133,12 +133,8 @@ def test_criterion_2_bound_sandwich(bundle):
             if not esols:
                 continue
             checked += 1
-            floor = lb(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            ).nontrivial_pairs()
-            ceil = ub(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            ).nontrivial_pairs()
+            floor = lb(inst.ctx).nontrivial_pairs()
+            ceil = ub(inst.ctx).nontrivial_pairs()
             maxima = maximal_sets(set(esols))
             pm = frozenset().union(*esols)
             cm = frozenset.intersection(*maxima)
@@ -161,12 +157,10 @@ def test_criterion_3_exhaustive_agreement(bundle):
             ), inst.seed
             engine_maxima = {
                 s.pairs()
-                for s in maximal_solutions(
-                    inst.db, inst.spec, inst.sims, **inst.knobs
-                )
+                for s in maximal_solutions(inst.ctx)
             }
             assert engine_maxima == maximal_sets(osols), inst.seed
-            ms = merge_sets(inst.db, inst.spec, inst.sims, **inst.knobs)
+            ms = merge_sets(inst.ctx)
             opm, ocm = pm_cm(osols)
             assert (ms.pm, ms.cm, ms.consistent) == (
                 opm,
@@ -181,9 +175,9 @@ def test_criterion_3_exhaustive_agreement(bundle):
                 a, b = rng.sample(ents, 2)
                 probe.append(P(a, b))
             for pair in probe:
-                assert is_possible(
-                    inst.db, inst.spec, inst.sims, pair, **inst.knobs
-                ) == (pair in opm), (inst.seed, pair)
+                assert is_possible(inst.ctx, pair) == (pair in opm), (
+                    inst.seed, pair,
+                )
 
 
 def test_criterion_4_probe_thrift(bundle):
@@ -194,13 +188,13 @@ def test_criterion_4_probe_thrift(bundle):
                 continue
             checked += 1
             store_cs = sim_cs(inst.db, inst.spec)
-            store_opt, _ = sim_opt(inst.db, inst.spec, **inst.knobs)
+            store_opt, _ = sim_opt(inst.ctx)
             assert store_opt.calls <= store_cs.calls, inst.seed
             thrifty = {
                 s.pairs()
-                for s in enumerate_solutions(
-                    inst.db, inst.spec, StrictResolver(store_opt), **inst.knobs
-                )
+                for s in enumerate_solutions(dataclasses.replace(
+                    inst.ctx, sims=StrictResolver(store_opt)
+                ))
             }
             assert thrifty == set(esols), inst.seed
             if checked >= 200:
@@ -216,11 +210,12 @@ def test_criterion_5_recursion_levels():
         free = dataclasses.replace(spec, dcs=())
         db = ingest(str(MUSIC), spec.schema)
         sims = TableResolver(SimTable.load(str(MUSIC / "simtable.tsv")))
-        sol = maximal_solutions(db, free, sims)[0]
-        lm = levels(db, free, sims, sol)
+        ctx = Context(db, free, sims)
+        sol = maximal_solutions(ctx)[0]
+        lm = levels(ctx, sol)
         assert max(lv for _, lv in lm.items()) >= 2
         assert dict(lm.items()) == dict(
-            levels(db, free, sims, sol).items()
+            levels(ctx, sol).items()
         )  # the chain is stable across reruns
         classes = close_classes(sol.pairs(), db.domain)
         assert dict(lm.items()) == min_rule_depth(
@@ -230,8 +225,8 @@ def test_criterion_5_recursion_levels():
         # reference ladders: one level per rung, equal to the tree minimum
         for depth in (2, 3, 4):
             inst = chain_instance(depth)
-            sol = solve_one(inst.db, inst.spec, inst.sims)
-            lm = levels(inst.db, inst.spec, inst.sims, sol)
+            sol = solve_one(inst.ctx)
+            lm = levels(inst.ctx, sol)
             assert max(lv for _, lv in lm.items()) == depth
             classes = close_classes(sol.pairs(), inst.db.domain)
             assert dict(lm.items()) == min_rule_depth(
@@ -244,11 +239,9 @@ def test_criterion_5_recursion_levels():
         for seed in range(150):
             inst = generate(seed)
             assert len(inst.db.entity_refs()) <= 12
-            sols = enumerate_solutions(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            )
+            sols = enumerate_solutions(inst.ctx)
             for sol in sols[:3]:
-                lm = levels(inst.db, inst.spec, inst.sims, sol, **inst.knobs)
+                lm = levels(inst.ctx, sol)
                 classes = close_classes(sol.pairs(), inst.db.domain)
                 want = min_rule_depth(
                     inst.db,
@@ -281,14 +274,15 @@ def test_criterion_6_null_joins():
         pair_rows = lambda eq: eq.nontrivial_pairs()
 
         # guarded: the shared missing value never links anything
-        assert pair_rows(lb(db, spec, None)) == frozenset()
-        assert pair_rows(ub(db, spec, None)) == frozenset()
-        sols = enumerate_solutions(db, spec, None)
+        ctx = Context(db, spec)
+        assert pair_rows(lb(ctx)) == frozenset()
+        assert pair_rows(ub(ctx)) == frozenset()
+        sols = enumerate_solutions(ctx)
         assert [s.pairs() for s in sols] == [frozenset()]
 
         # mutation probe: removing the guard must visibly change behavior,
         # otherwise the guard is dead code and these tests prove nothing
-        unguarded = lb(db, spec, None, null_join_guard=False)
+        unguarded = lb(Context(db, spec, null_join_guard=False))
         assert P(e("r1"), e("r2")) in unguarded.nontrivial_pairs()
         assert len(unguarded.nontrivial_pairs()) == 3
 
@@ -297,20 +291,15 @@ def test_criterion_6_null_joins():
         # against an independent implementation of the guard)
         for seed in range(120):
             inst = generate(seed)
-            on = ub(inst.db, inst.spec, inst.sims, **inst.knobs)
-            off = ub(
-                inst.db, inst.spec, inst.sims, null_join_guard=False,
-                **inst.knobs,
-            )
+            on = ub(inst.ctx)
+            off = ub(dataclasses.replace(inst.ctx, null_join_guard=False))
             assert on.nontrivial_pairs() <= off.nontrivial_pairs()
 
         # a family member whose null cells land in a join column: the
         # mutation must surface there too, not just in the crafted case
         inst = generate(154)
-        on = ub(inst.db, inst.spec, inst.sims, **inst.knobs)
-        off = ub(
-            inst.db, inst.spec, inst.sims, null_join_guard=False, **inst.knobs
-        )
+        on = ub(inst.ctx)
+        off = ub(dataclasses.replace(inst.ctx, null_join_guard=False))
         assert on.nontrivial_pairs() < off.nontrivial_pairs()
 
 
@@ -319,11 +308,9 @@ def test_criterion_7_hard_determinism():
         for seed in range(200):
             inst = generate(seed, hard_only=True)
             assert inst.spec.soft == () and inst.spec.dcs == ()
-            sols = enumerate_solutions(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            )
+            sols = enumerate_solutions(inst.ctx)
             assert len(sols) == 1, inst.seed
-            floor = lb(inst.db, inst.spec, inst.sims, **inst.knobs)
+            floor = lb(inst.ctx)
             assert sols[0].pairs() == floor.nontrivial_pairs(), inst.seed
 
 

@@ -16,6 +16,7 @@ import pytest
 from entres import engine
 from entres.cli import evaluate, ingest, load_truth, main, write_pairs
 from entres.errors import HeaderMismatch, MissingFile, RaggedRow
+from entres.matcher import Context
 from entres.model import NULL, Fact, MergePair
 from entres.rules import load_spec
 from entres.simkit import sim_all, sim_cs
@@ -389,7 +390,7 @@ class TestOptionValues:
         )
         lspec = load_spec(str(spec))
         db = ingest(str(d), lspec.schema)
-        sol = engine.solve_one(db, lspec)
+        sol = engine.solve_one(Context(db, lspec))
         files = {}
         for scope in ("solution", "ub"):
             out = tmp_path / scope
@@ -397,7 +398,7 @@ class TestOptionValues:
                 "--spec", spec, "--data", d, "--mode", "levels",
                 "--levels-scope", scope, "--out", out,
             ) == 0
-            lm = engine.levels(db, lspec, None, sol, scope=scope)
+            lm = engine.levels(Context(db, lspec), sol, scope=scope)
             files[scope] = (out / "levels.tsv").read_text().splitlines()
             assert files[scope] == ["left\tright\tlevel"] + [
                 f"{p.left.text}\t{p.right.text}\t{lv}" for p, lv in lm.items()
@@ -421,7 +422,7 @@ class TestOptionValues:
                 "--spec", spec, "--data", d, "--mode", "ub",
                 "--null-inequality", policy, "--out", out,
             ) == 0
-            e_ub = engine.ub(db, lspec, null_inequality=policy)
+            e_ub = engine.ub(Context(db, lspec, null_inequality=policy))
             files[policy] = (out / "ub.tsv").read_text().splitlines()
             assert files[policy] == expected_pairs(e_ub.nontrivial_pairs())
         assert files["distinct"] == ["left\tright", "a\tb", "c\tc2"]
@@ -445,7 +446,7 @@ class TestOptionValues:
             db = ingest(str(d), lspec.schema, null_token=token)
             files[token] = (out / "lb.tsv").read_text().splitlines()
             assert files[token] == expected_pairs(
-                engine.lb(db, lspec).nontrivial_pairs()
+                engine.lb(Context(db, lspec)).nontrivial_pairs()
             )
         assert files[""] == ["left\tright", "a\tb", "c\td"]
         assert files["NA"] == ["left\tright", "c\td"]
@@ -545,6 +546,19 @@ class TestDeterminism:
         assert [p.name for p in first] == [p.name for p in second]
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+class TestReadme:
+    def test_python_api_block_prints_what_it_says(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+        want = [
+            line[2:] for line in block.splitlines() if line.startswith("# ")
+        ]
+        buf = io.StringIO()
+        with contextlib.chdir(ROOT), contextlib.redirect_stdout(buf):
+            exec(compile(block, "README.md", "exec"), {})
+        assert want and buf.getvalue().splitlines() == want
 
 
 class TestPackageImport:

@@ -24,7 +24,7 @@ from entres.engine import (
     verify_solution,
 )
 from entres.errors import NotASolution
-from entres.matcher import dc_satisfied, merge_candidates
+from entres.matcher import Context, dc_satisfied, merge_candidates
 from entres.model import Database, EqRel, Fact, MergePair
 from entres.rules import parse_spec
 
@@ -56,71 +56,69 @@ E_PRIME = frozenset({BB})
 
 @pytest.fixture(scope="module")
 def music(music_db, music_spec, music_sims):
-    return music_db, music_spec, music_sims
+    return Context(music_db, music_spec, music_sims)
 
 
 class TestMusicGolden:
     def test_bounds(self, music):
-        db, spec, sims = music
-        assert lb(db, spec, sims).nontrivial_pairs() == {BB}
-        assert ub(db, spec, sims).nontrivial_pairs() == {BB, S12, S13, S23}
-        assert loose_ub(db, spec).nontrivial_pairs() >= ub(
-            db, spec, sims
-        ).nontrivial_pairs()
+        ctx = music
+        assert lb(ctx).nontrivial_pairs() == {BB}
+        assert ub(ctx).nontrivial_pairs() == {BB, S12, S13, S23}
+        assert loose_ub(ctx).nontrivial_pairs() >= ub(ctx).nontrivial_pairs()
 
     def test_solutions(self, music):
-        db, spec, sims = music
-        sols = {s.pairs() for s in enumerate_solutions(db, spec, sims)}
+        ctx = music
+        sols = {s.pairs() for s in enumerate_solutions(ctx)}
         assert sols == {E1, E2, E_PRIME}
 
     def test_maximal(self, music):
-        db, spec, sims = music
-        maxima = {s.pairs() for s in maximal_solutions(db, spec, sims)}
+        ctx = music
+        maxima = {s.pairs() for s in maximal_solutions(ctx)}
         assert maxima == {E1, E2}
 
     def test_merge_sets(self, music):
-        db, spec, sims = music
-        ms = merge_sets(db, spec, sims)
+        ctx = music
+        ms = merge_sets(ctx)
         assert ms.consistent
         assert ms.lb == {BB}
         assert ms.ub == {BB, S12, S13, S23}
         assert ms.pm == {BB, S12, S23}
         assert ms.cm == {BB}
-        assert possible_merges(db, spec, sims) == ms.pm
-        assert certain_merges(db, spec, sims) == ms.cm
+        assert possible_merges(ctx) == ms.pm
+        assert certain_merges(ctx) == ms.cm
 
     def test_the_two_close_songs_never_merge_together(self, music):
-        db, spec, sims = music
-        assert not is_possible(db, spec, sims, (e("s1"), e("s3")))
-        assert is_possible(db, spec, sims, (e("s1"), e("s2")))
-        assert is_possible(db, spec, sims, (e("b1"), e("b2")))
+        ctx = music
+        assert not is_possible(ctx, (e("s1"), e("s3")))
+        assert is_possible(ctx, (e("s1"), e("s2")))
+        assert is_possible(ctx, (e("b1"), e("b2")))
 
     def test_reflexive_and_foreign_possibility(self, music):
-        db, spec, sims = music
-        assert is_possible(db, spec, sims, (e("b1"), e("b1")))
-        assert not is_possible(db, spec, sims, (e("b1"), e("zz")))
+        ctx = music
+        assert is_possible(ctx, (e("b1"), e("b1")))
+        assert not is_possible(ctx, (e("b1"), e("zz")))
 
     def test_levels_inside_each_maximal_solution(self, music):
-        db, spec, sims = music
-        for sol in maximal_solutions(db, spec, sims):
-            lm = levels(db, spec, sims, sol)
+        ctx = music
+        for sol in maximal_solutions(ctx):
+            lm = levels(ctx, sol)
             want = {BB: 1, S12: 2} if sol.pairs() == E1 else {BB: 1, S23: 2}
             assert dict(lm.items()) == want
             assert lm.of(e("b1"), e("b1")) == 0
 
     def test_derivations_replay(self, music):
-        db, spec, sims = music
-        for sol in enumerate_solutions(db, spec, sims):
-            assert verify_solution(db, spec, sims, sol)
+        ctx = music
+        for sol in enumerate_solutions(ctx):
+            assert verify_solution(ctx, sol)
 
     def test_tampered_derivation_fails_replay(self, music):
-        db, spec, sims = music
+        ctx = music
         sol = next(
-            s for s in enumerate_solutions(db, spec, sims) if s.pairs() == E1
+            s for s in enumerate_solutions(ctx) if s.pairs() == E1
         )
         assert len(sol.derivation) >= 2
         clipped = dataclasses.replace(sol, derivation=sol.derivation[1:])
-        assert not verify_solution(db, spec, sims, clipped)
+        assert not verify_solution(ctx, clipped)
         relabeled = dataclasses.replace(
             sol,
             derivation=(
@@ -128,43 +126,45 @@ class TestMusicGolden:
             )
             + sol.derivation[1:],
         )
-        assert not verify_solution(db, spec, sims, relabeled)
+        assert not verify_solution(ctx, relabeled)
 
     def test_without_the_constraint_everything_merges(self, music):
-        db, spec, sims = music
-        free = dataclasses.replace(spec, dcs=())
-        maxima = maximal_solutions(db, free, sims)
+        ctx = music
+        free = dataclasses.replace(
+            ctx, spec=dataclasses.replace(ctx.spec, dcs=())
+        )
+        maxima = maximal_solutions(free)
         assert len(maxima) == 1
         assert maxima[0].pairs() == {BB, S12, S13, S23}
-        lm = levels(db, free, sims, maxima[0])
+        lm = levels(free, maxima[0])
         assert dict(lm.items()) == {BB: 1, S12: 2, S13: 2, S23: 2}
 
 
 class TestSearchContract:
     def test_enumeration_is_deterministic(self, music):
-        db, spec, sims = music
-        once = [s.pairs() for s in enumerate_solutions(db, spec, sims)]
-        again = [s.pairs() for s in enumerate_solutions(db, spec, sims)]
+        ctx = music
+        once = [s.pairs() for s in enumerate_solutions(ctx)]
+        again = [s.pairs() for s in enumerate_solutions(ctx)]
         assert once == again
 
     def test_limit_is_a_prefix(self, music):
-        db, spec, sims = music
-        full = [s.pairs() for s in enumerate_solutions(db, spec, sims)]
-        two = [s.pairs() for s in enumerate_solutions(db, spec, sims, n=2)]
+        ctx = music
+        full = [s.pairs() for s in enumerate_solutions(ctx)]
+        two = [s.pairs() for s in enumerate_solutions(ctx, n=2)]
         assert two == full[:2]
 
     def test_maximal_sorted_largest_first(self, music):
-        db, spec, sims = music
-        maxima = maximal_solutions(db, spec, sims)
+        ctx = music
+        maxima = maximal_solutions(ctx)
         sizes = [len(s.pairs()) for s in maxima]
         assert sizes == sorted(sizes, reverse=True)
-        assert maximal_solutions(db, spec, sims, n=0) == []
+        assert maximal_solutions(ctx, n=0) == []
 
     def test_solve_one_returns_some_solution(self, music):
-        db, spec, sims = music
-        sol = solve_one(db, spec, sims)
+        ctx = music
+        sol = solve_one(ctx)
         assert sol is not None
-        assert is_solution(db, spec, sims, sol.eq)
+        assert is_solution(ctx, sol.eq)
 
     def test_inconsistent_instance_has_no_solutions(self):
         spec = parse_spec(
@@ -179,39 +179,39 @@ class TestSearchContract:
                 Fact("R", (e("a"), v("other"))),
             ]
         )
-        assert enumerate_solutions(db, spec, None) == []
-        assert solve_one(db, spec, None) is None
-        ms = merge_sets(db, spec, None)
+        assert enumerate_solutions(Context(db, spec)) == []
+        assert solve_one(Context(db, spec)) is None
+        ms = merge_sets(Context(db, spec))
         assert not ms.consistent and ms.pm == ms.cm == frozenset()
 
 
 class TestLevelsContract:
     def test_requires_a_solution(self, music):
-        db, spec, sims = music
+        ctx = music
         from entres.engine import Solution
 
         with pytest.raises(NotASolution):
-            levels(db, spec, sims, Solution(EqRel(db.domain)))
+            levels(ctx, Solution(EqRel(ctx.db.domain)))
 
     def test_scope_validation(self, music):
-        db, spec, sims = music
-        sol = solve_one(db, spec, sims)
+        ctx = music
+        sol = solve_one(ctx)
         with pytest.raises(ValueError):
-            levels(db, spec, sims, sol, scope="everything")
+            levels(ctx, sol, scope="everything")
 
     def test_unrestricted_scope_never_reports_later(self, music):
-        db, spec, sims = music
-        for sol in enumerate_solutions(db, spec, sims):
-            sol_lm = dict(levels(db, spec, sims, sol).items())
-            ub_lm = dict(levels(db, spec, sims, sol, scope="ub").items())
+        ctx = music
+        for sol in enumerate_solutions(ctx):
+            sol_lm = dict(levels(ctx, sol).items())
+            ub_lm = dict(levels(ctx, sol, scope="ub").items())
             assert set(ub_lm) == set(sol_lm)
             assert all(ub_lm[p] <= sol_lm[p] for p in sol_lm)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_reference_ladder_climbs_one_level_per_rung(self, depth):
         inst = chain_instance(depth)
-        sol = solve_one(inst.db, inst.spec, inst.sims)
-        lm = levels(inst.db, inst.spec, inst.sims, sol)
+        sol = solve_one(inst.ctx)
+        lm = levels(inst.ctx, sol)
         assert max(lv for _, lv in lm.items()) == depth
         top = P(e(f"e{depth}l"), e(f"e{depth}r")) if depth > 1 else P(
             e("a1"), e("a2")
@@ -221,8 +221,8 @@ class TestLevelsContract:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_ladder_levels_equal_min_rule_depth(self, depth):
         inst = chain_instance(depth)
-        sol = solve_one(inst.db, inst.spec, inst.sims)
-        lm = dict(levels(inst.db, inst.spec, inst.sims, sol).items())
+        sol = solve_one(inst.ctx)
+        lm = dict(levels(inst.ctx, sol).items())
         classes = close_classes(sol.pairs(), inst.db.domain)
         assert lm == min_rule_depth(
             inst.db, inst.spec, simfn_of(inst.sims), classes
@@ -254,24 +254,22 @@ class TestFamilyDifferential:
         want = naive_solutions(inst.db, inst.spec, simfn, **inst.knobs)
         got = {
             s.pairs()
-            for s in enumerate_solutions(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            )
+            for s in enumerate_solutions(inst.ctx)
         }
         assert got == want
         assert got == bruteforce_solutions(
             inst.db, inst.spec, inst.sims, **inst.knobs
         )
-        assert lb(inst.db, inst.spec, inst.sims, **inst.knobs).nontrivial_pairs() == class_pairs(
+        assert lb(inst.ctx).nontrivial_pairs() == class_pairs(
             naive_lb(inst.db, inst.spec, simfn, **inst.knobs)
         )
-        assert ub(inst.db, inst.spec, inst.sims, **inst.knobs).nontrivial_pairs() == class_pairs(
+        assert ub(inst.ctx).nontrivial_pairs() == class_pairs(
             naive_ub(inst.db, inst.spec, simfn, **inst.knobs)
         )
-        assert loose_ub(inst.db, inst.spec, **inst.knobs).nontrivial_pairs() == class_pairs(
+        assert loose_ub(inst.ctx).nontrivial_pairs() == class_pairs(
             naive_loose_ub(inst.db, inst.spec, **inst.knobs)
         )
-        ms = merge_sets(inst.db, inst.spec, inst.sims, **inst.knobs)
+        ms = merge_sets(inst.ctx)
         opm, ocm = pm_cm(want)
         assert ms.consistent == bool(want)
         assert (ms.pm, ms.cm) == (opm, ocm)
@@ -279,12 +277,8 @@ class TestFamilyDifferential:
     @pytest.mark.parametrize("seed", range(30))
     def test_every_enumerated_solution_replays(self, seed):
         inst = generate(seed)
-        for sol in enumerate_solutions(
-            inst.db, inst.spec, inst.sims, **inst.knobs
-        ):
-            assert verify_solution(
-                inst.db, inst.spec, inst.sims, sol, **inst.knobs
-            )
+        for sol in enumerate_solutions(inst.ctx):
+            assert verify_solution(inst.ctx, sol)
 
 
 class TestHardOnly:
@@ -292,9 +286,9 @@ class TestHardOnly:
     def test_single_solution_equal_to_the_floor(self, seed):
         inst = generate(seed, hard_only=True)
         assert inst.spec.soft == () and inst.spec.dcs == ()
-        sols = enumerate_solutions(inst.db, inst.spec, inst.sims, **inst.knobs)
+        sols = enumerate_solutions(inst.ctx)
         assert len(sols) == 1
-        floor = lb(inst.db, inst.spec, inst.sims, **inst.knobs)
+        floor = lb(inst.ctx)
         assert sols[0].pairs() == floor.nontrivial_pairs()
 
 
@@ -305,30 +299,29 @@ class TestDeltaSearch:
     shortcut must equal the full evaluation at every reachable state."""
 
     @staticmethod
-    def _check_walk(db, spec, sims, knobs, max_states=40):
+    def _check_walk(ctx, max_states=40):
+        spec = ctx.spec
         soft = [r for r in spec.soft if _merge_monotone(r.body, spec)]
         pruning = [dc for dc in spec.dcs if _merge_monotone(dc.body, spec)]
-        start = EqRel(db.domain)
-        _saturate(db, spec.hard, start, sims, **knobs)
+        start = EqRel(ctx.db.domain)
+        _saturate(ctx, spec.hard, start)
         todo, seen, checked = [start], {start.signature()}, 0
         while todo and len(seen) <= max_states:
             parent = todo.pop()
-            if not all(dc_satisfied(dc, db, parent, **knobs) for dc in pruning):
+            if not all(dc_satisfied(dc, ctx, parent) for dc in pruning):
                 continue  # the search expands no child of such a state
             before = {
-                r.label: merge_candidates(r, db, parent, sims, None, **knobs)
+                r.label: merge_candidates(r, ctx, parent)
                 for r in soft
             }
             for rule in spec.soft:
-                for i, j in merge_candidates(rule, db, parent, sims, None, **knobs):
+                for i, j in merge_candidates(rule, ctx, parent):
                     child = parent.clone()
                     child.merge_ids(i, j)
                     full = child.clone()
                     dirty = child.class_ids((i,))
-                    dirty |= _saturate(
-                        db, spec.hard, child, sims, dirty=dirty, **knobs
-                    )
-                    _saturate(db, spec.hard, full, sims, **knobs)
+                    dirty |= _saturate(ctx, spec.hard, child, dirty=dirty)
+                    _saturate(ctx, spec.hard, full)
                     assert child.signature() == full.signature()
                     for r in soft:
                         carried = {
@@ -336,16 +329,14 @@ class TestDeltaSearch:
                             for a, b in before[r.label]
                         }
                         carried = {(a, b) for a, b in carried if a != b}
-                        delta = merge_candidates(
-                            r, db, child, sims, dirty, **knobs
-                        )
+                        delta = merge_candidates(r, ctx, child, dirty)
                         assert carried | delta == merge_candidates(
-                            r, db, child, sims, None, **knobs
+                            r, ctx, child
                         )
                     for dc in pruning:
                         assert dc_satisfied(
-                            dc, db, child, dirty, **knobs
-                        ) == dc_satisfied(dc, db, child, **knobs)
+                            dc, ctx, child, dirty
+                        ) == dc_satisfied(dc, ctx, child)
                     checked += 1
                     if child.signature() not in seen:
                         seen.add(child.signature())
@@ -353,21 +344,17 @@ class TestDeltaSearch:
         return checked
 
     def test_music_bundle(self, music):
-        db, spec, sims = music
-        assert self._check_walk(db, spec, sims, {}) >= 3
+        ctx = music
+        assert self._check_walk(ctx) >= 3
 
     def test_family(self):
         checked = 0
         for seed in range(60):
             inst = generate(seed)
-            checked += self._check_walk(
-                inst.db, inst.spec, inst.sims, inst.knobs
-            )
+            checked += self._check_walk(inst.ctx)
         for seed in range(20):
             inst = generate_neq(seed)
-            checked += self._check_walk(
-                inst.db, inst.spec, inst.sims, inst.knobs
-            )
+            checked += self._check_walk(inst.ctx)
         assert checked >= 200
 
     def test_entity_constant_in_a_body_atom(self):
@@ -389,9 +376,10 @@ class TestDeltaSearch:
             ]
         )
         want = {P(e("a"), e("b")), P(e("t1"), e("t3"))}
-        assert lb(db, spec, None).nontrivial_pairs() == want
+        assert lb(Context(db, spec)).nontrivial_pairs() == want
         assert class_pairs(naive_lb(db, spec, None)) == want
-        assert [s.pairs() for s in enumerate_solutions(db, spec, None)] == [want]
+        sols = enumerate_solutions(Context(db, spec))
+        assert [s.pairs() for s in sols] == [want]
 
     def test_deep_chain_needs_no_recursion(self):
         n = 300
@@ -406,7 +394,7 @@ class TestDeltaSearch:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
         try:
-            sol = solve_one(db, spec, None)
+            sol = solve_one(Context(db, spec))
         finally:
             sys.setrecursionlimit(limit)
         assert sol is not None
@@ -424,9 +412,7 @@ class TestInequalityFamily:
         consistent = 0
         for seed in range(300):
             inst = generate_neq(seed)
-            sols = enumerate_solutions(
-                inst.db, inst.spec, inst.sims, **inst.knobs
-            )
+            sols = enumerate_solutions(inst.ctx)
             got = {s.pairs() for s in sols}
             assert got == naive_solutions(
                 inst.db, inst.spec, simfn_of(inst.sims), **inst.knobs
@@ -435,13 +421,77 @@ class TestInequalityFamily:
                 inst.db, inst.spec, inst.sims, **inst.knobs
             ), seed
             assert all(
-                verify_solution(inst.db, inst.spec, inst.sims, s, **inst.knobs)
+                verify_solution(inst.ctx, s)
                 for s in sols
             ), seed
             consistent += bool(got)
             if consistent >= 200:
                 break
         assert consistent >= 200
+
+    def test_bounds_bracket_every_solution(self):
+        # the instances of test_engine_agrees_with_both_oracles
+        consistent = 0
+        for seed in range(300):
+            inst = generate_neq(seed)
+            ms = merge_sets(inst.ctx)
+            if not ms.consistent:
+                continue
+            assert ms.lb <= ms.cm <= ms.pm <= ms.ub, seed
+            assert ms.ub <= loose_ub(inst.ctx).nontrivial_pairs(), seed
+            consistent += 1
+            if consistent >= 200:
+                break
+        assert consistent >= 200
+
+    def test_lb_leaves_out_a_hard_rule_an_earlier_merge_disables(self):
+        # applying h1 first falsifies h2's inequality, so {p1~p2} alone is a
+        # solution and x1~x2 is not certain
+        spec = parse_spec(
+            "relation P(pid: id, k: val) merge [pid];\n"
+            "relation R(rid: id, a: val, r: id) merge [rid];\n"
+            "hard h1: P(x, k), P(y, k) => eq(x, y);\n"
+            "hard h2: R(x, a, r), R(y, a, r2), r != r2 => eq(x, y);\n"
+        )
+        db = Database(
+            [
+                Fact("P", (e("p1"), v("k"))),
+                Fact("P", (e("p2"), v("k"))),
+                Fact("R", (e("x1"), v("a"), e("p1"))),
+                Fact("R", (e("x2"), v("a"), e("p2"))),
+            ]
+        )
+        pp = P(e("p1"), e("p2"))
+        assert frozenset({pp}) in naive_solutions(db, spec, None)
+        assert lb(Context(db, spec)).nontrivial_pairs() == {pp}
+
+    def test_ub_keeps_an_answer_a_later_merge_disables(self):
+        # c1~c2 then t1~t2 is a solution while d1 and d2 still differ; the
+        # all-rules fixpoint merges d1~d2 in the same round as c1~c2, which
+        # falsifies sb's inequality before sb can fire
+        spec = parse_spec(
+            "relation D(did: id, k: val) merge [did];\n"
+            "relation C(cid: id, k: val) merge [cid];\n"
+            "relation T(tid: id, c: id, d: id) merge [tid];\n"
+            "soft sd: D(x, k), D(y, k) ~> eq(x, y);\n"
+            "soft sc: C(x, k), C(y, k) ~> eq(x, y);\n"
+            "soft sb: T(x, c, d), T(y, c, d2), d != d2 ~> eq(x, y);\n"
+        )
+        db = Database(
+            [
+                Fact("D", (e("d1"), v("k"))),
+                Fact("D", (e("d2"), v("k"))),
+                Fact("C", (e("c1"), v("k"))),
+                Fact("C", (e("c2"), v("k"))),
+                Fact("T", (e("t1"), e("c1"), e("d1"))),
+                Fact("T", (e("t2"), e("c2"), e("d2"))),
+            ]
+        )
+        found = frozenset({P(e("c1"), e("c2")), P(e("t1"), e("t2"))})
+        assert found in naive_solutions(db, spec, None)
+        ctx = Context(db, spec)
+        assert found <= ub(ctx).nontrivial_pairs()
+        assert found <= loose_ub(ctx).nontrivial_pairs()
 
     def test_hard_merge_does_not_hide_a_soft_answer(self):
         # r0 and r1 must merge; s1 and s3 may merge only while their
@@ -463,7 +513,8 @@ class TestInequalityFamily:
         rr, ss = P(e("r0"), e("r1")), P(e("s1"), e("s3"))
         want = {frozenset({rr}), frozenset({rr, ss})}
         assert naive_solutions(db, spec, None) == want
-        assert {s.pairs() for s in enumerate_solutions(db, spec, None)} == want
+        sols = enumerate_solutions(Context(db, spec))
+        assert {s.pairs() for s in sols} == want
 
     def test_hard_rule_with_an_id_inequality_replays(self):
         # applying h1 first falsifies h2's inequality, so {p1~p2} alone is a
@@ -486,6 +537,6 @@ class TestInequalityFamily:
         pp, xx = P(e("p1"), e("p2")), P(e("x1"), e("x2"))
         want = {frozenset({pp}), frozenset({pp, xx})}
         assert naive_solutions(db, spec, None) == want
-        sols = enumerate_solutions(db, spec, None)
+        sols = enumerate_solutions(Context(db, spec))
         assert {s.pairs() for s in sols} == want
-        assert all(verify_solution(db, spec, None, s) for s in sols)
+        assert all(verify_solution(Context(db, spec), s) for s in sols)

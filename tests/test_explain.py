@@ -19,6 +19,7 @@ from entres.explain import (
     to_json,
     validate_proof_tree,
 )
+from entres.matcher import Context
 from entres.model import MergePair
 
 from conftest import e, v
@@ -37,7 +38,7 @@ def music_e1(music):
     db, spec, sims = music
     return next(
         s
-        for s in enumerate_solutions(db, spec, sims)
+        for s in enumerate_solutions(Context(db, spec, sims))
         if s.pairs() == {P(e("b1"), e("b2")), P(e("s1"), e("s2"))}
     )
 
@@ -45,7 +46,7 @@ def music_e1(music):
 @pytest.fixture(scope="module")
 def golden_tree(music, music_e1):
     db, spec, sims = music
-    return proof_tree(db, spec, sims, music_e1, (e("s1"), e("s2")))
+    return proof_tree(Context(db, spec, sims), music_e1, (e("s1"), e("s2")))
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ def music_free(music):
     """The bundle without its constraint: all three songs merge."""
     db, spec, sims = music
     free = dataclasses.replace(spec, dcs=())
-    sol = maximal_solutions(db, free, sims)[0]
+    sol = maximal_solutions(Context(db, free, sims))[0]
     return db, free, sims, sol
 
 
@@ -106,14 +107,14 @@ class TestGoldenTree:
 
     def test_depth_equals_reported_level(self, music, music_e1, golden_tree):
         db, spec, sims = music
-        lm = levels(db, spec, sims, music_e1)
+        lm = levels(Context(db, spec, sims), music_e1)
         assert rule_depth(golden_tree) == lm[P(e("s1"), e("s2"))]
 
 
 class TestTransitiveTrees:
     def test_closure_pair_gets_a_transitive_root(self, music_free):
         db, free, sims, sol = music_free
-        t = proof_tree(db, free, sims, sol, (e("s1"), e("s3")))
+        t = proof_tree(Context(db, free, sims), sol, (e("s1"), e("s3")))
         assert t.root.kind is NodeKind.TRANSITIVE
         assert len(t.root.children) == 2
         assert {c.kind for c in t.root.children} == {NodeKind.RULE}
@@ -122,9 +123,9 @@ class TestTransitiveTrees:
 
     def test_every_merge_in_the_free_variant_is_explained(self, music_free):
         db, free, sims, sol = music_free
-        lm = levels(db, free, sims, sol)
+        lm = levels(Context(db, free, sims), sol)
         for pair in sol.pairs():
-            t = proof_tree(db, free, sims, sol, pair)
+            t = proof_tree(Context(db, free, sims), sol, pair)
             assert validate_proof_tree(t, db, free, sims) == []
             assert rule_depth(t) == lm[pair]
 
@@ -133,12 +134,12 @@ class TestRequestValidation:
     def test_reflexive_request_rejected(self, music, music_e1):
         db, spec, sims = music
         with pytest.raises(ValueError):
-            proof_tree(db, spec, sims, music_e1, (e("s1"), e("s1")))
+            proof_tree(Context(db, spec, sims), music_e1, (e("s1"), e("s1")))
 
     def test_pair_outside_the_solution_rejected(self, music, music_e1):
         db, spec, sims = music
         with pytest.raises(NotInSolution):
-            proof_tree(db, spec, sims, music_e1, (e("s1"), e("s3")))
+            proof_tree(Context(db, spec, sims), music_e1, (e("s1"), e("s3")))
 
 
 def _swap_children(node: ProofNode, children) -> ProofNode:
@@ -184,7 +185,7 @@ class TestValidatorCatchesCorruption:
 
     def test_broken_transitive_chain(self, music_free):
         db, free, sims, sol = music_free
-        t = proof_tree(db, free, sims, sol, (e("s1"), e("s3")))
+        t = proof_tree(Context(db, free, sims), sol, (e("s1"), e("s3")))
         left = t.root.children[0]
         bad_root = _swap_children(t.root, [left, left])
         bad = dataclasses.replace(t, root=bad_root)
@@ -240,15 +241,13 @@ class TestFamilyProperty:
     @pytest.mark.parametrize("seed", range(20))
     def test_trees_validate_and_match_levels(self, seed):
         inst = generate(seed)
-        sols = enumerate_solutions(inst.db, inst.spec, inst.sims, **inst.knobs)
+        sols = enumerate_solutions(inst.ctx)
         for sol in sols[:4]:
-            lm = levels(inst.db, inst.spec, inst.sims, sol, **inst.knobs)
+            lm = levels(inst.ctx, sol)
             for pair in sorted(
                 sol.pairs(), key=lambda p: (p.left.text, p.right.text)
             ):
-                t = proof_tree(
-                    inst.db, inst.spec, inst.sims, sol, pair, **inst.knobs
-                )
+                t = proof_tree(inst.ctx, sol, pair)
                 assert (
                     validate_proof_tree(t, inst.db, inst.spec, inst.sims) == []
                 ), (seed, pair)
@@ -259,8 +258,8 @@ class TestFamilyProperty:
         inst = chain_instance(depth)
         from entres.engine import solve_one
 
-        sol = solve_one(inst.db, inst.spec, inst.sims)
+        sol = solve_one(inst.ctx)
         top = P(e(f"e{depth}l"), e(f"e{depth}r"))
-        t = proof_tree(inst.db, inst.spec, inst.sims, sol, top)
+        t = proof_tree(inst.ctx, sol, top)
         assert rule_depth(t) == depth
         assert validate_proof_tree(t, inst.db, inst.spec, inst.sims) == []

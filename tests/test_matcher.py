@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from entres.matcher import answers, dc_satisfied, merge_candidates, rule_satisfied
+from entres.matcher import (
+    Context,
+    answers,
+    dc_satisfied,
+    merge_candidates,
+    rule_satisfied,
+)
 from entres.model import NULL, Constant, Database, EqRel, Fact, Kind, MergePair
 from entres.rules import Var, parse_spec
 
@@ -36,9 +42,20 @@ class TestAnswerBasics:
         spec, db = spec_db(
             JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
         )
-        ans = answers(spec.hard[0].body, spec.hard[0].head, db, EqRel(db.domain))
+        ans = answers(
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec),
+            EqRel(db.domain),
+        )
         assert (e("r1"), e("r2")) in ans.rep_tuples
         assert (e("r1"), e("r1")) in ans.rep_tuples  # reflexive matches too
+
+    def test_identity_shares_the_database_numbering(self):
+        spec, db = spec_db(
+            JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
+        )
+        ident = Context(db, spec).identity()
+        assert ident.domain is db.consts
+        assert ident == EqRel(db.domain)
 
     def test_relation_over_another_domain_rejected(self):
         # rows are read as ids numbered over the database's own domain, so
@@ -48,7 +65,9 @@ class TestAnswerBasics:
         )
         wider = EqRel(db.domain | {e("r0")})
         with pytest.raises(ValueError, match="domain"):
-            answers(spec.hard[0].body, spec.hard[0].head, db, wider)
+            answers(
+                spec.hard[0].body, spec.hard[0].head, Context(db, spec), wider
+            )
 
     def test_preimage_expansion(self):
         spec, db = spec_db(
@@ -61,13 +80,16 @@ class TestAnswerBasics:
         )
         eq = EqRel(db.domain)
         eq.merge(e("r1"), e("r2"))  # rep r1 now carries the w-row of r2
-        ans = answers(spec.hard[0].body, spec.hard[0].head, db, eq)
+        ans = answers(
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec), eq
+        )
         assert (e("r1"), e("r3")) in ans.rep_tuples
         # every member of r3's and r1's classes appears in the expansion
         assert (e("r2"), e("r3")) in ans.tuples
         assert (e("r1"), e("r3")) in ans.tuples
         unexpanded = answers(
-            spec.hard[0].body, spec.hard[0].head, db, eq, expand=False
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec), eq,
+            expand=False,
         )
         assert unexpanded.tuples is None
 
@@ -85,11 +107,12 @@ class TestAnswerBasics:
         )
         eq = EqRel(db.domain)
         body, head = spec.hard[0].body, spec.hard[0].head
-        before = answers(body, head, db, eq).rep_tuples
+        before = answers(body, head, Context(db, spec), eq).rep_tuples
         assert (e("p1"), e("p9")) in before
         assert (e("p1"), e("p2")) not in before
         eq.merge(e("m2"), e("m3"))  # the m3 row now satisfies @m2
-        assert (e("p1"), e("p2")) in answers(body, head, db, eq).rep_tuples
+        after = answers(body, head, Context(db, spec), eq).rep_tuples
+        assert (e("p1"), e("p2")) in after
 
     def test_constant_absent_from_data_matches_nothing(self):
         spec = parse_spec(
@@ -100,7 +123,8 @@ class TestAnswerBasics:
             [Fact("P", (e("p1"), e("m1"))), Fact("P", (e("p2"), e("m3")))]
         )
         ans = answers(
-            spec.hard[0].body, spec.hard[0].head, db, EqRel(db.domain)
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec),
+            EqRel(db.domain),
         )
         assert ans.rep_tuples == frozenset()
 
@@ -109,7 +133,8 @@ class TestAnswerBasics:
             JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
         )
         ans = answers(
-            spec.hard[0].body, spec.hard[0].head, db, EqRel(db.domain),
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec),
+            EqRel(db.domain),
             witnesses=True,
         )
         wits = ans.witnesses[(e("r1"), e("r2"))]
@@ -126,7 +151,10 @@ class TestNullJoins:
         spec, db = spec_db(
             JOIN, [Fact("R", (e("r1"), NULL)), Fact("R", (e("r2"), NULL))]
         )
-        ans = answers(spec.hard[0].body, spec.hard[0].head, db, EqRel(db.domain))
+        ans = answers(
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec),
+            EqRel(db.domain),
+        )
         assert (e("r1"), e("r2")) not in ans.rep_tuples
 
     def test_guard_disabled_lets_nulls_join(self):
@@ -134,8 +162,8 @@ class TestNullJoins:
             JOIN, [Fact("R", (e("r1"), NULL)), Fact("R", (e("r2"), NULL))]
         )
         ans = answers(
-            spec.hard[0].body, spec.hard[0].head, db, EqRel(db.domain),
-            null_join_guard=False,
+            spec.hard[0].body, spec.hard[0].head,
+            Context(db, spec, null_join_guard=False), EqRel(db.domain),
         )
         assert (e("r1"), e("r2")) in ans.rep_tuples
 
@@ -150,7 +178,10 @@ class TestNullJoins:
                 Fact("R", (e("r2"), v("u"), v("q"))),
             ]
         )
-        ans = answers(spec.hard[0].body, spec.hard[0].head, db, EqRel(db.domain))
+        ans = answers(
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec),
+            EqRel(db.domain),
+        )
         assert (e("r1"), e("r2")) in ans.rep_tuples
 
 
@@ -165,14 +196,17 @@ class TestInequalityPolicies:
         spec, db = spec_db(
             NEQ, [Fact("R", (e("r1"), NULL)), Fact("R", (e("r1"), v("u")))]
         )
-        assert not dc_satisfied(spec.dcs[0], db, EqRel(db.domain))
+        assert not dc_satisfied(
+            spec.dcs[0], Context(db, spec), EqRel(db.domain)
+        )
 
     def test_fail_policy_drops_null_comparisons(self):
         spec, db = spec_db(
             NEQ, [Fact("R", (e("r1"), NULL)), Fact("R", (e("r1"), v("u")))]
         )
         assert dc_satisfied(
-            spec.dcs[0], db, EqRel(db.domain), null_inequality="fail"
+            spec.dcs[0], Context(db, spec, null_inequality="fail"),
+            EqRel(db.domain),
         )
 
     def test_null_equals_itself_under_both_policies(self):
@@ -181,8 +215,14 @@ class TestInequalityPolicies:
         )
         for policy in ("distinct", "fail"):
             assert dc_satisfied(
-                spec.dcs[0], db, EqRel(db.domain), null_inequality=policy
+                spec.dcs[0], Context(db, spec, null_inequality=policy),
+                EqRel(db.domain),
             )
+
+    def test_unknown_policy_rejected(self):
+        spec, db = spec_db(NEQ, [Fact("R", (e("r1"), NULL))])
+        with pytest.raises(ValueError, match="null inequality policy"):
+            Context(db, spec, null_inequality="Fail")
 
     def test_inequality_reads_representatives(self):
         spec = parse_spec(
@@ -193,9 +233,9 @@ class TestInequalityPolicies:
             [Fact("P", (e("p1"), e("m1"))), Fact("P", (e("p1"), e("m2")))]
         )
         eq = EqRel(db.domain)
-        assert not dc_satisfied(spec.dcs[0], db, eq)
+        assert not dc_satisfied(spec.dcs[0], Context(db, spec), eq)
         eq.merge(e("m1"), e("m2"))  # the two references collapse
-        assert dc_satisfied(spec.dcs[0], db, eq)
+        assert dc_satisfied(spec.dcs[0], Context(db, spec), eq)
 
 
 class TestOriginalConstantScoring:
@@ -226,7 +266,9 @@ class TestOriginalConstantScoring:
         eq = EqRel(db.domain)
         eq.merge(e("m1"), e("m2"))
         r = self.Resolver()
-        ans = answers(spec.hard[0].body, spec.hard[0].head, db, eq, r)
+        ans = answers(
+            spec.hard[0].body, spec.hard[0].head, Context(db, spec, r), eq
+        )
         assert (e("p1"), e("p2")) in ans.rep_tuples
         texts = {frozenset(p) for p in r.probes}
         assert frozenset({"m1", "m2"}) in texts
@@ -240,13 +282,13 @@ class TestMergeCandidates:
             JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
         )
         eq = EqRel(db.domain)
-        cands = merge_candidates(spec.hard[0], db, eq, None)
+        cands = merge_candidates(spec.hard[0], Context(db, spec), eq)
         pairs = {
             MergePair.of(eq.const(i), eq.const(j)) for i, j in cands
         }
         assert pairs == {MergePair.of(e("r1"), e("r2"))}
         eq.merge(e("r1"), e("r2"))
-        assert merge_candidates(spec.hard[0], db, eq, None) == set()
+        assert merge_candidates(spec.hard[0], Context(db, spec), eq) == set()
 
     def test_delta_evaluation_matches_full_scan(self):
         for seed in range(25):
@@ -259,12 +301,8 @@ class TestMergeCandidates:
                 eq.merge(a, b)
             dirty = frozenset(range(len(eq.domain)))
             for rule in inst.spec.all_rules():
-                full = merge_candidates(
-                    rule, inst.db, eq, inst.sims, None, **inst.knobs
-                )
-                delta = merge_candidates(
-                    rule, inst.db, eq, inst.sims, dirty, **inst.knobs
-                )
+                full = merge_candidates(rule, inst.ctx, eq)
+                delta = merge_candidates(rule, inst.ctx, eq, dirty)
                 assert delta == full
 
 
@@ -287,29 +325,23 @@ class TestDifferential:
         classes = close_classes(merged, inst.db.domain)
 
         for rule in inst.spec.all_rules():
-            got = answers(
-                rule.body, rule.head, inst.db, eq, inst.sims, **inst.knobs
-            )
+            got = answers(rule.body, rule.head, inst.ctx, eq)
             want_reps, want_exp = naive_query(
                 rule.body, rule.head, inst.db, classes, simfn, **inst.knobs
             )
             assert got.rep_tuples == want_reps, (seed, rule.label)
             assert got.tuples == want_exp, (seed, rule.label)
-            assert rule_satisfied(
-                rule, inst.db, eq, inst.sims, **inst.knobs
-            ) == naive_rule_satisfied(
+            assert rule_satisfied(rule, inst.ctx, eq) == naive_rule_satisfied(
                 rule, inst.db, classes, simfn, **inst.knobs
             )
             got_cands = {
                 MergePair.of(eq.const(i), eq.const(j))
-                for i, j in merge_candidates(
-                    rule, inst.db, eq, inst.sims, None, **inst.knobs
-                )
+                for i, j in merge_candidates(rule, inst.ctx, eq)
             }
             assert got_cands == naive_candidates(
                 rule, inst.db, classes, simfn, **inst.knobs
             )
         for dc in inst.spec.dcs:
-            assert dc_satisfied(
-                dc, inst.db, eq, **inst.knobs
-            ) == naive_dc_satisfied(dc, inst.db, classes, **inst.knobs)
+            assert dc_satisfied(dc, inst.ctx, eq) == naive_dc_satisfied(
+                dc, inst.db, classes, **inst.knobs
+            )

@@ -1,5 +1,6 @@
 """Similarity machinery: kernels, models, stores, resolvers, strategies."""
 
+import dataclasses
 import math
 import re
 
@@ -266,7 +267,7 @@ class TestStrategies:
             pytest.skip("this seed has no similarity atoms")
         store_all = inst.store
         store_cs = sim_cs(inst.db, inst.spec)
-        store_opt, _ = sim_opt(inst.db, inst.spec, **inst.knobs)
+        store_opt, _ = sim_opt(inst.ctx)
         assert store_opt.key_set() <= store_cs.key_set() <= store_all.key_set()
         assert store_opt.calls <= store_cs.calls <= store_all.calls
 
@@ -275,20 +276,20 @@ class TestStrategies:
         inst = generate(seed)
         if inst.store is None:
             pytest.skip("this seed has no similarity atoms")
-        store_opt, opt_ub = sim_opt(inst.db, inst.spec, **inst.knobs)
+        store_opt, opt_ub = sim_opt(inst.ctx)
         full = {
             s.pairs()
             for s in enumerate_solutions(
-                inst.db, inst.spec, StrictResolver(inst.store), **inst.knobs
+                dataclasses.replace(inst.ctx, sims=StrictResolver(inst.store))
             )
         }
         thrifty = {
             s.pairs()
             for s in enumerate_solutions(
-                inst.db, inst.spec, StrictResolver(store_opt), **inst.knobs
+                dataclasses.replace(inst.ctx, sims=StrictResolver(store_opt))
             )
         }
         assert full == thrifty
         assert opt_ub == ub(
-            inst.db, inst.spec, StrictResolver(inst.store), **inst.knobs
+            dataclasses.replace(inst.ctx, sims=StrictResolver(inst.store))
         ).nontrivial_pairs()
