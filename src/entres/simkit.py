@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from decimal import Decimal, InvalidOperation
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, Iterator
 
 from . import engine, kernels
@@ -405,8 +405,7 @@ def sim_opt(
     """Three-phase optimized materialization. Returns the score store and
     the overapproximating merge set U (exactly the ub fixpoint's merges).
     The context's own resolver is not consulted."""
-    if registry is None:
-        registry = build_registry(ctx.spec, ctx.db)
+    registry = build_registry(ctx.spec, ctx.db) if registry is None else registry
     store = SimStore()
     resolver = OnDemandResolver(store, registry)
 
