@@ -24,6 +24,7 @@ satisfies every hard rule and denial constraint. This module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations, product
 from typing import AbstractSet, Iterable, Iterator
 
 from .errors import NotASolution
@@ -117,40 +118,54 @@ class LevelMap:
 # ------------------------------------------------------------- fixpoints
 
 
-def _saturate(
+def _rounds(
     ctx: Context,
     rules: tuple[Rule, ...],
     e: EqRel,
-    record: list[DerivStep] | None = None,
     dirty: AbstractSet[int] | None = None,
-) -> set[int]:
-    """Semi-naive fixpoint: apply every rule answer and close, then evaluate
-    again with each relational atom in turn pinned to rows touching a class
-    the last round grew, until no new merge appears. Mutates e and returns
-    the ids of every class it grew.
+    within: EqRel | None = None,
+    record: list[DerivStep] | None = None,
+) -> Iterator[set[int]]:
+    """The rule-application chain from e: each round evaluates the rules,
+    merges every answer and yields the ids of the classes it grew, until a
+    round merges nothing. Mutates e. Round i's answers have level i.
 
-    With dirty=None the first round evaluates in full. Otherwise e must be
-    closed under the rules but for matches on a row touching a dirty id, as
-    a saturated state is after merges whose classes dirty covers: any other
-    match held before those merges, with the same answer."""
-    grown: set[int] = set()
+    Rounds after the first evaluate semi-naively, each relational atom in
+    turn pinned to rows touching a class the previous round grew: any other
+    match held a round earlier with the same canonical ids, so its answer
+    was merged then or left out then too. The first round does so as well
+    given dirty ids, for which e must be closed under the rules but for
+    matches on a row touching one (as a saturated state is after merges
+    whose classes dirty covers), and evaluates in full otherwise.
+
+    within, when given, admits only answers that relation relates; record,
+    when given, receives a DerivStep for every applied merge."""
     while True:
-        found: list[tuple[str, int, int]] = []
+        found: set[tuple[str, int, int]] = set()
         for rule in rules:
             for i, j in merge_candidates(rule, ctx, e, dirty):
-                found.append((rule.label, i, j))
-        if not found:
-            return grown
+                if within is None or within.same(e.const(i), e.const(j)):
+                    found.add((rule.label, i, j))
         merged: list[int] = []
-        for label, i, j in sorted(set(found)):
+        for label, i, j in sorted(found):
             if e.merge_ids(i, j):
                 merged.append(i)
                 if record is not None:
                     record.append(
                         DerivStep(label, MergePair.of(e.const(i), e.const(j)))
                     )
+        if not merged:
+            return
         dirty = e.class_ids(merged)
-        grown |= dirty
+        yield dirty
+
+
+def _fixpoint(ctx: Context, rules: tuple[Rule, ...]) -> EqRel:
+    """The identity closed under the rules."""
+    e = ctx.identity()
+    for _ in _rounds(ctx, rules, e):
+        pass
+    return e
 
 
 def lb(ctx: Context) -> EqRel:
@@ -158,27 +173,23 @@ def lb(ctx: Context) -> EqRel:
     every solution. A hard rule with an inequality that can turn false as
     classes grow need not fire in every solution, so it is left out."""
     spec = ctx.spec
-    e = ctx.identity()
-    _saturate(
-        ctx, tuple(r for r in spec.hard if _merge_monotone(r.body, spec)), e
+    return _fixpoint(
+        ctx, tuple(r for r in spec.hard if _merge_monotone(r.body, spec))
     )
-    return e
 
 
 def ub(ctx: Context) -> EqRel:
     """Fixpoint with soft rules promoted to hard and non-monotone
     inequalities dropped: no solution merges more."""
-    e = ctx.identity()
-    _saturate(ctx, _relaxed(transform(ctx.spec, "ub").hard, ctx.spec), e)
-    return e
+    return _fixpoint(ctx, _relaxed(transform(ctx.spec, "ub").hard, ctx.spec))
 
 
 def loose_ub(ctx: Context) -> EqRel:
     """The ub fixpoint with similarity atoms dropped; a similarity-free
     overapproximation that needs no scores."""
-    e = ctx.identity()
-    _saturate(ctx, _relaxed(transform(ctx.spec, "loose_ub").hard, ctx.spec), e)
-    return e
+    return _fixpoint(
+        ctx, _relaxed(transform(ctx.spec, "loose_ub").hard, ctx.spec)
+    )
 
 
 # ------------------------------------------------------------------ search
@@ -312,7 +323,9 @@ class _Search:
         start = self.ctx.identity()
         steps: list[DerivStep] = []
         if self.eager:
-            _saturate(self.ctx, self.ctx.spec.hard, start, record=steps)
+            hard = self.ctx.spec.hard
+            for _ in _rounds(self.ctx, hard, start, record=steps):
+                pass
         root = self._enter(start, tuple(steps))
         stack = [root] if root is not None else []
         while stack:
@@ -337,8 +350,8 @@ class _Search:
         e.merge_ids(i, j)
         dirty = e.class_ids((i,))
         if self.eager:
-            dirty |= _saturate(
-                self.ctx, self.ctx.spec.hard, e, record=steps, dirty=dirty
+            dirty = dirty.union(
+                *_rounds(self.ctx, self.ctx.spec.hard, e, dirty, record=steps)
             )
         return self._enter(e, parent.deriv + tuple(steps), parent.cands, dirty)
 
@@ -426,24 +439,26 @@ def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     return maxima if n is None else maxima[:n]
 
 
+def _union(sols: list[Solution]) -> frozenset[MergePair]:
+    return frozenset().union(*(sol.pairs() for sol in sols))
+
+
+def _common(sols: list[Solution]) -> frozenset[MergePair]:
+    """Pairs every solution merges; empty when there is none."""
+    if not sols:
+        return frozenset()
+    return frozenset.intersection(*(sol.pairs() for sol in sols))
+
+
 def possible_merges(ctx: Context) -> frozenset[MergePair]:
     """Pairs merged in at least one solution."""
-    out: set[MergePair] = set()
-    for sol in enumerate_solutions(ctx):
-        out |= sol.pairs()
-    return frozenset(out)
+    return _union(enumerate_solutions(ctx))
 
 
 def certain_merges(ctx: Context) -> frozenset[MergePair]:
     """Pairs merged in every maximal solution; empty when no solution
     exists."""
-    maxima = maximal_solutions(ctx)
-    if not maxima:
-        return frozenset()
-    common = set(maxima[0].pairs())
-    for sol in maxima[1:]:
-        common &= sol.pairs()
-    return frozenset(common)
+    return _common(maximal_solutions(ctx))
 
 
 def is_possible(
@@ -463,19 +478,14 @@ def is_possible(
 
 def merge_sets(ctx: Context) -> MergeSets:
     """lb, ub, pm and cm in one call."""
-    lbset = lb(ctx).nontrivial_pairs()
-    ubset = ub(ctx).nontrivial_pairs()
     sols = enumerate_solutions(ctx)
-    if not sols:
-        return MergeSets(lbset, ubset, frozenset(), frozenset(), False)
-    pm: set[MergePair] = set()
-    for sol in sols:
-        pm |= sol.pairs()
-    maxima = _maximal_filter(sols)
-    cm = set(maxima[0].pairs())
-    for sol in maxima[1:]:
-        cm &= sol.pairs()
-    return MergeSets(lbset, ubset, frozenset(pm), frozenset(cm), True)
+    return MergeSets(
+        lb(ctx).nontrivial_pairs(),
+        ub(ctx).nontrivial_pairs(),
+        _union(sols),
+        _common(_maximal_filter(sols)),
+        bool(sols),
+    )
 
 
 # ------------------------------------------------------------------ levels
@@ -493,45 +503,38 @@ def is_solution(ctx: Context, e: EqRel) -> bool:
 
 def levels(ctx: Context, sol: Solution, scope: str = "solution") -> LevelMap:
     """Level of each merge in the solution: the first round of the
-    rule-application chain that relates the pair, counting rule
-    applications but not transitive closure.
+    rule-application chain (_rounds, over every rule as hard) that relates
+    the pair, counting rule applications but not transitive closure.
 
     scope="solution" (default) admits only rule answers already merged in
-    the solution; scope="ub" runs the unrestricted all-rules chain and then
-    reports the pairs the solution contains. Rounds after the first
-    evaluate only matches touching a class the previous round grew: every
-    other match held a round earlier, and its answer was merged then or,
-    being outside the solution, is still left out."""
+    the solution; scope="ub" runs the unrestricted chain and then reports
+    the pairs the solution contains. A round's new pairs are read off the
+    classes it grew: those of their members that sat in different classes
+    before it."""
     if scope not in ("solution", "ub"):
         raise ValueError(f"unknown levels scope {scope!r}")
     if not is_solution(ctx, sol.eq):
         raise NotASolution("levels() requires a valid solution")
-    rules = transform(ctx.spec, "ub").hard
     e = ctx.identity()
+    chain = _rounds(
+        ctx, transform(ctx.spec, "ub").hard, e,
+        within=sol.eq if scope == "solution" else None,
+    )
     found: dict[MergePair, int] = {}
-    level = 0
-    dirty: set[int] | None = None
-    while True:
-        level += 1
-        new_ids: set[tuple[int, int]] = set()
-        for rule in rules:
-            for i, j in merge_candidates(rule, ctx, e, dirty):
-                if scope == "solution" and not sol.eq.same(e.const(i), e.const(j)):
-                    continue
-                new_ids.add((i, j))
-        before = e.nontrivial_pairs()
-        merged: list[int] = []
-        for i, j in sorted(new_ids):
-            if e.merge_ids(i, j):
-                merged.append(i)
-        if not merged:
-            break
-        dirty = e.class_ids(merged)
-        for pair in e.nontrivial_pairs() - before:
-            found[pair] = level
+    was: dict[int, int] = {}  # id -> its class's canonical id before a round
+    for level, grown in enumerate(chain, 1):
+        # each grown class's members, grouped by their class before the round
+        parts: dict[int, dict[int, list[int]]] = {}
+        for i in grown:
+            old = was.get(i, i)
+            was[i] = e.canon_id(i)
+            parts.setdefault(was[i], {}).setdefault(old, []).append(i)
+        for groups in parts.values():
+            for left, right in combinations(groups.values(), 2):
+                for i, j in product(left, right):
+                    found[MergePair.of(e.const(i), e.const(j))] = level
     if scope == "ub":
-        keep = sol.eq.nontrivial_pairs()
-        found = {p: lv for p, lv in found.items() if p in keep}
+        found = {p: lv for p, lv in found.items() if p in sol.eq}
     return LevelMap(found)
 
 

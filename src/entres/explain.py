@@ -16,18 +16,23 @@ whose internal nodes are either
 The rule-depth of a tree is the maximum number of rule nodes on any
 root-to-leaf path; the level of a merge is the minimum rule-depth over its
 proof trees. proof_tree() builds a tree realizing that minimum by replaying
-the level chain: round i rule answers become depth-i rule nodes, and pairs
-that only arise by closing a round are decomposed into transitive nodes
-over that round's direct edges.
+the engine's rule-application chain (engine._rounds, which `levels` reads
+too): round i rule answers, with their witnesses, become depth-i rule
+nodes, and pairs that only arise by closing a round are decomposed into
+transitive nodes over that round's direct edges. Like the chain, a round
+evaluates only the matches touching a class the round before grew. Trees
+are assembled on an explicit stack, so depth does not grow the Python stack.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
+from typing import Generator
 
-from .engine import Solution
+from .engine import Solution, _rounds
 from .errors import NotInSolution
 from .matcher import Context, SimResolver, Witness, answers
 from .model import Constant, Database, EqRel, Fact, Kind, MergePair
@@ -88,9 +93,14 @@ def _text(c: Constant) -> str:
 
 def rule_depth(tree: ProofTree | ProofNode) -> int:
     """Maximum number of rule nodes on any root-to-leaf path."""
-    node = tree.root if isinstance(tree, ProofTree) else tree
-    below = max((rule_depth(ch) for ch in node.children), default=0)
-    return below + 1 if node.kind is NodeKind.RULE else below
+    deepest = 0
+    todo = [(tree.root if isinstance(tree, ProofTree) else tree, 0)]
+    while todo:
+        node, depth = todo.pop()
+        depth += node.kind is NodeKind.RULE
+        deepest = max(deepest, depth)
+        todo.extend((ch, depth) for ch in node.children)
+    return deepest
 
 
 # ------------------------------------------------------------ construction
@@ -105,12 +115,6 @@ class _Edge:
     u: Constant
     v: Constant
     witnesses: list[Witness]
-
-
-@dataclass(slots=True)
-class _Round:
-    prev: EqRel
-    edges: list[_Edge] = field(default_factory=list)
 
 
 def _occurrences(body: RuleBody) -> dict[Var, list[tuple[int, int]]]:
@@ -132,77 +136,76 @@ def _witness_key(w: Witness):
 class _Builder:
     def __init__(self, ctx: Context, sol: Solution):
         self.ctx = ctx
-        self.sol = sol
-        self.rounds: list[_Round] = []
-        self.level: dict[MergePair, int] = {}
         self.cache: dict[MergePair, ProofNode] = {}
-        self._run_chain()
-
-    # -- the level chain, with witnesses kept per round
-
-    def _run_chain(self) -> None:
-        rules = transform(self.ctx.spec, "ub").hard
-        e = self.ctx.identity()
-        while True:
-            rnd = _Round(prev=e.clone())
-            merged: list[tuple[int, int]] = []
+        # per round: the relation it started from and the answers it
+        # admitted, with their witnesses, evaluated as the round evaluated
+        # them (on the matches touching a class the round before grew)
+        self.starts: list[EqRel] = []
+        self.edges: list[list[_Edge]] = []
+        rules = transform(ctx.spec, "ub").hard
+        e = ctx.identity()
+        start, dirty = e.clone(), None
+        for grown in _rounds(ctx, rules, e, within=sol.eq):
+            edges: list[_Edge] = []
             for rule in rules:
                 ans = answers(
-                    rule.body, rule.head, self.ctx, e,
-                    expand=False, witnesses=True,
+                    rule.body, rule.head, ctx, start,
+                    expand=False, witnesses=True, dirty=dirty,
                 )
                 assert ans.witnesses is not None
                 for u, v in sorted(
                     ans.rep_tuples, key=lambda t: (t[0].text, t[1].text)
                 ):
-                    if (
-                        u == v
-                        or not (u.is_entity() and v.is_entity())
-                        or not self.sol.eq.same(u, v)
-                    ):
-                        continue
-                    wits = sorted(ans.witnesses[(u, v)], key=_witness_key)
-                    rnd.edges.append(_Edge(rule, u, v, wits))
-                    merged.append((e.id_of(u), e.id_of(v)))
-            before = e.nontrivial_pairs()
-            changed = False
-            for i, j in sorted(set(merged)):
-                changed |= e.merge_ids(i, j)
-            if not changed:
-                break
-            self.rounds.append(rnd)
-            lvl = len(self.rounds)
-            for pair in e.nontrivial_pairs() - before:
-                self.level[pair] = lvl
+                    if u != v and sol.eq.same(u, v):  # so both are entities
+                        wits = sorted(ans.witnesses[(u, v)], key=_witness_key)
+                        edges.append(_Edge(rule, u, v, wits))
+            self.starts.append(start)
+            self.edges.append(edges)
+            start, dirty = e.clone(), grown
+        self.ends = self.starts[1:] + [start]  # the relation after each round
 
     # -- tree assembly
 
     def build(self, a: Constant, b: Constant) -> ProofNode:
-        pair = MergePair.of(a, b)
-        got = self.cache.get(pair)
-        if got is not None:
-            return got
-        lvl = self.level.get(pair)
-        if lvl is None:
+        """The tree for (a, b), built once per pair. Each tree under
+        construction waits on an explicit stack for the trees it asks for,
+        so tree depth does not grow the Python stack."""
+        stack = [(MergePair.of(a, b), self._chain_pair(a, b))]
+        node: ProofNode | None = None
+        while True:
+            pair, tree = stack[-1]
+            try:
+                x, y = tree.send(node)  # type: ignore[arg-type]
+            except StopIteration as done:
+                node = self.cache[pair] = done.value
+                stack.pop()
+                if not stack:
+                    return node
+                continue
+            node = self.cache.get(MergePair.of(x, y))
+            if node is None:
+                stack.append((MergePair.of(x, y), self._chain_pair(x, y)))
+
+    def _chain_pair(
+        self, a: Constant, b: Constant
+    ) -> Generator[tuple[Constant, Constant], ProofNode, ProofNode]:
+        """Tree for (a, b), which first holds after round k + 1: a path of
+        that round's rule answers and of pairs holding before it, folded
+        into right-nested transitive nodes. Yields each pair whose tree it
+        needs and is sent that tree back."""
+        k = bisect_left(self.ends, True, key=lambda rel: rel.same(a, b))
+        if k == len(self.ends):
             raise NotInSolution(
                 f"({a.text}, {b.text}) was not reached by the rule "
                 f"application chain"
             )
-        node = self._chain_pair(a, b, self.rounds[lvl - 1])
-        self.cache[pair] = node
-        return node
-
-    def _chain_pair(self, a: Constant, b: Constant, rnd: _Round) -> ProofNode:
-        """Tree for (a, b), which first holds after this round: a path of
-        this round's rule answers and previous-round pairs, folded into
-        right-nested transitive nodes."""
-        hops = self._class_path(a, b, rnd)
+        hops = self._class_path(a, b, k)
         parts: list[tuple[Constant, Constant, ProofNode | None]] = []
         pos = a
         for hop, (edge, forward) in enumerate(hops):
             want_right = b if hop == len(hops) - 1 else None
-            node, o_left, o_right = self._rule_node(
-                edge, forward, rnd, pos, want_right
+            node, o_left, o_right = yield from self._rule_node(
+                edge, forward, pos, want_right
             )
             if o_left != pos:
                 parts.append((pos, o_left, None))
@@ -210,10 +213,9 @@ class _Builder:
             pos = o_right
         if pos != b:
             parts.append((pos, b, None))
-        built = [
-            node if node is not None else self.build(x, y)
-            for x, y, node in parts
-        ]
+        built: list[ProofNode] = []
+        for x, y, node in parts:
+            built.append(node if node is not None else (yield x, y))
         tree = built[-1]
         right = parts[-1][1]
         for (x, _y, _n), node in zip(reversed(parts[:-1]), reversed(built[:-1])):
@@ -225,14 +227,14 @@ class _Builder:
         return tree
 
     def _class_path(
-        self, a: Constant, b: Constant, rnd: _Round
+        self, a: Constant, b: Constant, k: int
     ) -> list[tuple[_Edge, bool]]:
-        """Shortest chain of this round's rule edges from a's class to b's
-        class under the previous round's relation, each with its traversal
-        direction (True = the edge's u side is entered first)."""
-        prev = rnd.prev
+        """Shortest chain of round k + 1's rule edges from a's class to b's
+        class under the relation the round started from, each with its
+        traversal direction (True = the edge's u side is entered first)."""
+        prev = self.starts[k]
         adj: dict[int, list[tuple[int, int, tuple[_Edge, bool]]]] = {}
-        for rank, edge in enumerate(rnd.edges):
+        for rank, edge in enumerate(self.edges[k]):
             cu = prev.canon_id(prev.id_of(edge.u))
             cv = prev.canon_id(prev.id_of(edge.v))
             adj.setdefault(cu, []).append((cv, rank, (edge, True)))
@@ -271,10 +273,13 @@ class _Builder:
         self,
         edge: _Edge,
         forward: bool,
-        rnd: _Round,
         want_left: Constant,
         want_right: Constant | None,
-    ) -> tuple[ProofNode, Constant, Constant]:
+    ) -> Generator[
+        tuple[Constant, Constant],
+        ProofNode,
+        tuple[ProofNode, Constant, Constant],
+    ]:
         """Rule node for one answer edge, plus the original constants its
         label carries on each side. Prefers a witness whose head variables
         were read from the wanted constants, then the least witness."""
@@ -323,7 +328,7 @@ class _Builder:
                     if c1 != c2:
                         need.add(MergePair.of(c1, c2))
         for sub in sorted(need, key=lambda p: (p.left.text, p.right.text)):
-            children.append(self.build(sub.left, sub.right))
+            children.append((yield sub.left, sub.right))
         for satom in rule.body.sim_atoms:
             sa = self._sim_const(satom.left, occ, wit)
             sb = self._sim_const(satom.right, occ, wit)

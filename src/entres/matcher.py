@@ -29,7 +29,7 @@ from itertools import product
 from typing import AbstractSet, Iterator, Protocol
 
 from .errors import MissingSimScore
-from .model import NULL, Constant, Database, EqRel, Fact, MergePair
+from .model import NULL, Constant, Database, EqRel, Fact
 from .rules import (
     DenialConstraint,
     Rule,
@@ -93,15 +93,6 @@ class AnswerSet:
     rep_tuples: frozenset[tuple[Constant, ...]]
     tuples: frozenset[tuple[Constant, ...]] | None = None
     witnesses: dict[tuple[Constant, ...], list[Witness]] | None = None
-
-    def pairs(self) -> frozenset[MergePair]:
-        """Distinct-class entity pairs among binary answers."""
-        out = {
-            MergePair.of(a, b)
-            for a, b in self.rep_tuples
-            if a != b and a.is_entity() and b.is_entity()
-        }
-        return frozenset(out)
 
 
 class _Eval:
@@ -223,36 +214,24 @@ class _Eval:
 
     def solutions(
         self,
-        pin: int | None = None,
         dirty: AbstractSet[int] | None = None,
         need_facts: bool = False,
     ) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
-        """Yield (binding, facts-per-atom) for every body match. With a pin,
-        the pinned atom ranges only over rows touching a dirty id, read from
-        the database's use-lists."""
+        """Yield (binding, facts-per-atom) for every body match. With a
+        dirty id set, evaluates semi-naively: each relational atom in turn
+        is pinned to the rows touching a dirty id, read from the database's
+        use-lists, so only matches on such a row are found, and a match on
+        several of them once per pin."""
         if self.dead:
             return
         atoms = self.body.rel_atoms
-        order = self._order(pin)
         binding: dict[Var, int] = {}
         orig: dict[Var, Constant] = {}
         null_id = self.null_id
         guard = self.ctx.null_join_guard
         facts: list[Fact | None] = [None] * len(atoms)
 
-        pinned_rows = None
-        if pin is not None:
-            assert dirty is not None
-            rel = atoms[pin].relation
-            uses, rows = self.ctx.db.uses.get(rel, {}), self.rows[rel]
-            pinned_rows = [
-                rows[k]
-                for k in sorted({k for i in dirty for k in uses.get(i, ())})
-            ]
-            if not pinned_rows:
-                return
-
-        def candidates(k: int, ai: int):
+        def candidates(ai: int):
             if ai == pin:
                 return pinned_rows
             resolved = self.res_args[ai]
@@ -272,7 +251,7 @@ class _Eval:
                 return
             ai = order[k]
             resolved = self.res_args[ai]
-            for fact, canon in candidates(k, ai):
+            for fact, canon in candidates(ai):
                 trail: list[Var] = []
                 ok = True
                 for pos, (tag, val) in enumerate(resolved):
@@ -305,7 +284,16 @@ class _Eval:
                     del orig[v]
 
         try:
-            yield from rec(0)
+            # one pass per pinned atom; candidates() and rec() read the
+            # pass's pin, pinned_rows and join order
+            for pin in (None,) if dirty is None else range(len(atoms)):
+                order = self._order(pin)
+                if pin is not None:
+                    rel = atoms[pin].relation
+                    uses, rows = self.ctx.db.uses.get(rel, {}), self.rows[rel]
+                    touched = {k for i in dirty for k in uses.get(i, ())}
+                    pinned_rows = [rows[k] for k in sorted(touched)]
+                yield from rec(0)
         finally:
             # rec's closure refers to rec: clear the cell so the cycle, which
             # holds this evaluation's rows, is freed without waiting for the
@@ -327,24 +315,32 @@ def answers(
     *,
     expand: bool = True,
     witnesses: bool = False,
+    dirty: AbstractSet[int] | None = None,
 ) -> AnswerSet:
     """All head tuples derivable from body matches over (ctx.db, e).
 
     Representative-level tuples are always produced; with expand=True the
     answer set additionally contains every preimage tuple (each
-    representative replaced by each member of its class)."""
+    representative replaced by each member of its class). With a dirty id
+    set, only the matches on a row touching a dirty id are evaluated (see
+    _Eval.solutions); each match is witnessed once."""
     ev = _Eval(body, ctx, e)
     reps: set[tuple[Constant, ...]] = set()
     wits: dict[tuple[Constant, ...], list[Witness]] | None = (
         {} if witnesses else None
     )
-    for binding, facts in ev.solutions(need_facts=witnesses):
+    seen: set[tuple[Fact, ...]] = set()
+    for binding, facts in ev.solutions(dirty, need_facts=witnesses):
         rep = _head_rep(ev, head, binding)
         reps.add(rep)
         if wits is not None:
+            matched = tuple(facts)
+            if matched in seen:  # found again under another pin
+                continue
+            seen.add(matched)
             shown = {v: e.const(cid) for v, cid in binding.items()}
             wits.setdefault(rep, []).append(
-                Witness(tuple(facts), shown)  # type: ignore[arg-type]
+                Witness(matched, shown)  # type: ignore[arg-type]
             )
     expanded: frozenset[tuple[Constant, ...]] | None = None
     if expand:
@@ -362,22 +358,16 @@ def merge_candidates(
     dirty: AbstractSet[int] | None = None,
 ) -> set[tuple[int, int]]:
     """Distinct-class entity answer pairs of a merge rule, as canonical id
-    pairs (smaller id first). With a dirty id set, evaluates semi-naively:
-    each relational atom in turn is pinned to rows touching the delta."""
+    pairs (smaller id first). With a dirty id set, only from the matches on
+    a row touching a dirty id (see _Eval.solutions)."""
     ev = _Eval(rule.body, ctx, e)
     out: set[tuple[int, int]] = set()
-    pins: tuple[int | None, ...]
-    if dirty is None:
-        pins = (None,)
-    else:
-        pins = tuple(range(len(rule.body.rel_atoms)))
-    for pin in pins:
-        for binding, _ in ev.solutions(pin=pin, dirty=dirty):
-            a, b = _head_rep(ev, rule.head, binding)
-            if a == b or not (a.is_entity() and b.is_entity()):
-                continue
-            i, j = e.canon_id(e.id_of(a)), e.canon_id(e.id_of(b))
-            out.add((i, j) if i < j else (j, i))
+    for binding, _ in ev.solutions(dirty):
+        a, b = _head_rep(ev, rule.head, binding)
+        if a == b or not (a.is_entity() and b.is_entity()):
+            continue
+        i, j = e.canon_id(e.id_of(a)), e.canon_id(e.id_of(b))
+        out.add((i, j) if i < j else (j, i))
     return out
 
 
@@ -399,12 +389,8 @@ def dc_satisfied(
 ) -> bool:
     """True iff the constraint body has no match over the induced database.
     With a dirty id set, only matches on a row touching a dirty id are
-    looked for (each relational atom pinned in turn): enough when every
-    other match already existed at a state known to satisfy the
-    constraint."""
-    ev = _Eval(dc.body, ctx, e)
-    pins = (None,) if dirty is None else range(len(dc.body.rel_atoms))
-    for pin in pins:
-        for _ in ev.solutions(pin=pin, dirty=dirty):
-            return False
+    looked for: enough when every other match already existed at a state
+    known to satisfy the constraint."""
+    for _ in _Eval(dc.body, ctx, e).solutions(dirty):
+        return False
     return True

@@ -288,14 +288,23 @@ def _strip_sims(rule: Rule) -> Rule:
 
 
 def naive_lb(db, spec, simfn, **knobs):
+    """The hard rules' fixpoint. A reference for the engine's lb only on
+    merge-monotone specifications: a hard rule whose inequality an earlier
+    merge can turn false need not fire in every solution, yet fires here."""
     return naive_fixpoint(db, spec, simfn, spec.hard, **knobs)
 
 
 def naive_ub(db, spec, simfn, **knobs):
+    """The fixpoint of every rule as hard. A reference for the engine's ub
+    only on merge-monotone specifications: where an inequality can turn
+    false, a solution may hold an answer this fixpoint never reaches, since
+    one of its merges disables that answer here."""
     return naive_fixpoint(db, spec, simfn, spec.hard + spec.soft, **knobs)
 
 
 def naive_loose_ub(db, spec, **knobs):
+    """naive_ub without similarity atoms; a reference for the engine's
+    loose_ub only on merge-monotone specifications, as naive_ub is."""
     rules = [_strip_sims(r) for r in spec.hard + spec.soft]
     return naive_fixpoint(db, spec, None, rules, **knobs)
 

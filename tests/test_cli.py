@@ -479,7 +479,8 @@ class TestOptionValues:
         assert "marhta\tmartha\t96.11" in files["cs"]
 
 
-GOLDEN = ROOT / "tests" / "golden" / "music"
+GOLDEN = ROOT / "tests" / "golden"
+LADDER = GOLDEN / "ladder" / "data"
 
 #: golden case -> arguments after the shared music bundle arguments
 GOLDEN_CASES = {
@@ -498,15 +499,32 @@ GOLDEN_CASES = {
     "ub-null-fail": ("--mode", "ub", "--null-inequality", "fail"),
 }
 
+#: golden case -> arguments after the ladder bundle arguments; the bundle
+#: is tests/instances.chain_instance(6) written out as files
+LADDER_CASES = {
+    "levels": ("--mode", "levels"),
+    "explain": ("--mode", "explain:e6l,e6r"),
+}
 
-def golden_outputs(case, workdir):
+#: bundle -> (its spec, data and similarity arguments, its cases)
+GOLDEN_BUNDLES = {
+    "music": (
+        ("--spec", MUSIC / "music.er", "--data", MUSIC, "--sim", SIM_ARG),
+        GOLDEN_CASES,
+    ),
+    "ladder": (
+        ("--spec", LADDER / "ladder.er", "--data", LADDER),
+        LADDER_CASES,
+    ),
+}
+
+
+def golden_outputs(case, workdir, bundle="music"):
     """Run one golden case from workdir with `--out out`, so printed paths
     do not depend on where it runs. Returns file name -> bytes for every
     file written, plus `stdout.txt`: the stdout without its timing line."""
-    args = [
-        "--spec", MUSIC / "music.er", "--data", MUSIC, "--sim", SIM_ARG,
-        *GOLDEN_CASES[case], "--out", "out",
-    ]
+    common, cases = GOLDEN_BUNDLES[bundle]
+    args = [*common, *cases[case], "--out", "out"]
     buf = io.StringIO()
     with contextlib.chdir(workdir), contextlib.redirect_stdout(buf):
         assert main([str(a) for a in args]) == 0
@@ -520,17 +538,29 @@ def golden_outputs(case, workdir):
     return got
 
 
+def _golden_files(bundle, case):
+    return {
+        p.name: p.read_bytes()
+        for p in sorted((GOLDEN / bundle / case).iterdir())
+    }
+
+
 class TestGolden:
-    """Every music mode's files and stdout match the committed outputs byte
-    for byte. Regenerate a case by writing golden_outputs() into
-    tests/golden/music/<case>/ (only when an output change is intended)."""
+    """Every music mode's files and stdout, and the levels and proof tree of
+    a depth-6 ladder, match the committed outputs byte for byte. Regenerate
+    a case by writing golden_outputs() into tests/golden/<bundle>/<case>/
+    (only when an output change is intended)."""
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_outputs_match(self, case, tmp_path):
-        want = {
-            p.name: p.read_bytes() for p in sorted((GOLDEN / case).iterdir())
-        }
-        assert golden_outputs(case, tmp_path) == want
+        assert golden_outputs(case, tmp_path) == _golden_files("music", case)
+
+    @pytest.mark.parametrize("case", sorted(LADDER_CASES))
+    def test_ladder_outputs_match(self, case, tmp_path):
+        assert (
+            golden_outputs(case, tmp_path, "ladder")
+            == _golden_files("ladder", case)
+        )
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import pytest
 
 from entres.engine import (
     _merge_monotone,
-    _saturate,
+    _rounds,
     certain_merges,
     enumerate_solutions,
     is_possible,
@@ -304,7 +304,8 @@ class TestDeltaSearch:
         soft = [r for r in spec.soft if _merge_monotone(r.body, spec)]
         pruning = [dc for dc in spec.dcs if _merge_monotone(dc.body, spec)]
         start = EqRel(ctx.db.domain)
-        _saturate(ctx, spec.hard, start)
+        for _ in _rounds(ctx, spec.hard, start):
+            pass
         todo, seen, checked = [start], {start.signature()}, 0
         while todo and len(seen) <= max_states:
             parent = todo.pop()
@@ -320,8 +321,9 @@ class TestDeltaSearch:
                     child.merge_ids(i, j)
                     full = child.clone()
                     dirty = child.class_ids((i,))
-                    dirty |= _saturate(ctx, spec.hard, child, dirty=dirty)
-                    _saturate(ctx, spec.hard, full)
+                    dirty = dirty.union(*_rounds(ctx, spec.hard, child, dirty))
+                    for _ in _rounds(ctx, spec.hard, full):
+                        pass
                     assert child.signature() == full.signature()
                     for r in soft:
                         carried = {
@@ -430,7 +432,8 @@ class TestInequalityFamily:
         assert consistent >= 200
 
     def test_bounds_bracket_every_solution(self):
-        # the instances of test_engine_agrees_with_both_oracles
+        # the instances of test_engine_agrees_with_both_oracles; the
+        # oracle's solutions check the bounds independently of the search
         consistent = 0
         for seed in range(300):
             inst = generate_neq(seed)
@@ -439,6 +442,10 @@ class TestInequalityFamily:
                 continue
             assert ms.lb <= ms.cm <= ms.pm <= ms.ub, seed
             assert ms.ub <= loose_ub(inst.ctx).nontrivial_pairs(), seed
+            for s in naive_solutions(
+                inst.db, inst.spec, simfn_of(inst.sims), **inst.knobs
+            ):
+                assert ms.lb <= s <= ms.ub, seed
             consistent += 1
             if consistent >= 200:
                 break

@@ -23,7 +23,7 @@ from entres.matcher import Context
 from entres.model import MergePair
 
 from conftest import e, v
-from instances import chain_instance, generate
+from instances import chain_instance, generate, generate_neq
 
 P = MergePair.of
 
@@ -234,13 +234,22 @@ class TestRenderings:
         assert data["children"][3]["kind"] == "sim"
 
 
+#: (family, seed) inputs; the generate_neq members carry inequalities that
+#: turn false as classes grow
+FAMILY_INPUTS = [
+    pytest.param(generate, seed, id=str(seed)) for seed in range(20)
+] + [
+    pytest.param(generate_neq, seed, id=f"neq-{seed}") for seed in range(20)
+]
+
+
 class TestFamilyProperty:
     """On random instances every merged pair is explained by a tree that
     validates and whose rule depth equals the reported level."""
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_trees_validate_and_match_levels(self, seed):
-        inst = generate(seed)
+    @pytest.mark.parametrize("make, seed", FAMILY_INPUTS)
+    def test_trees_validate_and_match_levels(self, make, seed):
+        inst = make(seed)
         sols = enumerate_solutions(inst.ctx)
         for sol in sols[:4]:
             lm = levels(inst.ctx, sol)
@@ -262,4 +271,15 @@ class TestFamilyProperty:
         top = P(e(f"e{depth}l"), e(f"e{depth}r"))
         t = proof_tree(inst.ctx, sol, top)
         assert rule_depth(t) == depth
+        assert validate_proof_tree(t, inst.db, inst.spec, inst.sims) == []
+
+    def test_deep_ladder_tree_needs_no_deep_recursion(self):
+        # one rule node per rung: a recursive build would nest three Python
+        # frames per level and overflow the default stack limit
+        inst = chain_instance(400)
+        from entres.engine import solve_one
+
+        sol = solve_one(inst.ctx)
+        t = proof_tree(inst.ctx, sol, P(e("e400l"), e("e400r")))
+        assert rule_depth(t) == 400
         assert validate_proof_tree(t, inst.db, inst.spec, inst.sims) == []
