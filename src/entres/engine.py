@@ -138,13 +138,16 @@ def _rounds(
     matches on a row touching one (as a saturated state is after merges
     whose classes dirty covers), and evaluates in full otherwise.
 
-    within, when given, admits only answers that relation relates; record,
-    when given, receives a DerivStep for every applied merge."""
+    within, when given, admits only answers that relation relates (it must
+    be over the database's domain, as e is); record, when given, receives a
+    DerivStep for every applied merge."""
+    if within is not None:
+        ctx.require_domain(within)
     while True:
         found: set[tuple[str, int, int]] = set()
         for rule in rules:
             for i, j in merge_candidates(rule, ctx, e, dirty):
-                if within is None or within.same(e.const(i), e.const(j)):
+                if within is None or within.canon_id(i) == within.canon_id(j):
                     found.add((rule.label, i, j))
         merged: list[int] = []
         for label, i, j in sorted(found):

@@ -21,7 +21,8 @@ too): round i rule answers, with their witnesses, become depth-i rule
 nodes, and pairs that only arise by closing a round are decomposed into
 transitive nodes over that round's direct edges. Like the chain, a round
 evaluates only the matches touching a class the round before grew. Trees
-are assembled on an explicit stack, so depth does not grow the Python stack.
+are assembled, validated and rendered on explicit stacks, so depth does not
+grow the Python stack.
 """
 
 from __future__ import annotations
@@ -108,12 +109,12 @@ def rule_depth(tree: ProofTree | ProofNode) -> int:
 
 @dataclass(slots=True)
 class _Edge:
-    """One round's rule answer at representative level, with its
-    witnesses."""
+    """One round's rule answer, as the canonical ids of its two classes
+    under the relation the round started from, with its witnesses."""
 
     rule: Rule
-    u: Constant
-    v: Constant
+    u: int
+    v: int
     witnesses: list[Witness]
 
 
@@ -158,7 +159,9 @@ class _Builder:
                 ):
                     if u != v and sol.eq.same(u, v):  # so both are entities
                         wits = sorted(ans.witnesses[(u, v)], key=_witness_key)
-                        edges.append(_Edge(rule, u, v, wits))
+                        edges.append(
+                            _Edge(rule, start.id_of(u), start.id_of(v), wits)
+                        )
             self.starts.append(start)
             self.edges.append(edges)
             start, dirty = e.clone(), grown
@@ -235,10 +238,8 @@ class _Builder:
         prev = self.starts[k]
         adj: dict[int, list[tuple[int, int, tuple[_Edge, bool]]]] = {}
         for rank, edge in enumerate(self.edges[k]):
-            cu = prev.canon_id(prev.id_of(edge.u))
-            cv = prev.canon_id(prev.id_of(edge.v))
-            adj.setdefault(cu, []).append((cv, rank, (edge, True)))
-            adj.setdefault(cv, []).append((cu, rank, (edge, False)))
+            adj.setdefault(edge.u, []).append((edge.v, rank, (edge, True)))
+            adj.setdefault(edge.v, []).append((edge.u, rank, (edge, False)))
         start = prev.canon_id(prev.id_of(a))
         goal = prev.canon_id(prev.id_of(b))
         if start == goal:
@@ -390,13 +391,14 @@ def validate_proof_tree(
     if tree.root.pair != tree.pair:
         issues.append("root: label differs from the explained merge")
 
-    def visit(node: ProofNode, path: str) -> None:
+    def visit(node: ProofNode, path: str) -> bool:
+        """Check one node; True when its children are to be checked too."""
         if node.kind is NodeKind.FACT:
             if node.children:
                 issues.append(f"{path}: fact leaf has children")
             if node.fact not in facts:
                 issues.append(f"{path}: {node.label()} is not a database fact")
-            return
+            return False
         if node.kind is NodeKind.SIM:
             if node.children:
                 issues.append(f"{path}: similarity leaf has children")
@@ -408,16 +410,15 @@ def validate_proof_tree(
                         f"{path}: recorded score {node.sim.score} but the "
                         f"resolver says {actual}"
                     )
-            return
+            return False
         if node.pair is None:
             issues.append(f"{path}: internal node without a pair label")
-            return
+            return False
         if node.kind is NodeKind.TRANSITIVE:
             _check_transitive(node, path)
         else:
             _check_rule(node, path)
-        for i, ch in enumerate(node.children):
-            visit(ch, f"{path}.children[{i}]")
+        return True
 
     def _check_transitive(node: ProofNode, path: str) -> None:
         if len(node.children) != 2:
@@ -529,7 +530,16 @@ def validate_proof_tree(
             return set(bound.get(term, ()))
         return {term}
 
-    visit(tree.root, "root")
+    # preorder on an explicit stack, so tree depth does not grow the
+    # Python stack
+    todo = [(tree.root, "root")]
+    while todo:
+        node, path = todo.pop()
+        if visit(node, path):
+            todo.extend(
+                (ch, f"{path}.children[{i}]")
+                for i, ch in reversed(list(enumerate(node.children)))
+            )
     return issues
 
 
@@ -543,13 +553,19 @@ def _dot_escape(s: str) -> str:
 def to_dot(tree: ProofTree, spec: Specification | None = None) -> str:
     """Deterministic DOT rendering: merge nodes as ellipses, fact and
     similarity leaves as boxes, rule nodes annotated with their rule label
-    and optional description."""
+    and optional description. Nodes are numbered in preorder, and each edge
+    is listed once its child's subtree has been."""
     lines = ["digraph proof {", "  rankdir=TB;"]
     edges: list[str] = []
     counter = 0
-
-    def visit(node: ProofNode) -> str:
-        nonlocal counter
+    # a node to number, with its parent's name, or an edge to list
+    todo: list[tuple[ProofNode, str | None] | str] = [(tree.root, None)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            edges.append(item)
+            continue
+        node, parent = item
         name = f"n{counter}"
         counter += 1
         label = _dot_escape(node.label())
@@ -565,11 +581,9 @@ def to_dot(tree: ProofTree, spec: Specification | None = None) -> str:
         elif node.kind is NodeKind.TRANSITIVE:
             label += "\\n[transitive]"
         lines.append(f'  {name} [label="{label}", shape={shape}];')
-        for ch in node.children:
-            edges.append(f"  {name} -> {visit(ch)};")
-        return name
-
-    visit(tree.root)
+        if parent is not None:
+            todo.append(f"  {parent} -> {name};")
+        todo.extend((ch, name) for ch in reversed(node.children))
     lines.extend(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -577,17 +591,35 @@ def to_dot(tree: ProofTree, spec: Specification | None = None) -> str:
 
 def to_json(tree: ProofTree) -> str:
     """Nested JSON rendering of the tree (kind, label, children, plus the
-    rule label and similarity score where they apply)."""
-
-    def conv(node: ProofNode) -> dict:
-        out: dict = {"kind": node.kind.value, "label": node.label()}
+    rule label and similarity score where they apply): exactly the text of
+    json.dumps(..., indent=2, sort_keys=True), written from an explicit
+    stack so tree depth does not grow the Python stack."""
+    out: list[str] = []
+    # text to write, or a node to open at its indentation depth
+    todo: list[str | tuple[ProofNode, int]] = [(tree.root, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, depth = item
+        pad = "\n" + "  " * (depth + 1)
+        fields: dict = {"kind": node.kind.value, "label": node.label()}
         if node.rule_label is not None:
-            out["rule"] = node.rule_label
+            fields["rule"] = node.rule_label
         if node.sim is not None:
-            out["func"] = node.sim.func
-            out["score"] = node.sim.score
+            fields["func"] = node.sim.func
+            fields["score"] = node.sim.score
+        # "children" sorts before every other key
+        parts: list[str | tuple[ProofNode, int]] = ["{"]
         if node.children:
-            out["children"] = [conv(ch) for ch in node.children]
-        return out
-
-    return json.dumps(conv(tree.root), indent=2, sort_keys=True)
+            parts.append(pad + '"children": [')
+            for i, ch in enumerate(node.children):
+                parts += ["," * (i > 0) + pad + "  ", (ch, depth + 2)]
+            parts.append(pad + "],")
+        parts.append(",".join(
+            f"{pad}{json.dumps(key)}: {json.dumps(val)}"
+            for key, val in sorted(fields.items())
+        ) + "\n" + "  " * depth + "}")
+        todo.extend(reversed(parts))
+    return "".join(out)

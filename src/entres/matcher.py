@@ -2,16 +2,21 @@
 specification, similarity resolver, null policies) against an equivalence
 relation.
 
-Evaluation is representative-level: every fact argument is mapped to the
-canonical id of its class, then bodies are joined with index nested loops
-over per-relation, per-position hash indexes. This is equivalent to querying
-the induced database and expanding preimages, which the public answers()
-operation exposes directly. Facts are read in the database's interned form
-(id tuples numbered as EqRel numbers the domain), and semi-naive evaluation
-pins one atom to the rows the database's use-lists give for the dirty ids.
+Evaluation is on canonical ids only: every fact argument is mapped to the
+canonical id of its class, every body constant is resolved to one when the
+evaluation is set up, and bodies are joined with index nested loops over
+per-relation, per-position hash indexes, comparing ints throughout.
+Constants appear only at the boundary: answers() hands out its tuples and
+witnesses as constants, and a similarity atom scores the constants as
+written. This is equivalent to querying the induced database and expanding
+preimages, which the public answers() operation exposes directly. Facts are
+read in the database's interned form (id tuples numbered as EqRel numbers
+the domain), and semi-naive evaluation pins one atom to the rows the
+database's use-lists give for the dirty ids.
 
 Conventions baked in here:
-  - inequality atoms compare class representatives;
+  - inequality atoms compare class representatives (a constant absent from
+    the data is unequal to every other constant);
   - similarity atoms score the original constants (never merged for
     sim-safe specifications) and are evaluated last, after all joins;
   - a join variable (two or more occurrences among relational atoms) may
@@ -66,6 +71,13 @@ class Context:
                 f"expected 'distinct' or 'fail'"
             )
 
+    def require_domain(self, e: EqRel) -> None:
+        """Raise ValueError unless e numbers the domain as the rows do."""
+        if e.domain is not self.db.consts and e.domain != self.db.consts:
+            raise ValueError(
+                "the equivalence relation is not over the database's domain"
+            )
+
     def identity(self) -> EqRel:
         """A fresh identity relation over the database's domain, numbered
         as the database's interned rows are."""
@@ -96,29 +108,27 @@ class AnswerSet:
 
 
 class _Eval:
-    """One body evaluation over (ctx.db, e). Canonicalises the database's
-    interned rows of each body relation and builds lazy per-position
-    indexes over them."""
+    """One body evaluation over (ctx.db, e), on canonical ids only. Resolves
+    body constants once (one absent from the data to a fresh id no row
+    carries), canonicalises the database's interned rows of each body
+    relation and builds lazy per-position indexes over them."""
 
     __slots__ = (
-        "body", "ctx", "e", "null_id", "rows", "indexes", "joinset",
-        "res_args", "dead",
+        "body", "ctx", "e", "absent", "null_id", "rows", "indexes", "joinset",
+        "fixed", "free", "neqs",
     )
 
     def __init__(self, body: RuleBody, ctx: Context, e: EqRel):
+        ctx.require_domain(e)
         db = ctx.db
-        if e.domain is not db.consts and e.domain != db.consts:
-            raise ValueError(
-                "the equivalence relation is not over the database's domain"
-            )
         self.body = body
         self.ctx = ctx
         self.e = e
-        self.null_id = e.try_id(NULL)
+        self.absent: dict[Constant, int] = {}
+        self.null_id = self.resolve(NULL)
         self.joinset = join_vars(body)
         self.rows: dict[str, list[tuple[Fact, tuple[int, ...]]]] = {}
         self.indexes: dict[tuple[str, int], dict[int, list]] = {}
-        self.dead = False
 
         canon = e.canon_ids().__getitem__
         for atom in body.rel_atoms:
@@ -131,21 +141,29 @@ class _Eval:
                     )
                 ]
 
-        # resolve atom arguments: ("v", Var) or ("c", canonical id);
-        # a constant outside the domain can never match any fact
-        self.res_args: list[tuple[tuple[str, object], ...]] = []
-        for atom in body.rel_atoms:
-            resolved = []
-            for term in atom.args:
-                if isinstance(term, Var):
-                    resolved.append(("v", term))
-                else:
-                    cid = e.try_id(term)
-                    if cid is None:
-                        self.dead = True
-                    else:
-                        resolved.append(("c", e.canon_id(cid)))
-            self.res_args.append(tuple(resolved))
+        # per relational atom: (position, id) of each constant argument and
+        # (position, variable) of each variable argument
+        args = [tuple(enumerate(atom.args)) for atom in body.rel_atoms]
+        self.fixed = [
+            tuple((p, self.resolve(t)) for p, t in pa if not isinstance(t, Var))
+            for pa in args
+        ]
+        self.free = [
+            tuple((p, t) for p, t in pa if isinstance(t, Var)) for pa in args
+        ]
+        self.neqs = tuple(
+            (self.resolve(n.left), self.resolve(n.right))
+            for n in body.neq_atoms
+        )
+
+    def resolve(self, term: Term) -> Var | int:
+        """A variable as itself, a constant as its canonical id."""
+        if isinstance(term, Var):
+            return term
+        cid = self.e.try_id(term)
+        if cid is not None:
+            return self.e.canon_id(cid)
+        return self.absent.setdefault(term, len(self.e) + len(self.absent))
 
     def _index(self, rel: str, pos: int) -> dict[int, list]:
         key = (rel, pos)
@@ -166,34 +184,25 @@ class _Eval:
         def grab(i: int) -> None:
             order.append(i)
             remaining.discard(i)
-            bound.update(t for t in atoms[i].args if isinstance(t, Var))
+            bound.update(var for _, var in self.free[i])
 
         if pin is not None:
             grab(pin)
         while remaining:
             def score(i: int) -> tuple[int, int, int]:
-                known = sum(
-                    1 for t in atoms[i].args
-                    if not isinstance(t, Var) or t in bound
-                )
+                known = len(self.fixed[i])
+                known += sum(var in bound for _, var in self.free[i])
                 return (known, -len(self.rows[atoms[i].relation]), -i)
             grab(max(remaining, key=score))
         return order
 
-    def _resolve_rep(self, term: Term, binding: dict[Var, int]) -> Constant:
-        if isinstance(term, Var):
-            return self.e.const(binding[term])
-        cid = self.e.try_id(term)
-        return term if cid is None else self.e.const(self.e.canon_id(cid))
-
     def _neq_ok(self, binding: dict[Var, int]) -> bool:
         fail = self.ctx.null_inequality == "fail"
-        for natom in self.body.neq_atoms:
-            a = self._resolve_rep(natom.left, binding)
-            b = self._resolve_rep(natom.right, binding)
-            if fail and (a.is_null() or b.is_null()):
-                return False
-            if a == b:
+        null = self.null_id
+        for left, right in self.neqs:
+            a = binding[left] if isinstance(left, Var) else left
+            b = binding[right] if isinstance(right, Var) else right
+            if a == b or (fail and (a == null or b == null)):
                 return False
         return True
 
@@ -222,8 +231,6 @@ class _Eval:
         is pinned to the rows touching a dirty id, read from the database's
         use-lists, so only matches on such a row are found, and a match on
         several of them once per pin."""
-        if self.dead:
-            return
         atoms = self.body.rel_atoms
         binding: dict[Var, int] = {}
         orig: dict[Var, Constant] = {}
@@ -234,15 +241,14 @@ class _Eval:
         def candidates(ai: int):
             if ai == pin:
                 return pinned_rows
-            resolved = self.res_args[ai]
-            for pos, (tag, val) in enumerate(resolved):
-                if tag == "c":
-                    return self._index(atoms[ai].relation, pos).get(val, ())
-                if val in binding:
-                    return self._index(atoms[ai].relation, pos).get(
-                        binding[val], ()
-                    )
-            return self.rows[atoms[ai].relation]
+            rel = atoms[ai].relation
+            if self.fixed[ai]:
+                pos, cid = self.fixed[ai][0]
+                return self._index(rel, pos).get(cid, ())
+            for pos, var in self.free[ai]:
+                if var in binding:
+                    return self._index(rel, pos).get(binding[var], ())
+            return self.rows[rel]
 
         def rec(k: int) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
             if k == len(order):
@@ -250,38 +256,35 @@ class _Eval:
                     yield binding, facts
                 return
             ai = order[k]
-            resolved = self.res_args[ai]
+            fixed, free = self.fixed[ai], self.free[ai]
             for fact, canon in candidates(ai):
+                if fixed and any(canon[pos] != cid for pos, cid in fixed):
+                    continue
                 trail: list[Var] = []
                 ok = True
-                for pos, (tag, val) in enumerate(resolved):
+                for pos, var in free:
                     cid = canon[pos]
-                    if tag == "c":
-                        if cid != val:
-                            ok = False
-                            break
-                        continue
-                    prev = binding.get(val)
+                    prev = binding.get(var)
                     if prev is not None:
                         if prev != cid:
                             ok = False
                             break
                         continue
-                    if guard and cid == null_id and val in self.joinset:
+                    if guard and cid == null_id and var in self.joinset:
                         ok = False
                         break
-                    binding[val] = cid
-                    orig[val] = fact.args[pos]
-                    trail.append(val)
+                    binding[var] = cid
+                    orig[var] = fact.args[pos]
+                    trail.append(var)
                 if ok:
                     if need_facts:
                         facts[ai] = fact
                     yield from rec(k + 1)
                     if need_facts:
                         facts[ai] = None
-                for v in trail:
-                    del binding[v]
-                    del orig[v]
+                for var in trail:
+                    del binding[var]
+                    del orig[var]
 
         try:
             # one pass per pinned atom; candidates() and rec() read the
@@ -299,12 +302,6 @@ class _Eval:
             # holds this evaluation's rows, is freed without waiting for the
             # cyclic collector
             rec = None  # noqa: F841
-
-
-def _head_rep(
-    ev: _Eval, head: tuple[Term, ...], binding: dict[Var, int]
-) -> tuple[Constant, ...]:
-    return tuple(ev._resolve_rep(t, binding) for t in head)
 
 
 def answers(
@@ -325,30 +322,31 @@ def answers(
     set, only the matches on a row touching a dirty id are evaluated (see
     _Eval.solutions); each match is witnessed once."""
     ev = _Eval(body, ctx, e)
-    reps: set[tuple[Constant, ...]] = set()
-    wits: dict[tuple[Constant, ...], list[Witness]] | None = (
-        {} if witnesses else None
-    )
+    terms = [ev.resolve(t) for t in head]
+    names = e.domain + tuple(ev.absent)  # the constant of every id
+    found: dict[tuple[int, ...], list[Witness]] = {}
     seen: set[tuple[Fact, ...]] = set()
     for binding, facts in ev.solutions(dirty, need_facts=witnesses):
-        rep = _head_rep(ev, head, binding)
-        reps.add(rep)
-        if wits is not None:
-            matched = tuple(facts)
-            if matched in seen:  # found again under another pin
-                continue
+        ids = tuple([binding[t] if isinstance(t, Var) else t for t in terms])
+        wits = found.setdefault(ids, [])
+        # a match found again under another pin is witnessed once
+        if witnesses and (matched := tuple(facts)) not in seen:
             seen.add(matched)
-            shown = {v: e.const(cid) for v, cid in binding.items()}
-            wits.setdefault(rep, []).append(
-                Witness(matched, shown)  # type: ignore[arg-type]
-            )
+            shown = {v: names[cid] for v, cid in binding.items()}
+            wits.append(Witness(matched, shown))  # type: ignore[arg-type]
+    reps = {ids: tuple(names[i] for i in ids) for ids in found}
     expanded: frozenset[tuple[Constant, ...]] | None = None
     if expand:
-        full: set[tuple[Constant, ...]] = set()
-        for rep in reps:
-            full.update(product(*(e.members(c) for c in rep)))
-        expanded = frozenset(full)
-    return AnswerSet(head, frozenset(reps), expanded, wits)
+        expanded = frozenset(
+            t for rep in reps.values()
+            for t in product(*(e.members(c) for c in rep))
+        )
+    return AnswerSet(
+        head,
+        frozenset(reps.values()),
+        expanded,
+        {reps[ids]: ws for ids, ws in found.items()} if witnesses else None,
+    )
 
 
 def merge_candidates(
@@ -360,23 +358,21 @@ def merge_candidates(
     """Distinct-class entity answer pairs of a merge rule, as canonical id
     pairs (smaller id first). With a dirty id set, only from the matches on
     a row touching a dirty id (see _Eval.solutions)."""
-    ev = _Eval(rule.body, ctx, e)
+    x, y = rule.head
+    entities = ctx.db.entities
     out: set[tuple[int, int]] = set()
-    for binding, _ in ev.solutions(dirty):
-        a, b = _head_rep(ev, rule.head, binding)
-        if a == b or not (a.is_entity() and b.is_entity()):
-            continue
-        i, j = e.canon_id(e.id_of(a)), e.canon_id(e.id_of(b))
-        out.add((i, j) if i < j else (j, i))
+    for binding, _ in _Eval(rule.body, ctx, e).solutions(dirty):
+        i, j = binding[x], binding[y]  # type: ignore[index]
+        if i != j and i < entities and j < entities:
+            out.add((i, j) if i < j else (j, i))
     return out
 
 
 def rule_satisfied(rule: Rule, ctx: Context, e: EqRel) -> bool:
     """True iff every answer pair of the rule is already within one class."""
-    ev = _Eval(rule.body, ctx, e)
-    for binding, _ in ev.solutions():
-        a, b = _head_rep(ev, rule.head, binding)
-        if a != b:
+    x, y = rule.head
+    for binding, _ in _Eval(rule.body, ctx, e).solutions():
+        if binding[x] != binding[y]:  # type: ignore[index]
             return False
     return True
 

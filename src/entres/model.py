@@ -110,10 +110,12 @@ class Database:
     sorted order EqRel uses and `ids` maps each constant to its number,
     `rows[rel]` holds each fact of `by_relation[rel]` as a tuple of those
     ids (same order), and `uses[rel][i]` lists the positions in `rows[rel]`
-    of the rows mentioning id i."""
+    of the rows mentioning id i. Entity references sort first (by kind
+    name), so they hold exactly the ids below `entities`."""
 
     __slots__ = (
-        "facts", "domain", "by_relation", "consts", "ids", "rows", "uses",
+        "facts", "domain", "by_relation", "consts", "ids", "entities", "rows",
+        "uses",
     )
 
     def __init__(self, facts: Iterable[Fact] = ()):
@@ -130,6 +132,7 @@ class Database:
         self.domain: frozenset[Constant] = frozenset(dom)
         self.consts: tuple[Constant, ...] = tuple(sorted(dom, key=_const_key))
         ids = self.ids = {c: i for i, c in enumerate(self.consts)}
+        self.entities: int = sum(c.is_entity() for c in self.consts)
         self.rows: dict[str, tuple[tuple[int, ...], ...]] = {}
         self.uses: dict[str, dict[int, tuple[int, ...]]] = {}
         for r, fs in self.by_relation.items():

@@ -343,8 +343,19 @@ def sim_all(
     registry: dict[str, Scorer] | None = None,
 ) -> SimStore:
     """Score every type-compatible value pair (reflexive included) for each
-    similarity function the specification mentions."""
+    similarity function the specification mentions, counting the value
+    constants its atoms take as operands among the values."""
     registry = build_registry(spec, db) if registry is None else registry
+    # the value constants each function's atoms take as operands (given no
+    # positions, a variable contributes nothing: its columns are counted
+    # through the function's positions below)
+    operands: dict[str, set[Constant]] = {}
+    for rule in spec.all_rules():
+        for satom in rule.body.sim_atoms:
+            for term in (satom.left, satom.right):
+                operands.setdefault(satom.func_id, set()).update(
+                    _atom_side_values(db, {}, term)
+                )
     store = SimStore()
     for func_id, (backend, positions) in sim_functions(spec).items():
         scorer = registry.get(func_id)
@@ -355,7 +366,10 @@ def sim_all(
             compatible |= _hinted_positions(spec, {"num"})
         elif func_id == "jw":
             compatible |= _hinted_positions(spec, {"short", "val"})
-        values = _position_values(db, compatible)
+        values = sorted(
+            operands[func_id].union(_position_values(db, compatible)),
+            key=lambda c: c.text,
+        )
         for i, a in enumerate(values):
             for b in values[i:]:
                 store.put(func_id, a, b, scorer(a.text, b.text))

@@ -199,6 +199,16 @@ class TestLevelsContract:
         with pytest.raises(ValueError):
             levels(ctx, sol, scope="everything")
 
+    def test_round_chain_rejects_a_relation_over_another_domain(self):
+        # the chain compares within's canonical ids with the database's
+        inst = chain_instance(3)
+        wider = EqRel(inst.db.domain | {e("a0")})
+        chain = _rounds(
+            inst.ctx, inst.spec.hard, inst.ctx.identity(), within=wider
+        )
+        with pytest.raises(ValueError, match="domain"):
+            next(chain)
+
     def test_unrestricted_scope_never_reports_later(self, music):
         ctx = music
         for sol in enumerate_solutions(ctx):

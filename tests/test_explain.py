@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from entres.explain import (
     validate_proof_tree,
 )
 from entres.matcher import Context
-from entres.model import MergePair
+from entres.model import Fact, MergePair
 
 from conftest import e, v
 from instances import chain_instance, generate, generate_neq
@@ -283,3 +284,97 @@ class TestFamilyProperty:
         t = proof_tree(inst.ctx, sol, P(e("e400l"), e("e400r")))
         assert rule_depth(t) == 400
         assert validate_proof_tree(t, inst.db, inst.spec, inst.sims) == []
+
+
+def _ladder_tree(depth: int) -> ProofTree:
+    """The proof tree of chain_instance(depth)'s top pair, built directly:
+    the p1 node of the base pair under one q1 node per rung."""
+    def fact(rel, *args):
+        return ProofNode(kind=NodeKind.FACT, fact=Fact(rel, args))
+
+    node = ProofNode(
+        kind=NodeKind.RULE, pair=P(e("a1"), e("a2")), rule_label="p1",
+        children=(fact("P", e("a1"), v("n0")), fact("P", e("a2"), v("n0"))),
+    )
+    prev = ("a1", "a2")
+    for d in range(2, depth + 1):
+        left, right = f"e{d}l", f"e{d}r"
+        node = ProofNode(
+            kind=NodeKind.RULE, pair=P(e(left), e(right)), rule_label="q1",
+            children=(
+                fact("Q", e(left), v(f"k{d}"), e(prev[0])),
+                fact("Q", e(right), v(f"k{d}"), e(prev[1])),
+                node,
+            ),
+        )
+        prev = (left, right)
+    return ProofTree(root=node, pair=node.pair)
+
+
+def _as_dict(node: ProofNode) -> dict:
+    """The recursive reading of to_json's nesting (recurses per level)."""
+    out: dict = {"kind": node.kind.value, "label": node.label()}
+    if node.rule_label is not None:
+        out["rule"] = node.rule_label
+    if node.sim is not None:
+        out["func"] = node.sim.func
+        out["score"] = node.sim.score
+    if node.children:
+        out["children"] = [_as_dict(ch) for ch in node.children]
+    return out
+
+
+class TestDeepOutput:
+    """Proof-tree output walks explicit stacks: no Python frame per tree
+    level, so depth is bounded by memory, not by the recursion limit."""
+
+    def test_synthetic_ladder_is_the_built_tree(self):
+        inst = chain_instance(6)
+        from entres.engine import solve_one
+
+        built = proof_tree(inst.ctx, solve_one(inst.ctx), P(e("e6l"), e("e6r")))
+        assert _ladder_tree(6) == built
+
+    def test_json_matches_json_dumps(self, golden_tree, music_free):
+        db, free, sims, sol = music_free
+        closure = proof_tree(Context(db, free, sims), sol, (e("s1"), e("s3")))
+        for tree in (golden_tree, closure, _ladder_tree(5)):
+            want = json.dumps(_as_dict(tree.root), indent=2, sort_keys=True)
+            assert to_json(tree) == want
+
+    def test_deep_json_matches_json_dumps(self):
+        # the indented text grows with depth squared (270 MB at 3,000
+        # levels), so this depth stays at about twice where json's encoder fails
+        tree = _ladder_tree(1000)
+        got = to_json(tree)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            want = json.dumps(_as_dict(tree.root), indent=2, sort_keys=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+
+    def test_deep_dot_and_validation(self):
+        depth = 3000
+        tree = _ladder_tree(depth)
+        inst = chain_instance(depth)
+        assert rule_depth(tree) == depth
+        assert validate_proof_tree(tree, inst.db, inst.spec) == []
+        lines = to_dot(tree, inst.spec).splitlines()
+        nodes = 3 * depth  # a rule node and two fact leaves per level
+        assert len(lines) == 2 + nodes + (nodes - 1) + 1
+        # preorder numbering; an edge is listed after its child's subtree
+        edges = lines[2 + nodes:-1]
+        assert edges[:3] == ["  n0 -> n1;", "  n0 -> n2;", "  n3 -> n4;"]
+        assert edges[-3:] == ["  n6 -> n9;", "  n3 -> n6;", "  n0 -> n3;"]
+
+    def test_deep_validation_reports_in_preorder(self):
+        tree = _ladder_tree(3000)
+        inst = chain_instance(2)  # only the two lowest rungs' facts exist
+        issues = validate_proof_tree(tree, inst.db, inst.spec)
+        assert len(issues) == 2 * (3000 - 2)
+        assert issues[0].startswith("root.children[0]: Q(e3000l")
+        assert issues[-1].startswith(
+            "root" + ".children[2]" * 2997 + ".children[1]: Q(e3r"
+        )

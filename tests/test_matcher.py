@@ -128,6 +128,25 @@ class TestAnswerBasics:
         )
         assert ans.rep_tuples == frozenset()
 
+    @pytest.mark.parametrize("const, shown", [
+        (v("ghost"), v("ghost")),  # absent from the data: as written
+        (e("ghost"), e("ghost")),
+        (e("r2"), e("r1")),  # present: its class representative
+    ])
+    def test_head_constant(self, const, shown):
+        spec, db = spec_db(
+            JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
+        )
+        eq = EqRel(db.domain)
+        eq.merge(e("r1"), e("r2"))
+        rule = spec.hard[0]
+        ans = answers(
+            rule.body, (rule.head[0], const), Context(db, spec), eq,
+            expand=False, witnesses=True,
+        )
+        assert ans.rep_tuples == {(e("r1"), shown)}
+        assert set(ans.witnesses) == {(e("r1"), shown)}
+
     def test_witnesses_instantiate_the_body(self):
         spec, db = spec_db(
             JOIN, [Fact("R", (e("r1"), v("u"))), Fact("R", (e("r2"), v("u")))]
@@ -218,6 +237,34 @@ class TestInequalityPolicies:
                 spec.dcs[0], Context(db, spec, null_inequality=policy),
                 EqRel(db.domain),
             )
+
+    @pytest.mark.parametrize("policy", ["distinct", "fail"])
+    @pytest.mark.parametrize("neq, satisfied", [
+        # constants absent from the data differ from every other constant,
+        # a null included unless the policy fails null operands
+        ('k != "ghost"', {"distinct": False, "fail": True}),
+        ("k != @ghost", {"distinct": False, "fail": True}),
+        ("x != @ghost", {"distinct": False, "fail": False}),
+        ('"ghost" != "other"', {"distinct": False, "fail": False}),
+        ("@ghost != @ghost", {"distinct": True, "fail": True}),
+        ("@r1 != @r1", {"distinct": True, "fail": True}),
+        ("x != @r1", {"distinct": True, "fail": True}),
+    ])
+    def test_constant_operands(self, policy, neq, satisfied):
+        spec = parse_spec(
+            "relation R(rid: id, k: val) merge [rid];\n"
+            f"deny d: R(x, k), {neq};\n"
+        )
+        db = Database([Fact("R", (e("r1"), NULL))])
+        got = dc_satisfied(
+            spec.dcs[0], Context(db, spec, null_inequality=policy),
+            EqRel(db.domain),
+        )
+        assert got == satisfied[policy]
+        assert got == naive_dc_satisfied(
+            spec.dcs[0], db, close_classes((), db.domain),
+            null_inequality=policy,
+        )
 
     def test_unknown_policy_rejected(self):
         spec, db = spec_db(NEQ, [Fact("R", (e("r1"), NULL))])

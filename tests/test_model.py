@@ -62,6 +62,8 @@ class TestDatabase:
         assert db.relations() == ("R", "S")
         assert len(db.by_relation["R"]) == 1
         assert db.entity_refs() == {e("r0"), e("s0")}
+        # entity references take the lowest ids
+        assert set(db.consts[:db.entities]) == db.entity_refs()
         assert NULL in db.domain
         assert Fact("R", (e("r0"), v("x"))) in db
         assert Fact("R", (e("r0"), v("z"))) not in db

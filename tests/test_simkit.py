@@ -12,7 +12,9 @@ import entres._kernels_py as pure_kernels
 from entres import kernels
 from entres.engine import enumerate_solutions, ub
 from entres.errors import DataError, MissingSimScore
-from entres.model import NULL
+from entres.matcher import Context
+from entres.model import NULL, Database, Fact, MergePair
+from entres.rules import parse_spec
 from entres.simkit import (
     SimStore,
     SimTable,
@@ -259,6 +261,30 @@ class TestStrategies:
         # titles x titles (6)
         assert store.calls == 12
         assert len(store.key_set()) == 12
+
+    def test_value_constant_operand_is_scored_by_every_strategy(self):
+        spec = parse_spec(
+            "relation Band(bid: id, name: short) merge [bid];\n"
+            'soft s: Band(x, n), Band(y, m), sim(n, "the beatles") >= 85,\n'
+            '  sim(m, "the beatles") >= 85 ~> eq(x, y);\n'
+        )
+        db = Database([
+            Fact("Band", (e("b1"), v("teh beatles"))),
+            Fact("Band", (e("b2"), v("the beetles"))),
+        ])
+        ctx = Context(db, spec)
+        found = {}
+        for name, store in (
+            ("all", sim_all(db, spec)),
+            ("cs", sim_cs(db, spec)),
+            ("opt", sim_opt(ctx)[0]),
+        ):
+            sols = enumerate_solutions(
+                dataclasses.replace(ctx, sims=StrictResolver(store))
+            )
+            found[name] = {s.pairs() for s in sols}
+        assert found["all"] == found["cs"] == found["opt"]
+        assert frozenset({MergePair.of(e("b1"), e("b2"))}) in found["all"]
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13, 21, 34])
     def test_probe_containment_and_call_budget(self, seed):
