@@ -1,8 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """String similarity kernels, compiled implementation.
 
-Mirrors _kernels_py exactly: fixed-point hundredths, half-up rounding,
-identical floating-point expressions.
+Same contract as _kernels_py: fixed-point hundredths, half-up rounding, the
+same greedy Jaro matches taken in the same order and the same floating-point
+expressions, so both backends return bit-identical scores. The loops differ:
+this twin scans each Jaro window position by position.
 """
 
 from libc.stdlib cimport free, malloc

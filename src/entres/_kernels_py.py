@@ -1,8 +1,9 @@
 """String similarity kernels, pure-Python implementation.
 
 Scores are fixed-point hundredths in [0, 10000], rounded half-up. The
-compiled twin in _kernels.pyx implements the same arithmetic expressions so
-both backends agree bit for bit.
+compiled twin in _kernels.pyx takes the same greedy Jaro matches in the same
+order and evaluates the same floating-point expressions, so both backends
+return bit-identical scores; only the loops that find the matches differ.
 """
 
 from __future__ import annotations
@@ -44,50 +45,43 @@ def lev_score(a: str, b: str) -> int:
     return int((1.0 - levenshtein(a, b) / m) * 10000.0 + 0.5)
 
 
-def _jaro(a: str, b: str) -> float:
+def jw_score(a: str, b: str) -> int:
+    """Jaro-Winkler similarity in hundredths; the common-prefix boost
+    (factor 0.1, prefix capped at 4) is applied unconditionally.
+
+    Each character of a, in order, matches the lowest-indexed unmatched
+    equal character of b within the window max(len) // 2 - 1 of its own
+    index; str.find skips the positions in between."""
+    if a == b:
+        return 10000
     la, lb = len(a), len(b)
-    if la == 0 and lb == 0:
-        return 1.0
-    if la == 0 or lb == 0:
-        return 0.0
     window = max(la, lb) // 2 - 1
     if window < 0:
         window = 0
-    amatch = [False] * la
-    bmatch = [False] * lb
-    m = 0
-    for i in range(la):
+    taken = [False] * lb
+    pos: list[int] = []  # b's matched index for each matched char of a
+    find = b.find
+    for i, ch in enumerate(a):
         lo = i - window if i > window else 0
         hi = i + window + 1
-        if hi > lb:
-            hi = lb
-        for j in range(lo, hi):
-            if not bmatch[j] and a[i] == b[j]:
-                amatch[i] = True
-                bmatch[j] = True
-                m += 1
-                break
-    if m == 0:
-        return 0.0
+        k = find(ch, lo, hi)
+        while k >= 0 and taken[k]:
+            k = find(ch, k + 1, hi)
+        if k >= 0:
+            taken[k] = True
+            pos.append(k)
+    m = len(pos)
+    if m == 0:  # then a[0] != b[0] too, so no prefix boost
+        return 0
+    # b[k] is a's i-th matched char; b[s] is b's i-th in position order
     mismatched = 0
-    k = 0
-    for i in range(la):
-        if amatch[i]:
-            while not bmatch[k]:
-                k += 1
-            if a[i] != b[k]:
-                mismatched += 1
-            k += 1
+    for k, s in zip(pos, sorted(pos)):
+        if b[k] != b[s]:
+            mismatched += 1
     t = mismatched // 2
-    return (m / la + m / lb + (m - t) / m) / 3.0
-
-
-def jw_score(a: str, b: str) -> int:
-    """Jaro-Winkler similarity in hundredths; the common-prefix boost
-    (factor 0.1, prefix capped at 4) is applied unconditionally."""
-    j = _jaro(a, b)
+    j = (m / la + m / lb + (m - t) / m) / 3.0
     p = 0
-    for i in range(min(4, len(a), len(b))):
+    for i in range(min(4, la, lb)):
         if a[i] != b[i]:
             break
         p += 1

@@ -337,9 +337,13 @@ def answers(
     reps = {ids: tuple(names[i] for i in ids) for ids in found}
     expanded: frozenset[tuple[Constant, ...]] | None = None
     if expand:
+        # a domain id stands for its class; an absent one only for itself
+        n = len(e.domain)
         expanded = frozenset(
-            t for rep in reps.values()
-            for t in product(*(e.members(c) for c in rep))
+            tuple([names[i] for i in t]) for ids in found
+            for t in product(*(
+                sorted(e.class_ids((i,))) if i < n else (i,) for i in ids
+            ))
         )
     return AnswerSet(
         head,

@@ -37,6 +37,8 @@ from .rules import Specification, Var, transform, var_positions
 
 
 def _pair_key(a: Constant, b: Constant) -> tuple[Constant, Constant]:
+    if a.kind is b.kind:  # every pair sim_all stores: order by text alone
+        return (a, b) if a.text <= b.text else (b, a)
     return (a, b) if (a.kind.value, a.text) <= (b.kind.value, b.text) else (b, a)
 
 
@@ -371,8 +373,9 @@ def sim_all(
             key=lambda c: c.text,
         )
         for i, a in enumerate(values):
+            text = a.text
             for b in values[i:]:
-                store.put(func_id, a, b, scorer(a.text, b.text))
+                store.put(func_id, a, b, scorer(text, b.text))
                 store.calls += 1
     return store
 

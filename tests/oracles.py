@@ -567,3 +567,57 @@ def levenshtein_dp(a: str, b: str) -> int:
                 m[i - 1][j] + 1, m[i][j - 1] + 1, m[i - 1][j - 1] + cost
             )
     return m[-1][-1]
+
+
+def _jaro(a: str, b: str) -> float:
+    la, lb = len(a), len(b)
+    if la == 0 and lb == 0:
+        return 1.0
+    if la == 0 or lb == 0:
+        return 0.0
+    window = max(la, lb) // 2 - 1
+    if window < 0:
+        window = 0
+    amatch = [False] * la
+    bmatch = [False] * lb
+    m = 0
+    for i in range(la):
+        lo = i - window if i > window else 0
+        hi = i + window + 1
+        if hi > lb:
+            hi = lb
+        for j in range(lo, hi):
+            if not bmatch[j] and a[i] == b[j]:
+                amatch[i] = True
+                bmatch[j] = True
+                m += 1
+                break
+    if m == 0:
+        return 0.0
+    mismatched = 0
+    k = 0
+    for i in range(la):
+        if amatch[i]:
+            while not bmatch[k]:
+                k += 1
+            if a[i] != b[k]:
+                mismatched += 1
+            k += 1
+    t = mismatched // 2
+    return (m / la + m / lb + (m - t) / m) / 3.0
+
+
+def jw_score(a: str, b: str) -> int:
+    """Jaro-Winkler similarity in hundredths; the common-prefix boost
+    (factor 0.1, prefix capped at 4) is applied unconditionally.
+
+    The reference for both kernel backends: Jaro's matching by a plain scan
+    of every window position, in the floating-point expressions the
+    backends must reproduce bit for bit."""
+    j = _jaro(a, b)
+    p = 0
+    for i in range(min(4, len(a), len(b))):
+        if a[i] != b[i]:
+            break
+        p += 1
+    return int((j + p * 0.1 * (1.0 - j)) * 10000.0 + 0.5)

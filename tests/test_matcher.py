@@ -146,6 +146,14 @@ class TestAnswerBasics:
         )
         assert ans.rep_tuples == {(e("r1"), shown)}
         assert set(ans.witnesses) == {(e("r1"), shown)}
+        # expanded: a present constant stands for its class, an absent one
+        # for itself, as in the brute-force evaluator
+        head = (rule.head[0], const)
+        got = answers(rule.body, head, Context(db, spec), eq, expand=True)
+        classes = close_classes([(e("r1"), e("r2"))], db.domain)
+        want_reps, want_exp = naive_query(rule.body, head, db, classes)
+        assert got.rep_tuples == want_reps
+        assert got.tuples == want_exp
 
     def test_witnesses_instantiate_the_body(self):
         spec, db = spec_db(

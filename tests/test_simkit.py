@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entres._kernels_py as pure_kernels
@@ -13,7 +13,7 @@ from entres import kernels
 from entres.engine import enumerate_solutions, ub
 from entres.errors import DataError, MissingSimScore
 from entres.matcher import Context
-from entres.model import NULL, Database, Fact, MergePair
+from entres.model import NULL, Database, Fact, Kind, MergePair
 from entres.rules import parse_spec
 from entres.simkit import (
     SimStore,
@@ -31,11 +31,15 @@ from entres.simkit import (
 
 from conftest import e, v
 from instances import generate
+from oracles import jw_score as jw_reference
 from oracles import levenshtein_dp
 
 short_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=382), max_size=12
 )
+# a small alphabet with a repeated letter forces repeated characters, taken
+# window positions and transpositions in Jaro's matching
+jaro_text = st.text(alphabet="abcab é", max_size=16)
 
 
 class TestKernels:
@@ -86,6 +90,25 @@ class TestKernels:
         assert kernels.jw_score(a, b) == pure_kernels.jw_score(a, b)
         assert kernels.lev_score(a, b) == pure_kernels.lev_score(a, b)
         assert kernels.levenshtein(a, b) == pure_kernels.levenshtein(a, b)
+
+    @given(jaro_text, jaro_text)
+    @example("", "")
+    @example("", "ab")
+    @example("é", "")
+    @settings(max_examples=400, deadline=None)
+    def test_jaro_winkler_matches_window_scan(self, a, b):
+        want = jw_reference(a, b)
+        assert kernels.jw_score(a, b) == want
+        assert pure_kernels.jw_score(a, b) == want
+
+    def test_jaro_winkler_on_every_music_value_pair(self, music_db):
+        values = sorted(c.text for c in music_db.domain if c.kind is Kind.VALUE)
+        assert len(values) > 10
+        for a in values:
+            for b in values:
+                want = jw_reference(a, b)
+                assert kernels.jw_score(a, b) == want, (a, b)
+                assert pure_kernels.jw_score(a, b) == want, (a, b)
 
     def test_backend_is_reported(self):
         assert kernels.BACKEND in ("c", "python")
