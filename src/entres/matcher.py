@@ -2,17 +2,17 @@
 specification, similarity resolver, null policies) against an equivalence
 relation.
 
-Evaluation is on canonical ids only: every fact argument is mapped to the
-canonical id of its class, every body constant is resolved to one when the
-evaluation is set up, and bodies are joined with index nested loops over
-per-relation, per-position hash indexes, comparing ints throughout.
-Constants appear only at the boundary: answers() hands out its tuples and
-witnesses as constants, and a similarity atom scores the constants as
-written. This is equivalent to querying the induced database and expanding
-preimages, which the public answers() operation exposes directly. Facts are
-read in the database's interned form (id tuples numbered as EqRel numbers
-the domain), and semi-naive evaluation pins one atom to the rows the
-database's use-lists give for the dirty ids.
+Evaluation is on canonical ids only: body constants are resolved to ids
+once, and bodies are joined with index nested loops comparing ints. Rows
+are read in the database's interned form (id tuples numbered as EqRel
+numbers the domain) and never rewritten: a row's canonical ids are looked
+up when the row is visited, and the rows whose argument lies in a class
+are read from the database's static per-position index, one entry per
+member. Semi-naive evaluation pins one atom to the rows that index gives
+for the dirty ids. Constants appear only at the boundary: answers() hands
+out its tuples and witnesses as constants, and a similarity atom scores
+the constants as written. This is equivalent to querying the induced
+database and expanding preimages, which answers() exposes directly.
 
 Conventions baked in here:
   - inequality atoms compare class representatives (a constant absent from
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import AbstractSet, Iterator, Protocol
+from typing import AbstractSet, Iterator, Protocol, Sequence
 
 from .errors import MissingSimScore
 from .model import NULL, Constant, Database, EqRel, Fact
@@ -110,36 +110,23 @@ class AnswerSet:
 class _Eval:
     """One body evaluation over (ctx.db, e), on canonical ids only. Resolves
     body constants once (one absent from the data to a fresh id no row
-    carries), canonicalises the database's interned rows of each body
-    relation and builds lazy per-position indexes over them."""
+    carries) and reads the database's interned rows as they are, looking up
+    the canonical id of an argument when its row is visited."""
 
     __slots__ = (
-        "body", "ctx", "e", "absent", "null_id", "rows", "indexes", "joinset",
+        "body", "ctx", "e", "absent", "null_id", "lookups", "joinset",
         "fixed", "free", "neqs",
     )
 
     def __init__(self, body: RuleBody, ctx: Context, e: EqRel):
         ctx.require_domain(e)
-        db = ctx.db
         self.body = body
         self.ctx = ctx
         self.e = e
         self.absent: dict[Constant, int] = {}
         self.null_id = self.resolve(NULL)
         self.joinset = join_vars(body)
-        self.rows: dict[str, list[tuple[Fact, tuple[int, ...]]]] = {}
-        self.indexes: dict[tuple[str, int], dict[int, list]] = {}
-
-        canon = e.canon_ids().__getitem__
-        for atom in body.rel_atoms:
-            rel = atom.relation
-            if rel not in self.rows:
-                self.rows[rel] = [
-                    (fact, tuple(map(canon, raw)))
-                    for fact, raw in zip(
-                        db.by_relation.get(rel, ()), db.rows.get(rel, ())
-                    )
-                ]
+        self.lookups: dict[tuple[str, int, int], Sequence[int]] = {}
 
         # per relational atom: (position, id) of each constant argument and
         # (position, variable) of each variable argument
@@ -165,15 +152,25 @@ class _Eval:
             return self.e.canon_id(cid)
         return self.absent.setdefault(term, len(self.e) + len(self.absent))
 
-    def _index(self, rel: str, pos: int) -> dict[int, list]:
-        key = (rel, pos)
-        idx = self.indexes.get(key)
-        if idx is None:
-            idx = {}
-            for row in self.rows[rel]:
-                idx.setdefault(row[1][pos], []).append(row)
-            self.indexes[key] = idx
-        return idx
+    def _lookup(self, rel: str, pos: int, cid: int) -> Sequence[int]:
+        """Ascending positions in db.rows[rel] of the rows whose argument at
+        pos is in the class of canonical id cid (none for an absent id),
+        memoised so that each class is walked at most once per column."""
+        key = (rel, pos, cid)
+        found = self.lookups.get(key)
+        if found is None:
+            found = ()
+            if cid < len(self.e):
+                col = self.ctx.db.index[rel][pos]
+                hits = [
+                    col[i] for i in self.e.class_ids((cid,)) if i in col
+                ]
+                if len(hits) == 1:
+                    found = hits[0]
+                elif hits:
+                    found = sorted([k for ks in hits for k in ks])
+            self.lookups[key] = found
+        return found
 
     def _order(self, pin: int | None) -> list[int]:
         atoms = self.body.rel_atoms
@@ -192,7 +189,7 @@ class _Eval:
             def score(i: int) -> tuple[int, int, int]:
                 known = len(self.fixed[i])
                 known += sum(var in bound for _, var in self.free[i])
-                return (known, -len(self.rows[atoms[i].relation]), -i)
+                return (known, -len(self.ctx.db.rows[atoms[i].relation]), -i)
             grab(max(remaining, key=score))
         return order
 
@@ -228,27 +225,30 @@ class _Eval:
     ) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
         """Yield (binding, facts-per-atom) for every body match. With a
         dirty id set, evaluates semi-naively: each relational atom in turn
-        is pinned to the rows touching a dirty id, read from the database's
-        use-lists, so only matches on such a row are found, and a match on
-        several of them once per pin."""
+        is pinned to the rows with a dirty id among their arguments, read
+        from the database's index, so only matches on such a row are
+        found, and a match on several of them once per pin."""
         atoms = self.body.rel_atoms
+        db = self.ctx.db
+        if not all(a.relation in db.rows for a in atoms):
+            return  # a body relation without rows: no match, no index
+        canon, consts = self.e.canon_id, db.consts
         binding: dict[Var, int] = {}
         orig: dict[Var, Constant] = {}
         null_id = self.null_id
         guard = self.ctx.null_join_guard
         facts: list[Fact | None] = [None] * len(atoms)
 
-        def candidates(ai: int):
+        def candidates(ai: int) -> Sequence[int]:
             if ai == pin:
-                return pinned_rows
+                return pinned
             rel = atoms[ai].relation
             if self.fixed[ai]:
-                pos, cid = self.fixed[ai][0]
-                return self._index(rel, pos).get(cid, ())
+                return self._lookup(rel, *self.fixed[ai][0])
             for pos, var in self.free[ai]:
                 if var in binding:
-                    return self._index(rel, pos).get(binding[var], ())
-            return self.rows[rel]
+                    return self._lookup(rel, pos, binding[var])
+            return range(len(db.rows[rel]))
 
         def rec(k: int) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
             if k == len(order):
@@ -256,14 +256,17 @@ class _Eval:
                     yield binding, facts
                 return
             ai = order[k]
+            rel = atoms[ai].relation
+            rows = db.rows[rel]
             fixed, free = self.fixed[ai], self.free[ai]
-            for fact, canon in candidates(ai):
-                if fixed and any(canon[pos] != cid for pos, cid in fixed):
+            for r in candidates(ai):
+                raw = rows[r]
+                if fixed and any(canon(raw[pos]) != cid for pos, cid in fixed):
                     continue
                 trail: list[Var] = []
                 ok = True
                 for pos, var in free:
-                    cid = canon[pos]
+                    cid = canon(raw[pos])
                     prev = binding.get(var)
                     if prev is not None:
                         if prev != cid:
@@ -274,11 +277,11 @@ class _Eval:
                         ok = False
                         break
                     binding[var] = cid
-                    orig[var] = fact.args[pos]
+                    orig[var] = consts[raw[pos]]
                     trail.append(var)
                 if ok:
                     if need_facts:
-                        facts[ai] = fact
+                        facts[ai] = db.by_relation[rel][r]
                     yield from rec(k + 1)
                     if need_facts:
                         facts[ai] = None
@@ -286,22 +289,16 @@ class _Eval:
                     del binding[var]
                     del orig[var]
 
-        try:
-            # one pass per pinned atom; candidates() and rec() read the
-            # pass's pin, pinned_rows and join order
-            for pin in (None,) if dirty is None else range(len(atoms)):
-                order = self._order(pin)
-                if pin is not None:
-                    rel = atoms[pin].relation
-                    uses, rows = self.ctx.db.uses.get(rel, {}), self.rows[rel]
-                    touched = {k for i in dirty for k in uses.get(i, ())}
-                    pinned_rows = [rows[k] for k in sorted(touched)]
-                yield from rec(0)
-        finally:
-            # rec's closure refers to rec: clear the cell so the cycle, which
-            # holds this evaluation's rows, is freed without waiting for the
-            # cyclic collector
-            rec = None  # noqa: F841
+        # one pass per pinned atom; candidates() and rec() read the pass's
+        # pin, pinned rows and join order
+        for pin in (None,) if dirty is None else range(len(atoms)):
+            order = self._order(pin)
+            if pin is not None:
+                pinned = sorted({
+                    r for col in db.index[atoms[pin].relation]
+                    for i in dirty for r in col.get(i, ())
+                })
+            yield from rec(0)
 
 
 def answers(

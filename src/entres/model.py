@@ -24,6 +24,9 @@ class Kind(Enum):
     VALUE = "value"
     NULL = "null"
 
+    # C-level identity hash, consistent with Enum's identity equality
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Constant:
@@ -109,13 +112,14 @@ class Database:
     The interned form is built once: `consts` numbers the domain in the
     sorted order EqRel uses and `ids` maps each constant to its number,
     `rows[rel]` holds each fact of `by_relation[rel]` as a tuple of those
-    ids (same order), and `uses[rel][i]` lists the positions in `rows[rel]`
-    of the rows mentioning id i. Entity references sort first (by kind
-    name), so they hold exactly the ids below `entities`."""
+    ids (same order), and `index[rel][pos][i]` lists, ascending, the
+    positions in `rows[rel]` of the rows whose argument at pos is id i.
+    Entity references sort first (by kind name), so they hold exactly the
+    ids below `entities`."""
 
     __slots__ = (
         "facts", "domain", "by_relation", "consts", "ids", "entities", "rows",
-        "uses",
+        "index",
     )
 
     def __init__(self, facts: Iterable[Fact] = ()):
@@ -134,15 +138,17 @@ class Database:
         ids = self.ids = {c: i for i, c in enumerate(self.consts)}
         self.entities: int = sum(c.is_entity() for c in self.consts)
         self.rows: dict[str, tuple[tuple[int, ...], ...]] = {}
-        self.uses: dict[str, dict[int, tuple[int, ...]]] = {}
+        self.index: dict[str, list[dict[int, list[int]]]] = {}
         for r, fs in self.by_relation.items():
             rows = tuple(tuple(ids[a] for a in f.args) for f in fs)
-            uses: dict[int, list[int]] = {}
+            cols: list[dict[int, list[int]]] = [
+                {} for _ in range(max(map(len, rows)))
+            ]
             for k, row in enumerate(rows):
-                for i in set(row):
-                    uses.setdefault(i, []).append(k)
+                for col, i in zip(cols, row):
+                    col.setdefault(i, []).append(k)
             self.rows[r] = rows
-            self.uses[r] = {i: tuple(ks) for i, ks in uses.items()}
+            self.index[r] = cols
 
     def relations(self) -> tuple[str, ...]:
         return tuple(sorted(self.by_relation))
@@ -251,11 +257,6 @@ class EqRel:
     def canon_id(self, cid: int) -> int:
         """Id of the canonical (least) member of cid's class."""
         return self._least[self._root[cid]]
-
-    def canon_ids(self) -> list[int]:
-        """The canonical id of every id, indexed by id."""
-        least = self._least
-        return [least[r] for r in self._root]
 
     def rep(self, c: Constant) -> Constant:
         """Canonical representative of c's class."""

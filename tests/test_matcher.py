@@ -361,6 +361,87 @@ class TestMergeCandidates:
                 assert delta == full
 
 
+class TestClassLookup:
+    """An atom whose constant or bound variable names a merged class reads
+    the rows of every member of that class, in database order."""
+
+    SPEC = (
+        "relation P(pid: id, m: id) merge [pid];\n"
+        "relation M(mid: id, n: val) merge [mid];\n"
+        "hard h: P(x, m), P(y, m) => eq(x, y);\n"
+        "soft s: P(x, @m1), M(m, n), P(y, m) ~> eq(x, y);\n"
+        'deny d: P(x, @m4), M(m, "k"), P(y, m), x != y;\n'
+    )
+
+    def test_witnesses_in_database_order_through_a_merged_class(self):
+        # P's m column interleaves the three members of one class, so their
+        # rows must be merged back into database order
+        ms = ["m2", "m1", "m3", "m1", "m2"]
+        facts = [Fact("P", (e(f"p{k}"), e(m))) for k, m in enumerate(ms, 1)]
+        spec, db = spec_db(self.SPEC, facts)
+        merged = [(e("m1"), e("m2")), (e("m2"), e("m3"))]
+        eq = EqRel(db.domain)
+        for a, b in merged:
+            eq.merge(a, b)
+        rule = spec.hard[0]
+        head = rule.head[:1]
+        got = answers(rule.body, head, Context(db, spec), eq, witnesses=True)
+        # every two rows join; the first atom is scanned, the second read
+        # through m's class, both in database order
+        rows = db.by_relation["P"]
+        assert {k: [w.facts for w in ws] for k, ws in got.witnesses.items()} == {
+            (f.args[0],): [(f, g) for g in rows] for f in rows
+        }
+        want_reps, want_exp = naive_query(
+            rule.body, head, db, close_classes(merged, db.domain)
+        )
+        assert got.rep_tuples == want_reps
+        assert got.tuples == want_exp
+
+    @pytest.mark.parametrize("merged, soft_pairs, dc_ok", [
+        ([], 0, True),
+        ([("m1", "m2")], 1, True),
+        ([("m2", "m4"), ("m1", "m5")], 0, True),
+        ([("m1", "m2"), ("m3", "m4")], 3, False),
+        ([("m1", "m2"), ("m3", "m4"), ("m4", "m5")], 3, False),
+        ([("m2", "m4"), ("m3", "m5")], 0, False),
+        ([("m1", "m3"), ("m2", "m4"), ("m4", "m5")], 2, False),
+    ])
+    def test_classes_with_members_missing_from_a_column(
+        self, merged, soft_pairs, dc_ok
+    ):
+        # m1 and m4 (the body constants) and m5 have no row in P's m column;
+        # m2 and m3 have no row in M's mid column
+        facts = [
+            Fact("P", (e("p1"), e("m2"))),
+            Fact("P", (e("p2"), e("m3"))),
+            Fact("P", (e("p3"), e("m2"))),
+            Fact("M", (e("m1"), v("k"))),
+            Fact("M", (e("m4"), v("j"))),
+            Fact("M", (e("m5"), v("k"))),
+        ]
+        spec, db = spec_db(self.SPEC, facts)
+        pairs = [(e(a), e(b)) for a, b in merged]
+        eq = EqRel(db.domain)
+        for a, b in pairs:
+            eq.merge(a, b)
+        classes = close_classes(pairs, db.domain)
+        ctx = Context(db, spec)
+        everything = frozenset(range(len(db.consts)))
+        for rule in spec.all_rules():
+            want = naive_candidates(rule, db, classes, None)
+            for dirty in (None, everything):
+                got = {
+                    MergePair.of(eq.const(i), eq.const(j))
+                    for i, j in merge_candidates(rule, ctx, eq, dirty)
+                }
+                assert got == want, (rule.label, dirty is None)
+        assert len(naive_candidates(spec.soft[0], db, classes, None)) == soft_pairs
+        assert naive_dc_satisfied(spec.dcs[0], db, classes) == dc_ok
+        for dirty in (None, everything):
+            assert dc_satisfied(spec.dcs[0], ctx, eq, dirty) == dc_ok
+
+
 class TestDifferential:
     """answers / rule_satisfied / dc_satisfied / merge_candidates against the
     brute-force evaluator, over random instances and random states."""

@@ -68,6 +68,27 @@ class TestDatabase:
         assert Fact("R", (e("r0"), v("x"))) in db
         assert Fact("R", (e("r0"), v("z"))) not in db
 
+    def test_index_lists_rows_per_position_and_id(self):
+        db = Database([
+            Fact("R", (e("r1"), v("x"))),
+            Fact("R", (e("r2"), v("y"))),
+            Fact("R", (e("r0"), v("x"))),
+            Fact("T", (e("r0"), e("r0"))),
+        ])
+        i = db.ids
+        # R's rows in database order: (r0, x), (r1, x), (r2, y)
+        assert db.rows["R"] == (
+            (i[e("r0")], i[v("x")]),
+            (i[e("r1")], i[v("x")]),
+            (i[e("r2")], i[v("y")]),
+        )
+        assert db.index["R"] == [
+            {i[e("r0")]: [0], i[e("r1")]: [1], i[e("r2")]: [2]},
+            {i[v("x")]: [0, 1], i[v("y")]: [2]},
+        ]
+        # an id repeated in one row is listed once per position
+        assert db.index["T"] == [{i[e("r0")]: [0]}, {i[e("r0")]: [0]}]
+
 
 DOM = [e(f"c{i}") for i in range(8)] + [v("val"), NULL]
 
