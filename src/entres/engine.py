@@ -16,7 +16,15 @@ satisfies every hard rule and denial constraint. This module computes:
                  child re-evaluates rules and constraints only on rows that
                  touch the classes its merges grew (see _Search);
   - possible_merges / certain_merges / is_possible: union over all
-                 solutions and intersection over maximal solutions;
+                 solutions and intersection over maximal solutions.
+                 These, maximal_solutions and merge_sets search one
+                 independent part at a time when every body is
+                 merge-monotone: the classes the hard-saturated start
+                 leaves undecided split into parts that no body match under
+                 ub reads together, every solution is one choice per part,
+                 and the parts are searched from the start in turn (see
+                 _Search.split). enumerate_solutions and solve_one always
+                 search the whole instance;
   - levels:      recursion depth of each merge (the round of the
                  rule-application chain that first produces it).
 """
@@ -31,6 +39,7 @@ from .errors import NotASolution
 from .matcher import (
     Context,
     dc_satisfied,
+    matched_ids,
     merge_candidates,
     rule_satisfied,
 )
@@ -314,22 +323,42 @@ class _Search:
             return True
         return self.limit is not None and len(self.results) >= self.limit
 
-    def run(
-        self,
-        limit: int | None = None,
-        stop_pair: MergePair | None = None,
-    ) -> list[Solution]:
-        self.limit = limit
-        self.stop_pair = stop_pair
-        if limit is not None and limit <= 0:
-            return []
+    def splits(self) -> bool:
+        """Whether the solutions are a product of independent parts' (see
+        split): every rule and constraint body is merge-monotone, so
+        saturation is eager and each state the search keeps is a
+        solution."""
+        return self.eager and not self.checked_dcs
+
+    def root(self) -> _Node | None:
+        """The node of the start state, hard-saturated when saturation is
+        eager, or None when it fails a pruning constraint. Starts a new
+        memo."""
+        self.memo = set()
         start = self.ctx.identity()
         steps: list[DerivStep] = []
         if self.eager:
             hard = self.ctx.spec.hard
             for _ in _rounds(self.ctx, hard, start, record=steps):
                 pass
-        root = self._enter(start, tuple(steps))
+        return self._enter(start, tuple(steps))
+
+    def run(
+        self,
+        limit: int | None = None,
+        stop_pair: MergePair | None = None,
+        root: _Node | None = None,
+    ) -> list[Solution]:
+        """Solutions in search order, from the given root node or else
+        from the start state."""
+        self.limit = limit
+        self.stop_pair = stop_pair
+        self.results = []
+        self.found_stop = False
+        if limit is not None and limit <= 0:
+            return []
+        if root is None:
+            root = self.root()
         stack = [root] if root is not None else []
         while stack:
             node = stack[-1]
@@ -344,6 +373,40 @@ class _Search:
             if self._done():
                 break
         return self.results
+
+    def split(
+        self, stop_pair: MergePair | None = None
+    ) -> tuple[Solution, list[list[_PartSolution]]] | None:
+        """The root's solution and, per independent part (see _parts), the
+        solutions that differ from the root only within that part, each
+        with the pairs it merges there, searched from the root with its
+        candidates cut down to the part; None when the root fails a
+        pruning constraint, the one way the instance can be inconsistent.
+        Only for a search that splits().
+        Given stop_pair, only the part holding both its ids is searched, up
+        to a solution that merges them.
+
+        A state between the root and ub is a solution iff its restriction
+        to each part (the root elsewhere) is: every body match reads the
+        classes of one part only, besides classes no solution grows. For
+        the same reason a child's new candidates lie in its root's part,
+        so only the root's are cut down."""
+        root = self.root()
+        if root is None:
+            return None
+        parts = _parts(self.ctx, root.e)
+        if stop_pair is not None:
+            pair = {root.e.id_of(c) for c in stop_pair}
+            parts = [ids for ids in parts if pair <= ids]
+        found = []
+        for ids in parts:
+            cands = [{p for p in got if p[0] in ids} for got in root.cands]
+            node = self._node(root.e, root.deriv, cands)
+            found.append([
+                (sol, _pairs_within(sol.eq, ids))
+                for sol in self.run(stop_pair=stop_pair, root=node)
+            ])
+        return Solution(root.e, root.deriv), found
 
     def _child(self, parent: _Node, label: str, i: int, j: int) -> _Node | None:
         """Apply one answer to the parent's state, hard-saturate from the
@@ -386,6 +449,14 @@ class _Search:
                     if a != b:
                         got.add((a, b) if a < b else (b, a))
             cands.append(got)
+        return self._node(e, deriv, cands)
+
+    def _node(
+        self,
+        e: EqRel,
+        deriv: tuple[DerivStep, ...],
+        cands: list[set[tuple[int, int]]],
+    ) -> _Node:
         todo = sorted({
             (rule.label, i, j)
             for rule, got in zip(self.branching, cands)
@@ -407,6 +478,53 @@ class _Search:
             self.found_stop = True
 
 
+#: a solution of one part, with the pairs it merges within the part
+_PartSolution = tuple[Solution, frozenset[MergePair]]
+
+
+def _pairs_within(e: EqRel, ids: Iterable[int]) -> frozenset[MergePair]:
+    """The pairs e merges among ids, which must be whole classes of e, at
+    a cost in the number of ids rather than in the domain's size."""
+    groups: dict[int, list[int]] = {}
+    for i in sorted(ids):
+        groups.setdefault(e.canon_id(i), []).append(i)
+    return frozenset(
+        MergePair.of(e.const(i), e.const(j))
+        for members in groups.values() for i, j in combinations(members, 2)
+    )
+
+
+def _parts(ctx: Context, root: EqRel) -> list[set[int]]:
+    """The ids in the classes root leaves undecided, as independent parts.
+
+    A class is undecided when its ub class is larger; every other class is
+    the same in every solution. Two undecided ub classes are linked when
+    one body match under ub, of a rule or a constraint, reads both; a part
+    is the members of a connected group of them, and the parts come in the
+    order of their least id. Matches at ub cover those at every state
+    between root and ub, as the specification is merge-monotone, and each
+    merge within a ub class came from one of them, so no match of any such
+    state reads two parts."""
+    u = ub(ctx)
+    canon = u.canon_id
+    undecided = {
+        canon(i) for i in range(ctx.db.entities)
+        if root.canon_id(i) != canon(i)
+    }
+    links = ctx.identity()
+    spec = ctx.spec
+    bodies = [r.body for r in spec.all_rules()] + [d.body for d in spec.dcs]
+    for body in bodies:
+        for ids in matched_ids(body, ctx, u):
+            read = [c for c in map(canon, ids) if c in undecided]
+            for c in read[1:]:
+                links.merge_ids(read[0], c)
+    parts: dict[int, set[int]] = {}
+    for c in sorted(undecided):
+        parts.setdefault(links.canon_id(c), set()).update(u.class_ids((c,)))
+    return list(parts.values())
+
+
 def enumerate_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions with pairwise distinct merge sets (all of them
     when n is None), in deterministic search order."""
@@ -420,25 +538,53 @@ def solve_one(ctx: Context) -> Solution | None:
     return found[0] if found else None
 
 
-def _maximal_filter(solutions: list[Solution]) -> list[Solution]:
-    withpairs = [(sol, sol.pairs()) for sol in solutions]
-    out = [
-        sol for sol, ps in withpairs
-        if not any(ps < qs for _, qs in withpairs)
+def _largest_first(sol: Solution):
+    ps = sorted((p.left.text, p.right.text) for p in sol.pairs())
+    return (-len(ps), ps)
+
+
+def _maximal(found: list[_PartSolution]) -> list[_PartSolution]:
+    """The entries whose pairs no other entry's strictly contain."""
+    return [
+        (sol, ps) for sol, ps in found if not any(ps < qs for _, qs in found)
     ]
-    def key(sol: Solution):
-        ps = sorted((p.left.text, p.right.text) for p in sol.pairs())
-        return (-len(ps), ps)
-    out.sort(key=key)
+
+
+def _maximal_filter(solutions: list[Solution]) -> list[Solution]:
+    found = _maximal([(sol, sol.pairs()) for sol in solutions])
+    out = [sol for sol, _ in found]
+    out.sort(key=_largest_first)
     return out
+
+
+def _joined(root: Solution, sols: Iterable[Solution]) -> Solution:
+    """The state of solutions from disjoint parts, each extending root:
+    root's derivation followed by each one's own steps."""
+    e = root.eq.clone()
+    deriv = list(root.derivation)
+    for sol in sols:
+        for step in sol.derivation[len(root.derivation):]:
+            e.merge(step.pair.left, step.pair.right)
+            deriv.append(step)
+    return Solution(e, tuple(deriv))
 
 
 def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions whose merge sets are subset-maximal among all
-    solutions, largest first."""
+    solutions, largest first. When the search splits, they are the
+    product of each part's maximal states."""
     if n is not None and n <= 0:
         return []
-    maxima = _maximal_filter(enumerate_solutions(ctx))
+    search = _Search(ctx)
+    if not search.splits():
+        maxima = _maximal_filter(enumerate_solutions(ctx))
+    elif (split := search.split()) is None:
+        maxima = []
+    else:
+        root, parts = split
+        per_part = [[sol for sol, _ in _maximal(found)] for found in parts]
+        maxima = [_joined(root, pick) for pick in product(*per_part)]
+        maxima.sort(key=_largest_first)
     return maxima if n is None else maxima[:n]
 
 
@@ -453,41 +599,73 @@ def _common(sols: list[Solution]) -> frozenset[MergePair]:
     return frozenset.intersection(*(sol.pairs() for sol in sols))
 
 
+def _pm_cm(
+    ctx: Context,
+) -> tuple[frozenset[MergePair], frozenset[MergePair], bool]:
+    """Possible and certain merges, and whether a solution exists. When
+    the search splits, pm is the root's pairs and those of every part's
+    solutions, and cm the root's pairs and each part's certain ones."""
+    search = _Search(ctx)
+    if not search.splits():
+        sols = enumerate_solutions(ctx)
+        return _union(sols), _common(_maximal_filter(sols)), bool(sols)
+    split = search.split()
+    if split is None:
+        return frozenset(), frozenset(), False
+    root, parts = split
+    pm = root.pairs().union(*(ps for found in parts for _, ps in found))
+    cm = root.pairs().union(*(
+        frozenset.intersection(*(ps for _, ps in _maximal(found)))
+        for found in parts
+    ))
+    return pm, cm, True
+
+
 def possible_merges(ctx: Context) -> frozenset[MergePair]:
     """Pairs merged in at least one solution."""
-    return _union(enumerate_solutions(ctx))
+    return _pm_cm(ctx)[0]
 
 
 def certain_merges(ctx: Context) -> frozenset[MergePair]:
     """Pairs merged in every maximal solution; empty when no solution
     exists."""
-    return _common(maximal_solutions(ctx))
+    return _pm_cm(ctx)[1]
 
 
 def is_possible(
     ctx: Context, pair: MergePair | tuple[Constant, Constant]
 ) -> bool:
     """True iff some solution merges the pair. Reflexive pairs are possible
-    exactly when a solution exists at all."""
+    exactly when a solution exists at all. When the search splits, only
+    the part holding the pair is searched."""
     a, b = pair
+    search = _Search(ctx)
     if a == b:
+        if search.splits():
+            return search.root() is not None
         return solve_one(ctx) is not None
     if a not in ctx.db.domain or b not in ctx.db.domain:
         return False
     target = MergePair.of(a, b)
-    results = _Search(ctx).run(stop_pair=target)
+    if not search.splits():
+        results = search.run(stop_pair=target)
+    else:
+        split = search.split(stop_pair=target)
+        results = [] if split is None else [
+            split[0], *(sol for found in split[1] for sol, _ in found)
+        ]
     return any(target in sol.eq for sol in results)
 
 
 def merge_sets(ctx: Context) -> MergeSets:
     """lb, ub, pm and cm in one call."""
-    sols = enumerate_solutions(ctx)
+    pm, cm, consistent = _pm_cm(ctx)
     return MergeSets(
         lb(ctx).nontrivial_pairs(),
         ub(ctx).nontrivial_pairs(),
-        _union(sols),
-        _common(_maximal_filter(sols)),
-        bool(sols),
+        pm,
+        cm,
+        consistent,
     )
 
 

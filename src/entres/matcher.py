@@ -30,6 +30,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
@@ -107,6 +108,29 @@ class AnswerSet:
     witnesses: dict[tuple[Constant, ...], list[Witness]] | None = None
 
 
+@lru_cache(maxsize=None)
+def _layout(body: RuleBody) -> tuple[
+    frozenset[Var],
+    tuple[tuple[tuple[int, Term], ...], ...],
+    tuple[tuple[tuple[int, Var], ...], ...],
+]:
+    """The body's join variables and, per relational atom, (position,
+    constant) of each constant argument and (position, variable) of each
+    variable argument: what an evaluation reads of the body before it
+    resolves the constants against its state."""
+    args = [tuple(enumerate(atom.args)) for atom in body.rel_atoms]
+    return (
+        join_vars(body),
+        tuple(
+            tuple((p, t) for p, t in pa if not isinstance(t, Var))
+            for pa in args
+        ),
+        tuple(
+            tuple((p, t) for p, t in pa if isinstance(t, Var)) for pa in args
+        ),
+    )
+
+
 class _Eval:
     """One body evaluation over (ctx.db, e), on canonical ids only. Resolves
     body constants once (one absent from the data to a fresh id no row
@@ -125,18 +149,13 @@ class _Eval:
         self.e = e
         self.absent: dict[Constant, int] = {}
         self.null_id = self.resolve(NULL)
-        self.joinset = join_vars(body)
         self.lookups: dict[tuple[str, int, int], Sequence[int]] = {}
-
         # per relational atom: (position, id) of each constant argument and
         # (position, variable) of each variable argument
-        args = [tuple(enumerate(atom.args)) for atom in body.rel_atoms]
+        self.joinset, consts, self.free = _layout(body)
         self.fixed = [
-            tuple((p, self.resolve(t)) for p, t in pa if not isinstance(t, Var))
-            for pa in args
-        ]
-        self.free = [
-            tuple((p, t) for p, t in pa if isinstance(t, Var)) for pa in args
+            tuple([(p, self.resolve(t)) for p, t in pc]) if pc else ()
+            for pc in consts
         ]
         self.neqs = tuple(
             (self.resolve(n.left), self.resolve(n.right))
@@ -219,11 +238,10 @@ class _Eval:
         return True
 
     def solutions(
-        self,
-        dirty: AbstractSet[int] | None = None,
-        need_facts: bool = False,
-    ) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
-        """Yield (binding, facts-per-atom) for every body match. With a
+        self, dirty: AbstractSet[int] | None = None
+    ) -> Iterator[tuple[dict[Var, int], list[int]]]:
+        """Yield (binding, row per atom) for every body match, a row as its
+        position in db.rows of the atom's relation. With a
         dirty id set, evaluates semi-naively: each relational atom in turn
         is pinned to the rows with a dirty id among their arguments, read
         from the database's index, so only matches on such a row are
@@ -237,7 +255,7 @@ class _Eval:
         orig: dict[Var, Constant] = {}
         null_id = self.null_id
         guard = self.ctx.null_join_guard
-        facts: list[Fact | None] = [None] * len(atoms)
+        at = [0] * len(atoms)
 
         def candidates(ai: int) -> Sequence[int]:
             if ai == pin:
@@ -250,10 +268,10 @@ class _Eval:
                     return self._lookup(rel, pos, binding[var])
             return range(len(db.rows[rel]))
 
-        def rec(k: int) -> Iterator[tuple[dict[Var, int], list[Fact | None]]]:
+        def rec(k: int) -> Iterator[tuple[dict[Var, int], list[int]]]:
             if k == len(order):
                 if self._neq_ok(binding) and self._sim_ok(orig):
-                    yield binding, facts
+                    yield binding, at
                 return
             ai = order[k]
             rel = atoms[ai].relation
@@ -280,11 +298,8 @@ class _Eval:
                     orig[var] = consts[raw[pos]]
                     trail.append(var)
                 if ok:
-                    if need_facts:
-                        facts[ai] = db.by_relation[rel][r]
+                    at[ai] = r
                     yield from rec(k + 1)
-                    if need_facts:
-                        facts[ai] = None
                 for var in trail:
                     del binding[var]
                     del orig[var]
@@ -322,15 +337,19 @@ def answers(
     terms = [ev.resolve(t) for t in head]
     names = e.domain + tuple(ev.absent)  # the constant of every id
     found: dict[tuple[int, ...], list[Witness]] = {}
-    seen: set[tuple[Fact, ...]] = set()
-    for binding, facts in ev.solutions(dirty, need_facts=witnesses):
+    seen: set[tuple[int, ...]] = set()
+    facts = ctx.db.by_relation
+    for binding, at in ev.solutions(dirty):
         ids = tuple([binding[t] if isinstance(t, Var) else t for t in terms])
         wits = found.setdefault(ids, [])
         # a match found again under another pin is witnessed once
-        if witnesses and (matched := tuple(facts)) not in seen:
-            seen.add(matched)
+        if witnesses and (rows := tuple(at)) not in seen:
+            seen.add(rows)
+            matched = tuple(
+                facts[a.relation][r] for a, r in zip(body.rel_atoms, rows)
+            )
             shown = {v: names[cid] for v, cid in binding.items()}
-            wits.append(Witness(matched, shown))  # type: ignore[arg-type]
+            wits.append(Witness(matched, shown))
     reps = {ids: tuple(names[i] for i in ids) for ids in found}
     expanded: frozenset[tuple[Constant, ...]] | None = None
     if expand:
@@ -391,3 +410,13 @@ def dc_satisfied(
     for _ in _Eval(dc.body, ctx, e).solutions(dirty):
         return False
     return True
+
+
+def matched_ids(body: RuleBody, ctx: Context, e: EqRel) -> Iterator[list[int]]:
+    """For every body match over (ctx.db, e), the raw ids of the rows it
+    reads, atom by atom."""
+    rows = ctx.db.rows
+    for _, at in _Eval(body, ctx, e).solutions():
+        yield [
+            i for a, r in zip(body.rel_atoms, at) for i in rows[a.relation][r]
+        ]

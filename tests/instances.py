@@ -7,18 +7,21 @@ with varied thresholds, reference columns that make merges cascade,
 functional-dependency style constraints on value and on reference columns,
 null cells in join, similarity and reference positions, and both inequality
 policies. Everything is driven by one random.Random(seed), so instances are
-reproducible by seed.
+reproducible by seed. `generate_parts` glues several of them into one
+instance whose solutions are the product of independent parts.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from entres.matcher import Context
 from entres.model import NULL, Constant, Database, Fact, Kind
 from entres.rules import Specification, parse_spec
 from entres.simkit import SimStore, StrictResolver, sim_all
+from oracles import bruteforce_solutions
 
 # Near-duplicate heavy pools; the first column is read by similarity atoms.
 POOL_A = ("martha", "marhta", "jonathan", "jonathon", "silver", "sliver", "quartz")
@@ -198,3 +201,53 @@ def generate_neq(seed: int) -> Instance:
     if rng.random() < 0.15:
         knobs["null_inequality"] = "fail"
     return _finish(seed, lines, facts, knobs)
+
+
+def generate_parts(seed: int, hub: bool = False) -> Instance:
+    """Two or three `generate` instances side by side, each with its
+    relations, rule labels and entities suffixed by its part number, so no
+    body reads two of them and the search splits along them. Members are
+    drawn until one has the first member's null policy, a solution by the
+    brute-force oracle and at most seven entities (six among three), which
+    keeps the union's candidate space (the product of the members') small
+    and its entities within that oracle's limit.
+
+    With hub=True, about half of the members' reference cells point at one
+    of two `H` entities that a hard rule merges at the start instead: a
+    class that every part reads and no solution grows. Its members have a
+    reference column but not its constraint `d2`, whose inequality on that
+    column would keep the search from splitting."""
+    rng = random.Random(f"parts-{seed}")
+    count = rng.choice([2, 3])
+    members: list[Instance] = []
+    while len(members) < count:
+        inst = generate(rng.randrange(10_000))
+        if (
+            len(inst.db.entity_refs()) <= min(7, 18 // count)
+            and (not hub or ("S" in inst.text and "d2" not in inst.text))
+            and (not members or inst.knobs == members[0].knobs)
+            and bruteforce_solutions(
+                inst.db, inst.spec, inst.sims, **inst.knobs
+            )
+        ):
+            members.append(inst)
+    lines: list[str] = []
+    facts: list[Fact] = []
+    if hub:
+        lines += [
+            "relation H(hid: id, k: val) merge [hid];",
+            "hard hub: H(x, k), H(y, k) => eq(x, y);",
+        ]
+        facts += [Fact("H", (ent(h), val("k"))) for h in ("h1", "h2")]
+    for k, inst in enumerate(members):
+        text = re.sub(r"\b([RS])\(", rf"\g<1>{k}(", inst.text)
+        text = re.sub(r"(?m)^(hard|soft|deny) (\w+)", rf"\1 \2_{k}", text)
+        lines += text.splitlines()
+        for f in inst.db.facts:
+            args = [
+                ent(f"{c.text}_{k}") if c.is_entity() else c for c in f.args
+            ]
+            if hub and f.relation == "S" and rng.random() < 0.5:
+                args[2] = ent(rng.choice(["h1", "h2"]))
+            facts.append(Fact(f"{f.relation}{k}", tuple(args)))
+    return _finish(seed, lines, facts, dict(members[0].knobs))
