@@ -506,6 +506,17 @@ LADDER_CASES = {
     "explain": ("--mode", "explain:e6l,e6r"),
 }
 
+#: golden case -> arguments after the sims bundle arguments; the bundle has
+#: one Jaro-Winkler and one edit-distance function, and `pm-all` reads the
+#: `--sim all` store through the strict resolver
+SIMS = GOLDEN / "sims" / "data"
+SIM_CASES = {
+    "sim-all": ("--sim", "all", "--mode", "sim"),
+    "sim-cs": ("--sim", "cs", "--mode", "sim"),
+    "sim-opt": ("--sim", "opt", "--mode", "sim"),
+    "pm-all": ("--sim", "all", "--mode", "pm"),
+}
+
 #: bundle -> (its spec, data and similarity arguments, its cases)
 GOLDEN_BUNDLES = {
     "music": (
@@ -516,6 +527,7 @@ GOLDEN_BUNDLES = {
         ("--spec", LADDER / "ladder.er", "--data", LADDER),
         LADDER_CASES,
     ),
+    "sims": (("--spec", SIMS / "sims.er", "--data", SIMS), SIM_CASES),
 }
 
 
@@ -546,8 +558,9 @@ def _golden_files(bundle, case):
 
 
 class TestGolden:
-    """Every music mode's files and stdout, and the levels and proof tree of
-    a depth-6 ladder, match the committed outputs byte for byte. Regenerate
+    """Every music mode's files and stdout, the levels and proof tree of a
+    depth-6 ladder, and the score files of each computed similarity
+    strategy, match the committed outputs byte for byte. Regenerate
     a case by writing golden_outputs() into tests/golden/<bundle>/<case>/
     (only when an output change is intended)."""
 
@@ -560,6 +573,13 @@ class TestGolden:
         assert (
             golden_outputs(case, tmp_path, "ladder")
             == _golden_files("ladder", case)
+        )
+
+    @pytest.mark.parametrize("case", sorted(SIM_CASES))
+    def test_sim_outputs_match(self, case, tmp_path):
+        assert (
+            golden_outputs(case, tmp_path, "sims")
+            == _golden_files("sims", case)
         )
 
 
