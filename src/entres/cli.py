@@ -123,8 +123,11 @@ def load_truth(path: str) -> frozenset[MergePair]:
     """Read ground truth as either an explicit pair list (header
     left/right) or cluster assignments (header constant/cluster), expanded
     to all within-cluster pairs."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh, delimiter="\t") if r]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh, delimiter="\t") if r]
+    except OSError as exc:
+        raise MissingFile(f"{path}: {exc.strerror}") from None
     if not rows:
         raise DataError(f"{path}: empty ground truth file")
     header, body = rows[0], rows[1:]
@@ -270,10 +273,10 @@ def _export_store(store: SimStore, out: Path) -> list[Path]:
     written = []
     for func in store.funcs():
         path = out / _sim_filename(func)
-        lines = ["left\tright\tscore"]
-        for a, b, s in store.rows(func):
-            lines.append(f"{a.text}\t{b.text}\t{s / 100:.2f}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("left\tright\tscore\n")
+            for a, b, s in store.walk(func):
+                fh.write(f"{a.text}\t{b.text}\t{s / 100:.2f}\n")
         written.append(path)
     return written
 

@@ -29,6 +29,7 @@ from typing import Iterator, Union
 
 from .errors import (
     ArityMismatch,
+    SpecError,
     SpecSyntaxError,
     SpecValidationError,
     UnknownRelation,
@@ -703,8 +704,12 @@ def parse_spec(text: str) -> Specification:
 
 
 def load_spec(path: str) -> Specification:
-    with open(path, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SpecError(f"{path}: {exc.strerror}") from None
+    return parse_spec(text)
 
 
 # ----------------------------------------------------------- safety checks

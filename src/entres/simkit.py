@@ -20,15 +20,18 @@ extension. Strategies:
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
+from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from . import engine, kernels
-from .errors import DataError, MissingSimScore
+from .errors import DataError, MissingFile, MissingSimScore
 from .matcher import Context, answers
 from .model import Constant, Database, Kind, MergePair
 from .rules import Specification, Var, transform, var_positions
@@ -42,48 +45,99 @@ def _pair_key(a: Constant, b: Constant) -> tuple[Constant, Constant]:
     return (a, b) if (a.kind.value, a.text) <= (b.kind.value, b.text) else (b, a)
 
 
+def _text_order(row: tuple[Constant, Constant, int]) -> tuple[str, str]:
+    return row[0].text, row[1].text
+
+
+class _Triangle:
+    """One function's scores of every pair drawn from a text-sorted list of
+    distinct value constants, reflexive pairs included: row i holds the
+    scores of values[i] against values[i:], each in 0..10000, so walking the
+    rows in order yields the pairs ordered by (left text, right text)."""
+
+    __slots__ = ("values", "index", "rows")
+
+    def __init__(self, values: list[Constant], rows: list[array]):
+        self.values = values
+        self.index = {c: i for i, c in enumerate(values)}
+        self.rows = rows
+
+    def get(self, a: Constant, b: Constant) -> int | None:
+        i, j = self.index.get(a), self.index.get(b)
+        if i is None or j is None:
+            return None
+        return self.rows[i][j - i] if i <= j else self.rows[j][i - j]
+
+    def __len__(self) -> int:
+        return len(self.values) * (len(self.values) + 1) // 2
+
+    def __iter__(self) -> Iterator[tuple[Constant, Constant, int]]:
+        values = self.values
+        for i, row in enumerate(self.rows):
+            yield from zip(repeat(values[i]), values[i:], row)
+
+
 class SimStore:
     """Symmetric score cache keyed by (function id, canonical constant
-    pair), plus the number of scorer invocations spent filling it."""
+    pair), plus the number of scorer invocations spent filling it.
 
-    __slots__ = ("_scores", "calls")
+    `sim_all` stores each function's scores as one `_Triangle`; `get` reads
+    a function's triangle first and then the pair dict that `put` fills, so
+    `put` serves the pairs no triangle holds."""
+
+    __slots__ = ("_scores", "_tables", "calls")
 
     def __init__(self) -> None:
         self._scores: dict[tuple[str, Constant, Constant], int] = {}
+        self._tables: dict[str, _Triangle] = {}
         self.calls = 0
 
     def get(self, func: str, a: Constant, b: Constant) -> int | None:
+        table = self._tables.get(func)
+        if table is not None:
+            got = table.get(a, b)
+            if got is not None:
+                return got
         return self._scores.get((func, *_pair_key(a, b)))
 
     def put(self, func: str, a: Constant, b: Constant, score: int) -> None:
         self._scores[(func, *_pair_key(a, b))] = score
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return len(self._scores) + sum(map(len, self._tables.values()))
+
+    def _keys(self) -> Iterator[tuple[str, Constant, Constant]]:
+        yield from self._scores
+        for func, table in self._tables.items():
+            for a, b, _ in table:
+                yield func, a, b
 
     def __iter__(self) -> Iterator[tuple[str, Constant, Constant]]:
         return iter(sorted(
-            self._scores,
+            self._keys(),
             key=lambda k: (k[0], k[1].text, k[2].text),
         ))
 
     def funcs(self) -> list[str]:
-        return sorted({f for f, _, _ in self._scores})
+        return sorted({f for f, _, _ in self._scores}.union(self._tables))
+
+    def walk(self, func: str) -> Iterator[tuple[Constant, Constant, int]]:
+        """The (left, right, score) rows of one function, ordered by (left
+        text, right text); a triangle is walked in place, unsorted."""
+        loose = sorted(
+            ((a, b, s) for (f, a, b), s in self._scores.items() if f == func),
+            key=_text_order,
+        )
+        return heapq.merge(self._tables.get(func, ()), loose, key=_text_order)
 
     def rows(self, func: str) -> list[tuple[Constant, Constant, int]]:
-        out = [
-            (a, b, s)
-            for (f, a, b), s in self._scores.items()
-            if f == func
-        ]
-        out.sort(key=lambda r: (r[0].text, r[1].text))
-        return out
+        return list(self.walk(func))
 
     def key_set(self) -> frozenset[tuple[str, Constant, Constant]]:
-        return frozenset(self._scores)
+        return frozenset(self._keys())
 
     def __repr__(self) -> str:
-        return f"SimStore({len(self._scores)} scores, {self.calls} calls)"
+        return f"SimStore({len(self)} scores, {self.calls} calls)"
 
 
 # --------------------------------------------------------------- functions
@@ -153,7 +207,11 @@ class SimTable:
     @classmethod
     def load(cls, path: str) -> "SimTable":
         scores: dict[tuple[str, str], int] = {}
-        with open(path, encoding="utf-8") as fh:
+        try:
+            fh = open(path, encoding="utf-8")
+        except OSError as exc:
+            raise MissingFile(f"{path}: {exc.strerror}") from None
+        with fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -167,6 +225,8 @@ class SimTable:
                 a, b, raw = cells
                 try:
                     d = Decimal(raw)
+                    if d.is_nan():  # NaN and sNaN do not compare
+                        raise InvalidOperation
                 except InvalidOperation:
                     raise DataError(
                         f"{path}:{lineno}: bad score {raw!r}"
@@ -372,11 +432,15 @@ def sim_all(
             operands[func_id].union(_position_values(db, compatible)),
             key=lambda c: c.text,
         )
-        for i, a in enumerate(values):
-            text = a.text
-            for b in values[i:]:
-                store.put(func_id, a, b, scorer(text, b.text))
-                store.calls += 1
+        if not values:
+            continue
+        texts = [c.text for c in values]
+        table = _Triangle(values, [
+            array("H", map(scorer, repeat(text), texts[i:]))
+            for i, text in enumerate(texts)
+        ])
+        store._tables[func_id] = table
+        store.calls += len(table)
     return store
 
 

@@ -334,6 +334,32 @@ class TestExitCodes:
         )
         assert "data error:" in capsys.readouterr().err
 
+    def test_missing_input_files_name_their_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        cases = (
+            (("--spec", missing, "--mode", "validate"), 2, "specification"),
+            (music_args("lb", tmp_path / "o", "--truth", missing), 3, "data"),
+            (
+                ("--spec", MUSIC / "music.er", "--data", MUSIC,
+                 "--sim", f"table:{missing}", "--mode", "lb",
+                 "--out", tmp_path / "o"),
+                3, "data",
+            ),
+        )
+        for args, code, kind in cases:
+            assert run(*args) == code
+            err = capsys.readouterr().err
+            assert err == f"{kind} error: {missing}: No such file or directory\n"
+
+    def test_nan_table_score_is_a_data_error(self, tmp_path, capsys):
+        table = tmp_path / "nan.tsv"
+        table.write_text("a\tb\tNaN\n")
+        assert run(
+            "--spec", MUSIC / "music.er", "--data", MUSIC,
+            "--sim", f"table:{table}", "--mode", "lb", "--out", tmp_path / "o",
+        ) == 3
+        assert f"data error: {table}:1: bad score 'NaN'" in capsys.readouterr().err
+
     def test_unknown_constant_in_explain_is_a_data_error(self, tmp_path, capsys):
         assert run(*music_args("explain:zz,s2", tmp_path / "o")) == 3
         assert "data error:" in capsys.readouterr().err

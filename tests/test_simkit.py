@@ -179,6 +179,8 @@ class TestSimTable:
             "three-decimals": "a\tb\t50.555\n",
             "out-of-range": "a\tb\t101\n",
             "not-a-number": "a\tb\tfifty\n",
+            "nan": "a\tb\tNaN\n",
+            "snan": "a\tb\tsNaN\n",
         }
         for name, content in cases.items():
             p = tmp_path / f"{name}.tsv"
@@ -216,6 +218,64 @@ class TestSimStore:
         ]
         assert len(list(s)) == 3
         assert len(s.key_set()) == 3
+
+    @staticmethod
+    def table_and_dict_stores():
+        """A two-function `sim_all` store, and a store that holds the same
+        scores through `put`, one pair at a time."""
+        spec = parse_spec(
+            "relation R(rid: id, a: short, n: num) merge [rid];\n"
+            "soft s: R(x, a, n), R(y, a2, n2), sim(a, a2) >= 90,\n"
+            "  sim(n, n2) >= 75 ~> eq(x, y);\n"
+        )
+        db = Database([
+            Fact("R", (e("r1"), v("martha"), v("1961"))),
+            Fact("R", (e("r2"), v("marhta"), v("1960"))),
+            Fact("R", (e("r3"), v("quartz"), NULL)),
+        ])
+        table = sim_all(db, spec)
+        loose = SimStore()
+        for func, scorer, texts in (
+            ("jw", kernels.jw_score, ["quartz", "martha", "marhta"]),
+            ("lev", kernels.lev_score, ["1961", "1960"]),
+        ):
+            for i, a in enumerate(texts):
+                for b in texts[i:]:
+                    loose.put(func, v(b), v(a), scorer(a, b))
+                    loose.calls += 1
+        return table, loose
+
+    def test_sim_all_table_answers_as_the_pair_dict(self):
+        table, loose = self.table_and_dict_stores()
+        texts = ["marhta", "martha", "quartz", "1960", "1961"]
+        for func in ("jw", "lev", "tfidf"):
+            for a in texts:
+                for b in texts:
+                    got = table.get(func, v(a), v(b))
+                    assert got == table.get(func, v(b), v(a))
+                    assert got == loose.get(func, v(a), v(b)), (func, a, b)
+        assert table.get("jw", v("martha"), v("marhta")) == 9611
+        assert table.get("jw", v("martha"), v("zzz")) is None
+        assert table.get("jw", e("martha"), v("marhta")) is None
+        assert (len(table), table.calls) == (len(loose), loose.calls) == (9, 9)
+        assert table.funcs() == loose.funcs() == ["jw", "lev"]
+        for func in ("jw", "lev", "tfidf"):
+            assert table.rows(func) == loose.rows(func)
+        assert table.key_set() == loose.key_set()
+        assert list(table) == list(loose)
+
+    def test_pairs_put_outside_the_table_merge_into_its_rows(self):
+        table, loose = self.table_and_dict_stores()
+        for store in (table, loose):
+            store.put("jw", v("zz"), v("a"), 5)
+            store.put("jw", v("martha"), v("n"), 6)
+            store.put("lev", v("1"), v("2"), 7)
+        assert table.get("jw", v("a"), v("zz")) == 5
+        assert len(table) == len(loose) == 12
+        assert table.funcs() == loose.funcs()
+        for func in ("jw", "lev"):
+            assert table.rows(func) == loose.rows(func)
+        assert list(table) == list(loose)
 
 
 class TestResolvers:
