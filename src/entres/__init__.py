@@ -75,9 +75,9 @@ from .rules import (
     Schema,
     SimSafetyViolation,
     Specification,
+    analyse,
     load_spec,
     parse_spec,
-    transform,
     validate_sim_safety,
 )
 from .simkit import (
@@ -117,12 +117,12 @@ __all__ = [
     "Schema", "SimResolver", "SimSafetyViolation", "SimStore", "SimTable",
     "Solution", "SpecError", "SpecSyntaxError", "Specification",
     "StrictResolver", "TableResolver", "TfidfModel", "UnknownConstant",
-    "Witness", "answers", "build_registry",
+    "Witness", "analyse", "answers", "build_registry",
     "certain_merges", "dc_satisfied", "enumerate_solutions", "entity",
     "evaluate", "ingest", "is_possible", "is_solution", "lb", "levels",
     "load_spec", "load_truth", "loose_ub", "maximal_solutions", "merge_sets",
     "parse_spec", "possible_merges", "proof_tree", "rule_depth",
     "rule_satisfied", "sim_all", "sim_cs", "sim_opt", "solve_one", "to_dot",
-    "to_json", "transform", "ub", "validate_proof_tree",
+    "to_json", "ub", "validate_proof_tree",
     "validate_sim_safety", "value", "verify_solution",
 ]

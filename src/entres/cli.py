@@ -34,11 +34,20 @@ from .errors import (
     RaggedRow,
     SpecError,
     UnknownConstant,
+    decode_guard,
 )
 from .explain import proof_tree, rule_depth, to_dot, to_json
 from .matcher import Context
 from .model import NULL, Constant, Database, Fact, MergePair, entity, value
-from .rules import Schema, Specification, load_spec, validate_sim_safety
+from .rules import (
+    RuleKind,
+    Schema,
+    Specification,
+    Var,
+    analyse,
+    load_spec,
+    validate_sim_safety,
+)
 from .simkit import (
     SimStore,
     SimTable,
@@ -87,7 +96,10 @@ def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
                 f"no {decl.name}.tsv or {decl.name}.csv under {root}"
             )
         delim = "\t" if path.suffix == ".tsv" else ","
-        with open(path, newline="", encoding="utf-8") as fh:
+        with (
+            open(path, newline="", encoding="utf-8") as fh,
+            decode_guard(path, DataError),
+        ):
             reader = csv.reader(fh, delimiter=delim)
             header = next(reader, None)
             if header != list(decl.attributes):
@@ -124,7 +136,10 @@ def load_truth(path: str) -> frozenset[MergePair]:
     left/right) or cluster assignments (header constant/cluster), expanded
     to all within-cluster pairs."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with (
+            open(path, newline="", encoding="utf-8") as fh,
+            decode_guard(path, DataError),
+        ):
             rows = [r for r in csv.reader(fh, delimiter="\t") if r]
     except OSError as exc:
         raise MissingFile(f"{path}: {exc.strerror}") from None
@@ -264,6 +279,28 @@ def _safety_line(spec: Specification) -> str:
     )
 
 
+def _analysis_lines(spec: Specification) -> list[str]:
+    """One line per body with an inequality that can turn false as classes
+    grow (see rules.Analysis): the atom, why, and what it costs."""
+    lines = []
+    for label, (natom, why) in analyse(spec).breaks.items():
+        atom = " != ".join(
+            t.name if isinstance(t, Var) else repr(t)
+            for t in (natom.left, natom.right)
+        )
+        rule = spec.rule_by_label(label)
+        if rule is None:
+            owner = "constraint"
+            then = "checked once a state is done; the search does not split"
+        else:
+            owner = f"{rule.kind.value} rule"
+            then = "the search is not eager and does not split"
+            if rule.kind is RuleKind.HARD:
+                then = "left out of lb; " + then
+        lines.append(f"  {owner} {label}: {atom} {why}: {then}")
+    return lines
+
+
 def _sim_filename(func: str) -> str:
     safe = "".join(ch if ch.isalnum() else "_" for ch in func)
     return f"sim_{safe}.tsv"
@@ -313,9 +350,8 @@ def _entity_by_text(db: Database, text: str) -> Constant:
 
 
 def _metrics_io(
-    pairs: Iterable[MergePair], truth_path: str, out: Path
+    pairs: Iterable[MergePair], truth: frozenset[MergePair], out: Path
 ) -> None:
-    truth = load_truth(truth_path)
     m = evaluate(pairs, truth)
     payload = {k: float(v) for k, v in m.items()}
     payload.update({f"{k}_exact": str(v) for k, v in m.items()})
@@ -343,6 +379,8 @@ def run(args, parser: argparse.ArgumentParser) -> int:
                 f"  rule {v.rule_label}: merge position "
                 f"{v.relation}.{v.attribute} feeds a similarity atom"
             )
+        for line in _analysis_lines(spec):
+            print(line)
         return 0
 
     if not args.data:
@@ -353,6 +391,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
 
     t0 = time.perf_counter()
     db = ingest(args.data, spec.schema, args.null_token)
+    truth = load_truth(args.truth) if args.truth else None
     if mode == "explain":
         a, b = (_entity_by_text(db, text) for text in mode_arg)
     ctx = Context(db, spec, null_inequality=args.null_inequality)
@@ -385,7 +424,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
         write_pairs(dest, pairs)
         print(f"{mode}: {len(pairs)} merges -> {dest}")
         if args.truth:
-            _metrics_io(pairs, args.truth, out)
+            _metrics_io(pairs, truth, out)
     elif mode in ("enumerate", "maximal"):
         t0 = time.perf_counter()
         if mode == "enumerate":
@@ -412,7 +451,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             write_pairs(dest, sol.pairs())
             print(f"solve-one: {len(sol.pairs())} merges -> {dest}")
             if args.truth:
-                _metrics_io(sol.pairs(), args.truth, out)
+                _metrics_io(sol.pairs(), truth, out)
         elif mode in ("pm", "cm"):
             t0 = time.perf_counter()
             if mode == "pm":
@@ -424,9 +463,9 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             write_pairs(dest, pairs)
             print(f"{mode}: {len(pairs)} merges -> {dest}")
             if args.truth:
-                _metrics_io(pairs, args.truth, out)
+                _metrics_io(pairs, truth, out)
         elif mode == "eval":
-            _metrics_io(sol.pairs(), args.truth, out)
+            _metrics_io(sol.pairs(), truth, out)
         elif mode == "levels":
             t0 = time.perf_counter()
             lm = engine.levels(ctx, sol, scope=args.levels_scope)

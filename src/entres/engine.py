@@ -2,7 +2,10 @@
 
 A candidate solution is any equivalence relation reachable from identity by
 repeatedly applying one rule answer and closing. A solution additionally
-satisfies every hard rule and denial constraint. This module computes:
+satisfies every hard rule and denial constraint. Which rules and
+constraints are merge-monotone, and so which rules each computation runs
+and which search path it takes, is decided once per specification by
+rules.analyse. This module computes:
 
   - lb / ub:     fixpoints of the merge-monotone hard rules and of every
                  rule as hard with its non-monotone inequalities dropped,
@@ -11,27 +14,28 @@ satisfies every hard rule and denial constraint. This module computes:
                  similarity scores at all);
   - solve_one, enumerate_solutions, maximal_solutions: depth-first search
                  over soft-rule applications with hard saturation after
-                 every step and memoization on partition signatures. The
-                 search runs on an explicit stack and is delta-driven: a
-                 child re-evaluates rules and constraints only on rows that
+                 every step (when the analysis finds it eager) and
+                 memoization on partition signatures. The search runs on
+                 an explicit stack and is delta-driven: a child
+                 re-evaluates rules and constraints only on rows that
                  touch the classes its merges grew (see _Search);
   - possible_merges / certain_merges / is_possible: union over all
                  solutions and intersection over maximal solutions.
                  These, maximal_solutions and merge_sets search one
-                 independent part at a time when every body is
-                 merge-monotone: the classes the hard-saturated start
-                 leaves undecided split into parts that no body match under
-                 ub reads together, every solution is one choice per part,
-                 and the parts are searched from the start in turn (see
-                 _Search.split). enumerate_solutions and solve_one always
-                 search the whole instance;
+                 independent part at a time when the analysis finds that
+                 the specification splits: the classes the hard-saturated
+                 start leaves undecided split into parts that no body
+                 match under ub reads together, every solution is one
+                 choice per part, and the parts are searched from the
+                 start in turn (see _Search.split). enumerate_solutions
+                 and solve_one always search the whole instance;
   - levels:      recursion depth of each merge (the round of the
                  rule-application chain that first produces it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import AbstractSet, Iterable, Iterator
 
@@ -44,16 +48,7 @@ from .matcher import (
     rule_satisfied,
 )
 from .model import Constant, EqRel, MergePair
-from .rules import (
-    NeqAtom,
-    Rule,
-    RuleBody,
-    Specification,
-    Term,
-    Var,
-    transform,
-    var_positions,
-)
+from .rules import Rule, analyse
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,76 +176,24 @@ def _fixpoint(ctx: Context, rules: tuple[Rule, ...]) -> EqRel:
 
 
 def lb(ctx: Context) -> EqRel:
-    """Least fixpoint of the merge-monotone hard rules: merges present in
-    every solution. A hard rule with an inequality that can turn false as
-    classes grow need not fire in every solution, so it is left out."""
-    spec = ctx.spec
-    return _fixpoint(
-        ctx, tuple(r for r in spec.hard if _merge_monotone(r.body, spec))
-    )
+    """Least fixpoint of the merge-monotone hard rules (Analysis.lb):
+    merges present in every solution."""
+    return _fixpoint(ctx, analyse(ctx.spec).lb)
 
 
 def ub(ctx: Context) -> EqRel:
-    """Fixpoint with soft rules promoted to hard and non-monotone
-    inequalities dropped: no solution merges more."""
-    return _fixpoint(ctx, _relaxed(transform(ctx.spec, "ub").hard, ctx.spec))
+    """Fixpoint of every rule as hard, non-monotone inequalities dropped
+    (Analysis.ub): no solution merges more."""
+    return _fixpoint(ctx, analyse(ctx.spec).ub)
 
 
 def loose_ub(ctx: Context) -> EqRel:
     """The ub fixpoint with similarity atoms dropped; a similarity-free
     overapproximation that needs no scores."""
-    return _fixpoint(
-        ctx, _relaxed(transform(ctx.spec, "loose_ub").hard, ctx.spec)
-    )
+    return _fixpoint(ctx, analyse(ctx.spec).loose_ub)
 
 
 # ------------------------------------------------------------------ search
-
-
-def _hint_of(spec: Specification, rel: str, pos: int) -> str:
-    decl = spec.schema.decl(rel)
-    return decl.hints[pos] if decl else "val"
-
-
-def _neq_monotone(
-    natom: NeqAtom,
-    occ: dict[Var, tuple[tuple[str, int], ...]],
-    spec: Specification,
-) -> bool:
-    """No operand of the inequality can change its representative as
-    classes grow: variables reading only non-id columns, or value
-    constants."""
-    def fixed(term: Term) -> bool:
-        if isinstance(term, Var):
-            return all(
-                _hint_of(spec, rel, pos) != "id"
-                for rel, pos in occ.get(term, ())
-            )
-        return not term.is_entity()
-    return fixed(natom.left) and fixed(natom.right)
-
-
-def _merge_monotone(body: RuleBody, spec: Specification) -> bool:
-    """A body is merge-monotone when all its inequalities are. A match of
-    such a body persists under further merges, so a constraint violation
-    persists in a whole search subtree and a rule answer stays an answer
-    (up to canonical ids)."""
-    occ = var_positions(body)
-    return all(_neq_monotone(n, occ, spec) for n in body.neq_atoms)
-
-
-def _relaxed(rules: Iterable[Rule], spec: Specification) -> tuple[Rule, ...]:
-    """The rules without their non-monotone inequalities: each has every
-    answer of the original at every state, and its answers persist as
-    classes grow, so its fixpoint contains every reachable state."""
-    out = []
-    for rule in rules:
-        occ = var_positions(rule.body)
-        keep = tuple(
-            n for n in rule.body.neq_atoms if _neq_monotone(n, occ, spec)
-        )
-        out.append(replace(rule, body=replace(rule.body, neq_atoms=keep)))
-    return tuple(out)
 
 
 @dataclass(slots=True)
@@ -283,52 +226,27 @@ class _Search:
       - a rule's candidates are the parent's, re-canonicalised and without
         pairs now in one class, plus the answers of matches pinned to the
         dirty ids. That needs the parent's matches to persist, so a rule
-        whose inequality atoms are not merge-monotone is evaluated in full
-        instead;
-      - merge-monotone constraints are checked only on matches pinned to
-        the dirty ids; the rest are checked in full once a state's subtree
-        is done.
+        with a break (see Analysis) is evaluated in full instead;
+      - pruning constraints are checked only on matches pinned to the
+        dirty ids, the checked ones in full once a state's subtree is done.
 
-    Eager hard saturation is complete only when no rule answer can disable
-    another, that is when every rule is merge-monotone. Otherwise a hard
-    merge can turn false an inequality a pending soft answer needs, so the
-    search starts at the identity, hard answers are branches like soft
-    ones (no state is hard-saturated), and a state counts only once it has
-    no hard answer left."""
+    Unless saturation is eager, the search starts at the identity, hard
+    answers are branches like soft ones (no state is hard-saturated), and
+    a state counts only once it has no hard answer left."""
 
     def __init__(self, ctx: Context):
-        spec = ctx.spec
         self.ctx = ctx
+        self.an = analyse(ctx.spec)
         self.memo: set[frozenset[frozenset[int]]] = set()
         self.results: list[Solution] = []
         self.limit: int | None = None
         self.stop_pair: MergePair | None = None
         self.found_stop = False
-        self.pruning_dcs = tuple(
-            dc for dc in spec.dcs if _merge_monotone(dc.body, spec)
-        )
-        self.checked_dcs = tuple(
-            dc for dc in spec.dcs if not _merge_monotone(dc.body, spec)
-        )
-        self.eager = all(
-            _merge_monotone(rule.body, spec) for rule in spec.all_rules()
-        )
-        self.branching = spec.soft if self.eager else spec.soft + spec.hard
-        self.incremental = tuple(
-            _merge_monotone(rule.body, spec) for rule in self.branching
-        )
 
     def _done(self) -> bool:
         if self.found_stop:
             return True
         return self.limit is not None and len(self.results) >= self.limit
-
-    def splits(self) -> bool:
-        """Whether the solutions are a product of independent parts' (see
-        split): every rule and constraint body is merge-monotone, so
-        saturation is eager and each state the search keeps is a
-        solution."""
-        return self.eager and not self.checked_dcs
 
     def root(self) -> _Node | None:
         """The node of the start state, hard-saturated when saturation is
@@ -337,7 +255,7 @@ class _Search:
         self.memo = set()
         start = self.ctx.identity()
         steps: list[DerivStep] = []
-        if self.eager:
+        if self.an.eager:
             hard = self.ctx.spec.hard
             for _ in _rounds(self.ctx, hard, start, record=steps):
                 pass
@@ -382,7 +300,7 @@ class _Search:
         with the pairs it merges there, searched from the root with its
         candidates cut down to the part; None when the root fails a
         pruning constraint, the one way the instance can be inconsistent.
-        Only for a search that splits().
+        Only for a specification that splits (Analysis.splits).
         Given stop_pair, only the part holding both its ids is searched, up
         to a solution that merges them.
 
@@ -415,7 +333,7 @@ class _Search:
         steps = [DerivStep(label, MergePair.of(e.const(i), e.const(j)))]
         e.merge_ids(i, j)
         dirty = e.class_ids((i,))
-        if self.eager:
+        if self.an.eager:
             dirty = dirty.union(
                 *_rounds(self.ctx, self.ctx.spec.hard, e, dirty, record=steps)
             )
@@ -435,12 +353,12 @@ class _Search:
         if sig in self.memo:
             return None
         self.memo.add(sig)
-        for dc in self.pruning_dcs:
+        for dc in self.an.pruning:
             if not dc_satisfied(dc, self.ctx, e, dirty):
                 return None  # violation persists in the whole subtree
         cands: list[set[tuple[int, int]]] = []
-        for k, rule in enumerate(self.branching):
-            if parent_cands is None or not self.incremental[k]:
+        for k, rule in enumerate(self.an.branching):
+            if parent_cands is None or rule.label in self.an.breaks:
                 got = merge_candidates(rule, self.ctx, e)
             else:
                 got = merge_candidates(rule, self.ctx, e, dirty)
@@ -459,7 +377,7 @@ class _Search:
     ) -> _Node:
         todo = sorted({
             (rule.label, i, j)
-            for rule, got in zip(self.branching, cands)
+            for rule, got in zip(self.an.branching, cands)
             for i, j in got
         })
         return _Node(e, deriv, cands, iter(todo))
@@ -470,7 +388,7 @@ class _Search:
         the way down."""
         if any(node.cands[len(self.ctx.spec.soft):]):
             return
-        for dc in self.checked_dcs:
+        for dc in self.an.checked:
             if not dc_satisfied(dc, self.ctx, node.e):
                 return
         self.results.append(Solution(node.e, node.deriv))
@@ -575,10 +493,9 @@ def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     product of each part's maximal states."""
     if n is not None and n <= 0:
         return []
-    search = _Search(ctx)
-    if not search.splits():
+    if not analyse(ctx.spec).splits:
         maxima = _maximal_filter(enumerate_solutions(ctx))
-    elif (split := search.split()) is None:
+    elif (split := _Search(ctx).split()) is None:
         maxima = []
     else:
         root, parts = split
@@ -605,11 +522,10 @@ def _pm_cm(
     """Possible and certain merges, and whether a solution exists. When
     the search splits, pm is the root's pairs and those of every part's
     solutions, and cm the root's pairs and each part's certain ones."""
-    search = _Search(ctx)
-    if not search.splits():
+    if not analyse(ctx.spec).splits:
         sols = enumerate_solutions(ctx)
         return _union(sols), _common(_maximal_filter(sols)), bool(sols)
-    split = search.split()
+    split = _Search(ctx).split()
     if split is None:
         return frozenset(), frozenset(), False
     root, parts = split
@@ -641,13 +557,13 @@ def is_possible(
     a, b = pair
     search = _Search(ctx)
     if a == b:
-        if search.splits():
+        if search.an.splits:
             return search.root() is not None
         return solve_one(ctx) is not None
     if a not in ctx.db.domain or b not in ctx.db.domain:
         return False
     target = MergePair.of(a, b)
-    if not search.splits():
+    if not search.an.splits:
         results = search.run(stop_pair=target)
     else:
         split = search.split(stop_pair=target)
@@ -698,7 +614,7 @@ def levels(ctx: Context, sol: Solution, scope: str = "solution") -> LevelMap:
         raise NotASolution("levels() requires a valid solution")
     e = ctx.identity()
     chain = _rounds(
-        ctx, transform(ctx.spec, "ub").hard, e,
+        ctx, analyse(ctx.spec).promoted, e,
         within=sol.eq if scope == "solution" else None,
     )
     found: dict[MergePair, int] = {}

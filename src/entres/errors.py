@@ -1,6 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guard that turns an
+input file's undecodable byte into one of them."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
 
 
 class EntresError(Exception):
@@ -88,3 +93,21 @@ class HeaderMismatch(DataError):
 
 class RaggedRow(DataError):
     """Data row with the wrong number of cells."""
+
+
+@contextmanager
+def decode_guard(path, error: type[EntresError]) -> Iterator[None]:
+    """Reading path as UTF-8 within the block, a byte that is not UTF-8
+    raises error naming path:line instead of a UnicodeDecodeError."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(
+                f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+            ) from None
+        raise

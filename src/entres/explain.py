@@ -37,7 +37,7 @@ from .engine import Solution, _rounds
 from .errors import NotInSolution
 from .matcher import Context, SimResolver, Witness, answers
 from .model import Constant, Database, EqRel, Fact, Kind, MergePair
-from .rules import Rule, RuleBody, Specification, Var, transform
+from .rules import Rule, RuleBody, Specification, Var, analyse
 
 
 class NodeKind(Enum):
@@ -143,7 +143,7 @@ class _Builder:
         # them (on the matches touching a class the round before grew)
         self.starts: list[EqRel] = []
         self.edges: list[list[_Edge]] = []
-        rules = transform(ctx.spec, "ub").hard
+        rules = analyse(ctx.spec).promoted
         e = ctx.identity()
         start, dirty = e.clone(), None
         for grown in _rounds(ctx, rules, e, within=sol.eq):

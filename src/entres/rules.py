@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Union
+from types import MappingProxyType
+from typing import Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -35,6 +36,7 @@ from .errors import (
     UnknownRelation,
     UnknownSimFunction,
     UnsafeHeadVariable,
+    decode_guard,
 )
 from .model import Constant, Kind, entity, value
 
@@ -705,7 +707,7 @@ def parse_spec(text: str) -> Specification:
 
 def load_spec(path: str) -> Specification:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, decode_guard(path, SpecError):
             text = fh.read()
     except OSError as exc:
         raise SpecError(f"{path}: {exc.strerror}") from None
@@ -750,47 +752,103 @@ def validate_sim_safety(spec: Specification) -> list[SimSafetyViolation]:
     return out
 
 
-# ---------------------------------------------------------------- transform
-
-_MODES = ("lb", "ub", "loose_ub", "sim_phase2")
+# ----------------------------------------------------------------- analysis
 
 
-def transform(spec: Specification, mode: str) -> Specification:
-    """Derived specifications:
+@dataclass(frozen=True, slots=True)
+class Analysis:
+    """What the fixpoints and the search need to know of a specification,
+    decided by one property of its bodies.
 
-    lb         only the hard rules (no soft rules, no constraints)
-    ub         soft rules promoted to hard, constraints dropped
-    loose_ub   ub with every similarity atom deleted from rule bodies
-    sim_phase2 one candidate-collection rule per similarity atom: the body
-               keeps the relational and inequality atoms, drops every
-               similarity atom, and the head becomes that atom's term pair
-               (evaluated under the upper-bound equivalence by the caller)
+    A body is merge-monotone when none of its inequalities can turn false
+    as classes grow, that is when no operand is an entity constant or a
+    variable read from an id column. A match of such a body persists under
+    further merges (up to canonical ids): a rule answer stays an answer,
+    and a constraint violation persists in a whole search subtree. breaks
+    maps the label of every other rule and constraint to its first
+    inequality that is not monotone and why.
+
+    lb:        the monotone hard rules; every solution applies them.
+    promoted:  every rule as hard, the chain of levels and proof trees.
+    ub:        promoted without its non-monotone inequalities. Each rule
+               answers at least what it did, at every state, and its
+               answers persist, so its fixpoint holds every solution.
+    loose_ub:  ub without similarity atoms.
+    eager:     every rule is monotone, so the search hard-saturates after
+               each step: no hard merge can disable a pending answer.
+    branching: the rules the search applies one answer at a time: the soft
+               ones, and the hard ones too unless eager. One without a
+               break reuses its parent's candidates.
+    pruning:   the monotone constraints, checked on the way down;
+    checked:   the others, checked once a state's subtree is done.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown transform mode {mode!r}")
-    if mode == "lb":
-        return replace(spec, soft=(), dcs=())
-    promoted = spec.hard + tuple(
-        replace(r, kind=RuleKind.HARD) for r in spec.soft
+
+    breaks: Mapping[str, tuple[NeqAtom, str]]
+    lb: tuple[Rule, ...]
+    promoted: tuple[Rule, ...]
+    ub: tuple[Rule, ...]
+    loose_ub: tuple[Rule, ...]
+    eager: bool
+    branching: tuple[Rule, ...]
+    pruning: tuple[DenialConstraint, ...]
+    checked: tuple[DenialConstraint, ...]
+
+    @property
+    def splits(self) -> bool:
+        """Every body is monotone, so each state the search keeps is a
+        solution and the solutions are a product of independent parts'."""
+        return self.eager and not self.checked
+
+
+def _unstable(
+    natom: NeqAtom,
+    occ: dict[Var, tuple[tuple[str, int], ...]],
+    schema: Schema,
+) -> str | None:
+    """Why the inequality can turn false as classes grow, or None."""
+    terms = (natom.left, natom.right)
+    for term in terms:
+        if isinstance(term, Constant) and term.is_entity():
+            return f"compares with entity constant {term!r}"
+    for term in terms:
+        for rel, pos in occ.get(term, ()):
+            decl = schema.decl(rel)
+            if decl.hints[pos] == "id":
+                return f"reads reference column {rel}.{decl.attributes[pos]}"
+    return None
+
+
+@lru_cache(maxsize=None)
+def analyse(spec: Specification) -> Analysis:
+    """The specification's Analysis, computed once and shared, so its
+    breaks are a read-only view."""
+    breaks: dict[str, tuple[NeqAtom, str]] = {}
+    ub: list[Rule] = []
+    for owner in spec.all_rules() + spec.dcs:
+        occ = var_positions(owner.body)
+        keep = []
+        for natom in owner.body.neq_atoms:
+            why = _unstable(natom, occ, spec.schema)
+            if why is None:
+                keep.append(natom)
+            else:
+                breaks.setdefault(owner.label, (natom, why))
+        if isinstance(owner, Rule):
+            body = replace(owner.body, neq_atoms=tuple(keep))
+            ub.append(replace(owner, kind=RuleKind.HARD, body=body))
+    eager = not any(r.label in breaks for r in spec.all_rules())
+    return Analysis(
+        breaks=MappingProxyType(breaks),
+        lb=tuple(r for r in spec.hard if r.label not in breaks),
+        promoted=tuple(
+            replace(r, kind=RuleKind.HARD) for r in spec.all_rules()
+        ),
+        ub=tuple(ub),
+        loose_ub=tuple(
+            replace(r, body=replace(r.body, sim_atoms=())) for r in ub
+        ),
+        eager=eager,
+        branching=spec.soft if eager else spec.soft + spec.hard,
+        pruning=tuple(d for d in spec.dcs if d.label not in breaks),
+        checked=tuple(d for d in spec.dcs if d.label in breaks),
     )
-    if mode == "ub":
-        return replace(spec, hard=promoted, soft=(), dcs=())
-    if mode == "loose_ub":
-        stripped = tuple(
-            replace(r, body=replace(r.body, sim_atoms=())) for r in promoted
-        )
-        return replace(spec, hard=stripped, soft=(), dcs=())
-    derived: list[Rule] = []
-    for rule in spec.all_rules():
-        for i, satom in enumerate(rule.body.sim_atoms, start=1):
-            derived.append(
-                Rule(
-                    kind=RuleKind.HARD,
-                    label=f"{rule.label}.getsim{i}",
-                    body=replace(rule.body, sim_atoms=()),
-                    head=(satom.left, satom.right),
-                    description=None,
-                    sim_func=satom.func_id,
-                )
-            )
-    return replace(spec, hard=tuple(derived), soft=(), dcs=())

@@ -31,10 +31,10 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
 from . import engine, kernels
-from .errors import DataError, MissingFile, MissingSimScore
+from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
 from .model import Constant, Database, Kind, MergePair
-from .rules import Specification, Var, transform, var_positions
+from .rules import Rule, RuleKind, Specification, Var, var_positions
 
 # ------------------------------------------------------------------- store
 
@@ -211,7 +211,7 @@ class SimTable:
             fh = open(path, encoding="utf-8")
         except OSError as exc:
             raise MissingFile(f"{path}: {exc.strerror}") from None
-        with fh:
+        with fh, decode_guard(path, DataError):
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -479,6 +479,21 @@ def sim_cs(
     return store
 
 
+def _getsim_rules(spec: Specification) -> list[Rule]:
+    """Phase 2 of sim_opt: one candidate-collection rule per similarity
+    atom. Its body keeps the relational and inequality atoms and drops every
+    similarity atom, and its head is that atom's term pair."""
+    return [
+        Rule(
+            RuleKind.HARD, f"{rule.label}.getsim{i}",
+            replace(rule.body, sim_atoms=()), (satom.left, satom.right),
+            sim_func=satom.func_id,
+        )
+        for rule in spec.all_rules()
+        for i, satom in enumerate(rule.body.sim_atoms, start=1)
+    ]
+
+
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
@@ -493,12 +508,10 @@ def sim_opt(
     # phase 1: upper-bound fixpoint with on-demand external calls
     e_ub = engine.ub(replace(ctx, sims=resolver))
 
-    # phase 2: one candidate-collection rule per similarity atom
-    derived = transform(ctx.spec, "sim_phase2")
-
-    # phase 3: evaluate once under the overapproximation, score the misses
+    # phases 2 and 3: evaluate one candidate-collection rule per similarity
+    # atom once under the overapproximation, score the misses
     unscored = replace(ctx, sims=None)
-    for rule in derived.hard:
+    for rule in _getsim_rules(ctx.spec):
         ans = answers(rule.body, rule.head, unscored, e_ub, expand=False)
         for a, b in sorted(ans.rep_tuples, key=lambda t: (t[0].text, t[1].text)):
             if a == b or a.is_null() or b.is_null():

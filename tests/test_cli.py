@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -188,7 +189,27 @@ class TestModes:
     def test_validate_prints_safety_line(self, capsys):
         assert run("--spec", MUSIC / "music.er", "--mode", "validate") == 0
         out = capsys.readouterr().out
-        assert "sim-safe: yes; 1 hard, 1 soft, 1 DC" in out
+        assert out == "sim-safe: yes; 1 hard, 1 soft, 1 DC\n"
+
+    def test_validate_names_each_non_monotone_body(self, tmp_path, capsys):
+        spec = tmp_path / "neq.er"
+        spec.write_text(
+            "relation R(rid: id, a: val, r: id) merge [rid];\n"
+            "hard h: R(x, a, r), R(y, a, r2), r != r2 => eq(x, y);\n"
+            "soft s: R(x, a, r), R(y, a, r), x != @r0 ~> eq(x, y);\n"
+            "soft v: R(x, a, r), R(y, a2, r), a != a2 ~> eq(x, y);\n"
+            "deny d: R(x, a, r), R(x, a2, r2), r != r2;\n"
+        )
+        assert run("--spec", spec, "--mode", "validate") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "sim-safe: yes; 1 hard, 2 soft, 1 DC",
+            "  hard rule h: r != r2 reads reference column R.r: left out of "
+            "lb; the search is not eager and does not split",
+            "  soft rule s: x != @r0 compares with entity constant @r0: the "
+            "search is not eager and does not split",
+            "  constraint d: r != r2 reads reference column R.r: checked once "
+            "a state is done; the search does not split",
+        ]
 
     def test_bounds_files(self, tmp_path, capsys):
         for mode, pairs in [
@@ -350,6 +371,39 @@ class TestExitCodes:
             assert run(*args) == code
             err = capsys.readouterr().err
             assert err == f"{kind} error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("which", ["spec", "data", "table", "truth"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys, which):
+        d = tmp_path / "music"
+        shutil.copytree(MUSIC, d)
+        target = d / {
+            "spec": "music.er", "data": "Band.tsv",
+            "table": "simtable.tsv", "truth": "truth_pairs.tsv",
+        }[which]
+        line = target.read_bytes().count(b"\n") + 1
+        with open(target, "ab") as fh:
+            fh.write(b"\xff\n")
+        code = run(
+            "--spec", d / "music.er", "--data", d,
+            "--sim", f"table:{d / 'simtable.tsv'}", "--mode", "lb",
+            "--out", tmp_path / "o", "--truth", d / "truth_pairs.tsv",
+        )
+        kind = "specification" if which == "spec" else "data"
+        assert code == (2 if which == "spec" else 3)
+        assert capsys.readouterr().err == (
+            f"{kind} error: {target}:{line}: byte 0xff is not UTF-8\n"
+        )
+
+    def test_truth_is_read_before_the_search(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        missing = tmp_path / "missing.tsv"
+        assert run(*music_args("pm", out, "--truth", missing)) == 3
+        captured = capsys.readouterr()
+        assert not (out / "pm.tsv").exists()
+        assert "pm:" not in captured.out
+        assert captured.err == (
+            f"data error: {missing}: No such file or directory\n"
+        )
 
     def test_nan_table_score_is_a_data_error(self, tmp_path, capsys):
         table = tmp_path / "nan.tsv"

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from entres.engine import (
-    _merge_monotone,
     _rounds,
     certain_merges,
     enumerate_solutions,
@@ -26,7 +25,7 @@ from entres.engine import (
 from entres.errors import NotASolution
 from entres.matcher import Context, dc_satisfied, merge_candidates
 from entres.model import Database, EqRel, Fact, MergePair
-from entres.rules import parse_spec
+from entres.rules import analyse, parse_spec
 
 from conftest import e, v
 from instances import chain_instance, generate, generate_neq
@@ -311,8 +310,9 @@ class TestDeltaSearch:
     @staticmethod
     def _check_walk(ctx, max_states=40):
         spec = ctx.spec
-        soft = [r for r in spec.soft if _merge_monotone(r.body, spec)]
-        pruning = [dc for dc in spec.dcs if _merge_monotone(dc.body, spec)]
+        breaks = analyse(spec).breaks
+        soft = [r for r in spec.soft if r.label not in breaks]
+        pruning = analyse(spec).pruning
         start = EqRel(ctx.db.domain)
         for _ in _rounds(ctx, spec.hard, start):
             pass
@@ -480,6 +480,7 @@ class TestInequalityFamily:
         )
         pp = P(e("p1"), e("p2"))
         assert frozenset({pp}) in naive_solutions(db, spec, None)
+        assert [r.label for r in analyse(spec).lb] == ["h1"]
         assert lb(Context(db, spec)).nontrivial_pairs() == {pp}
 
     def test_ub_keeps_an_answer_a_later_merge_disables(self):
@@ -506,6 +507,9 @@ class TestInequalityFamily:
         )
         found = frozenset({P(e("c1"), e("c2")), P(e("t1"), e("t2"))})
         assert found in naive_solutions(db, spec, None)
+        an = analyse(spec)
+        assert list(an.breaks) == ["sb"] and not an.eager
+        assert [len(r.body.neq_atoms) for r in an.ub] == [0, 0, 0]
         ctx = Context(db, spec)
         assert found <= ub(ctx).nontrivial_pairs()
         assert found <= loose_ub(ctx).nontrivial_pairs()
@@ -528,6 +532,9 @@ class TestInequalityFamily:
             ]
         )
         rr, ss = P(e("r0"), e("r1")), P(e("s1"), e("s3"))
+        an = analyse(spec)
+        assert an.breaks["s"][1] == "reads reference column S.r"
+        assert not an.eager and [r.label for r in an.branching] == ["s", "h"]
         want = {frozenset({rr}), frozenset({rr, ss})}
         assert naive_solutions(db, spec, None) == want
         sols = enumerate_solutions(Context(db, spec))

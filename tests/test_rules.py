@@ -1,4 +1,4 @@
-"""Rule language: parsing, validation, safety analysis, transforms."""
+"""Rule language: parsing, validation, safety and monotonicity analysis."""
 
 import pytest
 
@@ -13,13 +13,15 @@ from entres.errors import (
 from entres.rules import (
     RuleKind,
     Var,
+    analyse,
     body_vars,
     join_vars,
     parse_spec,
-    transform,
     validate_sim_safety,
     var_positions,
 )
+
+from instances import generate_neq
 
 BASE = "relation R(rid: id, a: val, b: val) merge [rid];\n"
 
@@ -217,35 +219,155 @@ class TestBodyHelpers:
 
 
 class TestTransforms:
+    """The rule sets the analysis derives for the fixpoints and the chain."""
+
     def test_hard_only_projection(self, music_spec):
-        t = transform(music_spec, "lb")
-        assert [r.label for r in t.hard] == ["rho"]
-        assert t.soft == ()
-        assert t.dcs == ()  # fixpoints never consult constraints
+        an = analyse(music_spec)
+        assert [r.label for r in an.lb] == ["rho"]
+        # every body is monotone, so the constraint prunes the search
+        assert an.breaks == {}
+        assert an.pruning == music_spec.dcs and an.checked == ()
 
     def test_everything_promoted_to_hard(self, music_spec):
-        t = transform(music_spec, "ub")
-        assert [r.label for r in t.hard] == ["rho", "sigma"]
-        assert all(r.kind is RuleKind.HARD for r in t.hard)
-        assert t.soft == ()
+        an = analyse(music_spec)
+        for rules in (an.promoted, an.ub):
+            assert [r.label for r in rules] == ["rho", "sigma"]
+            assert all(r.kind is RuleKind.HARD for r in rules)
+        assert an.ub == an.promoted  # no inequality to drop
 
     def test_similarity_atoms_dropped(self, music_spec):
-        t = transform(music_spec, "loose_ub")
-        assert [r.label for r in t.hard] == ["rho", "sigma"]
-        assert all(not r.body.sim_atoms for r in t.all_rules())
-
-    def test_score_query_rules(self, music_spec):
-        t = transform(music_spec, "sim_phase2")
-        assert [r.label for r in t.hard] == [
-            "rho.getsim1",
-            "rho.getsim2",
-            "sigma.getsim1",
+        an = analyse(music_spec)
+        assert [r.label for r in an.loose_ub] == ["rho", "sigma"]
+        assert all(not r.body.sim_atoms for r in an.loose_ub)
+        assert [r.body.rel_atoms for r in an.loose_ub] == [
+            r.body.rel_atoms for r in music_spec.all_rules()
         ]
-        for r in t.hard:
-            assert not r.body.sim_atoms
-            assert r.sim_func == "approx"
-            assert len(r.head) == 2
 
-    def test_unknown_mode_rejected(self, music_spec):
-        with pytest.raises(ValueError):
-            transform(music_spec, "bogus")
+
+TWO = (
+    "relation R(rid: id, a: val, b: val) merge [rid];\n"
+    "relation S(sid: id, t: val, r: id) merge [sid];\n"
+)
+#: an inequality per kind of operand: a value column, a reference column
+#: and an entity constant
+VALUE = "R(x, a, b), R(y, a, b2), b != b2"
+COLUMN = "S(x, t, r), S(y, t, r2), r != r2"
+CONSTANT = "S(x, t, r), S(y, t2, r), x != @s0"
+PLAIN = "R(x, a, b), R(y, a, b)"
+WHY = {
+    COLUMN: "reads reference column S.r",
+    CONSTANT: "compares with entity constant @s0",
+}
+
+
+#: the two kinds of inequality that can turn false as classes grow
+breaking = pytest.mark.parametrize(
+    "body", [COLUMN, CONSTANT], ids=["column", "constant"]
+)
+
+
+def stmt(kind: str, label: str, body: str) -> str:
+    if kind == "deny":
+        return f"deny {label}: {body};\n"
+    arrow = "=>" if kind == "hard" else "~>"
+    return f"{kind} {label}: {body} {arrow} eq(x, y);\n"
+
+
+class TestAnalysis:
+    @breaking
+    def test_hard_rule_with_a_break(self, body):
+        spec = parse_spec(
+            TWO + stmt("hard", "h0", PLAIN) + stmt("hard", "h", body)
+            + stmt("soft", "s", VALUE)
+        )
+        an = analyse(spec)
+        natom = spec.hard[1].body.neq_atoms[0]
+        assert an.breaks == {"h": (natom, WHY[body])}
+        assert [r.label for r in an.lb] == ["h0"]
+        assert not an.eager and not an.splits
+        assert [r.label for r in an.branching] == ["s", "h0", "h"]
+        # ub drops the break and keeps the value-column inequality
+        assert [len(r.body.neq_atoms) for r in an.ub] == [0, 0, 1]
+        assert [len(r.body.neq_atoms) for r in an.promoted] == [0, 1, 1]
+
+    @breaking
+    def test_soft_rule_with_a_break(self, body):
+        spec = parse_spec(
+            TWO + stmt("hard", "h", PLAIN) + stmt("soft", "s", body)
+        )
+        an = analyse(spec)
+        assert an.breaks == {"s": (spec.soft[0].body.neq_atoms[0], WHY[body])}
+        assert [r.label for r in an.lb] == ["h"]
+        assert not an.eager and not an.splits
+        assert [r.label for r in an.branching] == ["s", "h"]
+        assert [len(r.body.neq_atoms) for r in an.ub] == [0, 0]
+
+    @breaking
+    def test_constraint_with_a_break(self, body):
+        spec = parse_spec(
+            TWO + stmt("soft", "s", PLAIN) + stmt("deny", "d0", VALUE)
+            + stmt("deny", "d", body)
+        )
+        an = analyse(spec)
+        assert an.breaks == {"d": (spec.dcs[1].body.neq_atoms[0], WHY[body])}
+        assert an.eager and not an.splits
+        assert [r.label for r in an.branching] == ["s"]
+        assert [d.label for d in an.pruning] == ["d0"]
+        assert [d.label for d in an.checked] == ["d"]
+
+    def test_value_inequalities_stay_monotone(self):
+        spec = parse_spec(
+            TWO + stmt("hard", "h", VALUE) + stmt("soft", "s", VALUE)
+            + stmt("deny", "d", "R(x, a, b), R(x, a2, b2), b != \"k\"")
+        )
+        an = analyse(spec)
+        assert an.breaks == {}
+        assert an.eager and an.splits
+        assert [r.label for r in an.lb] == ["h"]
+        assert [r.label for r in an.branching] == ["s"]
+        assert an.pruning == spec.dcs and an.checked == ()
+        assert an.ub == an.promoted
+
+    def test_first_break_of_a_body_is_reported(self):
+        spec = parse_spec(
+            TWO + stmt("soft", "s", "S(x, t, r), S(y, t, r2), "
+                       "t != \"u\", x != @s1, r != r2")
+        )
+        natom, why = analyse(spec).breaks["s"]
+        assert repr(natom) == "?x != @s1"
+        assert why == "compares with entity constant @s1"
+        assert [repr(n) for n in analyse(spec).ub[0].body.neq_atoms] == [
+            "?t != u"
+        ]
+
+    def test_computed_once_per_specification(self, music_spec):
+        assert analyse(music_spec) is analyse(music_spec)
+
+    def test_inequality_family_shapes(self):
+        # generate_neq: r1 compares value columns, s1 a reference column,
+        # s2 an entity constant; d1 value columns, d2 a reference column
+        shapes = set()
+        for seed in range(40):
+            spec = generate_neq(seed).spec
+            an = analyse(spec)
+            labels = [r.label for r in spec.all_rules()]
+            dcs = [d.label for d in spec.dcs]
+            assert list(an.breaks) == [
+                x for x in labels + dcs if x in ("s1", "s2", "d2")
+            ]
+            assert an.breaks["s1"][1] == "reads reference column S.r"
+            if "s2" in labels:
+                assert an.breaks["s2"][1] == (
+                    "compares with entity constant @s0"
+                )
+            assert not an.eager and not an.splits
+            assert an.branching == spec.soft + spec.hard
+            assert an.lb == spec.hard
+            assert [d.label for d in an.checked] == [
+                x for x in dcs if x == "d2"
+            ]
+            assert [d.label for d in an.pruning] == [
+                x for x in dcs if x == "d1"
+            ]
+            shapes.add((tuple(an.breaks), len(an.lb)))
+        assert len(shapes) >= 6

@@ -25,7 +25,7 @@ from entres.engine import (
 )
 from entres.matcher import Context
 from entres.model import Database, Fact, MergePair
-from entres.rules import parse_spec
+from entres.rules import analyse, parse_spec
 
 from conftest import ROOT, e, v
 from instances import generate_parts
@@ -77,9 +77,8 @@ class TestPartsFamily:
                 inst.db, inst.spec, inst.sims, **inst.knobs
             )
             _check(inst.ctx, want)
-            search = _Search(inst.ctx)
-            if search.splits():
-                root = search.root()
+            if analyse(inst.spec).splits:
+                root = _Search(inst.ctx).root()
                 parts.append(len(_parts(inst.ctx, root.e)) if root else 0)
         # the family exercises the split, with two and three parts
         assert len(parts) >= 15
@@ -102,9 +101,8 @@ class TestPartsFamily:
             ]
         )
         ctx = Context(db, spec)
-        search = _Search(ctx)
-        assert search.splits()
-        assert len(_parts(ctx, search.root().e)) == 2
+        assert analyse(spec).splits
+        assert len(_parts(ctx, _Search(ctx).root().e)) == 2
         _check(ctx, bruteforce_solutions(db, spec, None))
 
     def test_an_inconsistent_root_answers_empty(self):
@@ -122,7 +120,7 @@ class TestPartsFamily:
             ]
         )
         ctx = Context(db, spec)
-        assert _Search(ctx).splits()
+        assert analyse(spec).splits
         _check(ctx, set())
         assert maximal_solutions(ctx) == []
 
@@ -139,7 +137,7 @@ class TestUnsplitPath:
             inst = generate_parts(seed, hub=True)
             spec = parse_spec(inst.text + extra + "\n")
             ctx = Context(inst.db, spec, inst.sims, **inst.knobs)
-            assert not _Search(ctx).splits()
+            assert not analyse(spec).splits
             _check(ctx, bruteforce_solutions(
                 inst.db, spec, inst.sims, **inst.knobs
             ))
