@@ -15,28 +15,29 @@ whose internal nodes are either
 
 The rule-depth of a tree is the maximum number of rule nodes on any
 root-to-leaf path; the level of a merge is the minimum rule-depth over its
-proof trees. proof_tree() builds a tree realizing that minimum by replaying
-the engine's rule-application chain (engine._rounds, which `levels` reads
-too): round i rule answers, with their witnesses, become depth-i rule
-nodes, and pairs that only arise by closing a round are decomposed into
-transitive nodes over that round's direct edges. Like the chain, a round
-evaluates only the matches touching a class the round before grew. Trees
-are assembled, validated and rendered on explicit stacks, so depth does not
-grow the Python stack.
+proof trees. proof_tree() builds a tree realizing that minimum by running
+the rule-application chain `levels` reads on one relation, with witnesses:
+round i rule answers become depth-i rule nodes, and pairs that only arise
+by closing a round are decomposed into transitive nodes over that round's
+direct edges. A round evaluates only the matches touching a class the round
+before grew; each grown id's history of (round, canonical id) gives, by
+binary search, the classes any round started from. Trees are assembled,
+validated and rendered on explicit stacks, so depth does not grow the
+Python stack.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Generator
 
-from .engine import Solution, _rounds
+from .engine import Solution
 from .errors import NotInSolution
 from .matcher import Context, SimResolver, Witness, answers
-from .model import Constant, Database, EqRel, Fact, Kind, MergePair
+from .model import Constant, Database, Fact, Kind, MergePair
 from .rules import Rule, RuleBody, Specification, Var, analyse
 
 
@@ -136,21 +137,23 @@ def _witness_key(w: Witness):
 
 class _Builder:
     def __init__(self, ctx: Context, sol: Solution):
+        ctx.require_domain(sol.eq)
         self.ctx = ctx
         self.cache: dict[MergePair, ProofNode] = {}
-        # per round: the relation it started from and the answers it
-        # admitted, with their witnesses, evaluated as the round evaluated
-        # them (on the matches touching a class the round before grew)
-        self.starts: list[EqRel] = []
+        # per round of the chain on e: the answers the solution relates, with
+        # their witnesses; merging them all gives the next round's relation
         self.edges: list[list[_Edge]] = []
+        # per id whose class grew: (rounds merged, canonical id from then
+        # on), ascending; any other id is its own canonical id
+        self.history: dict[int, list[tuple[int, int]]] = {}
         rules = analyse(ctx.spec).promoted
-        e = ctx.identity()
-        start, dirty = e.clone(), None
-        for grown in _rounds(ctx, rules, e, within=sol.eq):
+        self.e = e = ctx.identity()
+        dirty = None
+        while True:
             edges: list[_Edge] = []
             for rule in rules:
                 ans = answers(
-                    rule.body, rule.head, ctx, start,
+                    rule.body, rule.head, ctx, e,
                     expand=False, witnesses=True, dirty=dirty,
                 )
                 assert ans.witnesses is not None
@@ -159,13 +162,21 @@ class _Builder:
                 ):
                     if u != v and sol.eq.same(u, v):  # so both are entities
                         wits = sorted(ans.witnesses[(u, v)], key=_witness_key)
-                        edges.append(
-                            _Edge(rule, start.id_of(u), start.id_of(v), wits)
-                        )
-            self.starts.append(start)
+                        edges.append(_Edge(rule, e.id_of(u), e.id_of(v), wits))
+            merged = [ed.u for ed in edges if e.merge_ids(ed.u, ed.v)]
+            if not merged:
+                break
             self.edges.append(edges)
-            start, dirty = e.clone(), grown
-        self.ends = self.starts[1:] + [start]  # the relation after each round
+            dirty = e.class_ids(merged)
+            for i in dirty:
+                h = self.history.setdefault(i, [])
+                h.append((len(self.edges), e.canon_id(i)))
+
+    def _canon(self, i: int, k: int) -> int:
+        """i's canonical id once k rounds have merged (before edges[k])."""
+        h = self.history.get(i, ())
+        at = bisect_right(h, k, key=lambda t: t[0])
+        return h[at - 1][1] if at else i
 
     # -- tree assembly
 
@@ -196,13 +207,17 @@ class _Builder:
         that round's rule answers and of pairs holding before it, folded
         into right-nested transitive nodes. Yields each pair whose tree it
         needs and is sent that tree back."""
-        k = bisect_left(self.ends, True, key=lambda rel: rel.same(a, b))
-        if k == len(self.ends):
+        ia, ib = self.e.id_of(a), self.e.id_of(b)
+        k = bisect_left(
+            range(1, len(self.edges) + 1), True,
+            key=lambda r: self._canon(ia, r) == self._canon(ib, r),
+        )
+        if k == len(self.edges):
             raise NotInSolution(
                 f"({a.text}, {b.text}) was not reached by the rule "
                 f"application chain"
             )
-        hops = self._class_path(a, b, k)
+        hops = self._class_path(self._canon(ia, k), self._canon(ib, k), k)
         parts: list[tuple[Constant, Constant, ProofNode | None]] = []
         pos = a
         for hop, (edge, forward) in enumerate(hops):
@@ -230,22 +245,15 @@ class _Builder:
         return tree
 
     def _class_path(
-        self, a: Constant, b: Constant, k: int
+        self, start: int, goal: int, k: int
     ) -> list[tuple[_Edge, bool]]:
-        """Shortest chain of round k + 1's rule edges from a's class to b's
-        class under the relation the round started from, each with its
+        """Shortest chain of round k + 1's rule edges from class start to
+        class goal (canonical ids at the round's start), each with its
         traversal direction (True = the edge's u side is entered first)."""
-        prev = self.starts[k]
         adj: dict[int, list[tuple[int, int, tuple[_Edge, bool]]]] = {}
         for rank, edge in enumerate(self.edges[k]):
             adj.setdefault(edge.u, []).append((edge.v, rank, (edge, True)))
             adj.setdefault(edge.v, []).append((edge.u, rank, (edge, False)))
-        start = prev.canon_id(prev.id_of(a))
-        goal = prev.canon_id(prev.id_of(b))
-        if start == goal:
-            raise NotInSolution(
-                f"({a.text}, {b.text}) already holds before its level round"
-            )
         parent: dict[int, tuple[int, tuple[_Edge, bool]]] = {start: (start, None)}  # type: ignore[dict-item]
         frontier = [start]
         while frontier and goal not in parent:
@@ -258,10 +266,6 @@ class _Builder:
                         parent[other] = (cls, step)
                         nxt.append(other)
             frontier = sorted(set(nxt))
-        if goal not in parent:
-            raise NotInSolution(
-                f"no rule-answer path connects {a.text} and {b.text}"
-            )
         hops: list[tuple[_Edge, bool]] = []
         at = goal
         while at != start:
