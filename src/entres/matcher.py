@@ -335,7 +335,12 @@ def answers(
     _Eval.solutions); each match is witnessed once."""
     ev = _Eval(body, ctx, e)
     terms = [ev.resolve(t) for t in head]
-    names = e.domain + tuple(ev.absent)  # the constant of every id
+    domain, n = e.domain, len(e.domain)
+    extra = {i: c for c, i in ev.absent.items()}  # ids above the domain's
+
+    def name(i: int) -> Constant:
+        return domain[i] if i < n else extra[i]
+
     found: dict[tuple[int, ...], list[Witness]] = {}
     seen: set[tuple[int, ...]] = set()
     facts = ctx.db.by_relation
@@ -348,15 +353,14 @@ def answers(
             matched = tuple(
                 facts[a.relation][r] for a, r in zip(body.rel_atoms, rows)
             )
-            shown = {v: names[cid] for v, cid in binding.items()}
+            shown = {v: name(cid) for v, cid in binding.items()}
             wits.append(Witness(matched, shown))
-    reps = {ids: tuple(names[i] for i in ids) for ids in found}
+    reps = {ids: tuple(map(name, ids)) for ids in found}
     expanded: frozenset[tuple[Constant, ...]] | None = None
     if expand:
         # a domain id stands for its class; an absent one only for itself
-        n = len(e.domain)
         expanded = frozenset(
-            tuple([names[i] for i in t]) for ids in found
+            tuple(map(name, t)) for ids in found
             for t in product(*(
                 sorted(e.class_ids((i,))) if i < n else (i,) for i in ids
             ))
