@@ -265,6 +265,8 @@ def _parse_mode(text: str, parser: argparse.ArgumentParser):
         left, sep, right = arg.partition(",")
         if not sep or not left or not right:
             parser.error("mode explain needs a pair: explain:a,b")
+        if left == right:
+            parser.error("mode explain needs two distinct constants")
         return base, (left, right)
     if arg:
         parser.error(f"mode {base} takes no argument")

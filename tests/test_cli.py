@@ -336,6 +336,19 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run("--spec", MUSIC / "music.er", "--mode", "bogus") == 1
 
+    @pytest.mark.parametrize("mode", [
+        "bogus", "lb:1", "maximal:x", "maximal:0", "explain:s1",
+        "explain:s1,s1",
+    ])
+    def test_mode_parse_errors_exit_before_ingest(self, tmp_path, capsys, mode):
+        # the data directory is missing, so reading it would exit 3
+        args = music_args(mode, tmp_path / "o")
+        args = args[:3] + (tmp_path / "nope",) + args[4:]
+        assert run(*args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if "error:" in line]) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_spec_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.er"
         bad.write_text("relation Broken(")
@@ -611,6 +624,17 @@ GOLDEN_BUNDLES = {
 }
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """contextlib.chdir, which Python 3.10 lacks."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
 def golden_outputs(case, workdir, bundle="music"):
     """Run one golden case from workdir with `--out out`, so printed paths
     do not depend on where it runs. Returns file name -> bytes for every
@@ -618,7 +642,7 @@ def golden_outputs(case, workdir, bundle="music"):
     common, cases = GOLDEN_BUNDLES[bundle]
     args = [*common, *cases[case], "--out", "out"]
     buf = io.StringIO()
-    with contextlib.chdir(workdir), contextlib.redirect_stdout(buf):
+    with _chdir(workdir), contextlib.redirect_stdout(buf):
         assert main([str(a) for a in args]) == 0
     got = {
         p.name: p.read_bytes() for p in sorted((workdir / "out").iterdir())
@@ -663,6 +687,26 @@ class TestGolden:
         )
 
 
+class TestDeepLadder:
+    def test_explain_at_depth_2000(self, tmp_path, capsys):
+        # the ladder bundle's spec over 2,000 rungs; its indented JSON tree
+        # alone is about 120 MB
+        depth = 2000
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "P.tsv").write_text("pid\tn\na1\tn0\na2\tn0\n")
+        rows, prev = ["qid\tm\tp"], ("a1", "a2")
+        for d in range(2, depth + 1):
+            rows += [f"e{d}l\tk{d}\t{prev[0]}", f"e{d}r\tk{d}\t{prev[1]}"]
+            prev = (f"e{d}l", f"e{d}r")
+        (data / "Q.tsv").write_text("\n".join(rows) + "\n")
+        assert run(
+            "--spec", LADDER / "ladder.er", "--data", data,
+            "--mode", f"explain:{prev[0]},{prev[1]}", "--out", tmp_path / "out",
+        ) == 0
+        assert f"rule-depth {depth} ->" in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
         outs = []
@@ -686,7 +730,7 @@ class TestReadme:
             line[2:] for line in block.splitlines() if line.startswith("# ")
         ]
         buf = io.StringIO()
-        with contextlib.chdir(ROOT), contextlib.redirect_stdout(buf):
+        with _chdir(ROOT), contextlib.redirect_stdout(buf):
             exec(compile(block, "README.md", "exec"), {})
         assert want and buf.getvalue().splitlines() == want
 

@@ -4,10 +4,13 @@ import dataclasses
 import json
 import re
 import sys
+import tracemalloc
 
 import pytest
 
-from entres.engine import enumerate_solutions, levels, maximal_solutions
+from entres.engine import (
+    Solution, enumerate_solutions, levels, maximal_solutions, solve_one,
+)
 from entres.errors import NotInSolution
 from entres.explain import (
     NodeKind,
@@ -21,7 +24,7 @@ from entres.explain import (
     validate_proof_tree,
 )
 from entres.matcher import Context
-from entres.model import Fact, MergePair
+from entres.model import EqRel, Fact, MergePair
 
 from conftest import e, v
 from instances import chain_instance, generate, generate_neq
@@ -141,6 +144,25 @@ class TestRequestValidation:
         db, spec, sims = music
         with pytest.raises(NotInSolution):
             proof_tree(Context(db, spec, sims), music_e1, (e("s1"), e("s3")))
+
+    def test_pair_the_chain_never_reaches_rejected(self, music):
+        # a hand-built relation: no rule answer relates s1 and s3
+        db, spec, sims = music
+        ctx = Context(db, spec, sims)
+        eq = ctx.identity()
+        eq.merge(e("b1"), e("b2"))
+        eq.merge(e("s1"), e("s3"))
+        with pytest.raises(NotInSolution, match="not reached by the rule"):
+            proof_tree(ctx, Solution(eq), (e("s1"), e("s3")))
+
+    def test_solution_over_another_domain_rejected(self, music):
+        db, spec, sims = music
+        wider = EqRel(db.domain | {e("a0")})
+        wider.merge(e("b1"), e("b2"))
+        with pytest.raises(ValueError, match="domain"):
+            proof_tree(
+                Context(db, spec, sims), Solution(wider), (e("b1"), e("b2"))
+            )
 
 
 def _swap_children(node: ProofNode, children) -> ProofNode:
@@ -266,8 +288,6 @@ class TestFamilyProperty:
     @pytest.mark.parametrize("depth", [2, 3])
     def test_ladder_trees(self, depth):
         inst = chain_instance(depth)
-        from entres.engine import solve_one
-
         sol = solve_one(inst.ctx)
         top = P(e(f"e{depth}l"), e(f"e{depth}r"))
         t = proof_tree(inst.ctx, sol, top)
@@ -278,12 +298,26 @@ class TestFamilyProperty:
         # one rule node per rung: a recursive build would nest three Python
         # frames per level and overflow the default stack limit
         inst = chain_instance(400)
-        from entres.engine import solve_one
-
         sol = solve_one(inst.ctx)
         t = proof_tree(inst.ctx, sol, P(e("e400l"), e("e400r")))
         assert rule_depth(t) == 400
         assert validate_proof_tree(t, inst.db, inst.spec, inst.sims) == []
+
+    def test_ladder_tree_memory_grows_linearly(self):
+        # a relation copy per round made the peak quadratic in depth
+        # (3.6x from 250 to 500 levels)
+        peaks = {}
+        for depth in (250, 500):
+            inst = chain_instance(depth)
+            sol = solve_one(inst.ctx)
+            top = P(e(f"e{depth}l"), e(f"e{depth}r"))
+            tracemalloc.start()
+            try:
+                proof_tree(inst.ctx, sol, top)
+                peaks[depth] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[500] <= 2.5 * peaks[250], peaks
 
 
 def _ladder_tree(depth: int) -> ProofTree:
@@ -330,8 +364,6 @@ class TestDeepOutput:
 
     def test_synthetic_ladder_is_the_built_tree(self):
         inst = chain_instance(6)
-        from entres.engine import solve_one
-
         built = proof_tree(inst.ctx, solve_one(inst.ctx), P(e("e6l"), e("e6r")))
         assert _ladder_tree(6) == built
 
