@@ -22,13 +22,14 @@ rules.analyse. This module computes:
   - possible_merges / certain_merges / is_possible: union over all
                  solutions and intersection over maximal solutions.
                  These, maximal_solutions and merge_sets search one
-                 independent part at a time when the analysis finds that
-                 the specification splits: the classes the hard-saturated
-                 start leaves undecided split into parts that no body
-                 match under ub reads together, every solution is one
-                 choice per part, and the parts are searched from the
-                 start in turn (see _Search.split). enumerate_solutions
-                 and solve_one always search the whole instance;
+                 independent part at a time from the start, and every
+                 solution is one choice per part (see _Search.split).
+                 When the analysis finds that the specification splits,
+                 the parts are the classes the hard-saturated start
+                 leaves undecided, grouped so that no body match under ub
+                 reads two parts; otherwise the whole instance is one
+                 part. enumerate_solutions and solve_one always search
+                 the whole instance;
   - levels:      recursion depth of each merge (the round of the
                  rule-application chain that first produces it).
 """
@@ -238,15 +239,6 @@ class _Search:
         self.ctx = ctx
         self.an = analyse(ctx.spec)
         self.memo: set[frozenset[frozenset[int]]] = set()
-        self.results: list[Solution] = []
-        self.limit: int | None = None
-        self.stop_pair: MergePair | None = None
-        self.found_stop = False
-
-    def _done(self) -> bool:
-        if self.found_stop:
-            return True
-        return self.limit is not None and len(self.results) >= self.limit
 
     def root(self) -> _Node | None:
         """The node of the start state, hard-saturated when saturation is
@@ -268,13 +260,11 @@ class _Search:
         root: _Node | None = None,
     ) -> list[Solution]:
         """Solutions in search order, from the given root node or else
-        from the start state."""
-        self.limit = limit
-        self.stop_pair = stop_pair
-        self.results = []
-        self.found_stop = False
+        from the start state, up to limit of them or to the first that
+        merges stop_pair."""
+        results: list[Solution] = []
         if limit is not None and limit <= 0:
-            return []
+            return results
         if root is None:
             root = self.root()
         stack = [root] if root is not None else []
@@ -287,43 +277,53 @@ class _Search:
                     stack.append(child)
                 continue
             stack.pop()
-            self._finish(node)
-            if self._done():
-                break
-        return self.results
+            if self._accepts(node):
+                results.append(Solution(node.e, node.deriv))
+                if len(results) == limit or (
+                    stop_pair is not None and stop_pair in node.e
+                ):
+                    break
+        return results
 
     def split(
         self, stop_pair: MergePair | None = None
     ) -> tuple[Solution, list[list[_PartSolution]]] | None:
-        """The root's solution and, per independent part (see _parts), the
-        solutions that differ from the root only within that part, each
-        with the pairs it merges there, searched from the root with its
-        candidates cut down to the part; None when the root fails a
-        pruning constraint, the one way the instance can be inconsistent.
-        Only for a specification that splits (Analysis.splits).
-        Given stop_pair, only the part holding both its ids is searched, up
-        to a solution that merges them.
+        """The root's state and, per independent part, the solutions that
+        differ from the root only within that part, each with the pairs it
+        merges there, searched from the root with its candidates cut down
+        to the part; None when the root fails a pruning constraint or a
+        part it searched has no solution. Given stop_pair, only the part
+        holding both its ids is searched, up to a solution that merges
+        them.
 
-        A state between the root and ub is a solution iff its restriction
-        to each part (the root elsewhere) is: every body match reads the
-        classes of one part only, besides classes no solution grows. For
-        the same reason a child's new candidates lie in its root's part,
-        so only the root's are cut down."""
+        When the specification splits (Analysis.splits), the parts are
+        _parts': a state between the root and ub is a solution iff its
+        restriction to each part (the root elsewhere) is, as every body
+        match reads the classes of one part only, besides classes no
+        solution grows. For the same reason a child's new candidates lie in
+        its root's part, so only the root's are cut down. Otherwise the
+        whole instance is one part: the search might break a checked
+        constraint in every state, or (unless eager) start below a hard
+        answer, so the root's pairs count only once the part has a
+        solution."""
         root = self.root()
         if root is None:
             return None
-        parts = _parts(self.ctx, root.e)
+        if self.an.splits:
+            parts = _parts(self.ctx, root.e)
+        else:
+            parts = [range(self.ctx.db.entities)]
         if stop_pair is not None:
             pair = {root.e.id_of(c) for c in stop_pair}
-            parts = [ids for ids in parts if pair <= ids]
+            parts = [ids for ids in parts if pair.issubset(ids)]
         found = []
         for ids in parts:
             cands = [{p for p in got if p[0] in ids} for got in root.cands]
             node = self._node(root.e, root.deriv, cands)
-            found.append([
-                (sol, _pairs_within(sol.eq, ids))
-                for sol in self.run(stop_pair=stop_pair, root=node)
-            ])
+            sols = self.run(stop_pair=stop_pair, root=node)
+            if not sols:
+                return None
+            found.append([(sol, _pairs_within(sol.eq, ids)) for sol in sols])
         return Solution(root.e, root.deriv), found
 
     def _child(self, parent: _Node, label: str, i: int, j: int) -> _Node | None:
@@ -382,18 +382,15 @@ class _Search:
         })
         return _Node(e, deriv, cands, iter(todo))
 
-    def _finish(self, node: _Node) -> None:
-        """Record the state once its subtree is done, if it has no hard
-        answer left and passes the constraints that were not checked on
-        the way down."""
+    def _accepts(self, node: _Node) -> bool:
+        """Whether a state whose subtree is done is a solution: it has no
+        hard answer left and passes the constraints that were not checked
+        on the way down."""
         if any(node.cands[len(self.ctx.spec.soft):]):
-            return
-        for dc in self.an.checked:
-            if not dc_satisfied(dc, self.ctx, node.e):
-                return
-        self.results.append(Solution(node.e, node.deriv))
-        if self.stop_pair is not None and self.stop_pair in node.e:
-            self.found_stop = True
+            return False
+        return all(
+            dc_satisfied(dc, self.ctx, node.e) for dc in self.an.checked
+        )
 
 
 #: a solution of one part, with the pairs it merges within the part
@@ -468,13 +465,6 @@ def _maximal(found: list[_PartSolution]) -> list[_PartSolution]:
     ]
 
 
-def _maximal_filter(solutions: list[Solution]) -> list[Solution]:
-    found = _maximal([(sol, sol.pairs()) for sol in solutions])
-    out = [sol for sol, _ in found]
-    out.sort(key=_largest_first)
-    return out
-
-
 def _joined(root: Solution, sols: Iterable[Solution]) -> Solution:
     """The state of solutions from disjoint parts, each extending root:
     root's derivation followed by each one's own steps."""
@@ -489,42 +479,26 @@ def _joined(root: Solution, sols: Iterable[Solution]) -> Solution:
 
 def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions whose merge sets are subset-maximal among all
-    solutions, largest first. When the search splits, they are the
-    product of each part's maximal states."""
+    solutions, largest first: the product of each part's maximal states
+    (see _Search.split)."""
     if n is not None and n <= 0:
         return []
-    if not analyse(ctx.spec).splits:
-        maxima = _maximal_filter(enumerate_solutions(ctx))
-    elif (split := _Search(ctx).split()) is None:
-        maxima = []
-    else:
-        root, parts = split
-        per_part = [[sol for sol, _ in _maximal(found)] for found in parts]
-        maxima = [_joined(root, pick) for pick in product(*per_part)]
-        maxima.sort(key=_largest_first)
+    split = _Search(ctx).split()
+    if split is None:
+        return []
+    root, parts = split
+    per_part = [[sol for sol, _ in _maximal(found)] for found in parts]
+    maxima = [_joined(root, pick) for pick in product(*per_part)]
+    maxima.sort(key=_largest_first)
     return maxima if n is None else maxima[:n]
-
-
-def _union(sols: list[Solution]) -> frozenset[MergePair]:
-    return frozenset().union(*(sol.pairs() for sol in sols))
-
-
-def _common(sols: list[Solution]) -> frozenset[MergePair]:
-    """Pairs every solution merges; empty when there is none."""
-    if not sols:
-        return frozenset()
-    return frozenset.intersection(*(sol.pairs() for sol in sols))
 
 
 def _pm_cm(
     ctx: Context,
 ) -> tuple[frozenset[MergePair], frozenset[MergePair], bool]:
-    """Possible and certain merges, and whether a solution exists. When
-    the search splits, pm is the root's pairs and those of every part's
-    solutions, and cm the root's pairs and each part's certain ones."""
-    if not analyse(ctx.spec).splits:
-        sols = enumerate_solutions(ctx)
-        return _union(sols), _common(_maximal_filter(sols)), bool(sols)
+    """Possible and certain merges, and whether a solution exists: pm is
+    the root's pairs and those of every part's solutions, and cm the root's
+    pairs and each part's certain ones (see _Search.split)."""
     split = _Search(ctx).split()
     if split is None:
         return frozenset(), frozenset(), False
@@ -552,25 +526,21 @@ def is_possible(
     ctx: Context, pair: MergePair | tuple[Constant, Constant]
 ) -> bool:
     """True iff some solution merges the pair. Reflexive pairs are possible
-    exactly when a solution exists at all. When the search splits, only
-    the part holding the pair is searched."""
+    exactly when a solution exists at all. Only the part holding the pair
+    is searched (see _Search.split), up to a solution that merges it."""
     a, b = pair
-    search = _Search(ctx)
     if a == b:
-        if search.an.splits:
-            return search.root() is not None
         return solve_one(ctx) is not None
     if a not in ctx.db.domain or b not in ctx.db.domain:
         return False
     target = MergePair.of(a, b)
-    if not search.an.splits:
-        results = search.run(stop_pair=target)
-    else:
-        split = search.split(stop_pair=target)
-        results = [] if split is None else [
-            split[0], *(sol for found in split[1] for sol, _ in found)
-        ]
-    return any(target in sol.eq for sol in results)
+    split = _Search(ctx).split(stop_pair=target)
+    if split is None:
+        return False
+    root, parts = split
+    return target in root.eq or any(
+        target in sol.eq for found in parts for sol, _ in found
+    )
 
 
 def merge_sets(ctx: Context) -> MergeSets:

@@ -330,9 +330,6 @@ class EqRel:
             for r, size in enumerate(self._size) if size > 1
         )
 
-    def is_identity(self) -> bool:
-        return all(size < 2 for size in self._size)
-
     def __contains__(self, pair: object) -> bool:
         if isinstance(pair, MergePair):
             return self.same(pair.left, pair.right)

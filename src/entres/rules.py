@@ -174,27 +174,8 @@ class Specification:
                 return r
         return None
 
-    def sim_backend(self, name: str) -> str | None:
-        for d in self.sim_decls:
-            if d.name == name:
-                return d.backend
-        return None
-
 
 # ------------------------------------------------------------ body helpers
-
-
-@lru_cache(maxsize=None)
-def body_vars(body: RuleBody) -> frozenset[Var]:
-    """All variables occurring anywhere in the body."""
-    vs: set[Var] = set()
-    for atom in body.rel_atoms:
-        vs.update(t for t in atom.args if isinstance(t, Var))
-    for s in body.sim_atoms:
-        vs.update(t for t in (s.left, s.right) if isinstance(t, Var))
-    for n in body.neq_atoms:
-        vs.update(t for t in (n.left, n.right) if isinstance(t, Var))
-    return frozenset(vs)
 
 
 @lru_cache(maxsize=None)

@@ -96,7 +96,6 @@ DOM = [e(f"c{i}") for i in range(8)] + [v("val"), NULL]
 class TestEqRel:
     def test_identity(self):
         eq = EqRel(DOM)
-        assert eq.is_identity()
         assert eq.nontrivial_pairs() == frozenset()
         assert eq.rep(e("c3")) == e("c3")
 

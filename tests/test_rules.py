@@ -14,7 +14,6 @@ from entres.rules import (
     RuleKind,
     Var,
     analyse,
-    body_vars,
     join_vars,
     parse_spec,
     validate_sim_safety,
@@ -42,7 +41,6 @@ class TestParsingGolden:
         assert [r.label for r in music_spec.soft] == ["sigma"]
         assert [d.label for d in music_spec.dcs] == ["delta"]
         assert [s.name for s in music_spec.sim_decls] == ["approx"]
-        assert music_spec.sim_backend("approx") == "table"
 
     def test_music_rule_bodies(self, music_spec):
         rho = music_spec.rule_by_label("rho")
@@ -213,7 +211,6 @@ class TestBodyHelpers:
         r = rule_of(
             "hard h: R(x, a, b), R(y, a2, b), sim(a, a2) >= 50 => eq(x, y);"
         )
-        assert Var("x") in body_vars(r.body)
         assert join_vars(r.body) == frozenset({Var("b")})
         assert var_positions(r.body)[Var("a2")] == (("R", 1),)
 

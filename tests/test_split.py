@@ -1,7 +1,8 @@
 """pm, cm, maximal, merge_sets and is_possible search an instance one
-independent part at a time when the search is eager and every constraint
-prunes. Their answers must equal the brute force and the unsplit search,
-and a specification that does not split must keep its answers."""
+independent part at a time: several parts when the search is eager and
+every constraint prunes, and one part, the whole instance, otherwise.
+Their answers must equal the brute force and the whole-instance
+enumeration, with one part as with several."""
 
 import importlib.util
 import sys
@@ -11,7 +12,6 @@ import pytest
 
 from entres import cli
 from entres.engine import (
-    _maximal_filter,
     _parts,
     _Search,
     certain_merges,
@@ -38,21 +38,23 @@ def _text(pair):
     return (pair.left.text, pair.right.text)
 
 
+def _largest_first(pairs):
+    return (-len(pairs), sorted(map(_text, pairs)))
+
+
 def _check(ctx, want):
-    """Every split-path answer on ctx against the oracle's solution sets
-    and against the unsplit enumeration."""
+    """Every part-by-part answer on ctx against the oracle's solution sets
+    and against the whole-instance enumeration."""
     opm, ocm = pm_cm(want)
-    unsplit = enumerate_solutions(ctx)
-    assert {s.pairs() for s in unsplit} == want
+    assert {s.pairs() for s in enumerate_solutions(ctx)} == want
     assert possible_merges(ctx) == opm
     assert certain_merges(ctx) == ocm
     ms = merge_sets(ctx)
     assert (ms.pm, ms.cm, ms.consistent) == (opm, ocm, bool(want))
     maxima = maximal_solutions(ctx)
-    assert [s.pairs() for s in maxima] == [
-        s.pairs() for s in _maximal_filter(unsplit)
-    ]
-    assert {s.pairs() for s in maxima} == maximal_sets(want)
+    assert [s.pairs() for s in maxima] == sorted(
+        maximal_sets(want), key=_largest_first
+    )
     assert all(verify_solution(ctx, s) for s in maxima)
     assert [s.pairs() for s in maximal_solutions(ctx, n=1)] == [
         s.pairs() for s in maxima[:1]
@@ -123,9 +125,28 @@ class TestPartsFamily:
         assert analyse(spec).splits
         _check(ctx, set())
         assert maximal_solutions(ctx) == []
+        # one part: the root passes the pruning constraints, but every
+        # state that merges a and b breaks the checked d
+        spec = parse_spec(
+            "relation R(rid: id, k: val, g: id) merge [rid];\n"
+            "hard h: R(x, k, g), R(y, k, g2) => eq(x, y);\n"
+            "deny d: R(x, k, g), R(x, k2, g2), g != g2;\n"
+        )
+        db = Database(
+            [
+                Fact("R", (e("a"), v("same"), e("g1"))),
+                Fact("R", (e("b"), v("same"), e("g2"))),
+            ]
+        )
+        ctx = Context(db, spec)
+        assert not analyse(spec).splits
+        _check(ctx, set())
+        assert maximal_solutions(ctx) == []
 
 
 class TestUnsplitPath:
+    """Specifications that do not split are searched as one part."""
+
     @pytest.mark.parametrize("extra", [
         # a checked constraint: its inequality reads a reference column
         "deny dx: S0(x, t, r), S0(x, t2, r2), r != r2;",
