@@ -6,123 +6,47 @@ combinations, and similarity atoms bring string matching into rule bodies.
 On top of that sit exact merge-set computations (bounds, single and maximal
 solutions, possible and certain merges), recursion levels, proof-tree
 explanations, and a command line pipeline.
+
+Every public name is imported from its module on first use, so that
+`import entres` (and `python -m entres.cli`, which imports the package
+first) loads no submodule it does not run.
 """
 
-from .engine import (
-    DerivStep,
-    LevelMap,
-    MergeSets,
-    Solution,
-    certain_merges,
-    enumerate_solutions,
-    is_possible,
-    is_solution,
-    lb,
-    levels,
-    loose_ub,
-    maximal_solutions,
-    merge_sets,
-    possible_merges,
-    solve_one,
-    ub,
-    verify_solution,
-)
-from .errors import (
-    DataError,
-    EntresError,
-    MissingSimScore,
-    NonEntityMerge,
-    NotASolution,
-    NotInSolution,
-    SpecError,
-    SpecSyntaxError,
-    UnknownConstant,
-)
-from .explain import (
-    NodeKind,
-    ProofNode,
-    ProofTree,
-    proof_tree,
-    rule_depth,
-    to_dot,
-    to_json,
-    validate_proof_tree,
-)
-from .matcher import (
-    AnswerSet,
-    Context,
-    SimResolver,
-    Witness,
-    answers,
-    dc_satisfied,
-    rule_satisfied,
-)
-from .model import (
-    NULL,
-    Constant,
-    Database,
-    EqRel,
-    Fact,
-    Kind,
-    MergePair,
-    entity,
-    value,
-)
-from .rules import (
-    DenialConstraint,
-    Rule,
-    RuleKind,
-    Schema,
-    SimSafetyViolation,
-    Specification,
-    analyse,
-    load_spec,
-    parse_spec,
-    validate_sim_safety,
-)
-from .simkit import (
-    OnDemandResolver,
-    SimStore,
-    SimTable,
-    StrictResolver,
-    TableResolver,
-    TfidfModel,
-    build_registry,
-    sim_all,
-    sim_cs,
-    sim_opt,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: names served from .cli on first use: importing .cli here would run it
-#: twice under `python -m entres.cli`
-_CLI_NAMES = ("evaluate", "ingest", "load_truth")
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("engine", """DerivStep LevelMap MergeSets Solution certain_merges
+            enumerate_solutions is_possible is_solution lb levels loose_ub
+            maximal_solutions merge_sets possible_merges solve_one ub
+            verify_solution"""),
+        ("errors", """DataError EntresError MissingSimScore NonEntityMerge
+            NotASolution NotInSolution SpecError SpecSyntaxError
+            UnknownConstant"""),
+        ("explain", """NodeKind ProofNode ProofTree proof_tree rule_depth
+            to_dot to_json validate_proof_tree"""),
+        ("matcher", """AnswerSet Context SimResolver Witness answers
+            dc_satisfied rule_satisfied"""),
+        ("model", "NULL Constant Database EqRel Fact Kind MergePair entity value"),
+        ("rules", """DenialConstraint Rule RuleKind Schema SimSafetyViolation
+            Specification analyse load_spec parse_spec validate_sim_safety"""),
+        ("simkit", """OnDemandResolver SimStore SimTable StrictResolver
+            TableResolver TfidfModel build_registry sim_all sim_cs sim_opt"""),
+        ("cli", "evaluate ingest load_truth"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "AnswerSet", "Constant", "Context", "DataError", "Database",
-    "DenialConstraint", "DerivStep", "EntresError", "EqRel", "Fact", "Kind",
-    "LevelMap", "MergePair", "MergeSets", "MissingSimScore", "NULL",
-    "NodeKind", "NonEntityMerge", "NotASolution", "NotInSolution",
-    "OnDemandResolver", "ProofNode", "ProofTree", "Rule", "RuleKind",
-    "Schema", "SimResolver", "SimSafetyViolation", "SimStore", "SimTable",
-    "Solution", "SpecError", "SpecSyntaxError", "Specification",
-    "StrictResolver", "TableResolver", "TfidfModel", "UnknownConstant",
-    "Witness", "analyse", "answers", "build_registry",
-    "certain_merges", "dc_satisfied", "enumerate_solutions", "entity",
-    "evaluate", "ingest", "is_possible", "is_solution", "lb", "levels",
-    "load_spec", "load_truth", "loose_ub", "maximal_solutions", "merge_sets",
-    "parse_spec", "possible_merges", "proof_tree", "rule_depth",
-    "rule_satisfied", "sim_all", "sim_cs", "sim_opt", "solve_one", "to_dot",
-    "to_json", "ub", "validate_proof_tree",
-    "validate_sim_safety", "value", "verify_solution",
-]
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    return globals().setdefault(name, value)

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import engine
 from .errors import (
@@ -36,7 +35,6 @@ from .errors import (
     UnknownConstant,
     decode_guard,
 )
-from .explain import proof_tree, rule_depth, to_dot, to_json
 from .matcher import Context
 from .model import NULL, Constant, Database, Fact, MergePair, entity, value
 from .rules import (
@@ -48,16 +46,11 @@ from .rules import (
     load_spec,
     validate_sim_safety,
 )
-from .simkit import (
-    SimStore,
-    SimTable,
-    StrictResolver,
-    TableResolver,
-    sim_all,
-    sim_cs,
-    sim_functions,
-    sim_opt,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .simkit import SimStore
 
 _MODES = (
     "validate", "sim", "lb", "ub", "loose-ub", "solve-one",
@@ -66,6 +59,28 @@ _MODES = (
 
 _PAIR_HEADER = ["left", "right"]
 _CLUSTER_HEADER = ["constant", "cluster"]
+
+#: names bound from their module on first use, so that a call imports only
+#: what its mode runs. A tracer (resbench/layers.py) replaces them on this
+#: module; binding keeps a name already set, so its wrapper is the one called.
+_LAZY = {
+    "proof_tree": "explain", "rule_depth": "explain",
+    "to_dot": "explain", "to_json": "explain",
+    "sim_all": "simkit", "sim_opt": "simkit",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__package__}.{_LAZY[name]}")
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _bind(*names: str) -> None:
+    """Bind each name into this module, which then calls it by name."""
+    for name in names:
+        __getattr__(name)
 
 
 # ----------------------------------------------------------------- ingest
@@ -179,6 +194,8 @@ def evaluate(
     """Exact precision, recall and F1 over canonical pair sets. Precision
     of an empty result and recall against an empty truth are 1 by
     convention; F1 is 0 when both P and R are 0."""
+    from fractions import Fraction
+
     rset, tset = frozenset(result), frozenset(truth)
     hit = len(rset & tset)
     p = Fraction(1) if not rset else Fraction(hit, len(rset))
@@ -325,15 +342,18 @@ def _prepare_sims(
 ) -> tuple[object | None, SimStore | None]:
     """Resolver for the engine plus the materialized store (None for the
     table strategy, which serves lookups directly)."""
-    if not sim_functions(ctx.spec):
+    if not any(rule.body.sim_atoms for rule in ctx.spec.all_rules()):
         return None, None
+    from . import simkit
+
     if args.sim.startswith("table:"):
-        table = SimTable.load(args.sim[len("table:"):])
-        return TableResolver(table), None
+        table = simkit.SimTable.load(args.sim[len("table:"):])
+        return simkit.TableResolver(table), None
+    _bind("sim_all", "sim_opt")
     if args.sim == "all":
         store = sim_all(ctx.db, ctx.spec)
     elif args.sim == "cs":
-        store = sim_cs(ctx.db, ctx.spec)
+        store = simkit.sim_cs(ctx.db, ctx.spec)
     elif args.sim == "opt":
         store, _ = sim_opt(ctx)
     else:
@@ -341,7 +361,7 @@ def _prepare_sims(
             f"unknown similarity strategy {args.sim!r}; "
             f"expected all, cs, opt or table:FILE"
         )
-    return StrictResolver(store), store
+    return simkit.StrictResolver(store), store
 
 
 def _entity_by_text(db: Database, text: str) -> Constant:
@@ -354,6 +374,8 @@ def _entity_by_text(db: Database, text: str) -> Constant:
 def _metrics_io(
     pairs: Iterable[MergePair], truth: frozenset[MergePair], out: Path
 ) -> None:
+    import json
+
     m = evaluate(pairs, truth)
     payload = {k: float(v) for k, v in m.items()}
     payload.update({f"{k}_exact": str(v) for k, v in m.items()})
@@ -388,7 +410,11 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     if not args.data:
         parser.error(f"mode {mode} requires --data")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.exit(1, f"{parser.prog}: error: cannot create output "
+                       f"directory {out}: {exc.strerror}\n")
     timing = _Timing()
 
     t0 = time.perf_counter()
@@ -479,6 +505,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"levels: {len(lm)} merges -> {dest}")
         else:
+            _bind("proof_tree", "rule_depth", "to_dot", "to_json")
             tree = proof_tree(ctx, sol, (a, b))
             dot_dest = out / "explain.dot"
             dot_dest.write_text(to_dot(tree, spec), encoding="utf-8")

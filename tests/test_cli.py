@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from entres import engine
 from entres.cli import evaluate, ingest, load_truth, main, write_pairs
 from entres.errors import HeaderMismatch, MissingFile, RaggedRow
+from entres.explain import proof_tree, to_dot, to_json
 from entres.matcher import Context
 from entres.model import NULL, Fact, MergePair
 from entres.rules import load_spec
@@ -348,6 +350,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len([line for line in err if "error:" in line]) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, under_file):
+        # the data directory is missing, so reading it would exit 3
+        taken = tmp_path / "taken.tsv"
+        taken.write_text("left\tright\n")
+        out = taken / "o" if under_file else taken
+        args = music_args("lb", out)
+        args = args[:3] + (tmp_path / "nope",) + args[4:]
+        assert run(*args) == 1
+        reason = "Not a directory" if under_file else "File exists"
+        assert capsys.readouterr().err == (
+            f"entres: error: cannot create output directory {out}: {reason}\n"
+        )
+        assert taken.read_text() == "left\tright\n"
 
     def test_spec_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.er"
@@ -687,24 +704,47 @@ class TestGolden:
         )
 
 
+def write_ladder(tmp_path, depth):
+    """The ladder bundle's data over `depth` rungs; returns the data
+    directory and the top pair, whose rule-depth is `depth`."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "P.tsv").write_text("pid\tn\na1\tn0\na2\tn0\n")
+    rows, prev = ["qid\tm\tp"], ("a1", "a2")
+    for d in range(2, depth + 1):
+        rows += [f"e{d}l\tk{d}\t{prev[0]}", f"e{d}r\tk{d}\t{prev[1]}"]
+        prev = (f"e{d}l", f"e{d}r")
+    (data / "Q.tsv").write_text("\n".join(rows) + "\n")
+    return data, prev
+
+
 class TestDeepLadder:
     def test_explain_at_depth_2000(self, tmp_path, capsys):
-        # the ladder bundle's spec over 2,000 rungs; its indented JSON tree
-        # alone is about 120 MB
+        # its indented JSON tree alone is about 120 MB
         depth = 2000
-        data = tmp_path / "data"
-        data.mkdir()
-        (data / "P.tsv").write_text("pid\tn\na1\tn0\na2\tn0\n")
-        rows, prev = ["qid\tm\tp"], ("a1", "a2")
-        for d in range(2, depth + 1):
-            rows += [f"e{d}l\tk{d}\t{prev[0]}", f"e{d}r\tk{d}\t{prev[1]}"]
-            prev = (f"e{d}l", f"e{d}r")
-        (data / "Q.tsv").write_text("\n".join(rows) + "\n")
+        data, (left, right) = write_ladder(tmp_path, depth)
         assert run(
             "--spec", LADDER / "ladder.er", "--data", data,
-            "--mode", f"explain:{prev[0]},{prev[1]}", "--out", tmp_path / "out",
+            "--mode", f"explain:{left},{right}", "--out", tmp_path / "out",
         ) == 0
         assert f"rule-depth {depth} ->" in capsys.readouterr().out
+
+    def test_explain_files_equal_the_api(self, tmp_path):
+        data, (left, right) = write_ladder(tmp_path, 300)
+        out = tmp_path / "out"
+        assert run(
+            "--spec", LADDER / "ladder.er", "--data", data,
+            "--mode", f"explain:{left},{right}", "--out", out,
+        ) == 0
+        spec = load_spec(LADDER / "ladder.er")
+        ctx = Context(ingest(data, spec.schema), spec)
+        tree = proof_tree(ctx, engine.solve_one(ctx), (e(left), e(right)))
+        text = (out / "explain.json").read_bytes()
+        assert text == (to_json(tree) + "\n").encode("utf-8")
+        assert json.loads(text)["rule"] == "q1"
+        assert (out / "explain.dot").read_bytes() == (
+            to_dot(tree, spec).encode("utf-8")
+        )
 
 
 class TestDeterminism:
@@ -735,20 +775,80 @@ class TestReadme:
         assert want and buf.getvalue().splitlines() == want
 
 
+def python(*args):
+    """A new interpreter on the source tree, run with args."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def cli_imports(*args):
+    """The modules loaded when an `entres.cli` call run as `__main__`, as
+    `python -m` runs it, exits; the call must succeed. (`-X importtime`
+    does not log `importlib.import_module`.)"""
+    done = python(
+        "-c",
+        "import atexit, runpy, sys; "
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr)); "
+        "runpy.run_module('entres.cli', run_name='__main__', alter_sys=True)",
+        *args,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
 class TestPackageImport:
     def test_module_run_writes_nothing_to_stderr(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", "entres.cli", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = python("-m", "entres.cli", "--help")
         assert done.returncode == 0
         assert "usage:" in done.stdout
         assert done.stderr == ""
+
+    def test_a_call_imports_only_what_its_mode_runs(self, tmp_path):
+        ladder = ("--spec", LADDER / "ladder.er", "--data", LADDER)
+        got = cli_imports(*ladder, "--mode", "lb", "--out", tmp_path / "lb")
+        assert "entres.engine" in got
+        assert not got & {
+            "entres.explain", "entres.simkit", "entres.kernels",
+            "json", "fractions",
+        }
+        got = cli_imports(*music_args("pm", tmp_path / "pm"))
+        assert "entres.simkit" in got and "entres.explain" not in got
+        got = cli_imports(
+            *ladder, "--mode", "explain:e6l,e6r", "--out", tmp_path / "ex"
+        )
+        assert "entres.explain" in got
+        out = tmp_path / "truth"
+        got = cli_imports(
+            *music_args("pm", out, "--truth", MUSIC / "truth_pairs.tsv")
+        )
+        assert "fractions" in got
+        assert json.loads((out / "metrics.json").read_text())["f1"] > 0
+
+    def test_import_entres_imports_no_submodule(self):
+        done = python(
+            "-c",
+            "import sys, entres; "
+            "print(sorted(m for m in sys.modules if m.startswith('entres.')))",
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n")
+
+    def test_every_public_name_resolves_to_its_module(self):
+        import entres
+
+        star = {}
+        exec("from entres import *", star)
+        for name in entres.__all__:
+            module = import_module(f"entres.{entres._EXPORTS[name]}")
+            assert getattr(entres, name) is getattr(module, name), name
+            assert star[name] is getattr(module, name), name
+        assert set(entres.__all__) == set(entres._EXPORTS)
 
     def test_cli_names_still_import_from_the_package(self):
         import entres
