@@ -18,7 +18,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -424,7 +423,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
         a, b = (_entity_by_text(db, text) for text in mode_arg)
     ctx = Context(db, spec, null_inequality=args.null_inequality)
     sims, store = _prepare_sims(args, ctx)
-    ctx = replace(ctx, sims=sims)
+    ctx = ctx.replace(sims=sims)
     timing.preprocess = time.perf_counter() - t0
 
     code = 0

@@ -36,7 +36,6 @@ rules.analyse. This module computes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import AbstractSet, Iterable, Iterator
 
@@ -48,41 +47,62 @@ from .matcher import (
     merge_candidates,
     rule_satisfied,
 )
-from .model import Constant, EqRel, MergePair
+from .model import Constant, EqRel, MergePair, Record, _set
 from .rules import Rule, analyse
 
 
-@dataclass(frozen=True, slots=True)
-class DerivStep:
+class DerivStep(Record):
     """One applied merge: the label of the rule whose answer it was (or
     "transitive" for closure-entailed pairs) and the pair, as canonical
     representatives at application time."""
 
-    label: str
-    pair: MergePair
+    __slots__ = ("label", "pair")
+
+    def __init__(self, label: str, pair: MergePair):
+        _set(self, "label", label)
+        _set(self, "pair", pair)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DerivStep:
+            return NotImplemented
+        return self.label == other.label and self.pair == other.pair
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.pair))
 
 
-@dataclass(slots=True)
-class Solution:
+class Solution(Record):
     """A solution with the derivation that proves it is a candidate."""
 
-    eq: EqRel
-    derivation: tuple[DerivStep, ...] = ()
+    __slots__ = ("eq", "derivation")
+
+    def __init__(self, eq: EqRel, derivation: tuple[DerivStep, ...] = ()):
+        _set(self, "eq", eq)
+        _set(self, "derivation", derivation)
 
     def pairs(self) -> frozenset[MergePair]:
         return self.eq.nontrivial_pairs()
 
 
-@dataclass(slots=True)
-class MergeSets:
+class MergeSets(Record):
     """The four merge sets; consistent is False when no solution exists,
     in which case pm and cm are empty by convention."""
 
-    lb: frozenset[MergePair]
-    ub: frozenset[MergePair]
-    pm: frozenset[MergePair]
-    cm: frozenset[MergePair]
-    consistent: bool
+    __slots__ = ("lb", "ub", "pm", "cm", "consistent")
+
+    def __init__(
+        self,
+        lb: frozenset[MergePair],
+        ub: frozenset[MergePair],
+        pm: frozenset[MergePair],
+        cm: frozenset[MergePair],
+        consistent: bool,
+    ):
+        _set(self, "lb", lb)
+        _set(self, "ub", ub)
+        _set(self, "pm", pm)
+        _set(self, "cm", cm)
+        _set(self, "consistent", consistent)
 
 
 class LevelMap:
@@ -197,15 +217,23 @@ def loose_ub(ctx: Context) -> EqRel:
 # ------------------------------------------------------------------ search
 
 
-@dataclass(slots=True)
 class _Node:
     """A search state on the DFS stack: its candidates per branching rule
     (as canonical id pairs) and the sorted answers not yet tried."""
 
-    e: EqRel
-    deriv: tuple[DerivStep, ...]
-    cands: list[set[tuple[int, int]]]
-    todo: Iterator[tuple[str, int, int]]
+    __slots__ = ("e", "deriv", "cands", "todo")
+
+    def __init__(
+        self,
+        e: EqRel,
+        deriv: tuple[DerivStep, ...],
+        cands: list[set[tuple[int, int]]],
+        todo: Iterator[tuple[str, int, int]],
+    ):
+        self.e = e
+        self.deriv = deriv
+        self.cands = cands
+        self.todo = todo
 
 
 class _Search:

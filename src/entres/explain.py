@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import Generator
 
 from .engine import Solution
 from .errors import NotInSolution
 from .matcher import Context, SimResolver, Witness, answers
-from .model import Constant, Database, Fact, Kind, MergePair
+from .model import Constant, Database, Fact, Kind, MergePair, Record, _set
 from .rules import Rule, RuleBody, Specification, Var, analyse
 
 
@@ -48,24 +47,36 @@ class NodeKind(Enum):
     SIM = "sim"
 
 
-@dataclass(frozen=True, slots=True)
-class SimEdge:
+class SimEdge(Record):
     """A scored similarity fact: func(a, b) = score."""
 
-    func: str
-    left: Constant
-    right: Constant
-    score: int
+    __slots__ = ("func", "left", "right", "score")
+
+    def __init__(self, func: str, left: Constant, right: Constant, score: int):
+        _set(self, "func", func)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "score", score)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofNode:
-    kind: NodeKind
-    pair: MergePair | None = None
-    fact: Fact | None = None
-    sim: SimEdge | None = None
-    rule_label: str | None = None
-    children: tuple["ProofNode", ...] = ()
+class ProofNode(Record):
+    __slots__ = ("kind", "pair", "fact", "sim", "rule_label", "children")
+
+    def __init__(
+        self,
+        kind: NodeKind,
+        pair: MergePair | None = None,
+        fact: Fact | None = None,
+        sim: SimEdge | None = None,
+        rule_label: str | None = None,
+        children: tuple[ProofNode, ...] = (),
+    ):
+        _set(self, "kind", kind)
+        _set(self, "pair", pair)
+        _set(self, "fact", fact)
+        _set(self, "sim", sim)
+        _set(self, "rule_label", rule_label)
+        _set(self, "children", children)
 
     def label(self) -> str:
         if self.kind in (NodeKind.RULE, NodeKind.TRANSITIVE):
@@ -83,10 +94,12 @@ class ProofNode:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ProofTree:
-    root: ProofNode
-    pair: MergePair
+class ProofTree(Record):
+    __slots__ = ("root", "pair")
+
+    def __init__(self, root: ProofNode, pair: MergePair):
+        _set(self, "root", root)
+        _set(self, "pair", pair)
 
 
 def _text(c: Constant) -> str:
@@ -108,15 +121,17 @@ def rule_depth(tree: ProofTree | ProofNode) -> int:
 # ------------------------------------------------------------ construction
 
 
-@dataclass(slots=True)
 class _Edge:
     """One round's rule answer, as the canonical ids of its two classes
     under the relation the round started from, with its witnesses."""
 
-    rule: Rule
-    u: int
-    v: int
-    witnesses: list[Witness]
+    __slots__ = ("rule", "u", "v", "witnesses")
+
+    def __init__(self, rule: Rule, u: int, v: int, witnesses: list[Witness]):
+        self.rule = rule
+        self.u = u
+        self.v = v
+        self.witnesses = witnesses
 
 
 def _occurrences(body: RuleBody) -> dict[Var, list[tuple[int, int]]]:

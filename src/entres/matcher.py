@@ -29,13 +29,12 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
 from .errors import MissingSimScore
-from .model import NULL, Constant, Database, EqRel, Fact
+from .model import NULL, Constant, Database, EqRel, Fact, Record, _set
 from .rules import (
     DenialConstraint,
     Rule,
@@ -53,24 +52,31 @@ class SimResolver(Protocol):
     def score(self, func: str, a: Constant, b: Constant) -> int: ...
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
+class Context(Record):
     """What every evaluation reads besides the equivalence relation: the
     database, the specification, the similarity resolver (None when no
     similarity atom is evaluated) and the null policies."""
 
-    db: Database
-    spec: Specification
-    sims: SimResolver | None = None
-    null_inequality: str = "distinct"
-    null_join_guard: bool = True
+    __slots__ = ("db", "spec", "sims", "null_inequality", "null_join_guard")
 
-    def __post_init__(self) -> None:
-        if self.null_inequality not in ("distinct", "fail"):
+    def __init__(
+        self,
+        db: Database,
+        spec: Specification,
+        sims: SimResolver | None = None,
+        null_inequality: str = "distinct",
+        null_join_guard: bool = True,
+    ):
+        if null_inequality not in ("distinct", "fail"):
             raise ValueError(
-                f"unknown null inequality policy {self.null_inequality!r}; "
+                f"unknown null inequality policy {null_inequality!r}; "
                 f"expected 'distinct' or 'fail'"
             )
+        _set(self, "db", db)
+        _set(self, "spec", spec)
+        _set(self, "sims", sims)
+        _set(self, "null_inequality", null_inequality)
+        _set(self, "null_join_guard", null_join_guard)
 
     def require_domain(self, e: EqRel) -> None:
         """Raise ValueError unless e numbers the domain as the rows do."""
@@ -85,27 +91,37 @@ class Context:
         return EqRel.numbered(self.db.consts, self.db.ids)
 
 
-@dataclass(slots=True)
-class Witness:
+class Witness(Record):
     """One way a body matched: the fact per relational atom (in body order)
     and the representative each variable was bound to."""
 
-    facts: tuple[Fact, ...]
-    binding: dict[Var, Constant]
+    __slots__ = ("facts", "binding")
+
+    def __init__(self, facts: tuple[Fact, ...], binding: dict[Var, Constant]):
+        _set(self, "facts", facts)
+        _set(self, "binding", binding)
 
 
-@dataclass(slots=True)
-class AnswerSet:
+class AnswerSet(Record):
     """Answers of a body for given head terms.
 
     rep_tuples holds the representative-level answers; tuples additionally
     expands every representative to all members of its class (the full
     preimage set), when requested."""
 
-    head: tuple[Term, ...]
-    rep_tuples: frozenset[tuple[Constant, ...]]
-    tuples: frozenset[tuple[Constant, ...]] | None = None
-    witnesses: dict[tuple[Constant, ...], list[Witness]] | None = None
+    __slots__ = ("head", "rep_tuples", "tuples", "witnesses")
+
+    def __init__(
+        self,
+        head: tuple[Term, ...],
+        rep_tuples: frozenset[tuple[Constant, ...]],
+        tuples: frozenset[tuple[Constant, ...]] | None = None,
+        witnesses: dict[tuple[Constant, ...], list[Witness]] | None = None,
+    ):
+        _set(self, "head", head)
+        _set(self, "rep_tuples", rep_tuples)
+        _set(self, "tuples", tuples)
+        _set(self, "witnesses", witnesses)
 
 
 @lru_cache(maxsize=None)

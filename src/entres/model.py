@@ -10,8 +10,8 @@ database rule bodies are evaluated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import NonEntityMerge, UnknownConstant
@@ -28,12 +28,70 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable records: its fields are the subclass's
+    `__slots__`, in the order its `__init__` takes them (which stores each
+    with `_set`). Equality and hashing go by class and field values, and
+    fields cannot be assigned or deleted once built."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(
+            get if len(cls.__slots__) > 1 else lambda obj: (get(obj),)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{f}={v!r}" for f, v in zip(self.__slots__, self._values(self))
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed; TypeError names a field
+        the class does not have."""
+        fields = dict(zip(self.__slots__, self._values(self)))
+        fields.update(changes)
+        return self.__class__(**fields)
+
+
+class Constant(Record):
     """An interned symbol: equality is by (kind, text)."""
 
-    kind: Kind
-    text: str
+    __slots__ = ("kind", "text")
+
+    def __init__(self, kind: Kind, text: str):
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Constant:
+            return NotImplemented
+        return self.text == other.text and self.kind is other.kind
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text))
 
     def is_entity(self) -> bool:
         return self.kind is Kind.ENTITY
@@ -64,12 +122,22 @@ def _const_key(c: Constant) -> tuple[str, str]:
     return (c.kind.value, c.text)
 
 
-@dataclass(frozen=True, slots=True)
-class Fact:
+class Fact(Record):
     """A ground atom: relation name plus constant arguments."""
 
-    relation: str
-    args: tuple[Constant, ...]
+    __slots__ = ("relation", "args")
+
+    def __init__(self, relation: str, args: tuple[Constant, ...]):
+        _set(self, "relation", relation)
+        _set(self, "args", args)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Fact:
+            return NotImplemented
+        return self.relation == other.relation and self.args == other.args
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self.args))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)
@@ -80,13 +148,23 @@ def _fact_key(f: Fact) -> tuple:
     return (f.relation, tuple(_const_key(a) for a in f.args))
 
 
-@dataclass(frozen=True, slots=True)
-class MergePair:
+class MergePair(Record):
     """Unordered non-reflexive pair of entity references, stored canonically
     with the lexicographically smaller text first."""
 
-    left: Constant
-    right: Constant
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Constant, right: Constant):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MergePair:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @classmethod
     def of(cls, a: Constant, b: Constant) -> "MergePair":

@@ -21,8 +21,6 @@ force merges, soft rules (`~>`) permit them, `deny` bodies must never match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -38,14 +36,24 @@ from .errors import (
     UnsafeHeadVariable,
     decode_guard,
 )
-from .model import Constant, Kind, entity, value
+from .model import Constant, Kind, Record, _set, entity, value
 
 # ---------------------------------------------------------------- AST types
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -54,46 +62,69 @@ class Var:
 Term = Union[Var, Constant]
 
 
-@dataclass(frozen=True, slots=True)
-class RelAtom:
-    relation: str
-    args: tuple[Term, ...]
+class RelAtom(Record):
+    __slots__ = ("relation", "args")
+
+    def __init__(self, relation: str, args: tuple[Term, ...]):
+        _set(self, "relation", relation)
+        _set(self, "args", args)
 
     def __repr__(self) -> str:
         return f"{self.relation}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True, slots=True)
-class SimAtom:
+class SimAtom(Record):
     """sim[:func](left, right) >= threshold, threshold in fixed-point
-    hundredths (9500 means 95.00)."""
+    hundredths (9500 means 95.00). func_name is the function as written
+    (None when auto-routed); validation fills in func_id, the resolved id,
+    and backend, one of lev, jw, tfidf, table."""
 
-    left: Term
-    right: Term
-    threshold: int
-    func_name: str | None  # as written; None when auto-routed
-    func_id: str = ""      # resolved id, filled during validation
-    backend: str = ""      # one of lev, jw, tfidf, table
+    __slots__ = ("left", "right", "threshold", "func_name", "func_id", "backend")
+
+    def __init__(
+        self,
+        left: Term,
+        right: Term,
+        threshold: int,
+        func_name: str | None,
+        func_id: str = "",
+        backend: str = "",
+    ):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "threshold", threshold)
+        _set(self, "func_name", func_name)
+        _set(self, "func_id", func_id)
+        _set(self, "backend", backend)
 
     def __repr__(self) -> str:
         f = f":{self.func_name}" if self.func_name else ""
         return f"sim{f}({self.left!r}, {self.right!r})>={self.threshold}"
 
 
-@dataclass(frozen=True, slots=True)
-class NeqAtom:
-    left: Term
-    right: Term
+class NeqAtom(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __repr__(self) -> str:
         return f"{self.left!r} != {self.right!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class RuleBody:
-    rel_atoms: tuple[RelAtom, ...]
-    sim_atoms: tuple[SimAtom, ...] = ()
-    neq_atoms: tuple[NeqAtom, ...] = ()
+class RuleBody(Record):
+    __slots__ = ("rel_atoms", "sim_atoms", "neq_atoms")
+
+    def __init__(
+        self,
+        rel_atoms: tuple[RelAtom, ...],
+        sim_atoms: tuple[SimAtom, ...] = (),
+        neq_atoms: tuple[NeqAtom, ...] = (),
+    ):
+        _set(self, "rel_atoms", rel_atoms)
+        _set(self, "sim_atoms", sim_atoms)
+        _set(self, "neq_atoms", neq_atoms)
 
 
 class RuleKind(Enum):
@@ -101,31 +132,53 @@ class RuleKind(Enum):
     SOFT = "soft"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    kind: RuleKind
-    label: str
-    body: RuleBody
-    head: tuple[Term, Term]
-    description: str | None = None
-    # set on derived candidate-collection rules only: the similarity
-    # function whose argument pairs this rule gathers
-    sim_func: str | None = None
+class Rule(Record):
+    __slots__ = ("kind", "label", "body", "head", "description", "sim_func")
+
+    def __init__(
+        self,
+        kind: RuleKind,
+        label: str,
+        body: RuleBody,
+        head: tuple[Term, Term],
+        description: str | None = None,
+        # set on derived candidate-collection rules only: the similarity
+        # function whose argument pairs this rule gathers
+        sim_func: str | None = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "label", label)
+        _set(self, "body", body)
+        _set(self, "head", head)
+        _set(self, "description", description)
+        _set(self, "sim_func", sim_func)
 
 
-@dataclass(frozen=True, slots=True)
-class DenialConstraint:
-    label: str
-    body: RuleBody
-    description: str | None = None
+class DenialConstraint(Record):
+    __slots__ = ("label", "body", "description")
+
+    def __init__(
+        self, label: str, body: RuleBody, description: str | None = None
+    ):
+        _set(self, "label", label)
+        _set(self, "body", body)
+        _set(self, "description", description)
 
 
-@dataclass(frozen=True, slots=True)
-class RelationDecl:
-    name: str
-    attributes: tuple[str, ...]
-    hints: tuple[str, ...]           # per attribute: id, short, long, num, val
-    merge_positions: tuple[int, ...]
+class RelationDecl(Record):
+    __slots__ = ("name", "attributes", "hints", "merge_positions")
+
+    def __init__(
+        self,
+        name: str,
+        attributes: tuple[str, ...],
+        hints: tuple[str, ...],  # per attribute: id, short, long, num, val
+        merge_positions: tuple[int, ...],
+    ):
+        _set(self, "name", name)
+        _set(self, "attributes", attributes)
+        _set(self, "hints", hints)
+        _set(self, "merge_positions", merge_positions)
 
     @property
     def arity(self) -> int:
@@ -135,15 +188,19 @@ class RelationDecl:
         return self.attributes.index(attribute)
 
 
-@dataclass(frozen=True, slots=True)
-class SimDecl:
-    name: str
-    backend: str  # lev, jw, tfidf, table
+class SimDecl(Record):
+    __slots__ = ("name", "backend")
+
+    def __init__(self, name: str, backend: str):
+        _set(self, "name", name)
+        _set(self, "backend", backend)  # lev, jw, tfidf, table
 
 
-@dataclass(frozen=True, slots=True)
-class Schema:
-    relations: tuple[RelationDecl, ...]
+class Schema(Record):
+    __slots__ = ("relations",)
+
+    def __init__(self, relations: tuple[RelationDecl, ...]):
+        _set(self, "relations", relations)
 
     def decl(self, name: str) -> RelationDecl | None:
         for r in self.relations:
@@ -157,13 +214,22 @@ class Schema:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Specification:
-    schema: Schema
-    hard: tuple[Rule, ...] = ()
-    soft: tuple[Rule, ...] = ()
-    dcs: tuple[DenialConstraint, ...] = ()
-    sim_decls: tuple[SimDecl, ...] = ()
+class Specification(Record):
+    __slots__ = ("schema", "hard", "soft", "dcs", "sim_decls")
+
+    def __init__(
+        self,
+        schema: Schema,
+        hard: tuple[Rule, ...] = (),
+        soft: tuple[Rule, ...] = (),
+        dcs: tuple[DenialConstraint, ...] = (),
+        sim_decls: tuple[SimDecl, ...] = (),
+    ):
+        _set(self, "schema", schema)
+        _set(self, "hard", hard)
+        _set(self, "soft", soft)
+        _set(self, "dcs", dcs)
+        _set(self, "sim_decls", sim_decls)
 
     def all_rules(self) -> tuple[Rule, ...]:
         return self.hard + self.soft
@@ -219,12 +285,14 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # op, punct, number, ident, string, eof
-    text: str
-    line: int
-    col: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # op, punct, number, ident, string, eof
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -266,6 +334,8 @@ def _unquote(raw: str) -> str:
 
 
 def _threshold_hundredths(tok: _Token) -> int:
+    from decimal import Decimal, InvalidOperation
+
     try:
         d = Decimal(tok.text)
     except InvalidOperation:
@@ -604,7 +674,7 @@ def _resolve_sim_atom(
                 )
         base = name
     func_id = f"{base}@{poskey}" if backend == "tfidf" else base
-    return replace(satom, func_id=func_id, backend=backend)
+    return satom.replace(func_id=func_id, backend=backend)
 
 
 def _validated_rule(rule: Rule, schema: Schema, declared: dict[str, str]) -> Rule:
@@ -631,7 +701,7 @@ def _validated_rule(rule: Rule, schema: Schema, declared: dict[str, str]) -> Rul
         _resolve_sim_atom(owner, s, rule.body, schema, declared)
         for s in rule.body.sim_atoms
     )
-    return replace(rule, body=replace(rule.body, sim_atoms=sim))
+    return rule.replace(body=rule.body.replace(sim_atoms=sim))
 
 
 def _validated_dc(dc: DenialConstraint, schema: Schema) -> DenialConstraint:
@@ -698,11 +768,13 @@ def load_spec(path: str) -> Specification:
 # ----------------------------------------------------------- safety checks
 
 
-@dataclass(frozen=True, slots=True)
-class SimSafetyViolation:
-    rule_label: str
-    relation: str
-    attribute: str
+class SimSafetyViolation(Record):
+    __slots__ = ("rule_label", "relation", "attribute")
+
+    def __init__(self, rule_label: str, relation: str, attribute: str):
+        _set(self, "rule_label", rule_label)
+        _set(self, "relation", relation)
+        _set(self, "attribute", attribute)
 
     def __str__(self) -> str:
         return (
@@ -736,8 +808,7 @@ def validate_sim_safety(spec: Specification) -> list[SimSafetyViolation]:
 # ----------------------------------------------------------------- analysis
 
 
-@dataclass(frozen=True, slots=True)
-class Analysis:
+class Analysis(Record):
     """What the fixpoints and the search need to know of a specification,
     decided by one property of its bodies.
 
@@ -764,15 +835,32 @@ class Analysis:
     checked:   the others, checked once a state's subtree is done.
     """
 
-    breaks: Mapping[str, tuple[NeqAtom, str]]
-    lb: tuple[Rule, ...]
-    promoted: tuple[Rule, ...]
-    ub: tuple[Rule, ...]
-    loose_ub: tuple[Rule, ...]
-    eager: bool
-    branching: tuple[Rule, ...]
-    pruning: tuple[DenialConstraint, ...]
-    checked: tuple[DenialConstraint, ...]
+    __slots__ = (
+        "breaks", "lb", "promoted", "ub", "loose_ub", "eager", "branching",
+        "pruning", "checked",
+    )
+
+    def __init__(
+        self,
+        breaks: Mapping[str, tuple[NeqAtom, str]],
+        lb: tuple[Rule, ...],
+        promoted: tuple[Rule, ...],
+        ub: tuple[Rule, ...],
+        loose_ub: tuple[Rule, ...],
+        eager: bool,
+        branching: tuple[Rule, ...],
+        pruning: tuple[DenialConstraint, ...],
+        checked: tuple[DenialConstraint, ...],
+    ):
+        _set(self, "breaks", breaks)
+        _set(self, "lb", lb)
+        _set(self, "promoted", promoted)
+        _set(self, "ub", ub)
+        _set(self, "loose_ub", loose_ub)
+        _set(self, "eager", eager)
+        _set(self, "branching", branching)
+        _set(self, "pruning", pruning)
+        _set(self, "checked", checked)
 
     @property
     def splits(self) -> bool:
@@ -815,18 +903,18 @@ def analyse(spec: Specification) -> Analysis:
             else:
                 breaks.setdefault(owner.label, (natom, why))
         if isinstance(owner, Rule):
-            body = replace(owner.body, neq_atoms=tuple(keep))
-            ub.append(replace(owner, kind=RuleKind.HARD, body=body))
+            body = owner.body.replace(neq_atoms=tuple(keep))
+            ub.append(owner.replace(kind=RuleKind.HARD, body=body))
     eager = not any(r.label in breaks for r in spec.all_rules())
     return Analysis(
         breaks=MappingProxyType(breaks),
         lb=tuple(r for r in spec.hard if r.label not in breaks),
         promoted=tuple(
-            replace(r, kind=RuleKind.HARD) for r in spec.all_rules()
+            r.replace(kind=RuleKind.HARD) for r in spec.all_rules()
         ),
         ub=tuple(ub),
         loose_ub=tuple(
-            replace(r, body=replace(r.body, sim_atoms=())) for r in ub
+            r.replace(body=r.body.replace(sim_atoms=())) for r in ub
         ),
         eager=eager,
         branching=spec.soft if eager else spec.soft + spec.hard,

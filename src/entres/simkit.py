@@ -25,12 +25,10 @@ import math
 import re
 from array import array
 from collections import Counter
-from dataclasses import replace
-from decimal import Decimal, InvalidOperation
 from itertools import repeat
 from typing import Callable, Iterable, Iterator
 
-from . import engine, kernels
+from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
 from .model import Constant, Database, Kind, MergePair
@@ -206,6 +204,8 @@ class SimTable:
 
     @classmethod
     def load(cls, path: str) -> "SimTable":
+        from decimal import Decimal, InvalidOperation
+
         scores: dict[tuple[str, str], int] = {}
         try:
             fh = open(path, encoding="utf-8")
@@ -294,6 +294,8 @@ def build_registry(
     """Concrete scorer per similarity function id. TF-IDF models are built
     over the values of the function's own column set; table-backed
     functions require the loaded extension."""
+    from . import kernels  # here, so that --sim table: loads no kernel
+
     registry: dict[str, Scorer] = {}
     for func_id, (backend, positions) in sim_functions(spec).items():
         if backend == "lev":
@@ -486,7 +488,7 @@ def _getsim_rules(spec: Specification) -> list[Rule]:
     return [
         Rule(
             RuleKind.HARD, f"{rule.label}.getsim{i}",
-            replace(rule.body, sim_atoms=()), (satom.left, satom.right),
+            rule.body.replace(sim_atoms=()), (satom.left, satom.right),
             sim_func=satom.func_id,
         )
         for rule in spec.all_rules()
@@ -506,11 +508,11 @@ def sim_opt(
     resolver = OnDemandResolver(store, registry)
 
     # phase 1: upper-bound fixpoint with on-demand external calls
-    e_ub = engine.ub(replace(ctx, sims=resolver))
+    e_ub = engine.ub(ctx.replace(sims=resolver))
 
     # phases 2 and 3: evaluate one candidate-collection rule per similarity
     # atom once under the overapproximation, score the misses
-    unscored = replace(ctx, sims=None)
+    unscored = ctx.replace(sims=None)
     for rule in _getsim_rules(ctx.spec):
         ans = answers(rule.body, rule.head, unscored, e_ub, expand=False)
         for a, b in sorted(ans.rep_tuples, key=lambda t: (t[0].text, t[1].text)):

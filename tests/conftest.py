@@ -1,13 +1,15 @@
-"""Shared fixtures: the music walkthrough bundle shipped under data/."""
+"""Shared fixtures: the music walkthrough bundle shipped under data/; and
+the check of the record semantics every immutable record class keeps."""
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 import pytest
 
 from entres.cli import ingest
-from entres.model import Constant, Kind
+from entres.model import Constant, Kind, Record
 from entres.rules import load_spec
 from entres.simkit import SimTable, TableResolver
 
@@ -21,6 +23,45 @@ def e(text: str) -> Constant:
 
 def v(text: str) -> Constant:
     return Constant(Kind.VALUE, text)
+
+
+def check_record(make, field: str, value) -> None:
+    """make() builds a new record, equal to the one before; field names
+    one of its fields and value is a different value for it."""
+    a, b = make(), make()
+    cls = type(a)
+    values = tuple(getattr(a, f) for f in cls.__slots__)
+    assert a is not b and a == b and not a != b
+    try:
+        hash(values)
+    except TypeError:  # a field holds a dict or a list
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    # never equal to another class's instance or a tuple of the same values
+    twin_cls = type(
+        cls.__name__, (Record,),
+        {"__slots__": cls.__slots__, "__init__": cls.__init__},
+    )
+    twin = twin_cls(*values)
+    assert a != twin and twin != a and not a == twin
+    assert a != values and values != a
+    for name in (field, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+    changed = a.replace(**{field: value})
+    assert type(changed) is cls and getattr(changed, field) == value
+    assert changed != a and a == b
+    for f in cls.__slots__:
+        if f != field:
+            assert getattr(changed, f) is getattr(a, f)
+    assert a.replace() == a and copy.copy(a) == a
+    with pytest.raises(TypeError):
+        a.replace(no_such_field=value)
 
 
 @pytest.fixture(scope="session")

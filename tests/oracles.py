@@ -12,7 +12,6 @@ own matcher and union-find: it checks the solution search, not the matcher.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
@@ -284,7 +283,7 @@ def naive_fixpoint(
 
 
 def _strip_sims(rule: Rule) -> Rule:
-    return replace(rule, body=replace(rule.body, sim_atoms=()))
+    return rule.replace(body=rule.body.replace(sim_atoms=()))
 
 
 def naive_lb(db, spec, simfn, **knobs):

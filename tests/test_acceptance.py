@@ -5,7 +5,6 @@ as they print. Each criterion is a single test; its `[acceptance]` line
 reports PASS or FAIL, and the test fails loudly alongside the line.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -192,8 +191,8 @@ def test_criterion_4_probe_thrift(bundle):
             assert store_opt.calls <= store_cs.calls, inst.seed
             thrifty = {
                 s.pairs()
-                for s in enumerate_solutions(dataclasses.replace(
-                    inst.ctx, sims=StrictResolver(store_opt)
+                for s in enumerate_solutions(inst.ctx.replace(
+                    sims=StrictResolver(store_opt)
                 ))
             }
             assert thrifty == set(esols), inst.seed
@@ -207,7 +206,7 @@ def test_criterion_5_recursion_levels():
         # the three-relation walkthrough, constraint dropped so that all
         # three songs merge through the band merge
         spec = load_spec(str(MUSIC / "music.er"))
-        free = dataclasses.replace(spec, dcs=())
+        free = spec.replace(dcs=())
         db = ingest(str(MUSIC), spec.schema)
         sims = TableResolver(SimTable.load(str(MUSIC / "simtable.tsv")))
         ctx = Context(db, free, sims)
@@ -292,14 +291,14 @@ def test_criterion_6_null_joins():
         for seed in range(120):
             inst = generate(seed)
             on = ub(inst.ctx)
-            off = ub(dataclasses.replace(inst.ctx, null_join_guard=False))
+            off = ub(inst.ctx.replace(null_join_guard=False))
             assert on.nontrivial_pairs() <= off.nontrivial_pairs()
 
         # a family member whose null cells land in a join column: the
         # mutation must surface there too, not just in the crafted case
         inst = generate(154)
         on = ub(inst.ctx)
-        off = ub(dataclasses.replace(inst.ctx, null_join_guard=False))
+        off = ub(inst.ctx.replace(null_join_guard=False))
         assert on.nontrivial_pairs() < off.nontrivial_pairs()
 
 

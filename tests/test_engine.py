@@ -1,7 +1,6 @@
 """Solution search, merge sets, levels; golden values on the music bundle
 and differential checks against the brute-force oracles."""
 
-import dataclasses
 import sys
 
 import pytest
@@ -116,12 +115,11 @@ class TestMusicGolden:
             s for s in enumerate_solutions(ctx) if s.pairs() == E1
         )
         assert len(sol.derivation) >= 2
-        clipped = dataclasses.replace(sol, derivation=sol.derivation[1:])
+        clipped = sol.replace(derivation=sol.derivation[1:])
         assert not verify_solution(ctx, clipped)
-        relabeled = dataclasses.replace(
-            sol,
+        relabeled = sol.replace(
             derivation=(
-                dataclasses.replace(sol.derivation[0], label="delta"),
+                sol.derivation[0].replace(label="delta"),
             )
             + sol.derivation[1:],
         )
@@ -129,9 +127,7 @@ class TestMusicGolden:
 
     def test_without_the_constraint_everything_merges(self, music):
         ctx = music
-        free = dataclasses.replace(
-            ctx, spec=dataclasses.replace(ctx.spec, dcs=())
-        )
+        free = ctx.replace(spec=ctx.spec.replace(dcs=()))
         maxima = maximal_solutions(free)
         assert len(maxima) == 1
         assert maxima[0].pairs() == {BB, S12, S13, S23}

@@ -1,6 +1,5 @@
 """Proof trees: construction, validation, minimal depth, rendering."""
 
-import dataclasses
 import json
 import re
 import sys
@@ -57,7 +56,7 @@ def golden_tree(music, music_e1):
 def music_free(music):
     """The bundle without its constraint: all three songs merge."""
     db, spec, sims = music
-    free = dataclasses.replace(spec, dcs=())
+    free = spec.replace(dcs=())
     sol = maximal_solutions(Context(db, free, sims))[0]
     return db, free, sims, sol
 
@@ -166,7 +165,7 @@ class TestRequestValidation:
 
 
 def _swap_children(node: ProofNode, children) -> ProofNode:
-    return dataclasses.replace(node, children=tuple(children))
+    return node.replace(children=tuple(children))
 
 
 class TestValidatorCatchesCorruption:
@@ -176,7 +175,7 @@ class TestValidatorCatchesCorruption:
         clipped = _swap_children(
             root, [c for c in root.children if c.kind is not NodeKind.RULE]
         )
-        bad = dataclasses.replace(golden_tree, root=clipped)
+        bad = golden_tree.replace(root=clipped)
         assert validate_proof_tree(bad, db, spec, sims)
 
     def test_tampered_similarity_score(self, music, golden_tree):
@@ -184,10 +183,8 @@ class TestValidatorCatchesCorruption:
         root = golden_tree.root
         children = list(root.children)
         leaf = children[3]
-        children[3] = dataclasses.replace(
-            leaf, sim=dataclasses.replace(leaf.sim, score=100)
-        )
-        bad = dataclasses.replace(golden_tree, root=_swap_children(root, children))
+        children[3] = leaf.replace(sim=leaf.sim.replace(score=100))
+        bad = golden_tree.replace(root=_swap_children(root, children))
         assert validate_proof_tree(bad, db, spec, sims)
         assert validate_proof_tree(bad, db, spec)  # threshold check suffices
 
@@ -195,15 +192,13 @@ class TestValidatorCatchesCorruption:
         db, spec, sims = music
         root = golden_tree.root
         children = list(root.children)
-        fake = dataclasses.replace(
-            children[0],
-            fact=dataclasses.replace(
-                children[0].fact,
+        fake = children[0].replace(
+            fact=children[0].fact.replace(
                 args=children[0].fact.args[:-1] + (e("b9"),),
             ),
         )
         children[0] = fake
-        bad = dataclasses.replace(golden_tree, root=_swap_children(root, children))
+        bad = golden_tree.replace(root=_swap_children(root, children))
         assert any("fact" in msg for msg in validate_proof_tree(bad, db, spec, sims))
 
     def test_broken_transitive_chain(self, music_free):
@@ -211,7 +206,7 @@ class TestValidatorCatchesCorruption:
         t = proof_tree(Context(db, free, sims), sol, (e("s1"), e("s3")))
         left = t.root.children[0]
         bad_root = _swap_children(t.root, [left, left])
-        bad = dataclasses.replace(t, root=bad_root)
+        bad = t.replace(root=bad_root)
         assert validate_proof_tree(bad, db, free, sims)
 
     def test_unjustified_extra_merge_child(self, music, golden_tree):
@@ -223,8 +218,8 @@ class TestValidatorCatchesCorruption:
             rule_label="sigma",
             children=(),
         )
-        bad = dataclasses.replace(
-            golden_tree, root=_swap_children(root, list(root.children) + [stray])
+        bad = golden_tree.replace(
+            root=_swap_children(root, list(root.children) + [stray])
         )
         assert validate_proof_tree(bad, db, spec, sims)
 

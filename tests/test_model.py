@@ -1,15 +1,21 @@
-"""Data model: constants, facts, merge pairs, equivalence relations."""
+"""Data model: constants, facts, merge pairs, equivalence relations, and the
+record semantics of the model's, matcher's, engine's and explain's records."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entres.engine import DerivStep, MergeSets, Solution
 from entres.errors import NonEntityMerge, UnknownConstant
+from entres.explain import NodeKind, ProofNode, ProofTree, SimEdge
+from entres.matcher import AnswerSet, Context, Witness
 from entres.model import NULL, Constant, Database, EqRel, Fact, Kind, MergePair
+from entres.rules import Var, parse_spec
 
-from conftest import e, v
+from conftest import check_record, e, v
 from oracles import close_pairs
 
 
@@ -175,3 +181,67 @@ class TestEqRel:
                     eq.merge(e(f"c{i}"), e(f"c{j}"))
                     pairs.append((e(f"c{i}"), e(f"c{j}")))
             assert eq.nontrivial_pairs() == close_pairs(pairs, DOM)
+
+
+AB = MergePair(e("a"), e("b"))
+R_AX = Fact("R", (e("a"), v("x")))
+SPEC = parse_spec(
+    "relation R(rid: id, a: val) merge [rid];\n"
+    "hard h: R(x, a), R(y, a) => eq(x, y);\n"
+)
+DB = Database([R_AX, Fact("R", (e("b"), v("x")))])
+
+#: one record per class: (make, a field, another value for it)
+RECORDS = {
+    "Constant": (lambda: Constant(Kind.ENTITY, "a"), "text", "b"),
+    "Fact": (lambda: Fact("R", (e("a"), v("x"))), "relation", "S"),
+    "MergePair": (lambda: MergePair(e("a"), e("b")), "right", e("c")),
+    "DerivStep": (lambda: DerivStep("h", AB), "label", "transitive"),
+    "Solution": (lambda: Solution(EqRel(DB.domain)), "derivation", (
+        DerivStep("h", AB),
+    )),
+    "MergeSets": (
+        lambda: MergeSets(frozenset(), frozenset({AB}), frozenset(),
+                          frozenset(), True),
+        "consistent", False,
+    ),
+    "Context": (lambda: Context(DB, SPEC), "null_join_guard", False),
+    "Witness": (lambda: Witness((R_AX,), {Var("x"): e("a")}), "facts", ()),
+    "AnswerSet": (
+        lambda: AnswerSet((Var("x"),), frozenset({(e("a"),)})),
+        "tuples", frozenset(),
+    ),
+    "SimEdge": (lambda: SimEdge("jw", v("x"), v("y"), 9000), "score", 100),
+    "ProofNode": (
+        lambda: ProofNode(NodeKind.FACT, fact=R_AX), "rule_label", "h"
+    ),
+    "ProofTree": (
+        lambda: ProofTree(ProofNode(NodeKind.RULE, pair=AB), AB),
+        "pair", MergePair(e("a"), e("c")),
+    ),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_value_semantics(self, name):
+        check_record(*RECORDS[name])
+
+    def test_repr(self):
+        assert [repr(c) for c in (e("a"), v("x"), NULL)] == ["@a", "x", "<null>"]
+        assert repr(AB) == "(a, b)"
+        assert repr(Fact("R", (e("a"), v("x"), NULL))) == "R(@a, x, <null>)"
+        assert repr(DerivStep("h", AB)) == "DerivStep(label='h', pair=(a, b))"
+
+    def test_pickle_round_trip(self):
+        for make, _, _ in RECORDS.values():
+            rec = make()
+            assert pickle.loads(pickle.dumps(rec)) == rec
+
+    def test_context_rejects_an_unknown_null_policy(self):
+        with pytest.raises(ValueError, match="null inequality"):
+            Context(DB, SPEC, null_inequality="x")
+        ctx = Context(DB, SPEC, null_inequality="fail")
+        with pytest.raises(ValueError, match="null inequality"):
+            ctx.replace(null_inequality="x")
+        assert ctx.replace(null_inequality="distinct").null_inequality == "distinct"

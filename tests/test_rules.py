@@ -1,4 +1,5 @@
-"""Rule language: parsing, validation, safety and monotonicity analysis."""
+"""Rule language: parsing, validation, safety and monotonicity analysis,
+and the record semantics of its syntax tree."""
 
 import pytest
 
@@ -11,8 +12,20 @@ from entres.errors import (
     UnsafeHeadVariable,
 )
 from entres.rules import (
+    DenialConstraint,
+    NeqAtom,
+    RelAtom,
+    RelationDecl,
+    Rule,
+    RuleBody,
     RuleKind,
+    Schema,
+    SimAtom,
+    SimDecl,
+    SimSafetyViolation,
+    Specification,
     Var,
+    _Token,
     analyse,
     join_vars,
     parse_spec,
@@ -20,6 +33,7 @@ from entres.rules import (
     var_positions,
 )
 
+from conftest import MUSIC, check_record, e, v
 from instances import generate_neq
 
 BASE = "relation R(rid: id, a: val, b: val) merge [rid];\n"
@@ -239,6 +253,71 @@ class TestTransforms:
         assert [r.body.rel_atoms for r in an.loose_ub] == [
             r.body.rel_atoms for r in music_spec.all_rules()
         ]
+
+
+X, Y = Var("x"), Var("y")
+ATOM = RelAtom("R", (X, Y))
+BODY = RuleBody((ATOM,))
+R_DECL = RelationDecl("R", ("rid", "a"), ("id", "val"), (0,))
+
+#: one record per class: (make, a field, another value for it)
+RECORDS = {
+    "Var": (lambda: Var("x"), "name", "y"),
+    "RelAtom": (lambda: RelAtom("R", (X, e("a"))), "relation", "S"),
+    "SimAtom": (lambda: SimAtom(X, Y, 9500, None), "func_id", "jw"),
+    "NeqAtom": (lambda: NeqAtom(X, v("a")), "right", Y),
+    "RuleBody": (lambda: RuleBody((ATOM,)), "neq_atoms", (NeqAtom(X, Y),)),
+    "Rule": (
+        lambda: Rule(RuleKind.SOFT, "s", BODY, (X, Y)), "kind", RuleKind.HARD
+    ),
+    "DenialConstraint": (
+        lambda: DenialConstraint("d", BODY), "description", "why"
+    ),
+    "RelationDecl": (
+        lambda: RelationDecl("R", ("rid", "a"), ("id", "val"), (0,)),
+        "hints", ("id", "short"),
+    ),
+    "SimDecl": (lambda: SimDecl("approx", "table"), "backend", "jw"),
+    "Schema": (lambda: Schema((R_DECL,)), "relations", ()),
+    "Specification": (
+        lambda: Specification(Schema((R_DECL,))), "dcs",
+        (DenialConstraint("d", BODY),),
+    ),
+    "_Token": (lambda: _Token("ident", "x", 1, 2), "col", 3),
+    "SimSafetyViolation": (
+        lambda: SimSafetyViolation("h", "R", "rid"), "attribute", "a"
+    ),
+    "Analysis": (
+        lambda: analyse.__wrapped__(parse_spec(
+            BASE + "hard h: R(x, a, b), R(y, a, b2), b != b2 => eq(x, y);"
+        )),
+        "eager", False,
+    ),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_value_semantics(self, name):
+        check_record(*RECORDS[name])
+
+    def test_repr(self):
+        assert repr(X) == "?x"
+        assert repr(RelAtom("R", (X, e("a"), v("7")))) == "R(?x, @a, 7)"
+        assert repr(SimAtom(X, Y, 9500, None)) == "sim(?x, ?y)>=9500"
+        assert repr(SimAtom(X, v("a"), 50, "jw", "jw", "jw")) == (
+            "sim:jw(?x, a)>=50"
+        )
+        assert repr(NeqAtom(X, e("a"))) == "?x != @a"
+        assert repr(SimDecl("approx", "table")) == (
+            "SimDecl(name='approx', backend='table')"
+        )
+
+    def test_parsed_specifications_are_equal_records(self, music_spec):
+        text = (MUSIC / "music.er").read_text(encoding="utf-8")
+        again = parse_spec(text)
+        assert again == music_spec and hash(again) == hash(music_spec)
+        assert again is not music_spec and analyse(again) is analyse(music_spec)
 
 
 TWO = (

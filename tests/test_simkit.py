@@ -1,6 +1,5 @@
 """Similarity machinery: kernels, models, stores, resolvers, strategies."""
 
-import dataclasses
 import math
 import re
 
@@ -376,7 +375,7 @@ class TestStrategies:
             ("opt", sim_opt(ctx)[0]),
         ):
             sols = enumerate_solutions(
-                dataclasses.replace(ctx, sims=StrictResolver(store))
+                ctx.replace(sims=StrictResolver(store))
             )
             found[name] = {s.pairs() for s in sols}
         assert found["all"] == found["cs"] == found["opt"]
@@ -402,16 +401,16 @@ class TestStrategies:
         full = {
             s.pairs()
             for s in enumerate_solutions(
-                dataclasses.replace(inst.ctx, sims=StrictResolver(inst.store))
+                inst.ctx.replace(sims=StrictResolver(inst.store))
             )
         }
         thrifty = {
             s.pairs()
             for s in enumerate_solutions(
-                dataclasses.replace(inst.ctx, sims=StrictResolver(store_opt))
+                inst.ctx.replace(sims=StrictResolver(store_opt))
             )
         }
         assert full == thrifty
         assert opt_ub == ub(
-            dataclasses.replace(inst.ctx, sims=StrictResolver(inst.store))
+            inst.ctx.replace(sims=StrictResolver(inst.store))
         ).nontrivial_pairs()
