@@ -47,7 +47,7 @@ from .matcher import (
     merge_candidates,
     rule_satisfied,
 )
-from .model import Constant, EqRel, MergePair, Record, _set
+from .model import Constant, EqRel, MergePair, Record
 from .rules import Rule, analyse
 
 
@@ -58,27 +58,12 @@ class DerivStep(Record):
 
     __slots__ = ("label", "pair")
 
-    def __init__(self, label: str, pair: MergePair):
-        _set(self, "label", label)
-        _set(self, "pair", pair)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DerivStep:
-            return NotImplemented
-        return self.label == other.label and self.pair == other.pair
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.pair))
-
 
 class Solution(Record):
     """A solution with the derivation that proves it is a candidate."""
 
     __slots__ = ("eq", "derivation")
-
-    def __init__(self, eq: EqRel, derivation: tuple[DerivStep, ...] = ()):
-        _set(self, "eq", eq)
-        _set(self, "derivation", derivation)
+    _defaults = {"derivation": ()}
 
     def pairs(self) -> frozenset[MergePair]:
         return self.eq.nontrivial_pairs()
@@ -89,20 +74,6 @@ class MergeSets(Record):
     in which case pm and cm are empty by convention."""
 
     __slots__ = ("lb", "ub", "pm", "cm", "consistent")
-
-    def __init__(
-        self,
-        lb: frozenset[MergePair],
-        ub: frozenset[MergePair],
-        pm: frozenset[MergePair],
-        cm: frozenset[MergePair],
-        consistent: bool,
-    ):
-        _set(self, "lb", lb)
-        _set(self, "ub", ub)
-        _set(self, "pm", pm)
-        _set(self, "cm", cm)
-        _set(self, "consistent", consistent)
 
 
 class LevelMap:

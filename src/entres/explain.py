@@ -36,7 +36,7 @@ from typing import Generator
 from .engine import Solution
 from .errors import NotInSolution
 from .matcher import Context, SimResolver, Witness, answers
-from .model import Constant, Database, Fact, Kind, MergePair, Record, _set
+from .model import Constant, Database, Kind, MergePair, Record
 from .rules import Rule, RuleBody, Specification, Var, analyse
 
 
@@ -52,31 +52,13 @@ class SimEdge(Record):
 
     __slots__ = ("func", "left", "right", "score")
 
-    def __init__(self, func: str, left: Constant, right: Constant, score: int):
-        _set(self, "func", func)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "score", score)
-
 
 class ProofNode(Record):
     __slots__ = ("kind", "pair", "fact", "sim", "rule_label", "children")
-
-    def __init__(
-        self,
-        kind: NodeKind,
-        pair: MergePair | None = None,
-        fact: Fact | None = None,
-        sim: SimEdge | None = None,
-        rule_label: str | None = None,
-        children: tuple[ProofNode, ...] = (),
-    ):
-        _set(self, "kind", kind)
-        _set(self, "pair", pair)
-        _set(self, "fact", fact)
-        _set(self, "sim", sim)
-        _set(self, "rule_label", rule_label)
-        _set(self, "children", children)
+    _defaults = {
+        "pair": None, "fact": None, "sim": None, "rule_label": None,
+        "children": (),
+    }
 
     def label(self) -> str:
         if self.kind in (NodeKind.RULE, NodeKind.TRANSITIVE):
@@ -96,10 +78,6 @@ class ProofNode(Record):
 
 class ProofTree(Record):
     __slots__ = ("root", "pair")
-
-    def __init__(self, root: ProofNode, pair: MergePair):
-        _set(self, "root", root)
-        _set(self, "pair", pair)
 
 
 def _text(c: Constant) -> str:

@@ -34,12 +34,11 @@ from itertools import product
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
 from .errors import MissingSimScore
-from .model import NULL, Constant, Database, EqRel, Fact, Record, _set
+from .model import NULL, Constant, EqRel, Record
 from .rules import (
     DenialConstraint,
     Rule,
     RuleBody,
-    Specification,
     Term,
     Var,
     join_vars,
@@ -59,24 +58,17 @@ class Context(Record):
 
     __slots__ = ("db", "spec", "sims", "null_inequality", "null_join_guard")
 
-    def __init__(
-        self,
-        db: Database,
-        spec: Specification,
-        sims: SimResolver | None = None,
-        null_inequality: str = "distinct",
-        null_join_guard: bool = True,
-    ):
-        if null_inequality not in ("distinct", "fail"):
+    _defaults = {
+        "sims": None, "null_inequality": "distinct", "null_join_guard": True,
+    }
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        if self.null_inequality not in ("distinct", "fail"):
             raise ValueError(
-                f"unknown null inequality policy {null_inequality!r}; "
+                f"unknown null inequality policy {self.null_inequality!r}; "
                 f"expected 'distinct' or 'fail'"
             )
-        _set(self, "db", db)
-        _set(self, "spec", spec)
-        _set(self, "sims", sims)
-        _set(self, "null_inequality", null_inequality)
-        _set(self, "null_join_guard", null_join_guard)
 
     def require_domain(self, e: EqRel) -> None:
         """Raise ValueError unless e numbers the domain as the rows do."""
@@ -97,10 +89,6 @@ class Witness(Record):
 
     __slots__ = ("facts", "binding")
 
-    def __init__(self, facts: tuple[Fact, ...], binding: dict[Var, Constant]):
-        _set(self, "facts", facts)
-        _set(self, "binding", binding)
-
 
 class AnswerSet(Record):
     """Answers of a body for given head terms.
@@ -110,18 +98,7 @@ class AnswerSet(Record):
     preimage set), when requested."""
 
     __slots__ = ("head", "rep_tuples", "tuples", "witnesses")
-
-    def __init__(
-        self,
-        head: tuple[Term, ...],
-        rep_tuples: frozenset[tuple[Constant, ...]],
-        tuples: frozenset[tuple[Constant, ...]] | None = None,
-        witnesses: dict[tuple[Constant, ...], list[Witness]] | None = None,
-    ):
-        _set(self, "head", head)
-        _set(self, "rep_tuples", rep_tuples)
-        _set(self, "tuples", tuples)
-        _set(self, "witnesses", witnesses)
+    _defaults = {"tuples": None, "witnesses": None}
 
 
 @lru_cache(maxsize=None)

@@ -28,22 +28,47 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
+#: stores a record's field, past the __setattr__ that forbids assignment
 _set = object.__setattr__
 
 
 class Record:
-    """Base of the immutable records: its fields are the subclass's
-    `__slots__`, in the order its `__init__` takes them (which stores each
-    with `_set`). Equality and hashing go by class and field values, and
-    fields cannot be assigned or deleted once built."""
+    """Base of the immutable records. A subclass lists its fields in
+    `__slots__` and the default of any optional one in `_defaults`; the
+    generic `__init__` binds positional and keyword arguments to them in
+    that order. Equality and hashing go by class and field values, and
+    fields cannot be assigned or deleted once built. The records built
+    and hashed thousands of times a call (Constant, Fact, MergePair) write
+    out their own `__init__`, `__eq__` and `__hash__`, which are faster."""
 
     __slots__ = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         get = attrgetter(*cls.__slots__)
         cls._values = staticmethod(
             get if len(cls.__slots__) > 1 else lambda obj: (get(obj),)
         )
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name, fields = self.__class__.__qualname__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} arguments ({len(args)} given)"
+            )
+        for f, v in zip(fields, args):
+            _set(self, f, v)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                _set(self, f, kwargs.pop(f))
+            elif f in self._defaults:
+                _set(self, f, self._defaults[f])
+            else:
+                raise TypeError(f"{name}() missing argument {f!r}")
+        for f in kwargs:
+            raise TypeError(
+                f"{name}() got an unexpected or repeated argument {f!r}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -24,7 +24,7 @@ import re
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Union
 
 from .errors import (
     ArityMismatch,
@@ -36,16 +36,13 @@ from .errors import (
     UnsafeHeadVariable,
     decode_guard,
 )
-from .model import Constant, Kind, Record, _set, entity, value
+from .model import Constant, Kind, Record, entity, value
 
 # ---------------------------------------------------------------- AST types
 
 
 class Var(Record):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Var:
@@ -65,10 +62,6 @@ Term = Union[Var, Constant]
 class RelAtom(Record):
     __slots__ = ("relation", "args")
 
-    def __init__(self, relation: str, args: tuple[Term, ...]):
-        _set(self, "relation", relation)
-        _set(self, "args", args)
-
     def __repr__(self) -> str:
         return f"{self.relation}({', '.join(map(repr, self.args))})"
 
@@ -80,22 +73,7 @@ class SimAtom(Record):
     and backend, one of lev, jw, tfidf, table."""
 
     __slots__ = ("left", "right", "threshold", "func_name", "func_id", "backend")
-
-    def __init__(
-        self,
-        left: Term,
-        right: Term,
-        threshold: int,
-        func_name: str | None,
-        func_id: str = "",
-        backend: str = "",
-    ):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "threshold", threshold)
-        _set(self, "func_name", func_name)
-        _set(self, "func_id", func_id)
-        _set(self, "backend", backend)
+    _defaults = {"func_id": "", "backend": ""}
 
     def __repr__(self) -> str:
         f = f":{self.func_name}" if self.func_name else ""
@@ -105,26 +83,13 @@ class SimAtom(Record):
 class NeqAtom(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Term, right: Term):
-        _set(self, "left", left)
-        _set(self, "right", right)
-
     def __repr__(self) -> str:
         return f"{self.left!r} != {self.right!r}"
 
 
 class RuleBody(Record):
     __slots__ = ("rel_atoms", "sim_atoms", "neq_atoms")
-
-    def __init__(
-        self,
-        rel_atoms: tuple[RelAtom, ...],
-        sim_atoms: tuple[SimAtom, ...] = (),
-        neq_atoms: tuple[NeqAtom, ...] = (),
-    ):
-        _set(self, "rel_atoms", rel_atoms)
-        _set(self, "sim_atoms", sim_atoms)
-        _set(self, "neq_atoms", neq_atoms)
+    _defaults = {"sim_atoms": (), "neq_atoms": ()}
 
 
 class RuleKind(Enum):
@@ -133,52 +98,20 @@ class RuleKind(Enum):
 
 
 class Rule(Record):
+    # sim_func is set on derived candidate-collection rules only: the
+    # similarity function whose argument pairs this rule gathers
     __slots__ = ("kind", "label", "body", "head", "description", "sim_func")
-
-    def __init__(
-        self,
-        kind: RuleKind,
-        label: str,
-        body: RuleBody,
-        head: tuple[Term, Term],
-        description: str | None = None,
-        # set on derived candidate-collection rules only: the similarity
-        # function whose argument pairs this rule gathers
-        sim_func: str | None = None,
-    ):
-        _set(self, "kind", kind)
-        _set(self, "label", label)
-        _set(self, "body", body)
-        _set(self, "head", head)
-        _set(self, "description", description)
-        _set(self, "sim_func", sim_func)
+    _defaults = {"description": None, "sim_func": None}
 
 
 class DenialConstraint(Record):
     __slots__ = ("label", "body", "description")
-
-    def __init__(
-        self, label: str, body: RuleBody, description: str | None = None
-    ):
-        _set(self, "label", label)
-        _set(self, "body", body)
-        _set(self, "description", description)
+    _defaults = {"description": None}
 
 
 class RelationDecl(Record):
+    # hints, per attribute: id, short, long, num, val
     __slots__ = ("name", "attributes", "hints", "merge_positions")
-
-    def __init__(
-        self,
-        name: str,
-        attributes: tuple[str, ...],
-        hints: tuple[str, ...],  # per attribute: id, short, long, num, val
-        merge_positions: tuple[int, ...],
-    ):
-        _set(self, "name", name)
-        _set(self, "attributes", attributes)
-        _set(self, "hints", hints)
-        _set(self, "merge_positions", merge_positions)
 
     @property
     def arity(self) -> int:
@@ -189,18 +122,11 @@ class RelationDecl(Record):
 
 
 class SimDecl(Record):
-    __slots__ = ("name", "backend")
-
-    def __init__(self, name: str, backend: str):
-        _set(self, "name", name)
-        _set(self, "backend", backend)  # lev, jw, tfidf, table
+    __slots__ = ("name", "backend")  # backend: lev, jw, tfidf, table
 
 
 class Schema(Record):
     __slots__ = ("relations",)
-
-    def __init__(self, relations: tuple[RelationDecl, ...]):
-        _set(self, "relations", relations)
 
     def decl(self, name: str) -> RelationDecl | None:
         for r in self.relations:
@@ -216,20 +142,7 @@ class Schema(Record):
 
 class Specification(Record):
     __slots__ = ("schema", "hard", "soft", "dcs", "sim_decls")
-
-    def __init__(
-        self,
-        schema: Schema,
-        hard: tuple[Rule, ...] = (),
-        soft: tuple[Rule, ...] = (),
-        dcs: tuple[DenialConstraint, ...] = (),
-        sim_decls: tuple[SimDecl, ...] = (),
-    ):
-        _set(self, "schema", schema)
-        _set(self, "hard", hard)
-        _set(self, "soft", soft)
-        _set(self, "dcs", dcs)
-        _set(self, "sim_decls", sim_decls)
+    _defaults = {"hard": (), "soft": (), "dcs": (), "sim_decls": ()}
 
     def all_rules(self) -> tuple[Rule, ...]:
         return self.hard + self.soft
@@ -286,13 +199,8 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
 class _Token(Record):
+    # kind: op, punct, number, ident, string, eof
     __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)  # op, punct, number, ident, string, eof
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -771,11 +679,6 @@ def load_spec(path: str) -> Specification:
 class SimSafetyViolation(Record):
     __slots__ = ("rule_label", "relation", "attribute")
 
-    def __init__(self, rule_label: str, relation: str, attribute: str):
-        _set(self, "rule_label", rule_label)
-        _set(self, "relation", relation)
-        _set(self, "attribute", attribute)
-
     def __str__(self) -> str:
         return (
             f"rule {self.rule_label}: similarity atom reads "
@@ -839,28 +742,6 @@ class Analysis(Record):
         "breaks", "lb", "promoted", "ub", "loose_ub", "eager", "branching",
         "pruning", "checked",
     )
-
-    def __init__(
-        self,
-        breaks: Mapping[str, tuple[NeqAtom, str]],
-        lb: tuple[Rule, ...],
-        promoted: tuple[Rule, ...],
-        ub: tuple[Rule, ...],
-        loose_ub: tuple[Rule, ...],
-        eager: bool,
-        branching: tuple[Rule, ...],
-        pruning: tuple[DenialConstraint, ...],
-        checked: tuple[DenialConstraint, ...],
-    ):
-        _set(self, "breaks", breaks)
-        _set(self, "lb", lb)
-        _set(self, "promoted", promoted)
-        _set(self, "ub", ub)
-        _set(self, "loose_ub", loose_ub)
-        _set(self, "eager", eager)
-        _set(self, "branching", branching)
-        _set(self, "pruning", pruning)
-        _set(self, "checked", checked)
 
     @property
     def splits(self) -> bool:

@@ -238,6 +238,22 @@ class TestRecords:
             rec = make()
             assert pickle.loads(pickle.dumps(rec)) == rec
 
+    def test_generic_init_binds_arguments_like_a_signature(self):
+        # ProofNode: kind, then five fields with defaults
+        node = ProofNode(NodeKind.FACT, fact=R_AX)
+        assert node == ProofNode(NodeKind.FACT, None, R_AX, None, None, ())
+        assert node == ProofNode(fact=R_AX, kind=NodeKind.FACT)
+        assert (node.pair, node.children) == (None, ())
+        assert DerivStep(label="h", pair=AB) == DerivStep("h", AB)
+        for bad in (
+            lambda: DerivStep("h"),  # missing
+            lambda: DerivStep("h", AB, 1),  # too many
+            lambda: DerivStep("h", AB, label="t"),  # repeated
+            lambda: DerivStep("h", AB, no_such_field=1),  # unknown
+        ):
+            with pytest.raises(TypeError):
+                bad()
+
     def test_context_rejects_an_unknown_null_policy(self):
         with pytest.raises(ValueError, match="null inequality"):
             Context(DB, SPEC, null_inequality="x")
