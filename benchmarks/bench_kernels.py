@@ -12,7 +12,12 @@ from __future__ import annotations
 import argparse
 import random
 import string
+import sys
 import time
+from pathlib import Path
+
+# run from a source checkout: import the package from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from entres import _kernels_py
 

@@ -3,8 +3,18 @@ specification, similarity resolver, null policies) against an equivalence
 relation.
 
 Evaluation is on canonical ids only: body constants are resolved to ids
-once, and bodies are joined with index nested loops comparing ints. Rows
-are read in the database's interned form (id tuples numbered as EqRel
+once, and bodies are joined with index nested loops comparing ints. Each
+body is laid out once (_Layout): every relational variable gets a slot
+number in order of first occurrence, and every constant the joins compare
+a slot after them, so a match is two flat lists indexed by slot, one of
+canonical ids and one of the raw ids the variables were bound to. Per pass
+a join plan, compiled once per body, pinned atom and relation sizes,
+fixes the atom order, the probe that selects each atom's rows, and which
+arguments bind a slot and which check one; one loop over a stack of row
+iterators runs it, and a slot is rebound in place when its step reads the
+next row, so backtracking undoes nothing.
+
+Rows are read in the database's interned form (id tuples numbered as EqRel
 numbers the domain) and never rewritten: a row's canonical ids are looked
 up when the row is visited, and the rows whose argument lies in a class
 are read from the database's static per-position index, one entry per
@@ -29,7 +39,6 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
@@ -101,27 +110,125 @@ class AnswerSet(Record):
     _defaults = {"tuples": None, "witnesses": None}
 
 
-@lru_cache(maxsize=None)
-def _layout(body: RuleBody) -> tuple[
-    frozenset[Var],
-    tuple[tuple[tuple[int, Term], ...], ...],
-    tuple[tuple[tuple[int, Var], ...], ...],
-]:
-    """The body's join variables and, per relational atom, (position,
-    constant) of each constant argument and (position, variable) of each
-    variable argument: what an evaluation reads of the body before it
-    resolves the constants against its state."""
-    args = [tuple(enumerate(atom.args)) for atom in body.rel_atoms]
-    return (
-        join_vars(body),
-        tuple(
-            tuple((p, t) for p, t in pa if not isinstance(t, Var))
-            for pa in args
-        ),
-        tuple(
-            tuple((p, t) for p, t in pa if isinstance(t, Var)) for pa in args
-        ),
+# the kinds of argument in a plan step: compare with a filled slot, fill a
+# slot, fill a slot that a null must not fill (a join variable's)
+_CHECK, _BIND, _JOIN = 0, 1, 2
+
+
+class _Layout:
+    """What every evaluation reads of a body before it resolves constants:
+    its slots and the join plans compiled so far.
+
+    Slots number the relational variables in order of first occurrence,
+    then the distinct constants of the relational and inequality atoms, so
+    that one flat list per evaluation holds every value a match compares.
+    Per relational atom, `atoms` lists (position, slot, is_join) for each
+    argument; an inequality is a pair of slots; a similarity atom keeps
+    the slot of each variable operand (None for a constant, which is
+    scored as written)."""
+
+    __slots__ = (
+        "body", "relations", "vars", "slot", "consts", "atoms", "neqs",
+        "sims", "plans",
     )
+
+    def __init__(self, body: RuleBody):
+        self.body = body  # held, so its id (the _LAYOUTS key) stays its own
+        self.relations = tuple(a.relation for a in body.rel_atoms)
+        slot: dict[Var, int] = {}
+        for atom in body.rel_atoms:
+            for t in atom.args:
+                if isinstance(t, Var):
+                    slot.setdefault(t, len(slot))
+        self.vars: tuple[Var, ...] = tuple(slot)
+        self.slot = slot
+        consts: dict[Constant, int] = {}
+
+        def at(t: Term) -> int:
+            if isinstance(t, Var):
+                return slot[t]
+            return consts.setdefault(t, len(slot) + len(consts))
+
+        joins = join_vars(body)
+        self.atoms = tuple(
+            tuple((p, at(t), t in joins) for p, t in enumerate(a.args))
+            for a in body.rel_atoms
+        )
+        self.neqs = tuple((at(n.left), at(n.right)) for n in body.neq_atoms)
+        self.consts: tuple[Constant, ...] = tuple(consts)
+        self.sims = tuple(
+            (s, slot[s.left] if isinstance(s.left, Var) else None,
+             slot[s.right] if isinstance(s.right, Var) else None)
+            for s in body.sim_atoms
+        )
+        self.plans: dict[tuple[int | None, tuple[int, ...]], tuple] = {}
+
+    def plan(self, pin: int | None, sizes: tuple[int, ...]) -> tuple:
+        """The join plan of one pass, compiled on first use: the pinned
+        atom (if any) first, then repeatedly the atom with the most known
+        arguments, then the fewest rows (`sizes`, per atom), then the
+        lowest index. Per step: (atom, probe, args). The probe is the
+        (position, slot) whose value selects the step's rows through the
+        database's index: the first constant argument, else the first
+        variable an earlier step bound, else None for a scan of every row
+        (and for the pinned atom, whose rows the dirty ids select). The
+        args are the other arguments as (position, slot, kind): first
+        those that check a slot an earlier step or a constant filled, then
+        those that fill a slot, then repeats of a slot this step fills."""
+        steps = self.plans.get((pin, sizes))
+        if steps is not None:
+            return steps
+        nv = len(self.vars)
+        bound = set(range(nv, nv + len(self.consts)))
+        remaining = set(range(len(self.atoms)))
+        order: list[tuple] = []
+
+        def score(i: int) -> tuple[int, int, int]:
+            known = sum(s in bound for _, s, _ in self.atoms[i])
+            return (known, -sizes[i], -i)
+
+        while remaining:
+            i = max(remaining, key=score) if order or pin is None else pin
+            remaining.discard(i)
+            args = self.atoms[i]
+            probe = None
+            if i != pin:
+                probe = next((a for a in args if a[1] >= nv), None) or next(
+                    (a for a in args if a[1] in bound), None
+                )
+            checks, fills, repeats = [], [], []
+            fresh: set[int] = set()
+            for a in args:
+                pos, s, join = a
+                if a is probe:
+                    continue  # every row the index gives satisfies it
+                if s in bound:
+                    checks.append((pos, s, _CHECK))
+                elif s in fresh:
+                    repeats.append((pos, s, _CHECK))
+                else:
+                    fresh.add(s)
+                    fills.append((pos, s, _JOIN if join else _BIND))
+            bound |= fresh
+            order.append((
+                i, probe[:2] if probe else None,
+                tuple(checks + fills + repeats),
+            ))
+        steps = self.plans[pin, sizes] = tuple(order)
+        return steps
+
+
+#: body object id -> its layout. Keyed by identity because hashing a body
+#: walks every term in Python; the layout holds the body, so the id is not
+#: reused while the entry lives.
+_LAYOUTS: dict[int, _Layout] = {}
+
+
+def _layout(body: RuleBody) -> _Layout:
+    lay = _LAYOUTS.get(id(body))
+    if lay is None:
+        lay = _LAYOUTS[id(body)] = _Layout(body)
+    return lay
 
 
 class _Eval:
@@ -130,96 +237,49 @@ class _Eval:
     carries) and reads the database's interned rows as they are, looking up
     the canonical id of an argument when its row is visited."""
 
-    __slots__ = (
-        "body", "ctx", "e", "absent", "null_id", "lookups", "joinset",
-        "fixed", "free", "neqs",
-    )
+    __slots__ = ("lay", "ctx", "e", "absent", "null_id", "ids", "lookups")
 
     def __init__(self, body: RuleBody, ctx: Context, e: EqRel):
         ctx.require_domain(e)
-        self.body = body
+        self.lay = lay = _layout(body)
         self.ctx = ctx
         self.e = e
         self.absent: dict[Constant, int] = {}
         self.null_id = self.resolve(NULL)
-        self.lookups: dict[tuple[str, int, int], Sequence[int]] = {}
-        # per relational atom: (position, id) of each constant argument and
-        # (position, variable) of each variable argument
-        self.joinset, consts, self.free = _layout(body)
-        self.fixed = [
-            tuple([(p, self.resolve(t)) for p, t in pc]) if pc else ()
-            for pc in consts
-        ]
-        self.neqs = tuple(
-            (self.resolve(n.left), self.resolve(n.right))
-            for n in body.neq_atoms
-        )
+        # per (relation, position): canonical id -> the rows of its class
+        self.lookups: dict[tuple[str, int], dict[int, Sequence[int]]] = {}
+        # every slot's id: the join fills the variables', constants' are fixed
+        self.ids = [0] * len(lay.vars) + [self.resolve(c) for c in lay.consts]
 
-    def resolve(self, term: Term) -> Var | int:
-        """A variable as itself, a constant as its canonical id."""
-        if isinstance(term, Var):
-            return term
-        cid = self.e.try_id(term)
+    def resolve(self, c: Constant) -> int:
+        """A constant's canonical id, or the fresh id of one absent from
+        the data."""
+        cid = self.e.try_id(c)
         if cid is not None:
             return self.e.canon_id(cid)
-        return self.absent.setdefault(term, len(self.e) + len(self.absent))
+        return self.absent.setdefault(c, len(self.e) + len(self.absent))
 
-    def _lookup(self, rel: str, pos: int, cid: int) -> Sequence[int]:
-        """Ascending positions in db.rows[rel] of the rows whose argument at
-        pos is in the class of canonical id cid (none for an absent id),
-        memoised so that each class is walked at most once per column."""
-        key = (rel, pos, cid)
-        found = self.lookups.get(key)
-        if found is None:
-            found = ()
-            if cid < len(self.e):
-                col = self.ctx.db.index[rel][pos]
-                hits = [
-                    col[i] for i in self.e.class_ids((cid,)) if i in col
-                ]
-                if len(hits) == 1:
-                    found = hits[0]
-                elif hits:
-                    found = sorted([k for ks in hits for k in ks])
-            self.lookups[key] = found
-        return found
+    def slot(self, term: Term) -> int:
+        """The slot that holds term's id in every match: a variable's own,
+        or one added for a constant."""
+        if isinstance(term, Var):
+            return self.lay.slot[term]
+        self.ids.append(self.resolve(term))
+        return len(self.ids) - 1
 
-    def _order(self, pin: int | None) -> list[int]:
-        atoms = self.body.rel_atoms
-        remaining = set(range(len(atoms)))
-        order: list[int] = []
-        bound: set[Var] = set()
-
-        def grab(i: int) -> None:
-            order.append(i)
-            remaining.discard(i)
-            bound.update(var for _, var in self.free[i])
-
-        if pin is not None:
-            grab(pin)
-        while remaining:
-            def score(i: int) -> tuple[int, int, int]:
-                known = len(self.fixed[i])
-                known += sum(var in bound for _, var in self.free[i])
-                return (known, -len(self.ctx.db.rows[atoms[i].relation]), -i)
-            grab(max(remaining, key=score))
-        return order
-
-    def _neq_ok(self, binding: dict[Var, int]) -> bool:
-        fail = self.ctx.null_inequality == "fail"
-        null = self.null_id
-        for left, right in self.neqs:
-            a = binding[left] if isinstance(left, Var) else left
-            b = binding[right] if isinstance(right, Var) else right
-            if a == b or (fail and (a == null or b == null)):
+    def _neq_ok(self, fail: int) -> bool:
+        ids = self.ids
+        for left, right in self.lay.neqs:
+            a, b = ids[left], ids[right]
+            if a == b or a == fail or b == fail:
                 return False
         return True
 
-    def _sim_ok(self, orig: dict[Var, Constant]) -> bool:
-        sims = self.ctx.sims
-        for satom in self.body.sim_atoms:
-            a = orig[satom.left] if isinstance(satom.left, Var) else satom.left
-            b = orig[satom.right] if isinstance(satom.right, Var) else satom.right
+    def _sim_ok(self, raws: list[int]) -> bool:
+        sims, consts = self.ctx.sims, self.ctx.db.consts
+        for satom, left, right in self.lay.sims:
+            a = satom.left if left is None else consts[raws[left]]
+            b = satom.right if right is None else consts[raws[right]]
             if a.is_null() or b.is_null():
                 return False
             if sims is None:
@@ -232,81 +292,97 @@ class _Eval:
 
     def solutions(
         self, dirty: AbstractSet[int] | None = None
-    ) -> Iterator[tuple[dict[Var, int], list[int]]]:
-        """Yield (binding, row per atom) for every body match, a row as its
-        position in db.rows of the atom's relation. With a
-        dirty id set, evaluates semi-naively: each relational atom in turn
-        is pinned to the rows with a dirty id among their arguments, read
-        from the database's index, so only matches on such a row are
-        found, and a match on several of them once per pin."""
-        atoms = self.body.rel_atoms
-        db = self.ctx.db
-        if not all(a.relation in db.rows for a in atoms):
+    ) -> Iterator[tuple[list[int], list[int]]]:
+        """Yield (ids, rows) for every body match: ids by slot (see
+        _Layout), rows as each relational atom's row, in body order, as
+        its position in db.rows of the atom's relation. Both lists are
+        reused: read them before the next match. With a dirty id set,
+        evaluates semi-naively: each relational atom in turn is pinned to
+        the rows with a dirty id among their arguments, read from the
+        database's index, so only matches on such a row are found, and a
+        match on several of them once per pin."""
+        lay, db = self.lay, self.ctx.db
+        tables = [db.rows.get(rel) for rel in lay.relations]
+        if None in tables:
             return  # a body relation without rows: no match, no index
-        canon, consts = self.e.canon_id, db.consts
-        binding: dict[Var, int] = {}
-        orig: dict[Var, Constant] = {}
-        null_id = self.null_id
-        guard = self.ctx.null_join_guard
-        at = [0] * len(atoms)
-
-        def candidates(ai: int) -> Sequence[int]:
-            if ai == pin:
-                return pinned
-            rel = atoms[ai].relation
-            if self.fixed[ai]:
-                return self._lookup(rel, *self.fixed[ai][0])
-            for pos, var in self.free[ai]:
-                if var in binding:
-                    return self._lookup(rel, pos, binding[var])
-            return range(len(db.rows[rel]))
-
-        def rec(k: int) -> Iterator[tuple[dict[Var, int], list[int]]]:
-            if k == len(order):
-                if self._neq_ok(binding) and self._sim_ok(orig):
-                    yield binding, at
-                return
-            ai = order[k]
-            rel = atoms[ai].relation
-            rows = db.rows[rel]
-            fixed, free = self.fixed[ai], self.free[ai]
-            for r in candidates(ai):
-                raw = rows[r]
-                if fixed and any(canon(raw[pos]) != cid for pos, cid in fixed):
-                    continue
-                trail: list[Var] = []
-                ok = True
-                for pos, var in free:
-                    cid = canon(raw[pos])
-                    prev = binding.get(var)
-                    if prev is not None:
-                        if prev != cid:
-                            ok = False
-                            break
-                        continue
-                    if guard and cid == null_id and var in self.joinset:
-                        ok = False
-                        break
-                    binding[var] = cid
-                    orig[var] = consts[raw[pos]]
-                    trail.append(var)
-                if ok:
-                    at[ai] = r
-                    yield from rec(k + 1)
-                for var in trail:
-                    del binding[var]
-                    del orig[var]
-
-        # one pass per pinned atom; candidates() and rec() read the pass's
-        # pin, pinned rows and join order
-        for pin in (None,) if dirty is None else range(len(atoms)):
-            order = self._order(pin)
-            if pin is not None:
-                pinned = sorted({
-                    r for col in db.index[atoms[pin].relation]
+        sizes = tuple(map(len, tables))
+        canon, ids, lookups = self.e.canon_id, self.ids, self.lookups
+        raws = [0] * len(lay.vars)  # the raw id each variable was bound to
+        at = [0] * len(tables)
+        # the id a join variable may not bind, and the one no inequality
+        # holds with (-1, no id, when the policy has none)
+        guard = self.null_id if self.ctx.null_join_guard else -1
+        fail = self.null_id if self.ctx.null_inequality == "fail" else -1
+        neqs, sims = lay.neqs, lay.sims
+        for pin in (None,) if dirty is None else range(len(tables)):
+            # per step: atom, its rows, args, and the probe's memo, index
+            # column and slot (memo None: every row, or the pinned ones)
+            steps = []
+            for ai, probe, args in lay.plan(pin, sizes):
+                memo = col = None
+                slot = 0
+                if probe is not None:
+                    pos, slot = probe
+                    rel = lay.relations[ai]
+                    memo = lookups.setdefault((rel, pos), {})
+                    col = db.index[rel][pos]
+                steps.append((ai, tables[ai], args, memo, col, slot))
+            if pin is None:
+                first = self._rows(steps[0])
+            else:
+                first = sorted({
+                    r for col in db.index[lay.relations[pin]]
                     for i in dirty for r in col.get(i, ())
                 })
-            yield from rec(0)
+            its = [iter(first)] + [iter(())] * (len(steps) - 1)
+            last = len(steps) - 1
+            k = 0
+            while k >= 0:
+                ai, rows, args = steps[k][:3]
+                for r in its[k]:
+                    row = rows[r]
+                    for pos, slot, kind in args:
+                        cid = canon(row[pos])
+                        if kind == _CHECK:
+                            if ids[slot] != cid:
+                                break
+                        elif kind == _JOIN and cid == guard:
+                            break
+                        else:
+                            ids[slot] = cid
+                            raws[slot] = row[pos]
+                    else:
+                        at[ai] = r
+                        if k < last:
+                            k += 1
+                            its[k] = iter(self._rows(steps[k]))
+                            break
+                        if (not neqs or self._neq_ok(fail)) and (
+                            not sims or self._sim_ok(raws)
+                        ):
+                            yield ids, at
+                else:
+                    k -= 1
+
+    def _rows(self, step: tuple) -> Sequence[int]:
+        """The rows a plan step visits: every row, or, ascending, those
+        whose probed argument is in the class of the probe slot's id (none
+        for an absent id), memoised per column and class."""
+        _, rows, _, memo, col, slot = step
+        if memo is None:
+            return range(len(rows))
+        cid = self.ids[slot]
+        found = memo.get(cid)
+        if found is None:
+            found = ()
+            if cid < len(self.e):
+                hits = [col[i] for i in self.e.class_ids((cid,)) if i in col]
+                if len(hits) == 1:
+                    found = hits[0]
+                elif hits:
+                    found = sorted([k for ks in hits for k in ks])
+            memo[cid] = found
+        return found
 
 
 def answers(
@@ -327,7 +403,7 @@ def answers(
     set, only the matches on a row touching a dirty id are evaluated (see
     _Eval.solutions); each match is witnessed once."""
     ev = _Eval(body, ctx, e)
-    terms = [ev.resolve(t) for t in head]
+    picks = [ev.slot(t) for t in head]
     domain, n = e.domain, len(e.domain)
     extra = {i: c for c, i in ev.absent.items()}  # ids above the domain's
 
@@ -337,16 +413,16 @@ def answers(
     found: dict[tuple[int, ...], list[Witness]] = {}
     seen: set[tuple[int, ...]] = set()
     facts = ctx.db.by_relation
-    for binding, at in ev.solutions(dirty):
-        ids = tuple([binding[t] if isinstance(t, Var) else t for t in terms])
-        wits = found.setdefault(ids, [])
+    variables = ev.lay.vars
+    for ids, at in ev.solutions(dirty):
+        wits = found.setdefault(tuple([ids[s] for s in picks]), [])
         # a match found again under another pin is witnessed once
         if witnesses and (rows := tuple(at)) not in seen:
             seen.add(rows)
             matched = tuple(
                 facts[a.relation][r] for a, r in zip(body.rel_atoms, rows)
             )
-            shown = {v: name(cid) for v, cid in binding.items()}
+            shown = {v: name(cid) for v, cid in zip(variables, ids)}
             wits.append(Witness(matched, shown))
     reps = {ids: tuple(map(name, ids)) for ids in found}
     expanded: frozenset[tuple[Constant, ...]] | None = None
@@ -375,11 +451,12 @@ def merge_candidates(
     """Distinct-class entity answer pairs of a merge rule, as canonical id
     pairs (smaller id first). With a dirty id set, only from the matches on
     a row touching a dirty id (see _Eval.solutions)."""
-    x, y = rule.head
+    ev = _Eval(rule.body, ctx, e)
+    x, y = map(ev.slot, rule.head)
     entities = ctx.db.entities
     out: set[tuple[int, int]] = set()
-    for binding, _ in _Eval(rule.body, ctx, e).solutions(dirty):
-        i, j = binding[x], binding[y]  # type: ignore[index]
+    for ids, _ in ev.solutions(dirty):
+        i, j = ids[x], ids[y]
         if i != j and i < entities and j < entities:
             out.add((i, j) if i < j else (j, i))
     return out
@@ -387,9 +464,10 @@ def merge_candidates(
 
 def rule_satisfied(rule: Rule, ctx: Context, e: EqRel) -> bool:
     """True iff every answer pair of the rule is already within one class."""
-    x, y = rule.head
-    for binding, _ in _Eval(rule.body, ctx, e).solutions():
-        if binding[x] != binding[y]:  # type: ignore[index]
+    ev = _Eval(rule.body, ctx, e)
+    x, y = map(ev.slot, rule.head)
+    for ids, _ in ev.solutions():
+        if ids[x] != ids[y]:
             return False
     return True
 

@@ -192,7 +192,7 @@ _TOKEN_RE = re.compile(
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"(?:[^"\\\n]|\\.)*")
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # \d matches the digits 0-9 only
 )
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}

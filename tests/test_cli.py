@@ -277,6 +277,29 @@ class TestModes:
         rows = (out / "cm.tsv").read_text().splitlines()
         assert rows == ["left\tright", "b1\tb2"]
 
+    def test_data_file_of_an_undeclared_relation_is_ignored(self, tmp_path):
+        spec_text = (
+            "relation R(rid: id, k: val) merge [rid];\n"
+            "hard h: R(x, k), R(y, k) => eq(x, y);\n"
+        )
+        outputs = []
+        for extra in ({}, {"Stray": "a\tb\nx\ty\n"}):
+            case = tmp_path / f"case{len(outputs)}"
+            case.mkdir()
+            spec, data = bundle(
+                case, spec_text, R="rid\tk\nr1\tu\nr2\tu\n", **extra
+            )
+            assert run("--spec", spec, "--data", data, "--mode", "pm",
+                       "--out", case / "o") == 0
+            outputs.append((case / "o" / "pm.tsv").read_text())
+        assert outputs[0] == outputs[1] == "left\tright\nr1\tr2\n"
+
+    def test_empty_spec_pm_writes_only_the_header(self, tmp_path):
+        spec, data = bundle(tmp_path, "", R="rid\tk\nr1\tu\n")
+        assert run("--spec", spec, "--data", data, "--mode", "pm",
+                   "--out", tmp_path / "o") == 0
+        assert (tmp_path / "o" / "pm.tsv").read_text() == "left\tright\n"
+
     def test_levels_file(self, tmp_path):
         out = tmp_path / "lv"
         assert run(*music_args("levels", out)) == 0
@@ -371,6 +394,18 @@ class TestExitCodes:
         bad.write_text("relation Broken(")
         assert run("--spec", bad, "--mode", "validate") == 2
         assert "specification error:" in capsys.readouterr().err
+
+    def test_non_ascii_digits_are_a_spec_error(self, tmp_path, capsys):
+        # a threshold of Arabic-Indic digits, 0.8 if \d took any digit
+        spec = tmp_path / "spec.er"
+        spec.write_text(
+            "relation R(rid: id, k: val) merge [rid];\n"
+            "hard h: R(x, k), R(y, k2), sim(k, k2) >= \u0660.\u0668"
+            " => eq(x, y);\n",
+            encoding="utf-8",
+        )
+        assert run("--spec", spec, "--mode", "validate") == 2
+        assert "unexpected character" in capsys.readouterr().err
 
     def test_data_error(self, tmp_path, capsys):
         assert (

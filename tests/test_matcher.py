@@ -7,6 +7,7 @@ import pytest
 
 from entres.matcher import (
     Context,
+    _layout,
     answers,
     dc_satisfied,
     merge_candidates,
@@ -481,3 +482,164 @@ class TestDifferential:
             assert dc_satisfied(dc, inst.ctx, eq) == naive_dc_satisfied(
                 dc, inst.db, classes, **inst.knobs
             )
+
+
+class TestJoinPlans:
+    """Edge cases of the compiled join plan: which argument selects an
+    atom's rows, which binds a slot and which checks one, under full and
+    semi-naive evaluation."""
+
+    REPEAT = (
+        "relation R(rid: id, a: val, b: val) merge [rid];\n"
+        "hard h: R(x, k, k), R(y, k, k2) => eq(x, y);\n"
+    )
+
+    @pytest.mark.parametrize("guard", [True, False])
+    def test_variable_repeated_inside_one_atom(self, guard):
+        # k binds at R(x, k, k)'s a column and is checked at its b column in
+        # the same row; a null never binds k (a join variable) under the guard
+        facts = [
+            Fact("R", (e("r1"), v("u"), v("u"))),
+            Fact("R", (e("r2"), v("u"), v("w"))),
+            Fact("R", (e("r3"), v("w"), v("u"))),
+            Fact("R", (e("r4"), NULL, NULL)),
+            Fact("R", (e("r5"), NULL, v("u"))),
+        ]
+        spec, db = spec_db(self.REPEAT, facts)
+        rule = spec.hard[0]
+        ctx = Context(db, spec, null_join_guard=guard)
+        got = answers(rule.body, rule.head, ctx, EqRel(db.domain))
+        want = {(e("r1"), e("r1")), (e("r1"), e("r2"))}
+        if not guard:
+            want |= {(e("r4"), e("r4")), (e("r4"), e("r5"))}
+        assert got.rep_tuples == want
+        classes = close_classes((), db.domain)
+        want_reps, _ = naive_query(
+            rule.body, rule.head, db, classes, null_join_guard=guard
+        )
+        assert want_reps == want
+        everything = frozenset(range(len(db.consts)))
+        delta = answers(
+            rule.body, rule.head, ctx, EqRel(db.domain), dirty=everything
+        )
+        assert delta.rep_tuples == want
+
+    def test_atoms_sharing_no_variable_scan_every_row(self):
+        spec, db = spec_db(
+            "relation P(pid: id, a: val) merge [pid];\n"
+            "relation Q(qid: id, b: val) merge [qid];\n"
+            "soft s: P(x, a), Q(y, b) ~> eq(x, y);\n",
+            [
+                Fact("P", (e("p1"), v("u"))),
+                Fact("P", (e("p2"), NULL)),
+                Fact("Q", (e("q1"), v("w"))),
+                Fact("Q", (e("q2"), v("u"))),
+                Fact("Q", (e("q3"), NULL)),
+            ],
+        )
+        rule = spec.soft[0]
+        got = answers(
+            rule.body, rule.head, Context(db, spec), EqRel(db.domain),
+            witnesses=True,
+        )
+        ps, qs = db.by_relation["P"], db.by_relation["Q"]
+        # the whole product, nulls included (neither a nor b is a join
+        # variable), each pair witnessed by its two rows
+        assert {k: [w.facts for w in ws] for k, ws in got.witnesses.items()} == {
+            (p.args[0], q.args[0]): [(p, q)] for p in ps for q in qs
+        }
+        assert list(got.witnesses) == [
+            (p.args[0], q.args[0]) for p in ps for q in qs
+        ]
+
+    def test_body_constant_absent_from_data_under_every_pin(self):
+        spec, db = spec_db(
+            "relation P(pid: id, m: id) merge [pid];\n"
+            "soft s: P(x, m), P(y, @ghost), P(y, m) ~> eq(x, y);\n"
+            "deny d: P(x, m), P(x, @ghost);\n",
+            [
+                Fact("P", (e("p1"), e("m1"))),
+                Fact("P", (e("p2"), e("m1"))),
+            ],
+        )
+        ctx, eq = Context(db, spec), EqRel(db.domain)
+        everything = frozenset(range(len(db.consts)))
+        for dirty in (None, everything):
+            # the constant's slot holds an id no row carries: as a probe it
+            # selects no row, as a check on a pinned row it fails
+            assert merge_candidates(spec.soft[0], ctx, eq, dirty) == set()
+            assert dc_satisfied(spec.dcs[0], ctx, eq, dirty)
+        rule = spec.soft[0]
+        assert answers(rule.body, rule.head, ctx, eq).rep_tuples == frozenset()
+
+    CHAIN = (
+        "relation P(pid: id, m: id) merge [pid];\n"
+        "relation M(mid: id, n: val) merge [mid];\n"
+        "relation Q(qid: id, n: val) merge [qid];\n"
+        "soft s: P(x, m), M(m, n), Q(y, n) ~> eq(x, y);\n"
+    )
+    CHAIN_FACTS = [
+        Fact("P", (e("p1"), e("m1"))),
+        Fact("P", (e("p2"), e("m2"))),
+        Fact("P", (e("p3"), e("m3"))),
+        Fact("M", (e("m1"), v("a"))),
+        Fact("M", (e("m3"), v("b"))),
+        Fact("Q", (e("q1"), v("a"))),
+        Fact("Q", (e("q2"), v("b"))),
+        Fact("Q", (e("q3"), v("a"))),
+    ]
+
+    @pytest.mark.parametrize("merged", [[], [("m1", "m2")]])
+    def test_semi_naive_pins_each_atom_of_a_chain(self, merged):
+        # pinned on Q, the plan runs Q, then M (n is known), then P through
+        # m, a variable that only M, later in body order, binds
+        spec, db = spec_db(self.CHAIN, self.CHAIN_FACTS)
+        rule, ctx = spec.soft[0], Context(db, spec)
+        lay = _layout(rule.body)
+        sizes = (3, 2, 3)
+        slot = lay.slot
+        assert [(ai, probe) for ai, probe, _ in lay.plan(2, sizes)] == [
+            (2, None), (1, (1, slot[Var("n")])), (0, (1, slot[Var("m")])),
+        ]
+        pairs = [(e(a), e(b)) for a, b in merged]
+        eq = EqRel(db.domain)
+        for a, b in pairs:
+            eq.merge(a, b)
+        full = answers(rule.body, rule.head, ctx, eq, witnesses=True)
+        want_reps, _ = naive_query(
+            rule.body, rule.head, db, close_classes(pairs, db.domain)
+        )
+        assert full.rep_tuples == want_reps
+        matches = {w.facts for ws in full.witnesses.values() for w in ws}
+        for i, c in enumerate(db.consts):
+            # only the matches on a row carrying raw id i, each once
+            got = answers(
+                rule.body, rule.head, ctx, eq, witnesses=True,
+                dirty=frozenset({i}),
+            )
+            found = {w.facts for ws in got.witnesses.values() for w in ws}
+            assert found == {
+                m for m in matches if any(c in f.args for f in m)
+            }, c
+
+    def test_witness_binding_holds_every_variable(self):
+        spec, db = spec_db(self.CHAIN, self.CHAIN_FACTS)
+        eq = EqRel(db.domain)
+        eq.merge(e("m1"), e("m2"))
+        rule = spec.soft[0]
+        got = answers(
+            rule.body, rule.head, Context(db, spec), eq, witnesses=True
+        )
+        x, m, n, y = (Var(name) for name in "xmny")
+        bindings = [w.binding for ws in got.witnesses.values() for w in ws]
+        assert {
+            (b[x], b[m], b[n], b[y]) for b in bindings
+        } == {
+            # m2's row reads through its class: m is the representative m1
+            (e("p1"), e("m1"), v("a"), e("q1")),
+            (e("p1"), e("m1"), v("a"), e("q3")),
+            (e("p2"), e("m1"), v("a"), e("q1")),
+            (e("p2"), e("m1"), v("a"), e("q3")),
+            (e("p3"), e("m3"), v("b"), e("q2")),
+        }
+        assert all(set(b) == {x, m, n, y} for b in bindings)

@@ -112,6 +112,17 @@ class TestThresholds:
                 "hard h: R(x, a, b), R(y, a2, b), sim(a, a2) >= 101 => eq(x, y);"
             )
 
+    @pytest.mark.parametrize(
+        "number", ["\u0660.\u0668", "\uff18\uff15", "8\u0665"]
+    )
+    def test_non_ascii_digits_rejected(self, number):
+        # Arabic-Indic and fullwidth digits are Unicode digits, not 0-9
+        with pytest.raises(SpecSyntaxError, match="unexpected character"):
+            rule_of(
+                "hard h: R(x, a, b), R(y, a2, b), "
+                f"sim(a, a2) >= {number} => eq(x, y);"
+            )
+
 
 class TestValidation:
     def test_unknown_relation(self):
