@@ -22,15 +22,14 @@ _EXPORTS = {
     for module, names in (
         ("engine", """DerivStep LevelMap MergeSets Solution certain_merges
             enumerate_solutions is_possible is_solution lb levels loose_ub
-            maximal_solutions merge_sets possible_merges solve_one ub
-            verify_solution"""),
+            maximal_solutions merge_sets possible_merges solve_one ub"""),
         ("errors", """DataError EntresError MissingSimScore NonEntityMerge
             NotASolution NotInSolution SpecError SpecSyntaxError
             UnknownConstant"""),
         ("explain", """NodeKind ProofNode ProofTree proof_tree rule_depth
-            to_dot to_json validate_proof_tree"""),
-        ("matcher", """AnswerSet Context SimResolver Witness answers
-            dc_satisfied rule_satisfied"""),
+            to_dot to_json"""),
+        ("matcher", """AnswerSet Context SimResolver answers dc_satisfied
+            rule_satisfied"""),
         ("model", "NULL Constant Database EqRel Fact Kind MergePair entity value"),
         ("rules", """DenialConstraint Rule RuleKind Schema SimSafetyViolation
             Specification analyse load_spec parse_spec validate_sim_safety"""),

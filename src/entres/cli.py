@@ -95,7 +95,9 @@ def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
     """Load one `<Relation>.tsv` or `<Relation>.csv` per declared relation.
     The header row must equal the declared attribute names; cells equal to
     the null token become the null constant; id-hinted columns become
-    entity references, all others values. Duplicate rows collapse."""
+    entity references, all others values. Duplicate rows collapse. A
+    quoted cell that holds a tab or a line break is a DataError, because
+    the outputs are tab-separated lines."""
     facts: list[Fact] = []
     root = Path(data_dir)
     for decl in schema.relations:
@@ -129,6 +131,13 @@ def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
                         f"{path}:{lineno}: {len(row)} cells for "
                         f"{len(decl.attributes)} attributes"
                     )
+                for c in row:
+                    if "\t" in c or "\n" in c or "\r" in c:
+                        raise DataError(
+                            f"{path}:{lineno}: cell {c!r} holds a tab or "
+                            f"a line break, which tab-separated output "
+                            f"cannot hold"
+                        )
                 facts.append(Fact(decl.name, tuple(
                     _cell(c, h, null_token)
                     for c, h in zip(row, decl.hints)

@@ -602,28 +602,3 @@ def levels(ctx: Context, sol: Solution, scope: str = "solution") -> LevelMap:
     if scope == "ub":
         found = {p: lv for p, lv in found.items() if p in sol.eq}
     return LevelMap(found)
-
-
-# ------------------------------------------------------------ verification
-
-
-def verify_solution(ctx: Context, sol: Solution) -> bool:
-    """Soundness check used by the test suite: the derivation replays from
-    identity (each applied pair is an answer of its rule at its step) and
-    reproduces exactly sol.eq, which satisfies all hard rules and
-    constraints."""
-    e = ctx.identity()
-    for step in sol.derivation:
-        rule = ctx.spec.rule_by_label(step.label)
-        if rule is None:
-            return False
-        cands = merge_candidates(rule, ctx, e)
-        i = e.canon_id(e.id_of(step.pair.left))
-        j = e.canon_id(e.id_of(step.pair.right))
-        key = (i, j) if i < j else (j, i)
-        if key not in cands:
-            return False
-        e.merge_ids(i, j)
-    if e.signature() != sol.eq.signature():
-        return False
-    return is_solution(ctx, sol.eq)

@@ -21,9 +21,8 @@ round i rule answers become depth-i rule nodes, and pairs that only arise
 by closing a round are decomposed into transitive nodes over that round's
 direct edges. A round evaluates only the matches touching a class the round
 before grew; each grown id's history of (round, canonical id) gives, by
-binary search, the classes any round started from. Trees are assembled,
-validated and rendered on explicit stacks, so depth does not grow the
-Python stack.
+binary search, the classes any round started from. Trees are assembled
+and rendered on explicit stacks, so depth does not grow the Python stack.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from typing import Generator
 
 from .engine import Solution
 from .errors import NotInSolution
-from .matcher import Context, SimResolver, Witness, answers
-from .model import Constant, Database, Kind, MergePair, Record
+from .matcher import Context, answers
+from .model import Constant, Fact, Kind, MergePair, Record
 from .rules import Rule, RuleBody, Specification, Var, analyse
 
 
@@ -101,11 +100,14 @@ def rule_depth(tree: ProofTree | ProofNode) -> int:
 
 class _Edge:
     """One round's rule answer, as the canonical ids of its two classes
-    under the relation the round started from, with its witnesses."""
+    under the relation the round started from, with its witnesses (each
+    the tuple of facts one match read, in body order)."""
 
     __slots__ = ("rule", "u", "v", "witnesses")
 
-    def __init__(self, rule: Rule, u: int, v: int, witnesses: list[Witness]):
+    def __init__(
+        self, rule: Rule, u: int, v: int, witnesses: list[tuple[Fact, ...]]
+    ):
         self.rule = rule
         self.u = u
         self.v = v
@@ -121,10 +123,10 @@ def _occurrences(body: RuleBody) -> dict[Var, list[tuple[int, int]]]:
     return occ
 
 
-def _witness_key(w: Witness):
+def _witness_key(w: tuple[Fact, ...]):
     return tuple(
         (f.relation,) + tuple((c.kind.value, c.text) for c in f.args)
-        for f in w.facts
+        for f in w
     )
 
 
@@ -285,10 +287,10 @@ class _Builder:
         lvar, rvar = rule.head if forward else (rule.head[1], rule.head[0])
         occ = _occurrences(rule.body)
 
-        def side_consts(w: Witness, var) -> list[Constant]:
-            return [w.facts[ai].args[pi] for ai, pi in occ[var]]
+        def side_consts(w: tuple[Fact, ...], var) -> list[Constant]:
+            return [w[ai].args[pi] for ai, pi in occ[var]]
 
-        def choice(w: Witness) -> tuple[Constant, Constant]:
+        def choice(w: tuple[Fact, ...]) -> tuple[Constant, Constant]:
             ls = side_consts(w, lvar)
             rs = side_consts(w, rvar)
             ol = want_left if want_left in ls else min(ls, key=lambda c: c.text)
@@ -298,7 +300,7 @@ class _Builder:
                 orr = min(rs, key=lambda c: c.text)
             return ol, orr
 
-        def rank(w: Witness):
+        def rank(w: tuple[Fact, ...]):
             ol, orr = choice(w)
             return (
                 ol != want_left,
@@ -310,17 +312,17 @@ class _Builder:
         o_left, o_right = choice(wit)
 
         children: list[ProofNode] = [
-            ProofNode(kind=NodeKind.FACT, fact=f) for f in wit.facts
+            ProofNode(kind=NodeKind.FACT, fact=f) for f in wit
         ]
         need: set[MergePair] = set()
         for ai, atom in enumerate(rule.body.rel_atoms):
             for pi, term in enumerate(atom.args):
                 if not isinstance(term, Var):
-                    got = wit.facts[ai].args[pi]
+                    got = wit[ai].args[pi]
                     if got != term:
                         need.add(MergePair.of(term, got))
         for var, places in occ.items():
-            consts = [wit.facts[ai].args[pi] for ai, pi in places]
+            consts = [wit[ai].args[pi] for ai, pi in places]
             for i, c1 in enumerate(consts):
                 for c2 in consts[i + 1:]:
                     if c1 != c2:
@@ -347,10 +349,10 @@ class _Builder:
         return node, o_left, o_right
 
     @staticmethod
-    def _sim_const(term, occ, wit: Witness) -> Constant:
+    def _sim_const(term, occ, wit: tuple[Fact, ...]) -> Constant:
         if isinstance(term, Var):
             ai, pi = occ[term][0]
-            return wit.facts[ai].args[pi]
+            return wit[ai].args[pi]
         return term
 
 
@@ -369,175 +371,6 @@ def proof_tree(
         raise NotInSolution(f"({a.text}, {b.text}) is not merged in the solution")
     builder = _Builder(ctx, sol)
     return ProofTree(root=builder.build(a, b), pair=target)
-
-
-# -------------------------------------------------------------- validation
-
-
-def validate_proof_tree(
-    tree: ProofTree,
-    db: Database,
-    spec: Specification,
-    sims: SimResolver | None = None,
-) -> list[str]:
-    """Check the proof tree definition clause by clause, independently of
-    how the tree was built. Returns human-readable violations; an empty
-    list means the tree is valid."""
-    issues: list[str] = []
-    facts = set(db.facts)
-    if tree.root.pair != tree.pair:
-        issues.append("root: label differs from the explained merge")
-
-    def visit(node: ProofNode, path: str) -> bool:
-        """Check one node; True when its children are to be checked too."""
-        if node.kind is NodeKind.FACT:
-            if node.children:
-                issues.append(f"{path}: fact leaf has children")
-            if node.fact not in facts:
-                issues.append(f"{path}: {node.label()} is not a database fact")
-            return False
-        if node.kind is NodeKind.SIM:
-            if node.children:
-                issues.append(f"{path}: similarity leaf has children")
-            assert node.sim is not None
-            if sims is not None:
-                actual = sims.score(node.sim.func, node.sim.left, node.sim.right)
-                if actual != node.sim.score:
-                    issues.append(
-                        f"{path}: recorded score {node.sim.score} but the "
-                        f"resolver says {actual}"
-                    )
-            return False
-        if node.pair is None:
-            issues.append(f"{path}: internal node without a pair label")
-            return False
-        if node.kind is NodeKind.TRANSITIVE:
-            _check_transitive(node, path)
-        else:
-            _check_rule(node, path)
-        return True
-
-    def _check_transitive(node: ProofNode, path: str) -> None:
-        if len(node.children) != 2:
-            issues.append(f"{path}: transitive node with "
-                          f"{len(node.children)} children")
-            return
-        kinds = {ch.kind for ch in node.children}
-        if not kinds <= {NodeKind.RULE, NodeKind.TRANSITIVE}:
-            issues.append(f"{path}: transitive children must be merge nodes")
-            return
-        aset = {node.children[0].pair.left, node.children[0].pair.right}  # type: ignore[union-attr]
-        bset = {node.children[1].pair.left, node.children[1].pair.right}  # type: ignore[union-attr]
-        nset = {node.pair.left, node.pair.right}  # type: ignore[union-attr]
-        if aset ^ bset != nset or len(aset & bset) != 1:
-            issues.append(
-                f"{path}: children labels do not chain through a shared "
-                f"constant to the node label"
-            )
-
-    def _check_rule(node: ProofNode, path: str) -> None:
-        rule = spec.rule_by_label(node.rule_label or "")
-        if rule is None:
-            issues.append(f"{path}: unknown rule {node.rule_label!r}")
-            return
-        fact_children = [c for c in node.children if c.kind is NodeKind.FACT]
-        sim_children = [c for c in node.children if c.kind is NodeKind.SIM]
-        merge_children = [
-            c for c in node.children
-            if c.kind in (NodeKind.RULE, NodeKind.TRANSITIVE)
-        ]
-        atoms = rule.body.rel_atoms
-        if len(fact_children) != len(atoms):
-            issues.append(
-                f"{path}: {len(fact_children)} fact children for "
-                f"{len(atoms)} body atoms"
-            )
-            return
-        bound: dict[Var, list[Constant]] = {}
-        need: set[MergePair] = set()
-        for i, (atom, child) in enumerate(zip(atoms, fact_children)):
-            f = child.fact
-            assert f is not None
-            if f.relation != atom.relation or len(f.args) != len(atom.args):
-                issues.append(
-                    f"{path}: fact child {i} does not instantiate "
-                    f"{atom.relation}/{len(atom.args)}"
-                )
-                return
-            for term, got in zip(atom.args, f.args):
-                if isinstance(term, Var):
-                    bound.setdefault(term, []).append(got)
-                elif term != got:
-                    need.add(MergePair.of(term, got))
-        for var, consts in bound.items():
-            for i, c1 in enumerate(consts):
-                for c2 in consts[i + 1:]:
-                    if c1 != c2:
-                        need.add(MergePair.of(c1, c2))
-        have = {c.pair for c in merge_children}
-        for pair in need - have:
-            issues.append(
-                f"{path}: missing merge child "
-                f"({pair.left.text}, {pair.right.text})"
-            )
-        for pair in have - need:
-            issues.append(
-                f"{path}: merge child ({pair.left.text}, {pair.right.text}) "
-                f"is not required by the body instantiation"
-            )
-        x, y = rule.head
-        xs = set(bound.get(x, ()))
-        ys = set(bound.get(y, ()))
-        nset = {node.pair.left, node.pair.right}  # type: ignore[union-attr]
-        if not any(
-            {ox, oy} == nset for ox in xs for oy in ys
-        ):
-            issues.append(
-                f"{path}: head variables were never read from the node "
-                f"label constants"
-            )
-        unused = list(sim_children)
-        for satom in rule.body.sim_atoms:
-            expect_left = _term_consts(satom.left, bound)
-            expect_right = _term_consts(satom.right, bound)
-            found = None
-            for ch in unused:
-                se = ch.sim
-                assert se is not None
-                if se.func != satom.func_id:
-                    continue
-                ok = (se.left in expect_left and se.right in expect_right) or (
-                    se.right in expect_left and se.left in expect_right
-                )
-                if ok and se.score >= satom.threshold:
-                    found = ch
-                    break
-            if found is None:
-                issues.append(
-                    f"{path}: no similarity child satisfies "
-                    f"{satom.func_id} >= {satom.threshold / 100:.2f}"
-                )
-            else:
-                unused.remove(found)
-        for ch in unused:
-            issues.append(f"{path}: extra similarity child {ch.label()}")
-
-    def _term_consts(term, bound: dict[Var, list[Constant]]) -> set[Constant]:
-        if isinstance(term, Var):
-            return set(bound.get(term, ()))
-        return {term}
-
-    # preorder on an explicit stack, so tree depth does not grow the
-    # Python stack
-    todo = [(tree.root, "root")]
-    while todo:
-        node, path = todo.pop()
-        if visit(node, path):
-            todo.extend(
-                (ch, f"{path}.children[{i}]")
-                for i, ch in reversed(list(enumerate(node.children)))
-            )
-    return issues
 
 
 # ----------------------------------------------------------------- export

@@ -20,9 +20,9 @@ up when the row is visited, and the rows whose argument lies in a class
 are read from the database's static per-position index, one entry per
 member. Semi-naive evaluation pins one atom to the rows that index gives
 for the dirty ids. Constants appear only at the boundary: answers() hands
-out its tuples and witnesses as constants, and a similarity atom scores
-the constants as written. This is equivalent to querying the induced
-database and expanding preimages, which answers() exposes directly.
+out its tuples as constants and its witnesses as facts, and a similarity
+atom scores the constants as written. This is equivalent to querying the
+induced database and expanding preimages, which answers() exposes directly.
 
 Conventions baked in here:
   - inequality atoms compare class representatives (a constant absent from
@@ -43,7 +43,7 @@ from itertools import product
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
 from .errors import MissingSimScore
-from .model import NULL, Constant, EqRel, Record
+from .model import NULL, Constant, EqRel, Fact, Record
 from .rules import (
     DenialConstraint,
     Rule,
@@ -92,19 +92,14 @@ class Context(Record):
         return EqRel.numbered(self.db.consts, self.db.ids)
 
 
-class Witness(Record):
-    """One way a body matched: the fact per relational atom (in body order)
-    and the representative each variable was bound to."""
-
-    __slots__ = ("facts", "binding")
-
-
 class AnswerSet(Record):
     """Answers of a body for given head terms.
 
     rep_tuples holds the representative-level answers; tuples additionally
     expands every representative to all members of its class (the full
-    preimage set), when requested."""
+    preimage set), when requested. witnesses, when requested, maps each
+    representative tuple to its matches, each the tuple of facts it read,
+    one per relational atom in body order."""
 
     __slots__ = ("head", "rep_tuples", "tuples", "witnesses")
     _defaults = {"tuples": None, "witnesses": None}
@@ -410,20 +405,17 @@ def answers(
     def name(i: int) -> Constant:
         return domain[i] if i < n else extra[i]
 
-    found: dict[tuple[int, ...], list[Witness]] = {}
+    found: dict[tuple[int, ...], list[tuple[Fact, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
     facts = ctx.db.by_relation
-    variables = ev.lay.vars
     for ids, at in ev.solutions(dirty):
         wits = found.setdefault(tuple([ids[s] for s in picks]), [])
         # a match found again under another pin is witnessed once
         if witnesses and (rows := tuple(at)) not in seen:
             seen.add(rows)
-            matched = tuple(
+            wits.append(tuple(
                 facts[a.relation][r] for a, r in zip(body.rel_atoms, rows)
-            )
-            shown = {v: name(cid) for v, cid in zip(variables, ids)}
-            wits.append(Witness(matched, shown))
+            ))
     reps = {ids: tuple(map(name, ids)) for ids in found}
     expanded: frozenset[tuple[Constant, ...]] | None = None
     if expand:

@@ -5,16 +5,20 @@ algorithms: repeated-pass set merging instead of union-find, brute-force
 binding enumeration over fact tuples instead of indexed joins, value
 iteration instead of round chains. The only package imports are the public
 data model and the rule AST, never the algorithms under test, so agreement
-between the two sides is meaningful evidence. The one exception is
-`bruteforce_solutions`, which walks the candidate space with the package's
-own matcher and union-find: it checks the solution search, not the matcher.
+between the two sides is meaningful evidence. There are two exceptions,
+both of which run the package's own matcher and union-find, so they check
+the solution search, not the matcher: `bruteforce_solutions` walks the
+candidate space, and `verify_solution` replays a solution's derivation.
+`validate_proof_tree` reads the proof tree's record types from
+`entres.explain` and checks a tree against the definition alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from entres.explain import NodeKind, ProofNode, ProofTree
 from entres.matcher import (
     Context,
     dc_satisfied,
@@ -29,6 +33,9 @@ from entres.rules import (
     Specification,
     Var,
 )
+
+if TYPE_CHECKING:
+    from entres.engine import Solution
 
 #: Similarity callback: (function id, left constant, right constant) -> score
 #: in hundredths. Must answer reflexive probes 10000 and null probes 0, the
@@ -388,9 +395,7 @@ def bruteforce_solutions(
     out: set[frozenset[MergePair]] = set()
     while stack:
         e = stack.pop()
-        if all(
-            rule_satisfied(r, ctx, e) for r in spec.hard
-        ) and all(dc_satisfied(dc, ctx, e) for dc in spec.dcs):
+        if _satisfied(ctx, e):
             out.add(e.nontrivial_pairs())
         for rule in all_rules:
             for i, j in merge_candidates(rule, ctx, e):
@@ -401,6 +406,34 @@ def bruteforce_solutions(
                     seen.add(sig)
                     stack.append(child)
     return out
+
+
+def _satisfied(ctx: Context, e: EqRel) -> bool:
+    """Every hard rule and every denial constraint holds at e."""
+    return all(rule_satisfied(r, ctx, e) for r in ctx.spec.hard) and all(
+        dc_satisfied(dc, ctx, e) for dc in ctx.spec.dcs
+    )
+
+
+def verify_solution(ctx: Context, sol: Solution) -> bool:
+    """The derivation replays from identity (each applied pair is an
+    answer of its rule at its step) and reproduces exactly sol.eq, which
+    satisfies all hard rules and constraints."""
+    e = ctx.identity()
+    for step in sol.derivation:
+        rule = ctx.spec.rule_by_label(step.label)
+        if rule is None:
+            return False
+        cands = merge_candidates(rule, ctx, e)
+        i = e.canon_id(e.id_of(step.pair.left))
+        j = e.canon_id(e.id_of(step.pair.right))
+        key = (i, j) if i < j else (j, i)
+        if key not in cands:
+            return False
+        e.merge_ids(i, j)
+    if e.signature() != sol.eq.signature():
+        return False
+    return _satisfied(ctx, sol.eq)
 
 
 # --------------------------------------------------------- min rule depth
@@ -545,6 +578,180 @@ def min_rule_depth(
                         depth[p] = cand
                         changed = True
     return {p: d for p, d in depth.items() if d < INF}
+
+
+# ------------------------------------------------------------ proof trees
+
+
+def validate_proof_tree(
+    tree: ProofTree,
+    db: Database,
+    spec: Specification,
+    sims=None,
+) -> list[str]:
+    """Check the proof tree definition clause by clause, independently of
+    how the tree was built. Returns human-readable violations; an empty
+    list means the tree is valid."""
+    violations: list[str] = []
+    facts = set(db.facts)
+    if tree.root.pair != tree.pair:
+        violations.append("root: label differs from the explained merge")
+
+    def visit(node: ProofNode, path: str) -> bool:
+        """Check one node; True when its children are to be checked too."""
+        if node.kind is NodeKind.FACT:
+            if node.children:
+                violations.append(f"{path}: fact leaf has children")
+            if node.fact not in facts:
+                violations.append(
+                    f"{path}: {node.label()} is not a database fact"
+                )
+            return False
+        if node.kind is NodeKind.SIM:
+            if node.children:
+                violations.append(f"{path}: similarity leaf has children")
+            assert node.sim is not None
+            if sims is not None:
+                actual = sims.score(node.sim.func, node.sim.left, node.sim.right)
+                if actual != node.sim.score:
+                    violations.append(
+                        f"{path}: recorded score {node.sim.score} but the "
+                        f"resolver says {actual}"
+                    )
+            return False
+        if node.pair is None:
+            violations.append(f"{path}: internal node without a pair label")
+            return False
+        if node.kind is NodeKind.TRANSITIVE:
+            _check_transitive(node, path)
+        else:
+            _check_rule(node, path)
+        return True
+
+    def _check_transitive(node: ProofNode, path: str) -> None:
+        if len(node.children) != 2:
+            violations.append(
+                f"{path}: transitive node with {len(node.children)} children"
+            )
+            return
+        kinds = {ch.kind for ch in node.children}
+        if not kinds <= {NodeKind.RULE, NodeKind.TRANSITIVE}:
+            violations.append(
+                f"{path}: transitive children must be merge nodes"
+            )
+            return
+        aset = {node.children[0].pair.left, node.children[0].pair.right}  # type: ignore[union-attr]
+        bset = {node.children[1].pair.left, node.children[1].pair.right}  # type: ignore[union-attr]
+        nset = {node.pair.left, node.pair.right}  # type: ignore[union-attr]
+        if aset ^ bset != nset or len(aset & bset) != 1:
+            violations.append(
+                f"{path}: children labels do not chain through a shared "
+                f"constant to the node label"
+            )
+
+    def _check_rule(node: ProofNode, path: str) -> None:
+        rule = spec.rule_by_label(node.rule_label or "")
+        if rule is None:
+            violations.append(f"{path}: unknown rule {node.rule_label!r}")
+            return
+        fact_children = [c for c in node.children if c.kind is NodeKind.FACT]
+        sim_children = [c for c in node.children if c.kind is NodeKind.SIM]
+        merge_children = [
+            c for c in node.children
+            if c.kind in (NodeKind.RULE, NodeKind.TRANSITIVE)
+        ]
+        atoms = rule.body.rel_atoms
+        if len(fact_children) != len(atoms):
+            violations.append(
+                f"{path}: {len(fact_children)} fact children for "
+                f"{len(atoms)} body atoms"
+            )
+            return
+        bound: dict[Var, list[Constant]] = {}
+        need: set[MergePair] = set()
+        for i, (atom, child) in enumerate(zip(atoms, fact_children)):
+            f = child.fact
+            assert f is not None
+            if f.relation != atom.relation or len(f.args) != len(atom.args):
+                violations.append(
+                    f"{path}: fact child {i} does not instantiate "
+                    f"{atom.relation}/{len(atom.args)}"
+                )
+                return
+            for term, got in zip(atom.args, f.args):
+                if isinstance(term, Var):
+                    bound.setdefault(term, []).append(got)
+                elif term != got:
+                    need.add(MergePair.of(term, got))
+        for var, consts in bound.items():
+            for i, c1 in enumerate(consts):
+                for c2 in consts[i + 1:]:
+                    if c1 != c2:
+                        need.add(MergePair.of(c1, c2))
+        have = {c.pair for c in merge_children}
+        for pair in need - have:
+            violations.append(
+                f"{path}: missing merge child "
+                f"({pair.left.text}, {pair.right.text})"
+            )
+        for pair in have - need:
+            violations.append(
+                f"{path}: merge child ({pair.left.text}, {pair.right.text}) "
+                f"is not required by the body instantiation"
+            )
+        x, y = rule.head
+        xs = set(bound.get(x, ()))
+        ys = set(bound.get(y, ()))
+        nset = {node.pair.left, node.pair.right}  # type: ignore[union-attr]
+        if not any(
+            {ox, oy} == nset for ox in xs for oy in ys
+        ):
+            violations.append(
+                f"{path}: head variables were never read from the node "
+                f"label constants"
+            )
+        unused = list(sim_children)
+        for satom in rule.body.sim_atoms:
+            expect_left = _term_consts(satom.left, bound)
+            expect_right = _term_consts(satom.right, bound)
+            found = None
+            for ch in unused:
+                se = ch.sim
+                assert se is not None
+                if se.func != satom.func_id:
+                    continue
+                ok = (se.left in expect_left and se.right in expect_right) or (
+                    se.right in expect_left and se.left in expect_right
+                )
+                if ok and se.score >= satom.threshold:
+                    found = ch
+                    break
+            if found is None:
+                violations.append(
+                    f"{path}: no similarity child satisfies "
+                    f"{satom.func_id} >= {satom.threshold / 100:.2f}"
+                )
+            else:
+                unused.remove(found)
+        for ch in unused:
+            violations.append(f"{path}: extra similarity child {ch.label()}")
+
+    def _term_consts(term, bound: dict[Var, list[Constant]]) -> set[Constant]:
+        if isinstance(term, Var):
+            return set(bound.get(term, ()))
+        return {term}
+
+    # preorder on an explicit stack, so tree depth does not grow the
+    # Python stack
+    todo = [(tree.root, "root")]
+    while todo:
+        node, path = todo.pop()
+        if visit(node, path):
+            todo.extend(
+                (ch, f"{path}.children[{i}]")
+                for i, ch in reversed(list(enumerate(node.children)))
+            )
+    return violations
 
 
 # ----------------------------------------------------------- sim utilities

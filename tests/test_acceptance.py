@@ -21,7 +21,7 @@ from entres.engine import (
     solve_one,
     ub,
 )
-from entres.explain import proof_tree, rule_depth, validate_proof_tree
+from entres.explain import proof_tree, rule_depth
 from entres.matcher import Context
 from entres.model import MergePair
 from entres.rules import load_spec
@@ -38,6 +38,7 @@ from oracles import (
     naive_solutions,
     pm_cm,
     simfn_of,
+    validate_proof_tree,
 )
 
 P = MergePair.of

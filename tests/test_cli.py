@@ -9,13 +9,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entres import engine
+from entres import cli, engine, errors
 from entres.cli import evaluate, ingest, load_truth, main, write_pairs
 from entres.errors import HeaderMismatch, MissingFile, RaggedRow
 from entres.explain import proof_tree, to_dot, to_json
@@ -357,7 +360,53 @@ class TestModes:
         assert list(out.glob("*.tsv")) == []
 
 
+#: each exception class of entres.errors -> (the exit code cli.main returns
+#: when a run raises it, the start of its stderr line); None for the
+#: classes no input can cause, which main lets through as the bug they are
+ERROR_EXITS = {
+    "EntresError": None,
+    "NonEntityMerge": None,
+    "NotASolution": None,
+    "SpecError": (2, "specification error: "),
+    "SpecSyntaxError": (2, "specification error: "),
+    "UnknownRelation": (2, "specification error: "),
+    "ArityMismatch": (2, "specification error: "),
+    "UnsafeHeadVariable": (2, "specification error: "),
+    "SpecValidationError": (2, "specification error: "),
+    "UnknownSimFunction": (2, "specification error: "),
+    "DataError": (3, "data error: "),
+    "MissingFile": (3, "data error: "),
+    "HeaderMismatch": (3, "data error: "),
+    "RaggedRow": (3, "data error: "),
+    "MissingSimScore": (3, "data error: "),
+    "UnknownConstant": (3, "data error: "),
+    "NotInSolution": (4, "no solution contains the pair: "),
+}
+
+
 class TestExitCodes:
+    def test_each_error_class_has_its_exit_code(self, monkeypatch, capsys):
+        classes = {
+            name: cls for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.EntresError)
+        }
+        assert set(classes) == set(ERROR_EXITS)
+        for name, cls in classes.items():
+            exc = cls("m", 1, 2) if cls is errors.SpecSyntaxError else cls("m")
+
+            def fail(args, parser, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(cli, "run", fail)
+            argv = ["--spec", "s.er", "--mode", "validate"]
+            if ERROR_EXITS[name] is None:
+                with pytest.raises(cls):
+                    main(argv)
+                continue
+            code, prefix = ERROR_EXITS[name]
+            assert main(argv) == code, name
+            assert capsys.readouterr().err == f"{prefix}{exc}\n", name
+
     def test_usage_error(self, capsys):
         assert run("--spec", MUSIC / "music.er", "--mode", "bogus") == 1
 
@@ -458,6 +507,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"{kind} error: {target}:{line}: byte 0xff is not UTF-8\n"
         )
+
+    @pytest.mark.parametrize("cell", ["a\tb", "c\nd", "e\rf"])
+    def test_tab_or_line_break_in_an_id_cell(self, tmp_path, capsys, cell):
+        # csv quoting lets a cell hold one, and the pair files would then
+        # have rows with the wrong number of cells
+        spec, d = bundle(
+            tmp_path,
+            "relation R(rid: id, k: val) merge [rid];\n"
+            "hard h: R(x, k), R(y, k) => eq(x, y);\n",
+        )
+        (d / "R.csv").write_text(f'rid,k\nc,same\n"{cell}",same\n')
+        out = tmp_path / "o"
+        assert run(
+            "--spec", spec, "--data", d, "--mode", "lb", "--out", out
+        ) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {d / 'R.csv'}:3: cell {cell!r} holds a tab or a "
+            f"line break, which tab-separated output cannot hold\n"
+        )
+        assert not (out / "lb.tsv").exists()
+
+    def test_tab_in_a_value_cell(self, tmp_path, capsys):
+        d = tmp_path / "sims"
+        shutil.copytree(GOLDEN / "sims" / "data", d)
+        artists = d / "Artist.tsv"
+        text = artists.read_text(encoding="utf-8")
+        artists.write_text(
+            text.replace("a2\tBeatles", 'a2\t"Beat\tles"'), encoding="utf-8"
+        )
+        out = tmp_path / "o"
+        assert run(
+            "--spec", d / "sims.er", "--data", d, "--sim", "all",
+            "--mode", "sim", "--out", out,
+        ) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {artists}:3: cell 'Beat\\tles' holds a tab or a "
+            f"line break, which tab-separated output cannot hold\n"
+        )
+        assert not (out / "sim_jw.tsv").exists()
 
     def test_truth_is_read_before_the_search(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -737,6 +825,89 @@ class TestGolden:
             golden_outputs(case, tmp_path, "sims")
             == _golden_files("sims", case)
         )
+
+
+#: bundle -> (its directory, the files a mutation may pick, its spec, data
+#: and similarity arguments given the copy's directory and a strategy)
+MUTABLE = {
+    "music": (
+        MUSIC, ("music.er", "Appear.tsv", "Band.tsv", "Song.tsv", "simtable.tsv"),
+        lambda d, strategy: (
+            "--spec", d / "music.er", "--data", d,
+            "--sim", f"table:{d / 'simtable.tsv'}",
+        ),
+    ),
+    "sims": (
+        SIMS, ("sims.er", "Album.tsv", "Artist.tsv", "Label.tsv"),
+        lambda d, strategy: (
+            "--spec", d / "sims.er", "--data", d, "--sim", strategy,
+        ),
+    ),
+}
+
+
+def mutate(data, text: bytes) -> bytes:
+    """One random edit of a file: flip a bit, insert or delete bytes,
+    duplicate, drop or shuffle lines, or add or remove a cell."""
+    kind = data.draw(st.sampled_from((
+        "flip", "insert", "delete", "duplicate", "drop", "shuffle",
+        "add cell", "remove cell",
+    )))
+    buf = bytearray(text)
+    if kind in ("flip", "insert", "delete"):
+        at = data.draw(st.integers(0, len(buf) - 1))
+        if kind == "flip":
+            buf[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif kind == "insert":
+            buf[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+        else:
+            del buf[at:at + data.draw(st.integers(1, 4))]
+        return bytes(buf)
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "shuffle":
+        lines = data.draw(st.permutations(lines))
+    else:
+        body = lines[i].rstrip(b"\n")
+        if kind == "add cell":
+            body += b"\t" + data.draw(st.sampled_from((b"", b"x", b"b1")))
+        else:
+            body = body.rpartition(b"\t")[0]
+        lines[i] = body + b"\n"
+    return b"".join(lines)
+
+
+class TestMutatedInputs:
+    """Any one edit of one input file of the music or sims bundle ends in
+    a clean exit: success, a specification or data error, or no solution.
+    An uncaught exception fails the test."""
+
+    @settings(
+        max_examples=300, derandomize=True, database=None, deadline=None,
+    )
+    @given(st.data())
+    def test_every_run_exits_cleanly(self, data):
+        name = data.draw(st.sampled_from(sorted(MUTABLE)))
+        src, files, common = MUTABLE[name]
+        target = data.draw(st.sampled_from(files))
+        mode = data.draw(st.sampled_from(("validate", "lb", "pm", "sim")))
+        strategy = data.draw(st.sampled_from(("all", "cs", "opt")))
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp) / name
+            shutil.copytree(src, d)
+            path = d / target
+            path.write_bytes(mutate(data, path.read_bytes()))
+            args = [*common(d, strategy), "--mode", mode, "--out", d / "out"]
+            with (
+                contextlib.redirect_stdout(io.StringIO()),
+                contextlib.redirect_stderr(io.StringIO()),
+            ):
+                code = main([str(a) for a in args])
+        assert code in (0, 2, 3, 4)
 
 
 def write_ladder(tmp_path, depth):

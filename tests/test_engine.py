@@ -19,7 +19,6 @@ from entres.engine import (
     possible_merges,
     solve_one,
     ub,
-    verify_solution,
 )
 from entres.errors import NotASolution
 from entres.matcher import Context, dc_satisfied, merge_candidates
@@ -39,6 +38,7 @@ from oracles import (
     naive_ub,
     pm_cm,
     simfn_of,
+    verify_solution,
 )
 
 P = MergePair.of

@@ -1,5 +1,6 @@
 """Proof trees: construction, validation, minimal depth, rendering."""
 
+import hashlib
 import json
 import re
 import sys
@@ -20,13 +21,13 @@ from entres.explain import (
     rule_depth,
     to_dot,
     to_json,
-    validate_proof_tree,
 )
 from entres.matcher import Context
 from entres.model import EqRel, Fact, MergePair
 
 from conftest import e, v
 from instances import chain_instance, generate, generate_neq
+from oracles import validate_proof_tree
 
 P = MergePair.of
 
@@ -313,6 +314,30 @@ class TestFamilyProperty:
             finally:
                 tracemalloc.stop()
         assert peaks[500] <= 2.5 * peaks[250], peaks
+
+    def test_tree_set_is_pinned(self):
+        # the JSON text of every merged pair's tree (pairs sorted by text)
+        # in the first three solutions of each instance, concatenated: a
+        # change to tree choice, child order or rendering changes the hash
+        insts = (
+            [generate(seed) for seed in range(150)]
+            + [generate_neq(seed) for seed in range(150)]
+            + [chain_instance(depth) for depth in (2, 5, 9, 40)]
+        )
+        digest = hashlib.sha256()
+        trees = 0
+        for inst in insts:
+            ctx = inst.ctx
+            for sol in enumerate_solutions(ctx, 3):
+                for pair in sorted(
+                    sol.pairs(), key=lambda p: (p.left.text, p.right.text)
+                ):
+                    digest.update(to_json(proof_tree(ctx, sol, pair)).encode())
+                    trees += 1
+        assert trees == 1280
+        assert digest.hexdigest() == (
+            "b8d2664a13dc18914c81eaa26f0611e14f633086f9327001ab70d63d64166d68"
+        )
 
 
 def _ladder_tree(depth: int) -> ProofTree:

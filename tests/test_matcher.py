@@ -168,10 +168,10 @@ class TestAnswerBasics:
         wits = ans.witnesses[(e("r1"), e("r2"))]
         assert wits
         w = wits[0]
-        assert len(w.facts) == 2
-        assert {f.relation for f in w.facts} == {"R"}
-        assert w.binding[Var("x")] == e("r1")
-        assert w.binding[Var("y")] == e("r2")
+        assert len(w) == 2
+        assert {f.relation for f in w} == {"R"}
+        assert w[0].args[0] == e("r1")
+        assert w[1].args[0] == e("r2")
 
 
 class TestNullJoins:
@@ -390,7 +390,7 @@ class TestClassLookup:
         # every two rows join; the first atom is scanned, the second read
         # through m's class, both in database order
         rows = db.by_relation["P"]
-        assert {k: [w.facts for w in ws] for k, ws in got.witnesses.items()} == {
+        assert got.witnesses == {
             (f.args[0],): [(f, g) for g in rows] for f in rows
         }
         want_reps, want_exp = naive_query(
@@ -545,7 +545,7 @@ class TestJoinPlans:
         ps, qs = db.by_relation["P"], db.by_relation["Q"]
         # the whole product, nulls included (neither a nor b is a join
         # variable), each pair witnessed by its two rows
-        assert {k: [w.facts for w in ws] for k, ws in got.witnesses.items()} == {
+        assert got.witnesses == {
             (p.args[0], q.args[0]): [(p, q)] for p in ps for q in qs
         }
         assert list(got.witnesses) == [
@@ -610,19 +610,19 @@ class TestJoinPlans:
             rule.body, rule.head, db, close_classes(pairs, db.domain)
         )
         assert full.rep_tuples == want_reps
-        matches = {w.facts for ws in full.witnesses.values() for w in ws}
+        matches = {w for ws in full.witnesses.values() for w in ws}
         for i, c in enumerate(db.consts):
             # only the matches on a row carrying raw id i, each once
             got = answers(
                 rule.body, rule.head, ctx, eq, witnesses=True,
                 dirty=frozenset({i}),
             )
-            found = {w.facts for ws in got.witnesses.values() for w in ws}
+            found = {w for ws in got.witnesses.values() for w in ws}
             assert found == {
                 m for m in matches if any(c in f.args for f in m)
             }, c
 
-    def test_witness_binding_holds_every_variable(self):
+    def test_witness_facts_through_a_merged_class(self):
         spec, db = spec_db(self.CHAIN, self.CHAIN_FACTS)
         eq = EqRel(db.domain)
         eq.merge(e("m1"), e("m2"))
@@ -630,16 +630,11 @@ class TestJoinPlans:
         got = answers(
             rule.body, rule.head, Context(db, spec), eq, witnesses=True
         )
-        x, m, n, y = (Var(name) for name in "xmny")
-        bindings = [w.binding for ws in got.witnesses.values() for w in ws]
-        assert {
-            (b[x], b[m], b[n], b[y]) for b in bindings
-        } == {
-            # m2's row reads through its class: m is the representative m1
-            (e("p1"), e("m1"), v("a"), e("q1")),
-            (e("p1"), e("m1"), v("a"), e("q3")),
-            (e("p2"), e("m1"), v("a"), e("q1")),
-            (e("p2"), e("m1"), v("a"), e("q3")),
-            (e("p3"), e("m3"), v("b"), e("q2")),
+        p1, p2, p3, m1, m3, q1, q2, q3 = self.CHAIN_FACTS
+        matches = [w for ws in got.witnesses.values() for w in ws]
+        assert len(matches) == 5
+        assert set(matches) == {
+            # P(p2, m2) joins M(m1, a) through m1's class
+            (p1, m1, q1), (p1, m1, q3), (p2, m1, q1), (p2, m1, q3),
+            (p3, m3, q2),
         }
-        assert all(set(b) == {x, m, n, y} for b in bindings)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from entres.engine import DerivStep, MergeSets, Solution
 from entres.errors import NonEntityMerge, UnknownConstant
 from entres.explain import NodeKind, ProofNode, ProofTree, SimEdge
-from entres.matcher import AnswerSet, Context, Witness
+from entres.matcher import AnswerSet, Context
 from entres.model import NULL, Constant, Database, EqRel, Fact, Kind, MergePair
 from entres.rules import Var, parse_spec
 
@@ -206,7 +206,6 @@ RECORDS = {
         "consistent", False,
     ),
     "Context": (lambda: Context(DB, SPEC), "null_join_guard", False),
-    "Witness": (lambda: Witness((R_AX,), {Var("x"): e("a")}), "facts", ()),
     "AnswerSet": (
         lambda: AnswerSet((Var("x"),), frozenset({(e("a"),)})),
         "tuples", frozenset(),

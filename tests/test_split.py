@@ -21,7 +21,6 @@ from entres.engine import (
     merge_sets,
     possible_merges,
     ub,
-    verify_solution,
 )
 from entres.matcher import Context
 from entres.model import Database, Fact, MergePair
@@ -29,7 +28,7 @@ from entres.rules import analyse, parse_spec
 
 from conftest import ROOT, e, v
 from instances import generate_parts
-from oracles import bruteforce_solutions, maximal_sets, pm_cm
+from oracles import bruteforce_solutions, maximal_sets, pm_cm, verify_solution
 
 P = MergePair.of
 
