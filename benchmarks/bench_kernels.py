@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the compiled string kernels against the pure-Python fallback.
 
-Runs each kernel over the same randomized workload with both backends and
-prints calls/second plus the speedup. Usage:
+Runs each pair kernel over the same randomized workload with both backends
+and prints calls/second plus the speedup. The `jw_rows` row scores the
+triangle of the first distinct strings of those pairs, about as many pairs
+as the others score, and prints pairs/second; its compiled column is the
+row loop over the compiled `jw_score` that `entres.kernels` selects. Each
+kernel is checked against the fallback before it is timed, so a backend
+that disagrees fails the run. Usage:
 
     python benchmarks/bench_kernels.py [--pairs N] [--repeat K]
 """
@@ -19,7 +24,7 @@ from pathlib import Path
 # run from a source checkout: import the package from its src/ directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entres import _kernels_py
+from entres import _kernels_py, kernels
 
 try:
     from entres import _kernels
@@ -57,6 +62,30 @@ def bench(fn, pairs: list[tuple[str, str]], repeat: int) -> float:
     return best
 
 
+def triangle_texts(pairs: list[tuple[str, str]]) -> list[str]:
+    """The first distinct strings of the pairs, enough that their triangle
+    (reflexive pairs included) holds about as many pairs as the list."""
+    texts: list[str] = []
+    seen: set[str] = set()
+    for text in (t for pair in pairs for t in pair):
+        if len(texts) * (len(texts) + 1) // 2 >= len(pairs):
+            break
+        if text not in seen:
+            seen.add(text)
+            texts.append(text)
+    return texts
+
+
+def bench_rows(fn, texts: list[str], repeat: int) -> float:
+    """Best wall-clock seconds for one triangle of the texts."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn(texts)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, default=20000)
@@ -84,6 +113,24 @@ def main() -> None:
             c = bench(cfn, pairs, args.repeat)
             row += f" {args.pairs / c:>10.0f}/s {py / c:>8.1f}x"
         print(row)
+
+    texts = triangle_texts(pairs)
+    n = len(texts) * (len(texts) + 1) // 2
+    rows = _kernels_py.jw_rows(texts)
+    for i, a in enumerate(texts):
+        assert rows[i].tolist() == [
+            _kernels_py.jw_score(a, b) for b in texts[i:]
+        ], a
+    py = bench_rows(_kernels_py.jw_rows, texts, args.repeat)
+    row = f"{'jw_rows':<12} {n / py:>10.0f}/s"
+    if _kernels is None:
+        row += f" {'(missing)':>12} {'-':>9}"
+    else:
+        assert kernels.BACKEND == "c"
+        assert kernels.jw_rows(texts) == rows
+        c = bench_rows(kernels.jw_rows, texts, args.repeat)
+        row += f" {n / c:>10.0f}/s {py / c:>8.1f}x"
+    print(row)
 
     if _kernels is None:
         print("\ncompiled extension not built; only the fallback was timed")

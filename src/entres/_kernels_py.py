@@ -4,9 +4,23 @@ Scores are fixed-point hundredths in [0, 10000], rounded half-up. The
 compiled twin in _kernels.pyx takes the same greedy Jaro matches in the same
 order and evaluates the same floating-point expressions, so both backends
 return bit-identical scores; only the loops that find the matches differ.
+
+Jaro's matching is found by two loops. `jw_score`, which scores one pair,
+scans b's window for each character of a with str.find, skipping the
+positions already taken. `jw_rows`, which scores the triangle of a list of
+strings, first maps each string's characters to their ascending positions;
+each character of a then takes the lowest position of that character in b
+that lies in its window and at or above the character's cursor, one past
+its previous match. The two agree: one character's matches rise in a's
+order and window starts never fall, so every position of that character
+between the window start and the cursor is already taken, and every free
+one in the window lies at or above the cursor.
 """
 
 from __future__ import annotations
+
+from array import array
+from operator import ne
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -86,3 +100,72 @@ def jw_score(a: str, b: str) -> int:
             break
         p += 1
     return int((j + p * 0.1 * (1.0 - j)) * 10000.0 + 0.5)
+
+
+def jw_rows(texts: list[str]) -> list[array]:
+    """Row i holds jw_score(texts[i], t) for each t in texts[i:].
+
+    The character maps live for this one call: per text, character ->
+    ascending positions; per row and window width, one (character, cursor
+    slot, window start, window end) span per character of the row's text."""
+    finders = []  # per text: character -> its ascending positions
+    for b in texts:
+        at: dict[str, list[int]] = {}
+        for k, ch in enumerate(b):
+            at.setdefault(ch, []).append(k)
+        finders.append(at.get)
+    rows = []
+    for i, a in enumerate(texts):
+        la = len(a)
+        slot_of: dict[str, int] = {}  # a's distinct characters, numbered
+        for ch in a:
+            slot_of.setdefault(ch, len(slot_of))
+        no_matches = [0] * len(slot_of)
+        spans_of: dict[int, list[tuple[str, int, int, int]]] = {}
+        row = array("H")
+        put = row.append
+        for b, at_b in zip(texts[i:], finders[i:]):
+            if a == b:
+                put(10000)
+                continue
+            lb = len(b)
+            window = (la if la > lb else lb) // 2 - 1
+            if window < 0:
+                window = 0
+            spans = spans_of.get(window)
+            if spans is None:
+                spans = spans_of[window] = [
+                    (ch, slot_of[ch], max(k - window, 0), k + window)
+                    for k, ch in enumerate(a)
+                ]
+            cursor = no_matches[:]
+            pos: list[int] = []  # b's matched index for each matched char of a
+            for ch, slot, lo, hi in spans:
+                ks = at_b(ch)
+                if ks is not None:
+                    c = cursor[slot]
+                    if c < lo:
+                        c = lo
+                    for k in ks:
+                        if k >= c:
+                            if k <= hi:
+                                cursor[slot] = k + 1
+                                pos.append(k)
+                            break
+            m = len(pos)
+            if m == 0:
+                put(0)
+                continue
+            # a's matched chars in a's order against b's in position order
+            char_at = b.__getitem__
+            t = sum(map(ne, map(char_at, pos), map(char_at, sorted(pos)))) // 2
+            j = (m / la + m / lb + (m - t) / m) / 3.0
+            p = 0
+            if a[0] == b[0]:  # both are non-empty, since m > 0
+                for k in range(min(4, la, lb)):
+                    if a[k] != b[k]:
+                        break
+                    p += 1
+            put(int((j + p * 0.1 * (1.0 - j)) * 10000.0 + 0.5))
+        rows.append(row)
+    return rows

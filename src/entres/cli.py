@@ -335,12 +335,16 @@ def _sim_filename(func: str) -> str:
 
 def _export_store(store: SimStore, out: Path) -> list[Path]:
     written = []
+    cells: dict[int, str] = {}  # each distinct score formatted once
     for func in store.funcs():
         path = out / _sim_filename(func)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("left\tright\tscore\n")
             for a, b, s in store.walk(func):
-                fh.write(f"{a.text}\t{b.text}\t{s / 100:.2f}\n")
+                cell = cells.get(s)
+                if cell is None:
+                    cell = cells[s] = f"{s / 100:.2f}"
+                fh.write(f"{a.text}\t{b.text}\t{cell}\n")
         written.append(path)
     return written
 
@@ -362,13 +366,8 @@ def _prepare_sims(
         store = sim_all(ctx.db, ctx.spec)
     elif args.sim == "cs":
         store = simkit.sim_cs(ctx.db, ctx.spec)
-    elif args.sim == "opt":
-        store, _ = sim_opt(ctx)
     else:
-        raise DataError(
-            f"unknown similarity strategy {args.sim!r}; "
-            f"expected all, cs, opt or table:FILE"
-        )
+        store, _ = sim_opt(ctx)
     return simkit.StrictResolver(store), store
 
 
@@ -400,6 +399,11 @@ def _metrics_io(
 
 def run(args, parser: argparse.ArgumentParser) -> int:
     mode, mode_arg = _parse_mode(args.mode, parser)
+    if args.sim not in ("all", "cs", "opt") and args.sim[:6] != "table:":
+        parser.error(
+            f"unknown similarity strategy {args.sim!r}; "
+            f"expected all, cs, opt or table:FILE"
+        )
     if mode == "eval" and not args.truth:
         parser.error("mode eval requires --truth")
     spec = load_spec(args.spec)

@@ -408,7 +408,12 @@ def sim_all(
 ) -> SimStore:
     """Score every type-compatible value pair (reflexive included) for each
     similarity function the specification mentions, counting the value
-    constants its atoms take as operands among the values."""
+    constants its atoms take as operands among the values. A function
+    scored by the built-in Jaro-Winkler kernel has its triangle scored by
+    `kernels.jw_rows` in one call, which counts one scorer call per pair
+    all the same."""
+    from . import kernels
+
     registry = build_registry(spec, db) if registry is None else registry
     # the value constants each function's atoms take as operands (given no
     # positions, a variable contributes nothing: its columns are counted
@@ -437,10 +442,14 @@ def sim_all(
         if not values:
             continue
         texts = [c.text for c in values]
-        table = _Triangle(values, [
-            array("H", map(scorer, repeat(text), texts[i:]))
-            for i, text in enumerate(texts)
-        ])
+        if scorer is kernels.jw_score:  # read here, so a rebound one matches
+            rows = kernels.jw_rows(texts)
+        else:
+            rows = [
+                array("H", map(scorer, repeat(text), texts[i:]))
+                for i, text in enumerate(texts)
+            ]
+        table = _Triangle(values, rows)
         store._tables[func_id] = table
         store.calls += len(table)
     return store

@@ -423,6 +423,24 @@ class TestExitCodes:
         assert len([line for line in err if "error:" in line]) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bundle", ["music", "ladder"])
+    def test_unknown_similarity_strategy_is_a_usage_error(
+        self, tmp_path, capsys, bundle
+    ):
+        # the ladder spec has no similarity atom, so no strategy would run
+        spec, data = {
+            "music": (MUSIC / "music.er", MUSIC),
+            "ladder": (LADDER / "ladder.er", LADDER),
+        }[bundle]
+        out = tmp_path / "o"
+        assert run("--spec", spec, "--data", data, "--sim", "bogus",
+                   "--mode", "lb", "--out", out) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: unknown similarity strategy 'bogus'; "
+            "expected all, cs, opt or table:FILE\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("under_file", [False, True])
     def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, under_file):
         # the data directory is missing, so reading it would exit 3

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import entres._kernels_py as pure_kernels
 from entres import kernels
+from entres.cli import ingest
 from entres.engine import enumerate_solutions, ub
 from entres.errors import DataError, MissingSimScore
 from entres.matcher import Context
@@ -29,7 +30,7 @@ from entres.simkit import (
     sim_opt,
 )
 
-from conftest import e, v
+from conftest import MUSIC, ROOT, e, v
 from instances import generate
 from oracles import jw_score as jw_reference
 from oracles import levenshtein_dp
@@ -40,6 +41,8 @@ short_text = st.text(
 # a small alphabet with a repeated letter forces repeated characters, taken
 # window positions and transpositions in Jaro's matching
 jaro_text = st.text(alphabet="abcab é", max_size=16)
+
+SIMS = ROOT / "tests" / "golden" / "sims" / "data"
 
 
 class TestKernels:
@@ -101,6 +104,20 @@ class TestKernels:
         assert kernels.jw_score(a, b) == want
         assert pure_kernels.jw_score(a, b) == want
 
+    @given(st.lists(jaro_text, max_size=6))
+    @example([])
+    @example(["", "a", "a", "", "aba", "baa"])
+    @settings(max_examples=200, deadline=None)
+    def test_jaro_winkler_rows_match_window_scan(self, texts):
+        rows = pure_kernels.jw_rows(texts)
+        assert [len(row) for row in rows] == list(range(len(texts), 0, -1))
+        for i, (a, row) in enumerate(zip(texts, rows)):
+            want = [jw_reference(a, b) for b in texts[i:]]
+            assert row.tolist() == want
+            assert [kernels.jw_score(a, b) for b in texts[i:]] == want
+            assert [pure_kernels.jw_score(a, b) for b in texts[i:]] == want
+        assert kernels.jw_rows(texts) == rows
+
     def test_jaro_winkler_on_every_music_value_pair(self, music_db):
         values = sorted(c.text for c in music_db.domain if c.kind is Kind.VALUE)
         assert len(values) > 10
@@ -109,6 +126,12 @@ class TestKernels:
                 want = jw_reference(a, b)
                 assert kernels.jw_score(a, b) == want, (a, b)
                 assert pure_kernels.jw_score(a, b) == want, (a, b)
+        want = [
+            [jw_reference(a, b) for b in values[i:]]
+            for i, a in enumerate(values)
+        ]
+        assert [row.tolist() for row in pure_kernels.jw_rows(values)] == want
+        assert [row.tolist() for row in kernels.jw_rows(values)] == want
 
     def test_backend_is_reported(self):
         assert kernels.BACKEND in ("c", "python")
@@ -346,6 +369,33 @@ class TestStrategies:
         n = 7
         assert store.calls == n * (n - 1) // 2 + n == 28
         assert len(store.key_set()) == 28
+
+    @pytest.mark.parametrize("bundle", ["music", "sims"])
+    def test_sim_all_scores_a_jaro_winkler_triangle_as_pair_by_pair(
+        self, bundle
+    ):
+        # the music spec's table function is scored as Jaro-Winkler here; a
+        # scorer that is not kernels.jw_score itself takes the per-pair path
+        spec_file, data = {
+            "music": (MUSIC / "music.er", MUSIC),
+            "sims": (SIMS / "sims.er", SIMS),
+        }[bundle]
+        text = spec_file.read_text(encoding="utf-8")
+        spec = parse_spec(text.replace("approx : table;", "approx : jw;"))
+        db = ingest(str(data), spec.schema)
+        registry = build_registry(spec, db)
+        per_pair = {
+            func: (lambda a, b: kernels.jw_score(a, b))
+            if scorer is kernels.jw_score else scorer
+            for func, scorer in registry.items()
+        }
+        assert per_pair != registry
+        rows = sim_all(db, spec, registry)
+        pairwise = sim_all(db, spec, per_pair)
+        assert rows.funcs() == pairwise.funcs()
+        for func in rows.funcs():
+            assert rows.rows(func) == pairwise.rows(func)
+        assert rows.calls == pairwise.calls == len(rows) > 0
 
     def test_rule_crossproduct_count_on_music(
         self, music_spec, music_db, music_table
