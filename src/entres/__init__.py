@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("engine", """DerivStep LevelMap MergeSets Solution certain_merges
+        ("engine", """DerivStep MergeSets Solution certain_merges
             enumerate_solutions is_possible is_solution lb levels loose_ub
             maximal_solutions merge_sets possible_merges solve_one ub"""),
         ("errors", """DataError EntresError MissingSimScore NonEntityMerge

@@ -215,19 +215,6 @@ def evaluate(
 # ------------------------------------------------------------- run pipeline
 
 
-class _Timing:
-    def __init__(self) -> None:
-        self.preprocess = 0.0
-        self.fixpoint = 0.0
-        self.solve = 0.0
-
-    def line(self) -> str:
-        return (
-            f"timing: preprocess={self.preprocess:.3f}s "
-            f"fixpoint={self.fixpoint:.3f}s solve={self.solve:.3f}s"
-        )
-
-
 class _ArgParser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this tool reserves 2
     for specification errors, so remap to 1."""
@@ -279,10 +266,10 @@ def _parse_mode(text: str, parser: argparse.ArgumentParser):
     if base in ("enumerate", "maximal"):
         if not arg:
             return base, None
-        try:
-            n = int(arg)
-        except ValueError:
-            parser.error(f"mode {base} needs an integer bound, got {arg!r}")
+        if not (arg.isascii() and arg.isdigit()):
+            parser.error(f"mode {base} needs a bound in digits 0-9, "
+                         f"got {arg!r}")
+        n = int(arg)
         if n <= 0:
             parser.error(f"mode {base} needs a positive bound")
         return base, n
@@ -397,6 +384,20 @@ def _metrics_io(
     )
 
 
+def _write_merges(
+    mode: str,
+    pairs: frozenset[MergePair],
+    out: Path,
+    truth: frozenset[MergePair] | None,
+) -> None:
+    """Write `<mode>.tsv`, report it, and score it when a truth is given."""
+    dest = out / f"{mode}.tsv"
+    write_pairs(dest, pairs)
+    print(f"{mode}: {len(pairs)} merges -> {dest}")
+    if truth is not None:
+        _metrics_io(pairs, truth, out)
+
+
 def run(args, parser: argparse.ArgumentParser) -> int:
     mode, mode_arg = _parse_mode(args.mode, parser)
     if args.sim not in ("all", "cs", "opt") and args.sim[:6] != "table:":
@@ -427,8 +428,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     except OSError as exc:
         parser.exit(1, f"{parser.prog}: error: cannot create output "
                        f"directory {out}: {exc.strerror}\n")
-    timing = _Timing()
-
+    fixpoint = solve = 0.0
     t0 = time.perf_counter()
     db = ingest(args.data, spec.schema, args.null_token)
     truth = load_truth(args.truth) if args.truth else None
@@ -437,7 +437,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     ctx = Context(db, spec, null_inequality=args.null_inequality)
     sims, store = _prepare_sims(args, ctx)
     ctx = ctx.replace(sims=sims)
-    timing.preprocess = time.perf_counter() - t0
+    preprocess = time.perf_counter() - t0
 
     code = 0
     if mode == "sim":
@@ -458,20 +458,15 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             e = engine.ub(ctx)
         else:
             e = engine.loose_ub(ctx)
-        timing.fixpoint = time.perf_counter() - t0
-        pairs = e.nontrivial_pairs()
-        dest = out / f"{mode}.tsv"
-        write_pairs(dest, pairs)
-        print(f"{mode}: {len(pairs)} merges -> {dest}")
-        if args.truth:
-            _metrics_io(pairs, truth, out)
+        fixpoint = time.perf_counter() - t0
+        _write_merges(mode, e.nontrivial_pairs(), out, truth)
     elif mode in ("enumerate", "maximal"):
         t0 = time.perf_counter()
         if mode == "enumerate":
             sols = engine.enumerate_solutions(ctx, n=mode_arg)
         else:
             sols = engine.maximal_solutions(ctx, n=mode_arg)
-        timing.solve = time.perf_counter() - t0
+        solve = time.perf_counter() - t0
         if not sols:
             print("no solution exists", file=sys.stderr)
             code = 4
@@ -482,34 +477,26 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     elif mode in ("solve-one", "pm", "cm", "eval", "levels", "explain"):
         t0 = time.perf_counter()
         sol = engine.solve_one(ctx)
-        timing.solve = time.perf_counter() - t0
+        solve = time.perf_counter() - t0
         if sol is None:
             print("no solution exists", file=sys.stderr)
             code = 4
         elif mode == "solve-one":
-            dest = out / "solve-one.tsv"
-            write_pairs(dest, sol.pairs())
-            print(f"solve-one: {len(sol.pairs())} merges -> {dest}")
-            if args.truth:
-                _metrics_io(sol.pairs(), truth, out)
+            _write_merges(mode, sol.pairs(), out, truth)
         elif mode in ("pm", "cm"):
             t0 = time.perf_counter()
             if mode == "pm":
                 pairs = engine.possible_merges(ctx)
             else:
                 pairs = engine.certain_merges(ctx)
-            timing.solve += time.perf_counter() - t0
-            dest = out / f"{mode}.tsv"
-            write_pairs(dest, pairs)
-            print(f"{mode}: {len(pairs)} merges -> {dest}")
-            if args.truth:
-                _metrics_io(pairs, truth, out)
+            solve += time.perf_counter() - t0
+            _write_merges(mode, pairs, out, truth)
         elif mode == "eval":
             _metrics_io(sol.pairs(), truth, out)
         elif mode == "levels":
             t0 = time.perf_counter()
             lm = engine.levels(ctx, sol, scope=args.levels_scope)
-            timing.fixpoint += time.perf_counter() - t0
+            fixpoint = time.perf_counter() - t0
             dest = out / "levels.tsv"
             lines = ["left\tright\tlevel"] + [
                 f"{p.left.text}\t{p.right.text}\t{lv}" for p, lv in lm.items()
@@ -527,7 +514,10 @@ def run(args, parser: argparse.ArgumentParser) -> int:
                 f"explain ({a.text}, {b.text}): rule-depth "
                 f"{rule_depth(tree)} -> {dot_dest}, {json_dest}"
             )
-    print(timing.line())
+    print(
+        f"timing: preprocess={preprocess:.3f}s "
+        f"fixpoint={fixpoint:.3f}s solve={solve:.3f}s"
+    )
     return code
 
 

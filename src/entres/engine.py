@@ -52,9 +52,8 @@ from .rules import Rule, analyse
 
 
 class DerivStep(Record):
-    """One applied merge: the label of the rule whose answer it was (or
-    "transitive" for closure-entailed pairs) and the pair, as canonical
-    representatives at application time."""
+    """One applied merge: the label of the rule whose answer it was and the
+    pair, as canonical representatives at application time."""
 
     __slots__ = ("label", "pair")
 
@@ -74,41 +73,6 @@ class MergeSets(Record):
     in which case pm and cm are empty by convention."""
 
     __slots__ = ("lb", "ub", "pm", "cm", "consistent")
-
-
-class LevelMap:
-    """Merge pair -> level; reflexive pairs have level 0 by definition."""
-
-    def __init__(self, levels: dict[MergePair, int]):
-        self._levels = dict(levels)
-
-    def of(self, a: Constant, b: Constant) -> int:
-        if a == b:
-            return 0
-        return self._levels[MergePair.of(a, b)]
-
-    def __getitem__(self, pair: MergePair) -> int:
-        return self._levels[pair]
-
-    def __contains__(self, pair: MergePair) -> bool:
-        return pair in self._levels
-
-    def __len__(self) -> int:
-        return len(self._levels)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LevelMap):
-            return self._levels == other._levels
-        return NotImplemented
-
-    def items(self) -> list[tuple[MergePair, int]]:
-        return sorted(
-            self._levels.items(),
-            key=lambda kv: (kv[1], kv[0].left.text, kv[0].right.text),
-        )
-
-    def __repr__(self) -> str:
-        return f"LevelMap({self._levels!r})"
 
 
 # ------------------------------------------------------------- fixpoints
@@ -567,10 +531,13 @@ def is_solution(ctx: Context, e: EqRel) -> bool:
     )
 
 
-def levels(ctx: Context, sol: Solution, scope: str = "solution") -> LevelMap:
+def levels(
+    ctx: Context, sol: Solution, scope: str = "solution"
+) -> dict[MergePair, int]:
     """Level of each merge in the solution: the first round of the
     rule-application chain (_rounds, over every rule as hard) that relates
-    the pair, counting rule applications but not transitive closure.
+    the pair, counting rule applications but not transitive closure. The
+    dict is ordered by level, then by left and right text.
 
     scope="solution" (default) admits only rule answers already merged in
     the solution; scope="ub" runs the unrestricted chain and then reports
@@ -599,6 +566,5 @@ def levels(ctx: Context, sol: Solution, scope: str = "solution") -> LevelMap:
             for left, right in combinations(groups.values(), 2):
                 for i, j in product(left, right):
                     found[MergePair.of(e.const(i), e.const(j))] = level
-    if scope == "ub":
-        found = {p: lv for p, lv in found.items() if p in sol.eq}
-    return LevelMap(found)
+    order = sorted(found, key=lambda p: (found[p], p.left.text, p.right.text))
+    return {p: found[p] for p in order if scope == "solution" or p in sol.eq}

@@ -262,9 +262,6 @@ class Database:
     def __len__(self) -> int:
         return len(self.facts)
 
-    def __iter__(self) -> Iterator[Fact]:
-        return iter(self.facts)
-
     def __contains__(self, fact: Fact) -> bool:
         return fact in set(self.by_relation.get(fact.relation, ()))
 

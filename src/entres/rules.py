@@ -98,10 +98,8 @@ class RuleKind(Enum):
 
 
 class Rule(Record):
-    # sim_func is set on derived candidate-collection rules only: the
-    # similarity function whose argument pairs this rule gathers
-    __slots__ = ("kind", "label", "body", "head", "description", "sim_func")
-    _defaults = {"description": None, "sim_func": None}
+    __slots__ = ("kind", "label", "body", "head", "description")
+    _defaults = {"description": None}
 
 
 class DenialConstraint(Record):
@@ -116,9 +114,6 @@ class RelationDecl(Record):
     @property
     def arity(self) -> int:
         return len(self.attributes)
-
-    def position(self, attribute: str) -> int:
-        return self.attributes.index(attribute)
 
 
 class SimDecl(Record):
@@ -241,22 +236,22 @@ def _unquote(raw: str) -> str:
     return "".join(out)
 
 
-def _threshold_hundredths(tok: _Token) -> int:
+def hundredths(text: str, what: str) -> int:
+    """A percentage in 0..100 with at most two decimals, in hundredths
+    (95.5 -> 9550). A ValueError names the `what` and the text."""
     from decimal import Decimal, InvalidOperation
 
     try:
-        d = Decimal(tok.text)
+        d = Decimal(text)
+        if d.is_nan():  # NaN and sNaN do not compare
+            raise InvalidOperation
     except InvalidOperation:
-        raise SpecSyntaxError(f"bad threshold {tok.text!r}", tok.line, tok.col)
+        raise ValueError(f"bad {what} {text!r}") from None
     if d < 0 or d > 100:
-        raise SpecSyntaxError(
-            f"threshold {tok.text} outside [0, 100]", tok.line, tok.col
-        )
+        raise ValueError(f"{what} {text} outside [0, 100]")
     scaled = d * 100
     if scaled != scaled.to_integral_value():
-        raise SpecSyntaxError(
-            f"threshold {tok.text} has more than two decimals", tok.line, tok.col
-        )
+        raise ValueError(f"{what} {text} has more than two decimals")
     return int(scaled)
 
 
@@ -474,7 +469,11 @@ class _Parser:
         right = self.term()
         self.expect("punct", ")")
         self.expect("op", ">=")
-        thr = _threshold_hundredths(self.expect("number"))
+        tok = self.expect("number")
+        try:
+            thr = hundredths(tok.text, "threshold")
+        except ValueError as exc:
+            raise SpecSyntaxError(str(exc), tok.line, tok.col) from None
         return SimAtom(left, right, thr, func)
 
     def term(self) -> Term:
@@ -678,12 +677,6 @@ def load_spec(path: str) -> Specification:
 
 class SimSafetyViolation(Record):
     __slots__ = ("rule_label", "relation", "attribute")
-
-    def __str__(self) -> str:
-        return (
-            f"rule {self.rule_label}: similarity atom reads "
-            f"{self.relation}.{self.attribute}, which is a merge position"
-        )
 
 
 def validate_sim_safety(spec: Specification) -> list[SimSafetyViolation]:

@@ -11,11 +11,12 @@ extension. Strategies:
             rule similarity atoms;
   sim_opt   three phases: (1) run the upper-bound fixpoint with on-demand
             scoring, collecting every score the fixpoint actually probed
-            and the overapproximating merge set U; (2) derive one
-            candidate-collection rule per similarity atom; (3) evaluate
-            those rules once under U and score the candidate pairs not
-            already seen. Solutions computed from the resulting store match
-            those computed from sim_all on sim-safe specifications.
+            and the overapproximating merge set U; (2) per similarity
+            atom, take its rule's body without similarity atoms; (3)
+            evaluate that body once under U and score the atom's term
+            pairs not already seen. Solutions computed from the resulting
+            store match those computed from sim_all on sim-safe
+            specifications.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
 from .model import Constant, Database, Kind, MergePair
-from .rules import Rule, RuleKind, Specification, Var, var_positions
+from .rules import Specification, Var, hundredths, var_positions
 
 # ------------------------------------------------------------------- store
 
@@ -204,8 +205,6 @@ class SimTable:
 
     @classmethod
     def load(cls, path: str) -> "SimTable":
-        from decimal import Decimal, InvalidOperation
-
         scores: dict[tuple[str, str], int] = {}
         try:
             fh = open(path, encoding="utf-8")
@@ -224,33 +223,16 @@ class SimTable:
                     )
                 a, b, raw = cells
                 try:
-                    d = Decimal(raw)
-                    if d.is_nan():  # NaN and sNaN do not compare
-                        raise InvalidOperation
-                except InvalidOperation:
-                    raise DataError(
-                        f"{path}:{lineno}: bad score {raw!r}"
-                    ) from None
-                scaled = d * 100
-                if d < 0 or d > 100 or scaled != scaled.to_integral_value():
-                    raise DataError(
-                        f"{path}:{lineno}: score {raw} outside 0..100 "
-                        f"or finer than two decimals"
-                    )
-                key = (a, b) if a <= b else (b, a)
-                scores[key] = int(scaled)
+                    score = hundredths(raw, "score")
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                scores[(a, b) if a <= b else (b, a)] = score
         return cls(scores)
 
     def score(self, a: str, b: str) -> int:
         if a == b:
             return 10000
         return self._scores.get((a, b) if a <= b else (b, a), 0)
-
-    def items(self) -> list[tuple[str, str, int]]:
-        return sorted((a, b, s) for (a, b), s in self._scores.items())
-
-    def __len__(self) -> int:
-        return len(self._scores)
 
 
 # ---------------------------------------------------------------- registry
@@ -490,21 +472,6 @@ def sim_cs(
     return store
 
 
-def _getsim_rules(spec: Specification) -> list[Rule]:
-    """Phase 2 of sim_opt: one candidate-collection rule per similarity
-    atom. Its body keeps the relational and inequality atoms and drops every
-    similarity atom, and its head is that atom's term pair."""
-    return [
-        Rule(
-            RuleKind.HARD, f"{rule.label}.getsim{i}",
-            rule.body.replace(sim_atoms=()), (satom.left, satom.right),
-            sim_func=satom.func_id,
-        )
-        for rule in spec.all_rules()
-        for i, satom in enumerate(rule.body.sim_atoms, start=1)
-    ]
-
-
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
@@ -519,15 +486,18 @@ def sim_opt(
     # phase 1: upper-bound fixpoint with on-demand external calls
     e_ub = engine.ub(ctx.replace(sims=resolver))
 
-    # phases 2 and 3: evaluate one candidate-collection rule per similarity
-    # atom once under the overapproximation, score the misses
+    # phases 2 and 3: per similarity atom, evaluate its rule's body without
+    # similarity atoms once under the overapproximation, and score the
+    # misses among the atom's term pairs
     unscored = ctx.replace(sims=None)
-    for rule in _getsim_rules(ctx.spec):
-        ans = answers(rule.body, rule.head, unscored, e_ub, expand=False)
-        for a, b in sorted(ans.rep_tuples, key=lambda t: (t[0].text, t[1].text)):
-            if a == b or a.is_null() or b.is_null():
-                continue
-            assert rule.sim_func is not None
-            resolver.score(rule.sim_func, a, b)
+    for rule in ctx.spec.all_rules():
+        body = rule.body.replace(sim_atoms=())
+        for satom in rule.body.sim_atoms:
+            head = (satom.left, satom.right)
+            ans = answers(body, head, unscored, e_ub, expand=False)
+            for a, b in sorted(ans.rep_tuples, key=_text_order):
+                if a == b or a.is_null() or b.is_null():
+                    continue
+                resolver.score(satom.func_id, a, b)
 
     return store, e_ub.nontrivial_pairs()

@@ -413,6 +413,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode", [
         "bogus", "lb:1", "maximal:x", "maximal:0", "explain:s1",
         "explain:s1,s1",
+        # a bound is written in ASCII digits only, as a spec number is
+        "maximal:\u0663", "maximal:+2", "maximal:1_0", "maximal: 2",
     ])
     def test_mode_parse_errors_exit_before_ingest(self, tmp_path, capsys, mode):
         # the data directory is missing, so reading it would exit 3
@@ -590,7 +592,7 @@ class TestExitCodes:
         assert "data error:" in capsys.readouterr().err
 
     @staticmethod
-    def inconsistent(tmp_path, mode):
+    def inconsistent(tmp_path, mode, *extra):
         spec, d = bundle(
             tmp_path,
             "relation R(rid: id, k: val) merge [rid];\n"
@@ -600,12 +602,19 @@ class TestExitCodes:
         )
         return run(
             "--spec", spec, "--data", d, "--mode", mode,
-            "--out", tmp_path / "o",
+            "--out", tmp_path / "o", *extra,
         )
 
-    def test_no_solution(self, tmp_path, capsys):
-        assert self.inconsistent(tmp_path, "solve-one") == 4
+    @pytest.mark.parametrize("mode", [
+        "solve-one", "enumerate", "maximal", "pm", "cm", "levels",
+        "explain:a,b", "eval",
+    ])
+    def test_no_solution(self, tmp_path, capsys, mode):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("left\tright\na\tb\n")
+        assert self.inconsistent(tmp_path, mode, "--truth", truth) == 4
         assert "no solution exists" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_eval_without_truth_fails_before_search(self, tmp_path, capsys):
         assert self.inconsistent(tmp_path, "eval") == 1

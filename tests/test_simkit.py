@@ -16,7 +16,6 @@ from entres.matcher import Context
 from entres.model import NULL, Database, Fact, Kind, MergePair
 from entres.rules import parse_spec
 from entres.simkit import (
-    _getsim_rules,
     SimStore,
     SimTable,
     StrictResolver,
@@ -350,18 +349,6 @@ class TestRegistryAndPositions:
 
 
 class TestStrategies:
-    def test_score_query_rules(self, music_spec):
-        rules = _getsim_rules(music_spec)
-        assert [r.label for r in rules] == [
-            "rho.getsim1",
-            "rho.getsim2",
-            "sigma.getsim1",
-        ]
-        for r in rules:
-            assert not r.body.sim_atoms
-            assert r.sim_func == "approx"
-            assert len(r.head) == 2
-
     def test_exhaustive_count_on_music(self, music_spec, music_db, music_table):
         # 7 distinct values across the three similarity-read columns.
         reg = build_registry(music_spec, music_db, table=music_table)
