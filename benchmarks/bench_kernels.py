@@ -5,9 +5,12 @@ Runs each pair kernel over the same randomized workload with both backends
 and prints calls/second plus the speedup. The `jw_rows` row scores the
 triangle of the first distinct strings of those pairs, about as many pairs
 as the others score, and prints pairs/second; its compiled column is the
-row loop over the compiled `jw_score` that `entres.kernels` selects. Each
-kernel is checked against the fallback before it is timed, so a backend
-that disagrees fails the run. Usage:
+row loop over the compiled `jw_score` that `entres.kernels` selects. The
+`jw_rows xK` row scores the same triangle as `sim all` does, split into K
+contiguous shares, one per usable CPU, the first in this process and the
+others in forked children (K = 1 when the triangle is below two minimum
+shares or one CPU is usable). Each kernel is checked against the fallback
+before it is timed, so a backend that disagrees fails the run. Usage:
 
     python benchmarks/bench_kernels.py [--pairs N] [--repeat K]
 """
@@ -19,12 +22,13 @@ import random
 import string
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 # run from a source checkout: import the package from its src/ directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entres import _kernels_py, kernels
+from entres import _kernels_py, kernels, simkit
 
 try:
     from entres import _kernels
@@ -129,6 +133,20 @@ def main() -> None:
         assert kernels.BACKEND == "c"
         assert kernels.jw_rows(texts) == rows
         c = bench_rows(kernels.jw_rows, texts, args.repeat)
+        row += f" {n / c:>10.0f}/s {py / c:>8.1f}x"
+    print(row)
+
+    shares = len(simkit._share_bounds(len(texts))) - 1
+    split_py = partial(simkit._triangle_rows, _kernels_py.jw_rows)
+    assert split_py(texts) == rows
+    py = bench_rows(split_py, texts, args.repeat)
+    row = f"{f'jw_rows x{shares}':<12} {n / py:>10.0f}/s"
+    if _kernels is None:
+        row += f" {'(missing)':>12} {'-':>9}"
+    else:
+        split_c = partial(simkit._triangle_rows, kernels.jw_rows)
+        assert split_c(texts) == rows
+        c = bench_rows(split_c, texts, args.repeat)
         row += f" {n / c:>10.0f}/s {py / c:>8.1f}x"
     print(row)
 

@@ -8,13 +8,14 @@ return bit-identical scores; only the loops that find the matches differ.
 Jaro's matching is found by two loops. `jw_score`, which scores one pair,
 scans b's window for each character of a with str.find, skipping the
 positions already taken. `jw_rows`, which scores the triangle of a list of
-strings, first maps each string's characters to their ascending positions;
-each character of a then takes the lowest position of that character in b
-that lies in its window and at or above the character's cursor, one past
-its previous match. The two agree: one character's matches rise in a's
-order and window starts never fall, so every position of that character
-between the window start and the cursor is already taken, and every free
-one in the window lies at or above the cursor.
+strings or the contiguous range of its rows from `start` to `stop`, first
+maps the characters of each string from `start` on to their ascending
+positions; each character of a then takes the lowest position of that
+character in b that lies in its window and at or above the character's
+cursor, one past its previous match. The two agree: one character's matches
+rise in a's order and window starts never fall, so every position of that
+character between the window start and the cursor is already taken, and
+every free one in the window lies at or above the cursor.
 """
 
 from __future__ import annotations
@@ -102,20 +103,27 @@ def jw_score(a: str, b: str) -> int:
     return int((j + p * 0.1 * (1.0 - j)) * 10000.0 + 0.5)
 
 
-def jw_rows(texts: list[str]) -> list[array]:
-    """Row i holds jw_score(texts[i], t) for each t in texts[i:].
+def jw_rows(
+    texts: list[str], start: int = 0, stop: int | None = None
+) -> list[array]:
+    """Rows start..stop-1 of the triangle (all rows by default): row i holds
+    jw_score(texts[i], t) for each t in texts[i:].
 
-    The character maps live for this one call: per text, character ->
-    ascending positions; per row and window width, one (character, cursor
-    slot, window start, window end) span per character of the row's text."""
-    finders = []  # per text: character -> its ascending positions
-    for b in texts:
+    The character maps live for this one call: per text of texts[start:],
+    character -> ascending positions; per row and window width, one
+    (character, cursor slot, window start, window end) span per character
+    of the row's text."""
+    if stop is None:
+        stop = len(texts)
+    finders = []  # per text of texts[start:]: character -> its positions
+    for b in texts[start:]:
         at: dict[str, list[int]] = {}
         for k, ch in enumerate(b):
             at.setdefault(ch, []).append(k)
         finders.append(at.get)
     rows = []
-    for i, a in enumerate(texts):
+    for i in range(start, stop):
+        a = texts[i]
         la = len(a)
         slot_of: dict[str, int] = {}  # a's distinct characters, numbered
         for ch in a:
@@ -124,7 +132,7 @@ def jw_rows(texts: list[str]) -> list[array]:
         spans_of: dict[int, list[tuple[str, int, int, int]]] = {}
         row = array("H")
         put = row.append
-        for b, at_b in zip(texts[i:], finders[i:]):
+        for b, at_b in zip(texts[i:], finders[i - start:]):
             if a == b:
                 put(10000)
                 continue

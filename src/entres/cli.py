@@ -320,6 +320,21 @@ def _sim_filename(func: str) -> str:
     return f"sim_{safe}.tsv"
 
 
+def _check_sim_filenames(spec: Specification) -> None:
+    """Raise SpecError when two similarity functions of the specification
+    would write one `sim_*.tsv` file."""
+    owner: dict[str, str] = {}
+    funcs = {s.func_id for r in spec.all_rules() for s in r.body.sim_atoms}
+    for func in sorted(funcs):
+        name = _sim_filename(func)
+        first = owner.setdefault(name, func)
+        if first != func:
+            raise SpecError(
+                f"similarity functions {first!r} and {func!r} would both "
+                f"write {name}; rename one"
+            )
+
+
 def _export_store(store: SimStore, out: Path) -> list[Path]:
     written = []
     cells: dict[int, str] = {}  # each distinct score formatted once
@@ -422,6 +437,8 @@ def run(args, parser: argparse.ArgumentParser) -> int:
 
     if not args.data:
         parser.error(f"mode {mode} requires --data")
+    if mode == "sim" and not args.sim.startswith("table:"):
+        _check_sim_filenames(spec)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

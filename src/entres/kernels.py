@@ -3,9 +3,11 @@ fallback otherwise.
 
 `levenshtein`, `lev_score` and `jw_score` score one pair. `jw_rows(texts)`
 scores a triangle: row i holds `jw_score(texts[i], t)` for each t in
-`texts[i:]`. The fallback finds all of a triangle's Jaro matches through
-per-string character maps; with the compiled backend it is a row loop over
-the compiled `jw_score`."""
+`texts[i:]`. `jw_rows(texts, start, stop)` returns rows start..stop-1 alone,
+equal to `jw_rows(texts)[start:stop]`, so that contiguous shares of one
+triangle can be scored apart. The fallback finds a range's Jaro matches
+through character maps of `texts[start:]`; with the compiled backend it is
+a row loop over the range, calling the compiled `jw_score`."""
 
 from __future__ import annotations
 
@@ -17,11 +19,15 @@ try:
 
     BACKEND = "c"
 
-    def jw_rows(texts: list[str]) -> list[array]:
+    def jw_rows(
+        texts: list[str], start: int = 0, stop: int | None = None
+    ) -> list[array]:
         score = _impl.jw_score
+        if stop is None:
+            stop = len(texts)
         return [
-            array("H", map(score, repeat(text), texts[i:]))
-            for i, text in enumerate(texts)
+            array("H", map(score, repeat(texts[i]), texts[i:]))
+            for i in range(start, stop)
         ]
 
 except ImportError:

@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import re
+import threading
 from array import array
 from collections import Counter
+from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
@@ -392,8 +395,8 @@ def sim_all(
     similarity function the specification mentions, counting the value
     constants its atoms take as operands among the values. A function
     scored by the built-in Jaro-Winkler kernel has its triangle scored by
-    `kernels.jw_rows` in one call, which counts one scorer call per pair
-    all the same."""
+    `kernels.jw_rows`, which counts one scorer call per pair all the same;
+    a large triangle is split over the usable CPUs (`_triangle_rows`)."""
     from . import kernels
 
     registry = build_registry(spec, db) if registry is None else registry
@@ -423,18 +426,148 @@ def sim_all(
         )
         if not values:
             continue
-        texts = [c.text for c in values]
         if scorer is kernels.jw_score:  # read here, so a rebound one matches
-            rows = kernels.jw_rows(texts)
+            score_rows = kernels.jw_rows
         else:
-            rows = [
-                array("H", map(scorer, repeat(text), texts[i:]))
-                for i, text in enumerate(texts)
-            ]
+            score_rows = partial(_map_rows, scorer)
+        rows = _triangle_rows(score_rows, [c.text for c in values])
         table = _Triangle(values, rows)
         store._tables[func_id] = table
         store.calls += len(table)
     return store
+
+
+#: The fewest pairs a share of a split triangle holds. In a 17 MB CLI
+#: process, forking a share, pinning it to a CPU, piping its rows back and
+#: reaping it takes about 3 ms. The pure-Python `jw_rows` scores a pair in
+#: about 4 us (`benchmarks/bench_kernels.py`, 2-core x86 container, CPython
+#: 3.11), so a minimum share takes about 35 ms. The compiled kernel's cost
+#: a pair is unmeasured, so whether a minimum share outweighs its fork with
+#: that backend is unverified.
+_MIN_SHARE = 8192
+
+
+def _usable_cpus() -> list[int] | None:
+    """The CPUs this process may run on, or None where the platform keeps
+    no affinity masks."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return None
+
+
+def _map_rows(
+    scorer: Scorer, texts: list[str], start: int, stop: int
+) -> list[array]:
+    return [
+        array("H", map(scorer, repeat(texts[i]), texts[i:]))
+        for i in range(start, stop)
+    ]
+
+
+def _share_bounds(n: int) -> list[int]:
+    """Row boundaries 0 = b0 < b1 < ... < bk = n cutting an n-row triangle
+    (row i holds n - i pairs) into the k contiguous shares of about equal
+    pair count that `_triangle_rows` scores apart: k = min(usable CPUs,
+    pairs // _MIN_SHARE), and k = 1 where `os.fork` is missing or another
+    thread runs (a forked child holds no copy of another thread, nor of a
+    lock one held)."""
+    cpus = _usable_cpus()
+    usable = (os.cpu_count() or 1) if cpus is None else len(cpus)
+    total = n * (n + 1) // 2
+    shares = min(usable, total // _MIN_SHARE)
+    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [0, n]
+    bounds = [0]
+    done = 0
+    for i in range(n - 1):
+        done += n - i
+        if len(bounds) < shares and done * shares >= total * len(bounds):
+            bounds.append(i + 1)
+    bounds.append(n)
+    return bounds
+
+
+def _triangle_rows(
+    score_rows: Callable[[list[str], int, int], list[array]],
+    texts: list[str],
+) -> list[array]:
+    """`score_rows(texts, 0, len(texts))`, the triangle's rows in order,
+    scored on every usable CPU when the triangle is large.
+
+    The rows are cut into the shares of `_share_bounds`. The parent scores
+    the first share; each other share is scored in a forked child,
+    which writes its rows' bytes to a pipe and leaves through `os._exit`,
+    so it never prints, runs no `atexit` handler and flushes no inherited
+    buffer. The parent reads each pipe to EOF and reaps every child, also
+    when it fails; a share whose child exits non-zero or sends other than
+    two bytes a pair is scored by the parent. A child computes its whole
+    share before it writes, and ends when that is done even if the parent
+    was killed: its write then fails on EPIPE, and it exits.
+
+    Where affinity masks exist, each share runs pinned to its own usable
+    CPU, and the parent gets its mask back afterwards: a scheduler that
+    does not balance load (a cpuset with load balancing off) would keep a
+    forked child on its parent's CPU."""
+    n = len(texts)
+    bounds = _share_bounds(n)
+    if len(bounds) == 2:
+        return score_rows(texts, 0, n)
+    cpus = _usable_cpus()
+    forked: list[tuple[int, int, int, BinaryIO]] = []  # start, stop, pid, pipe
+    try:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus[:1])
+        for k, (start, stop) in enumerate(zip(bounds[1:], bounds[2:]), 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the parent scores the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    for *_, pipe in forked:
+                        pipe.close()
+                    if cpus is not None:
+                        os.sched_setaffinity(0, cpus[k:k + 1])
+                    data = b"".join(score_rows(texts, start, stop))
+                    with open(w, "wb") as out:
+                        out.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            forked.append((start, stop, pid, open(r, "rb")))
+        rows = score_rows(texts, 0, bounds[1])
+        while forked:
+            start, stop, pid, pipe = forked[0]
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del forked[0]
+            # two bytes a pair, n - i pairs in row i
+            size = (stop - start) * (2 * n - start - stop + 1)
+            if os.waitstatus_to_exitcode(status) != 0 or len(data) != size:
+                rows += score_rows(texts, start, stop)
+                continue
+            flat = array("H", data)
+            at = 0
+            for i in range(start, stop):
+                rows.append(flat[at:at + n - i])
+                at += n - i
+        rows += score_rows(texts, len(rows), n)  # shares no child took
+        return rows
+    finally:  # `forked` still holds a child only if an exception cut in
+        for *_, pipe in forked:
+            pipe.close()
+        for _, _, pid, _ in forked:
+            os.waitpid(pid, 0)
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
 
 
 def _atom_side_values(

@@ -353,6 +353,32 @@ class TestModes:
         assert "marhta\tmartha\t96.11" in rows
         assert len(rows) == 7  # header + C(3,2) + 3 reflexive
 
+    @pytest.mark.parametrize("strategy", ["all", "cs", "opt"])
+    def test_two_functions_of_one_sim_file_are_a_spec_error(
+        self, tmp_path, capsys, strategy
+    ):
+        # the auto-routed tfidf@Doc.body and the declared tfidf_Doc_body
+        # both map to sim_tfidf_Doc_body.tsv
+        spec, d = bundle(
+            tmp_path,
+            "relation Doc(did: id, body: long) merge [did];\n"
+            "sim tfidf_Doc_body : jw;\n"
+            "soft s1: Doc(x, b), Doc(y, c), sim(b, c) >= 50 ~> eq(x, y);\n"
+            "soft s2: Doc(x, b), Doc(y, c), sim:tfidf_Doc_body(b, c) >= 90"
+            " ~> eq(x, y);\n",
+            Doc="did\tbody\nd1\tthe quick brown fox\n"
+                "d2\tthe quick brown fix\nd3\tlazy dogs sleep\n",
+        )
+        out = tmp_path / "sim"
+        assert run("--spec", spec, "--data", d, "--sim", strategy,
+                   "--mode", "sim", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "specification error: similarity functions 'tfidf@Doc.body' and "
+            "'tfidf_Doc_body' would both write sim_tfidf_Doc_body.tsv; "
+            "rename one\n"
+        )
+        assert not out.exists()
+
     def test_table_strategy_has_nothing_to_export(self, tmp_path, capsys):
         out = tmp_path / "simtab"
         assert run(*music_args("sim", out)) == 0

@@ -1,14 +1,18 @@
 """Similarity machinery: kernels, models, stores, resolvers, strategies."""
 
 import math
+import os
+import random
 import re
+import threading
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entres._kernels_py as pure_kernels
-from entres import kernels
+from entres import kernels, simkit
 from entres.cli import ingest
 from entres.engine import enumerate_solutions, ub
 from entres.errors import DataError, MissingSimScore
@@ -103,19 +107,26 @@ class TestKernels:
         assert kernels.jw_score(a, b) == want
         assert pure_kernels.jw_score(a, b) == want
 
-    @given(st.lists(jaro_text, max_size=6))
-    @example([])
-    @example(["", "a", "a", "", "aba", "baa"])
+    @given(
+        st.lists(jaro_text, max_size=6), st.integers(0, 6), st.integers(0, 6)
+    )
+    @example([], 0, 0)
+    @example(["", "a", "a", "", "aba", "baa"], 0, 6)
+    @example(["", "a", "a", "", "aba", "baa"], 2, 5)
     @settings(max_examples=200, deadline=None)
-    def test_jaro_winkler_rows_match_window_scan(self, texts):
+    def test_jaro_winkler_rows_match_window_scan(self, texts, i, j):
         rows = pure_kernels.jw_rows(texts)
         assert [len(row) for row in rows] == list(range(len(texts), 0, -1))
-        for i, (a, row) in enumerate(zip(texts, rows)):
-            want = [jw_reference(a, b) for b in texts[i:]]
+        for k, (a, row) in enumerate(zip(texts, rows)):
+            want = [jw_reference(a, b) for b in texts[k:]]
             assert row.tolist() == want
-            assert [kernels.jw_score(a, b) for b in texts[i:]] == want
-            assert [pure_kernels.jw_score(a, b) for b in texts[i:]] == want
+            assert [kernels.jw_score(a, b) for b in texts[k:]] == want
+            assert [pure_kernels.jw_score(a, b) for b in texts[k:]] == want
         assert kernels.jw_rows(texts) == rows
+        # any contiguous range of rows, 0 <= start <= stop <= len(texts)
+        start, stop = sorted(min(x, len(texts)) for x in (i, j))
+        assert pure_kernels.jw_rows(texts, start, stop) == rows[start:stop]
+        assert kernels.jw_rows(texts, start, stop) == rows[start:stop]
 
     def test_jaro_winkler_on_every_music_value_pair(self, music_db):
         values = sorted(c.text for c in music_db.domain if c.kind is Kind.VALUE)
@@ -451,3 +462,148 @@ class TestStrategies:
         assert opt_ub == ub(
             inst.ctx.replace(sims=StrictResolver(inst.store))
         ).nontrivial_pairs()
+
+
+def _words(n: int) -> list[str]:
+    """n distinct words, sorted, as `sim_all` orders a triangle's texts."""
+    rng = random.Random(n)
+    words: set[str] = set()
+    while len(words) < n:
+        words.add("".join(rng.choices("abcdefghij", k=rng.randint(3, 12))))
+    return sorted(words)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+lev_rows = partial(simkit._map_rows, kernels.lev_score)
+
+
+class TestSplitTriangle:
+    """A large triangle is scored in contiguous row shares, the first in
+    this process and each other in a forked child, with rows equal to the
+    one-process rows."""
+
+    def test_sim_all_rows_equal_one_process_rows(self, monkeypatch):
+        texts = _words(200)  # 20,100 pairs
+        assert len(texts) * 201 // 2 >= 2 * simkit._MIN_SHARE
+        spec = parse_spec(
+            "relation R(rid: id, a: short) merge [rid];\n"
+            "soft s: R(x, a), R(y, b), sim(a, b) >= 90 ~> eq(x, y);\n"
+        )
+        db = Database([
+            Fact("R", (e(f"r{i}"), v(text))) for i, text in enumerate(texts)
+        ])
+        fork, forked = os.fork, []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        cpus = simkit._usable_cpus()
+        split = sim_all(db, spec)
+        _assert_no_child_left()
+        assert len(forked) == len(simkit._share_bounds(len(texts))) - 2
+        if len(cpus or ()) > 1 and threading.active_count() == 1:
+            assert len(forked) == 1
+            assert sorted(os.sched_getaffinity(0)) == cpus
+        monkeypatch.setattr(simkit, "_MIN_SHARE", len(texts) ** 2)
+        forks = len(forked)
+        one = sim_all(db, spec)
+        assert len(forked) == forks
+        assert split.rows("jw") == one.rows("jw")
+        assert split.calls == one.calls == len(split) == 20100
+        assert [r.tolist() for r in split._tables["jw"].rows] == [
+            r.tolist() for r in kernels.jw_rows(texts)
+        ]
+
+    def test_any_scorer_splits_alike(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
+        texts = _words(30)  # 465 pairs
+        want = lev_rows(texts, 0, len(texts))
+        for i, a in enumerate(texts):
+            assert want[i].tolist() == [
+                kernels.lev_score(a, b) for b in texts[i:]
+            ]
+        assert simkit._triangle_rows(lev_rows, texts) == want
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["raises", "short"])
+    def test_a_failed_child_share_is_scored_here(self, monkeypatch, capfd, fault):
+        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
+        parent = os.getpid()
+
+        def score_rows(texts, start, stop):
+            rows = lev_rows(texts, start, stop)
+            if os.getpid() == parent:
+                return rows
+            if fault == "raises":
+                raise RuntimeError("a child's share fails")
+            return rows[:-1]  # one row short
+
+        texts = _words(30)
+        assert simkit._triangle_rows(score_rows, texts) == score_rows(
+            texts, 0, len(texts)
+        )
+        _assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
+        monkeypatch.setattr(os, "fork", no_fork)
+        texts = _words(30)
+        want = lev_rows(texts, 0, len(texts))
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert simkit._triangle_rows(lev_rows, texts) == want
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert simkit._triangle_rows(lev_rows, texts) == want
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+
+    def test_without_processes_this_process_scores_every_share(
+        self, monkeypatch
+    ):
+        def no_process():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
+        monkeypatch.setattr(os, "fork", no_process)
+        texts = _words(30)
+        assert simkit._triangle_rows(lev_rows, texts) == lev_rows(
+            texts, 0, len(texts)
+        )
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_shares_are_contiguous_with_about_equal_pair_counts(
+        self, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: list(range(cpus)))
+        monkeypatch.setattr(simkit, "_MIN_SHARE", 10)
+        for n in range(60):
+            bounds = simkit._share_bounds(n)
+            shares = min(cpus, n * (n + 1) // 2 // 10)
+            if shares < 2:
+                assert bounds == [0, n]
+                continue
+            assert len(bounds) == shares + 1
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))
+            sizes = [
+                sum(n - i for i in range(a, b))
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            assert max(sizes) - min(sizes) <= 2 * n, (n, bounds)
