@@ -55,15 +55,30 @@ def make_pairs(n: int, rng: random.Random) -> list[tuple[str, str]]:
     return pairs
 
 
-def bench(fn, pairs: list[tuple[str, str]], repeat: int) -> float:
-    """Best wall-clock seconds for one sweep over the pairs."""
+def best_of(repeat: int, fn, *args) -> float:
+    """Best wall-clock seconds of `repeat` calls fn(*args)."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for a, b in pairs:
-            fn(a, b)
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def sweep(fn, pairs: list[tuple[str, str]]) -> None:
+    for a, b in pairs:
+        fn(a, b)
+
+
+def print_row(name: str, count: int, py: float, c: float | None) -> None:
+    """count per second on each backend, given each one's seconds (c is
+    None when the extension is not built), and the speedup."""
+    row = f"{name:<12} {count / py:>10.0f}/s"
+    if c is None:
+        row += f" {'(missing)':>12} {'-':>9}"
+    else:
+        row += f" {count / c:>10.0f}/s {py / c:>8.1f}x"
+    print(row)
 
 
 def triangle_texts(pairs: list[tuple[str, str]]) -> list[str]:
@@ -80,16 +95,6 @@ def triangle_texts(pairs: list[tuple[str, str]]) -> list[str]:
     return texts
 
 
-def bench_rows(fn, texts: list[str], repeat: int) -> float:
-    """Best wall-clock seconds for one triangle of the texts."""
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn(texts)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, default=20000)
@@ -98,57 +103,41 @@ def main() -> None:
     args = ap.parse_args()
 
     pairs = make_pairs(args.pairs, random.Random(args.seed))
-    names = ("levenshtein", "lev_score", "jw_score")
 
     print(f"{args.pairs} pairs, best of {args.repeat} sweeps\n")
     header = f"{'kernel':<12} {'python':>12} {'compiled':>12} {'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for name in names:
-        py = bench(getattr(_kernels_py, name), pairs, args.repeat)
-        row = f"{name:<12} {args.pairs / py:>10.0f}/s"
-        if _kernels is None:
-            row += f" {'(missing)':>12} {'-':>9}"
-        else:
+    for name in ("levenshtein", "lev_score", "jw_score"):
+        pfn = getattr(_kernels_py, name)
+        py = best_of(args.repeat, sweep, pfn, pairs)
+        c = None
+        if _kernels is not None:
             # both backends must agree before timing means anything
-            cfn, pfn = getattr(_kernels, name), getattr(_kernels_py, name)
+            cfn = getattr(_kernels, name)
             for a, b in pairs[:500]:
                 assert cfn(a, b) == pfn(a, b), (name, a, b)
-            c = bench(cfn, pairs, args.repeat)
-            row += f" {args.pairs / c:>10.0f}/s {py / c:>8.1f}x"
-        print(row)
+            c = best_of(args.repeat, sweep, cfn, pairs)
+        print_row(name, args.pairs, py, c)
 
     texts = triangle_texts(pairs)
     n = len(texts) * (len(texts) + 1) // 2
-    rows = _kernels_py.jw_rows(texts)
-    for i, a in enumerate(texts):
-        assert rows[i].tolist() == [
-            _kernels_py.jw_score(a, b) for b in texts[i:]
-        ], a
-    py = bench_rows(_kernels_py.jw_rows, texts, args.repeat)
-    row = f"{'jw_rows':<12} {n / py:>10.0f}/s"
-    if _kernels is None:
-        row += f" {'(missing)':>12} {'-':>9}"
-    else:
-        assert kernels.BACKEND == "c"
-        assert kernels.jw_rows(texts) == rows
-        c = bench_rows(kernels.jw_rows, texts, args.repeat)
-        row += f" {n / c:>10.0f}/s {py / c:>8.1f}x"
-    print(row)
-
+    rows = kernels.map_rows(_kernels_py.jw_score, texts)
     shares = len(simkit._share_bounds(len(texts))) - 1
-    split_py = partial(simkit._triangle_rows, _kernels_py.jw_rows)
-    assert split_py(texts) == rows
-    py = bench_rows(split_py, texts, args.repeat)
-    row = f"{f'jw_rows x{shares}':<12} {n / py:>10.0f}/s"
-    if _kernels is None:
-        row += f" {'(missing)':>12} {'-':>9}"
-    else:
-        split_c = partial(simkit._triangle_rows, kernels.jw_rows)
-        assert split_c(texts) == rows
-        c = bench_rows(split_c, texts, args.repeat)
-        row += f" {n / c:>10.0f}/s {py / c:>8.1f}x"
-    print(row)
+    for name, py_rows, c_rows in (
+        ("jw_rows", _kernels_py.jw_rows, kernels.jw_rows),
+        (f"jw_rows x{shares}",
+         partial(simkit._triangle_rows, _kernels_py.jw_rows),
+         partial(simkit._triangle_rows, kernels.jw_rows)),
+    ):
+        assert py_rows(texts) == rows
+        py = best_of(args.repeat, py_rows, texts)
+        c = None
+        if _kernels is not None:
+            assert kernels.BACKEND == "c"
+            assert c_rows(texts) == rows
+            c = best_of(args.repeat, c_rows, texts)
+        print_row(name, n, py, c)
 
     if _kernels is None:
         print("\ncompiled extension not built; only the fallback was timed")

@@ -15,7 +15,10 @@ character in b that lies in its window and at or above the character's
 cursor, one past its previous match. The two agree: one character's matches
 rise in a's order and window starts never fall, so every position of that
 character between the window start and the cursor is already taken, and
-every free one in the window lies at or above the cursor.
+every free one in the window lies at or above the cursor. So `jw_rows`
+returns the rows of `kernels.map_rows(jw_score, texts, start, stop)`, the
+generic row loop that calls `jw_score` once a pair, which is what the
+compiled backend's `jw_rows` is.
 """
 
 from __future__ import annotations

@@ -356,11 +356,14 @@ def _prepare_sims(
 ) -> tuple[object | None, SimStore | None]:
     """Resolver for the engine plus the materialized store (None for the
     table strategy, which serves lookups directly)."""
-    if not any(rule.body.sim_atoms for rule in ctx.spec.all_rules()):
+    from_table = args.sim.startswith("table:")
+    if not from_table and not any(
+        rule.body.sim_atoms for rule in ctx.spec.all_rules()
+    ):
         return None, None
     from . import simkit
 
-    if args.sim.startswith("table:"):
+    if from_table:  # loaded on every spec, so that a bad table fails on each
         table = simkit.SimTable.load(args.sim[len("table:"):])
         return simkit.TableResolver(table), None
     _bind("sim_all", "sim_opt")
@@ -369,7 +372,7 @@ def _prepare_sims(
     elif args.sim == "cs":
         store = simkit.sim_cs(ctx.db, ctx.spec)
     else:
-        store, _ = sim_opt(ctx)
+        store = sim_opt(ctx)
     return simkit.StrictResolver(store), store
 
 

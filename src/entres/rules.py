@@ -484,18 +484,28 @@ class _Parser:
             if name.kind == "ident":
                 return entity(name.text)
             if name.kind == "string":
-                return entity(_unquote(name.text))
+                return entity(self.constant_text(name))
             raise self.fail("expected entity name after @", name)
         if tok.kind == "ident":
             self.next()
             return Var(tok.text)
         if tok.kind == "string":
             self.next()
-            return value(_unquote(tok.text))
+            return value(self.constant_text(tok))
         if tok.kind == "number":
             self.next()
             return value(tok.text)
         raise self.fail("expected a term")
+
+    def constant_text(self, tok: _Token) -> str:
+        """A quoted constant's text, which tab-separated outputs hold."""
+        text = _unquote(tok.text)
+        if "\t" in text or "\n" in text or "\r" in text:
+            raise self.fail(
+                "quoted constant holds a tab or a line break, which "
+                "tab-separated output cannot hold", tok
+            )
+        return text
 
 
 # --------------------------------------------------------------- validation

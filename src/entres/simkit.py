@@ -29,13 +29,13 @@ import threading
 from array import array
 from collections import Counter
 from functools import partial
-from itertools import repeat
-from typing import BinaryIO, Callable, Iterable, Iterator
+from itertools import accumulate, repeat
+from typing import Callable, Iterable, Iterator
 
 from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
-from .model import Constant, Database, Kind, MergePair
+from .model import Constant, Database, Kind
 from .rules import Specification, Var, hundredths, var_positions
 
 # ------------------------------------------------------------------- store
@@ -165,6 +165,7 @@ class TfidfModel:
             tok: math.log((1 + self._n) / (1 + d)) + 1.0
             for tok, d in df.items()
         }
+        self._vectors: dict[str, dict[str, float]] = {}
 
     def _idf_of(self, tok: str) -> float:
         got = self._idf.get(tok)
@@ -173,12 +174,16 @@ class TfidfModel:
         return got
 
     def vector(self, text: str) -> dict[str, float]:
+        """text's vector, built once per distinct text (do not mutate it)."""
+        got = self._vectors.get(text)
+        if got is not None:
+            return got
         tf = Counter(_tokenize(text))
         vec = {tok: cnt * self._idf_of(tok) for tok, cnt in tf.items()}
         norm = math.sqrt(sum(w * w for w in vec.values()))
-        if norm == 0.0:
-            return {}
-        return {tok: w / norm for tok, w in vec.items()}
+        got = {} if norm == 0.0 else {tok: w / norm for tok, w in vec.items()}
+        self._vectors[text] = got
+        return got
 
     def score(self, a: str, b: str) -> int:
         if a == b:
@@ -429,7 +434,7 @@ def sim_all(
         if scorer is kernels.jw_score:  # read here, so a rebound one matches
             score_rows = kernels.jw_rows
         else:
-            score_rows = partial(_map_rows, scorer)
+            score_rows = partial(kernels.map_rows, scorer)
         rows = _triangle_rows(score_rows, [c.text for c in values])
         table = _Triangle(values, rows)
         store._tables[func_id] = table
@@ -438,7 +443,7 @@ def sim_all(
 
 
 #: The fewest pairs a share of a split triangle holds. In a 17 MB CLI
-#: process, forking a share, pinning it to a CPU, piping its rows back and
+#: process, forking a share, pinning it to a CPU, passing its rows back and
 #: reaping it takes about 3 ms. The pure-Python `jw_rows` scores a pair in
 #: about 4 us (`benchmarks/bench_kernels.py`, 2-core x86 container, CPython
 #: 3.11), so a minimum share takes about 35 ms. The compiled kernel's cost
@@ -454,15 +459,6 @@ def _usable_cpus() -> list[int] | None:
         return sorted(os.sched_getaffinity(0))
     except AttributeError:
         return None
-
-
-def _map_rows(
-    scorer: Scorer, texts: list[str], start: int, stop: int
-) -> list[array]:
-    return [
-        array("H", map(scorer, repeat(texts[i]), texts[i:]))
-        for i in range(start, stop)
-    ]
 
 
 def _share_bounds(n: int) -> list[int]:
@@ -496,14 +492,14 @@ def _triangle_rows(
     scored on every usable CPU when the triangle is large.
 
     The rows are cut into the shares of `_share_bounds`. The parent scores
-    the first share; each other share is scored in a forked child,
-    which writes its rows' bytes to a pipe and leaves through `os._exit`,
-    so it never prints, runs no `atexit` handler and flushes no inherited
-    buffer. The parent reads each pipe to EOF and reaps every child, also
-    when it fails; a share whose child exits non-zero or sends other than
-    two bytes a pair is scored by the parent. A child computes its whole
-    share before it writes, and ends when that is done even if the parent
-    was killed: its write then fails on EPIPE, and it exits.
+    the first share; each other share is scored in a forked child, which
+    writes its rows' bytes, two a pair, into its own slice of one anonymous
+    shared map and leaves through `os._exit`, exit code 0 only once that
+    write is done, so it never prints, runs no `atexit` handler and flushes
+    no inherited buffer. The parent reaps every child in order, also when
+    it fails, and rebuilds a child's rows from its slice; a share whose
+    child exits non-zero is scored by the parent. A share of the wrong size
+    does not fit its slice, so its child exits non-zero.
 
     Where affinity masks exist, each share runs pinned to its own usable
     CPU, and the parent gets its mask back afterwards: a scheduler that
@@ -513,61 +509,45 @@ def _triangle_rows(
     bounds = _share_bounds(n)
     if len(bounds) == 2:
         return score_rows(texts, 0, n)
+    import mmap  # here, so that a call that splits nothing does not load it
+
+    first = bounds[1]
+    # row i's bytes (n - i pairs) start at offset at[i - first] of the map
+    at = list(accumulate(range(2 * (n - first), 0, -2), initial=0))
     cpus = _usable_cpus()
-    forked: list[tuple[int, int, int, BinaryIO]] = []  # start, stop, pid, pipe
-    try:
-        if cpus is not None:
-            os.sched_setaffinity(0, cpus[:1])
-        for k, (start, stop) in enumerate(zip(bounds[1:], bounds[2:]), 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: the parent scores the rest
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                code = 1
+    forked: list[tuple[int, int, int]] = []  # start, stop, pid
+    with mmap.mmap(-1, at[-1]) as shared:
+        try:
+            if cpus is not None:
+                os.sched_setaffinity(0, cpus[:1])
+            for k, (start, stop) in enumerate(zip(bounds[1:], bounds[2:]), 1):
                 try:
-                    os.close(r)
-                    for *_, pipe in forked:
-                        pipe.close()
-                    if cpus is not None:
-                        os.sched_setaffinity(0, cpus[k:k + 1])
-                    data = b"".join(score_rows(texts, start, stop))
-                    with open(w, "wb") as out:
-                        out.write(data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            forked.append((start, stop, pid, open(r, "rb")))
-        rows = score_rows(texts, 0, bounds[1])
-        while forked:
-            start, stop, pid, pipe = forked[0]
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del forked[0]
-            # two bytes a pair, n - i pairs in row i
-            size = (stop - start) * (2 * n - start - stop + 1)
-            if os.waitstatus_to_exitcode(status) != 0 or len(data) != size:
+                    pid = os.fork()
+                except OSError:  # out of processes: the parent scores the rest
+                    break
+                if pid == 0:
+                    code = 1
+                    try:
+                        if cpus is not None:
+                            os.sched_setaffinity(0, cpus[k:k + 1])
+                        data = b"".join(score_rows(texts, start, stop))
+                        shared[at[start - first]:at[stop - first]] = data
+                        code = 0
+                    finally:
+                        os._exit(code)
+                forked.append((start, stop, pid))
+            rows = score_rows(texts, 0, first)
+        finally:  # reap every child, also when an exception cut in
+            statuses = [os.waitpid(pid, 0)[1] for _, _, pid in forked]
+            if cpus is not None:
+                os.sched_setaffinity(0, cpus)
+        for (start, stop, _), status in zip(forked, statuses):
+            if os.waitstatus_to_exitcode(status) != 0:
                 rows += score_rows(texts, start, stop)
                 continue
-            flat = array("H", data)
-            at = 0
-            for i in range(start, stop):
-                rows.append(flat[at:at + n - i])
-                at += n - i
-        rows += score_rows(texts, len(rows), n)  # shares no child took
-        return rows
-    finally:  # `forked` still holds a child only if an exception cut in
-        for *_, pipe in forked:
-            pipe.close()
-        for _, _, pid, _ in forked:
-            os.waitpid(pid, 0)
-        if cpus is not None:
-            os.sched_setaffinity(0, cpus)
+            for i in range(start - first, stop - first):
+                rows.append(array("H", shared[at[i]:at[i + 1]]))
+    return rows + score_rows(texts, len(rows), n)  # shares no child took
 
 
 def _atom_side_values(
@@ -608,10 +588,9 @@ def sim_cs(
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
-) -> tuple[SimStore, frozenset[MergePair]]:
-    """Three-phase optimized materialization. Returns the score store and
-    the overapproximating merge set U (exactly the ub fixpoint's merges).
-    The context's own resolver is not consulted."""
+) -> SimStore:
+    """Three-phase optimized materialization; returns the score store. The
+    context's own resolver is not consulted."""
     registry = build_registry(ctx.spec, ctx.db) if registry is None else registry
     store = SimStore()
     resolver = OnDemandResolver(store, registry)
@@ -633,4 +612,4 @@ def sim_opt(
                     continue
                 resolver.score(satom.func_id, a, b)
 
-    return store, e_ub.nontrivial_pairs()
+    return store

@@ -526,6 +526,12 @@ class TestExitCodes:
                  "--out", tmp_path / "o"),
                 3, "data",
             ),
+            (  # a spec without similarity atoms reads the table all the same
+                ("--spec", LADDER / "ladder.er", "--data", LADDER,
+                 "--sim", f"table:{missing}", "--mode", "lb",
+                 "--out", tmp_path / "o"),
+                3, "data",
+            ),
         )
         for args, code, kind in cases:
             assert run(*args) == code
@@ -592,6 +598,27 @@ class TestExitCodes:
             f"line break, which tab-separated output cannot hold\n"
         )
         assert not (out / "sim_jw.tsv").exists()
+
+    @pytest.mark.parametrize("strategy", ["all", "cs", "opt"])
+    def test_tab_in_a_quoted_spec_constant(self, tmp_path, capsys, strategy):
+        # the scores of "fo<TAB>o" would be sim_jw.tsv rows of four cells
+        spec, d = bundle(
+            tmp_path,
+            "relation R(rid: id, a: short) merge [rid];\n"
+            'soft s: R(x, a), sim(a, "fo\\to") >= 10 ~> eq(x, x);\n',
+            R="rid\ta\nr1\tfob\n",
+        )
+        out = tmp_path / "o"
+        assert run(
+            "--spec", spec, "--data", d, "--sim", strategy,
+            "--mode", "sim", "--out", out,
+        ) == 2
+        assert capsys.readouterr().err == (
+            "specification error: 2:25: quoted constant holds a tab or a "
+            "line break, which tab-separated output cannot hold "
+            "(found '\"fo\\\\to\"')\n"
+        )
+        assert not out.exists()
 
     def test_truth_is_read_before_the_search(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -960,6 +987,13 @@ class TestMutatedInputs:
                 contextlib.redirect_stderr(io.StringIO()),
             ):
                 code = main([str(a) for a in args])
+            for tsv in (d / "out").glob("*.tsv"):
+                lines = tsv.read_bytes().split(b"\n")
+                assert lines.pop() == b"", tsv.name
+                cells = lines[0].count(b"\t")
+                assert all(line.count(b"\t") == cells for line in lines), (
+                    tsv.name
+                )
         assert code in (0, 2, 3, 4)
 
 

@@ -185,6 +185,18 @@ class TestSyntax:
         with pytest.raises(SpecSyntaxError):
             parse_spec("relation R(rid: id) merge [rid]")
 
+    @pytest.mark.parametrize(
+        "const, col",
+        [('"fo\\to"', 26), ('"fo\to"', 26), ('"a\\nb"', 26),
+         ('"c\rd"', 26), ('@"e\\tf"', 27)],
+    )
+    def test_a_quoted_constant_holding_a_tab_or_line_break(self, const, col):
+        # the sim_*.tsv and pair files would get rows with too many cells
+        with pytest.raises(
+            SpecSyntaxError, match=rf"^2:{col}: quoted constant holds a tab"
+        ):
+            rule_of(f"soft s: R(x, a, b), R(y, {const}, b) ~> eq(x, y);")
+
 
 class TestAutoRouting:
     def test_val_and_short_route_to_jw(self):

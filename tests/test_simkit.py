@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import signal
 import threading
 from functools import partial
 
@@ -197,6 +198,35 @@ class TestTfidf:
         m = TfidfModel(self.CORPUS)
         assert m.score("mystery word", "mystery word") == 10000
         assert 0 < m.score("red mystery", "red door") < 10000
+
+    def test_sim_all_builds_one_vector_per_distinct_text(self, monkeypatch):
+        rng = random.Random(5)
+        docs = sorted({" ".join(rng.sample(_words(40), 8)) for _ in range(30)})
+        spec = parse_spec(
+            "relation D(did: id, body: long) merge [did];\n"
+            "soft s: D(x, a), D(y, b), sim(a, b) >= 50 ~> eq(x, y);\n"
+        )
+        db = Database([
+            Fact("D", (e(f"d{i}"), v(doc))) for i, doc in enumerate(docs)
+        ])
+        registry = build_registry(spec, db)
+        tokenize, seen = simkit._tokenize, []
+
+        def counted(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(simkit, "_tokenize", counted)
+        store = sim_all(db, spec, registry)
+        assert sorted(seen) == docs
+        monkeypatch.setattr(simkit, "_tokenize", tokenize)
+        (func,) = store.funcs()
+        rows = store.rows(func)
+        assert len(rows) == len(docs) * (len(docs) + 1) // 2
+        # a new model per pair has no vector memoised
+        assert rows == [
+            (a, b, TfidfModel(docs).score(a.text, b.text)) for a, b, _ in rows
+        ]
 
 
 class TestSimTable:
@@ -420,7 +450,7 @@ class TestStrategies:
         for name, store in (
             ("all", sim_all(db, spec)),
             ("cs", sim_cs(db, spec)),
-            ("opt", sim_opt(ctx)[0]),
+            ("opt", sim_opt(ctx)),
         ):
             sols = enumerate_solutions(
                 ctx.replace(sims=StrictResolver(store))
@@ -436,7 +466,7 @@ class TestStrategies:
             pytest.skip("this seed has no similarity atoms")
         store_all = inst.store
         store_cs = sim_cs(inst.db, inst.spec)
-        store_opt, _ = sim_opt(inst.ctx)
+        store_opt = sim_opt(inst.ctx)
         assert store_opt.key_set() <= store_cs.key_set() <= store_all.key_set()
         assert store_opt.calls <= store_cs.calls <= store_all.calls
 
@@ -445,7 +475,7 @@ class TestStrategies:
         inst = generate(seed)
         if inst.store is None:
             pytest.skip("this seed has no similarity atoms")
-        store_opt, opt_ub = sim_opt(inst.ctx)
+        store_opt = sim_opt(inst.ctx)
         full = {
             s.pairs()
             for s in enumerate_solutions(
@@ -459,7 +489,11 @@ class TestStrategies:
             )
         }
         assert full == thrifty
-        assert opt_ub == ub(
+        # the strict resolver raises on any pair the ub probes that
+        # store_opt lacks
+        assert ub(
+            inst.ctx.replace(sims=StrictResolver(store_opt))
+        ).nontrivial_pairs() == ub(
             inst.ctx.replace(sims=StrictResolver(inst.store))
         ).nontrivial_pairs()
 
@@ -478,7 +512,25 @@ def _assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-lev_rows = partial(simkit._map_rows, kernels.lev_score)
+def _open_fds() -> list[str] | None:
+    """This process's file descriptors, or None where /proc is absent."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def _split(call, *args):
+    """`call(*args)`, checked to leave no child process and no new file
+    descriptor behind."""
+    fds = _open_fds()
+    out = call(*args)
+    _assert_no_child_left()
+    assert _open_fds() == fds
+    return out
+
+
+lev_rows = partial(kernels.map_rows, kernels.lev_score)
 
 
 class TestSplitTriangle:
@@ -506,8 +558,7 @@ class TestSplitTriangle:
 
         monkeypatch.setattr(os, "fork", counted_fork)
         cpus = simkit._usable_cpus()
-        split = sim_all(db, spec)
-        _assert_no_child_left()
+        split = _split(sim_all, db, spec)
         assert len(forked) == len(simkit._share_bounds(len(texts))) - 2
         if len(cpus or ()) > 1 and threading.active_count() == 1:
             assert len(forked) == 1
@@ -530,10 +581,9 @@ class TestSplitTriangle:
             assert want[i].tolist() == [
                 kernels.lev_score(a, b) for b in texts[i:]
             ]
-        assert simkit._triangle_rows(lev_rows, texts) == want
-        _assert_no_child_left()
+        assert _split(simkit._triangle_rows, lev_rows, texts) == want
 
-    @pytest.mark.parametrize("fault", ["raises", "short"])
+    @pytest.mark.parametrize("fault", ["raises", "short", "killed"])
     def test_a_failed_child_share_is_scored_here(self, monkeypatch, capfd, fault):
         monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
         parent = os.getpid()
@@ -544,13 +594,14 @@ class TestSplitTriangle:
                 return rows
             if fault == "raises":
                 raise RuntimeError("a child's share fails")
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
             return rows[:-1]  # one row short
 
         texts = _words(30)
-        assert simkit._triangle_rows(score_rows, texts) == score_rows(
+        assert _split(simkit._triangle_rows, score_rows, texts) == score_rows(
             texts, 0, len(texts)
         )
-        _assert_no_child_left()
         assert capfd.readouterr() == ("", "")
 
     def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
@@ -563,12 +614,12 @@ class TestSplitTriangle:
         want = lev_rows(texts, 0, len(texts))
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            assert simkit._triangle_rows(lev_rows, texts) == want
+            assert _split(simkit._triangle_rows, lev_rows, texts) == want
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
-            assert simkit._triangle_rows(lev_rows, texts) == want
+            assert _split(simkit._triangle_rows, lev_rows, texts) == want
         finally:
             release.set()
             other.join(timeout=30)
@@ -583,7 +634,7 @@ class TestSplitTriangle:
         monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
         monkeypatch.setattr(os, "fork", no_process)
         texts = _words(30)
-        assert simkit._triangle_rows(lev_rows, texts) == lev_rows(
+        assert _split(simkit._triangle_rows, lev_rows, texts) == lev_rows(
             texts, 0, len(texts)
         )
 
