@@ -28,8 +28,7 @@ _EXPORTS = {
             UnknownConstant"""),
         ("explain", """NodeKind ProofNode ProofTree proof_tree rule_depth
             to_dot to_json"""),
-        ("matcher", """AnswerSet Context SimResolver answers dc_satisfied
-            rule_satisfied"""),
+        ("matcher", "Context SimResolver answers dc_satisfied rule_satisfied"),
         ("model", "NULL Constant Database EqRel Fact Kind MergePair entity value"),
         ("rules", """DenialConstraint Rule RuleKind Schema SimSafetyViolation
             Specification analyse load_spec parse_spec validate_sim_safety"""),

@@ -147,16 +147,14 @@ class _Builder:
         while True:
             edges: list[_Edge] = []
             for rule in rules:
-                ans = answers(
-                    rule.body, rule.head, ctx, e,
-                    expand=False, witnesses=True, dirty=dirty,
+                found = answers(
+                    rule.body, rule.head, ctx, e, witnesses=True, dirty=dirty
                 )
-                assert ans.witnesses is not None
-                for u, v in sorted(
-                    ans.rep_tuples, key=lambda t: (t[0].text, t[1].text)
+                for (u, v), ws in sorted(
+                    found.items(), key=lambda t: (t[0][0].text, t[0][1].text)
                 ):
                     if u != v and sol.eq.same(u, v):  # so both are entities
-                        wits = sorted(ans.witnesses[(u, v)], key=_witness_key)
+                        wits = sorted(ws, key=_witness_key)
                         edges.append(_Edge(rule, e.id_of(u), e.id_of(v), wits))
             merged = [ed.u for ed in edges if e.merge_ids(ed.u, ed.v)]
             if not merged:

@@ -20,9 +20,8 @@ up when the row is visited, and the rows whose argument lies in a class
 are read from the database's static per-position index, one entry per
 member. Semi-naive evaluation pins one atom to the rows that index gives
 for the dirty ids. Constants appear only at the boundary: answers() hands
-out its tuples as constants and its witnesses as facts, and a similarity
-atom scores the constants as written. This is equivalent to querying the
-induced database and expanding preimages, which answers() exposes directly.
+out its tuples as class representatives and its witnesses as facts, and a
+similarity atom scores the constants as written.
 
 Conventions baked in here:
   - inequality atoms compare class representatives (a constant absent from
@@ -39,7 +38,6 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-from itertools import product
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
 from .errors import MissingSimScore
@@ -90,19 +88,6 @@ class Context(Record):
         """A fresh identity relation over the database's domain, numbered
         as the database's interned rows are."""
         return EqRel.numbered(self.db.consts, self.db.ids)
-
-
-class AnswerSet(Record):
-    """Answers of a body for given head terms.
-
-    rep_tuples holds the representative-level answers; tuples additionally
-    expands every representative to all members of its class (the full
-    preimage set), when requested. witnesses, when requested, maps each
-    representative tuple to its matches, each the tuple of facts it read,
-    one per relational atom in body order."""
-
-    __slots__ = ("head", "rep_tuples", "tuples", "witnesses")
-    _defaults = {"tuples": None, "witnesses": None}
 
 
 # the kinds of argument in a plan step: compare with a filled slot, fill a
@@ -386,25 +371,20 @@ def answers(
     ctx: Context,
     e: EqRel,
     *,
-    expand: bool = True,
     witnesses: bool = False,
     dirty: AbstractSet[int] | None = None,
-) -> AnswerSet:
-    """All head tuples derivable from body matches over (ctx.db, e).
-
-    Representative-level tuples are always produced; with expand=True the
-    answer set additionally contains every preimage tuple (each
-    representative replaced by each member of its class). With a dirty id
-    set, only the matches on a row touching a dirty id are evaluated (see
+) -> dict[tuple[Constant, ...], list[tuple[Fact, ...]]]:
+    """The head tuples derivable from body matches over (ctx.db, e), each
+    mapped to its matches. A tuple holds class representatives (a body
+    constant absent from the data stands for itself); a match is the tuple
+    of facts it read, one per relational atom in body order, and the lists
+    stay empty unless witnesses is true. With a dirty id set, only the
+    matches on a row touching a dirty id are evaluated (see
     _Eval.solutions); each match is witnessed once."""
     ev = _Eval(body, ctx, e)
     picks = [ev.slot(t) for t in head]
     domain, n = e.domain, len(e.domain)
     extra = {i: c for c, i in ev.absent.items()}  # ids above the domain's
-
-    def name(i: int) -> Constant:
-        return domain[i] if i < n else extra[i]
-
     found: dict[tuple[int, ...], list[tuple[Fact, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
     facts = ctx.db.by_relation
@@ -416,22 +396,10 @@ def answers(
             wits.append(tuple(
                 facts[a.relation][r] for a, r in zip(body.rel_atoms, rows)
             ))
-    reps = {ids: tuple(map(name, ids)) for ids in found}
-    expanded: frozenset[tuple[Constant, ...]] | None = None
-    if expand:
-        # a domain id stands for its class; an absent one only for itself
-        expanded = frozenset(
-            tuple(map(name, t)) for ids in found
-            for t in product(*(
-                sorted(e.class_ids((i,))) if i < n else (i,) for i in ids
-            ))
-        )
-    return AnswerSet(
-        head,
-        frozenset(reps.values()),
-        expanded,
-        {reps[ids]: ws for ids, ws in found.items()} if witnesses else None,
-    )
+    return {
+        tuple([domain[i] if i < n else extra[i] for i in ids]): ws
+        for ids, ws in found.items()
+    }
 
 
 def merge_candidates(

@@ -28,7 +28,7 @@ import re
 import threading
 from array import array
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -36,7 +36,7 @@ from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
 from .model import Constant, Database, Kind
-from .rules import Specification, Var, hundredths, var_positions
+from .rules import RuleBody, Specification, Var, hundredths, var_positions
 
 # ------------------------------------------------------------------- store
 
@@ -397,15 +397,16 @@ def sim_all(
     registry: dict[str, Scorer] | None = None,
 ) -> SimStore:
     """Score every type-compatible value pair (reflexive included) for each
-    similarity function the specification mentions, counting the value
-    constants its atoms take as operands among the values. A function
-    scored by the built-in Jaro-Winkler kernel has its triangle scored by
-    `kernels.jw_rows`, which counts one scorer call per pair all the same;
-    a large triangle is split over the usable CPUs (`_triangle_rows`)."""
+    similarity function the specification mentions, counting the constants
+    its atoms take as operands (entity ones too) among the values. A
+    function scored by the built-in Jaro-Winkler kernel has its triangle
+    scored by `kernels.jw_rows`, which counts one scorer call per pair all
+    the same; a large triangle is split over the usable CPUs
+    (`_triangle_rows`)."""
     from . import kernels
 
     registry = build_registry(spec, db) if registry is None else registry
-    # the value constants each function's atoms take as operands (given no
+    # the constants each function's atoms take as operands (given no
     # positions, a variable contributes nothing: its columns are counted
     # through the function's positions below)
     operands: dict[str, set[Constant]] = {}
@@ -427,7 +428,7 @@ def sim_all(
             compatible |= _hinted_positions(spec, {"short", "val"})
         values = sorted(
             operands[func_id].union(_position_values(db, compatible)),
-            key=lambda c: c.text,
+            key=lambda c: (c.text, c.kind.value),  # @a before a
         )
         if not values:
             continue
@@ -557,7 +558,7 @@ def _atom_side_values(
 ) -> list[Constant]:
     if isinstance(term, Var):
         return _position_values(db, body_occ.get(term, ()))
-    return [term] if term.kind is Kind.VALUE else []
+    return [term]
 
 
 def sim_cs(
@@ -585,6 +586,13 @@ def sim_cs(
     return store
 
 
+@lru_cache(maxsize=None)
+def _without_sims(body: RuleBody) -> RuleBody:
+    """body without its similarity atoms, one object per equal body, so the
+    matcher lays it out once however often sim_opt runs."""
+    return body.replace(sim_atoms=())
+
+
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
@@ -603,11 +611,10 @@ def sim_opt(
     # misses among the atom's term pairs
     unscored = ctx.replace(sims=None)
     for rule in ctx.spec.all_rules():
-        body = rule.body.replace(sim_atoms=())
+        body = _without_sims(rule.body)
         for satom in rule.body.sim_atoms:
-            head = (satom.left, satom.right)
-            ans = answers(body, head, unscored, e_ub, expand=False)
-            for a, b in sorted(ans.rep_tuples, key=_text_order):
+            found = answers(body, (satom.left, satom.right), unscored, e_ub)
+            for a, b in sorted(found, key=_text_order):
                 if a == b or a.is_null() or b.is_null():
                     continue
                 resolver.score(satom.func_id, a, b)

@@ -190,19 +190,13 @@ def naive_query(
     classes: list[frozenset[Constant]],
     simfn: SimFn | None = None,
     **knobs,
-) -> tuple[frozenset[tuple[Constant, ...]], frozenset[tuple[Constant, ...]]]:
-    """(representative tuples, preimage-expanded tuples) of a query."""
+) -> frozenset[tuple[Constant, ...]]:
+    """The representative tuples of a query."""
     rep = rep_map(classes)
-    members: dict[Constant, list[Constant]] = {}
-    for cl in classes:
-        members[min(cl, key=_ckey)] = sorted(cl, key=_ckey)
-    reps: set[tuple[Constant, ...]] = set()
-    for binding in naive_bindings(body, db, rep, simfn, **knobs):
-        reps.add(tuple(_term_rep(t, rep, binding) for t in head))
-    expanded: set[tuple[Constant, ...]] = set()
-    for tup in reps:
-        expanded.update(product(*(members.get(c, [c]) for c in tup)))
-    return frozenset(reps), frozenset(expanded)
+    return frozenset(
+        tuple(_term_rep(t, rep, binding) for t in head)
+        for binding in naive_bindings(body, db, rep, simfn, **knobs)
+    )
 
 
 def naive_candidates(

@@ -47,8 +47,8 @@ class TestAnswerBasics:
             spec.hard[0].body, spec.hard[0].head, Context(db, spec),
             EqRel(db.domain),
         )
-        assert (e("r1"), e("r2")) in ans.rep_tuples
-        assert (e("r1"), e("r1")) in ans.rep_tuples  # reflexive matches too
+        assert (e("r1"), e("r2")) in ans
+        assert (e("r1"), e("r1")) in ans  # reflexive matches too
 
     def test_identity_shares_the_database_numbering(self):
         spec, db = spec_db(
@@ -70,7 +70,7 @@ class TestAnswerBasics:
                 spec.hard[0].body, spec.hard[0].head, Context(db, spec), wider
             )
 
-    def test_preimage_expansion(self):
+    def test_representative_reads_its_class_rows(self):
         spec, db = spec_db(
             JOIN,
             [
@@ -84,15 +84,11 @@ class TestAnswerBasics:
         ans = answers(
             spec.hard[0].body, spec.hard[0].head, Context(db, spec), eq
         )
-        assert (e("r1"), e("r3")) in ans.rep_tuples
-        # every member of r3's and r1's classes appears in the expansion
-        assert (e("r2"), e("r3")) in ans.tuples
-        assert (e("r1"), e("r3")) in ans.tuples
-        unexpanded = answers(
-            spec.hard[0].body, spec.hard[0].head, Context(db, spec), eq,
-            expand=False,
-        )
-        assert unexpanded.tuples is None
+        # answers name class representatives only
+        assert set(ans) == {
+            (e("r1"), e("r1")), (e("r1"), e("r3")), (e("r3"), e("r1")),
+            (e("r3"), e("r3")),
+        }
 
     def test_constants_in_body_match_through_classes(self):
         spec = parse_spec(
@@ -108,11 +104,11 @@ class TestAnswerBasics:
         )
         eq = EqRel(db.domain)
         body, head = spec.hard[0].body, spec.hard[0].head
-        before = answers(body, head, Context(db, spec), eq).rep_tuples
+        before = answers(body, head, Context(db, spec), eq)
         assert (e("p1"), e("p9")) in before
         assert (e("p1"), e("p2")) not in before
         eq.merge(e("m2"), e("m3"))  # the m3 row now satisfies @m2
-        after = answers(body, head, Context(db, spec), eq).rep_tuples
+        after = answers(body, head, Context(db, spec), eq)
         assert (e("p1"), e("p2")) in after
 
     def test_constant_absent_from_data_matches_nothing(self):
@@ -127,7 +123,7 @@ class TestAnswerBasics:
             spec.hard[0].body, spec.hard[0].head, Context(db, spec),
             EqRel(db.domain),
         )
-        assert ans.rep_tuples == frozenset()
+        assert ans == {}
 
     @pytest.mark.parametrize("const, shown", [
         (v("ghost"), v("ghost")),  # absent from the data: as written
@@ -141,20 +137,13 @@ class TestAnswerBasics:
         eq = EqRel(db.domain)
         eq.merge(e("r1"), e("r2"))
         rule = spec.hard[0]
-        ans = answers(
-            rule.body, (rule.head[0], const), Context(db, spec), eq,
-            expand=False, witnesses=True,
-        )
-        assert ans.rep_tuples == {(e("r1"), shown)}
-        assert set(ans.witnesses) == {(e("r1"), shown)}
-        # expanded: a present constant stands for its class, an absent one
-        # for itself, as in the brute-force evaluator
         head = (rule.head[0], const)
-        got = answers(rule.body, head, Context(db, spec), eq, expand=True)
+        ans = answers(rule.body, head, Context(db, spec), eq, witnesses=True)
+        assert set(ans) == {(e("r1"), shown)}
+        assert all(ans.values())
+        # as in the brute-force evaluator
         classes = close_classes([(e("r1"), e("r2"))], db.domain)
-        want_reps, want_exp = naive_query(rule.body, head, db, classes)
-        assert got.rep_tuples == want_reps
-        assert got.tuples == want_exp
+        assert set(ans) == naive_query(rule.body, head, db, classes)
 
     def test_witnesses_instantiate_the_body(self):
         spec, db = spec_db(
@@ -165,7 +154,7 @@ class TestAnswerBasics:
             EqRel(db.domain),
             witnesses=True,
         )
-        wits = ans.witnesses[(e("r1"), e("r2"))]
+        wits = ans[(e("r1"), e("r2"))]
         assert wits
         w = wits[0]
         assert len(w) == 2
@@ -183,7 +172,7 @@ class TestNullJoins:
             spec.hard[0].body, spec.hard[0].head, Context(db, spec),
             EqRel(db.domain),
         )
-        assert (e("r1"), e("r2")) not in ans.rep_tuples
+        assert (e("r1"), e("r2")) not in ans
 
     def test_guard_disabled_lets_nulls_join(self):
         spec, db = spec_db(
@@ -193,7 +182,7 @@ class TestNullJoins:
             spec.hard[0].body, spec.hard[0].head,
             Context(db, spec, null_join_guard=False), EqRel(db.domain),
         )
-        assert (e("r1"), e("r2")) in ans.rep_tuples
+        assert (e("r1"), e("r2")) in ans
 
     def test_single_occurrence_may_bind_null(self):
         spec = parse_spec(
@@ -210,7 +199,7 @@ class TestNullJoins:
             spec.hard[0].body, spec.hard[0].head, Context(db, spec),
             EqRel(db.domain),
         )
-        assert (e("r1"), e("r2")) in ans.rep_tuples
+        assert (e("r1"), e("r2")) in ans
 
 
 NEQ = (
@@ -325,7 +314,7 @@ class TestOriginalConstantScoring:
         ans = answers(
             spec.hard[0].body, spec.hard[0].head, Context(db, spec, r), eq
         )
-        assert (e("p1"), e("p2")) in ans.rep_tuples
+        assert (e("p1"), e("p2")) in ans
         texts = {frozenset(p) for p in r.probes}
         assert frozenset({"m1", "m2"}) in texts
         # the representative pair (m1, m1) never replaces the original one
@@ -390,14 +379,10 @@ class TestClassLookup:
         # every two rows join; the first atom is scanned, the second read
         # through m's class, both in database order
         rows = db.by_relation["P"]
-        assert got.witnesses == {
-            (f.args[0],): [(f, g) for g in rows] for f in rows
-        }
-        want_reps, want_exp = naive_query(
+        assert got == {(f.args[0],): [(f, g) for g in rows] for f in rows}
+        assert set(got) == naive_query(
             rule.body, head, db, close_classes(merged, db.domain)
         )
-        assert got.rep_tuples == want_reps
-        assert got.tuples == want_exp
 
     @pytest.mark.parametrize("merged, soft_pairs, dc_ok", [
         ([], 0, True),
@@ -463,11 +448,10 @@ class TestDifferential:
 
         for rule in inst.spec.all_rules():
             got = answers(rule.body, rule.head, inst.ctx, eq)
-            want_reps, want_exp = naive_query(
+            want_reps = naive_query(
                 rule.body, rule.head, inst.db, classes, simfn, **inst.knobs
             )
-            assert got.rep_tuples == want_reps, (seed, rule.label)
-            assert got.tuples == want_exp, (seed, rule.label)
+            assert set(got) == want_reps, (seed, rule.label)
             assert rule_satisfied(rule, inst.ctx, eq) == naive_rule_satisfied(
                 rule, inst.db, classes, simfn, **inst.knobs
             )
@@ -512,9 +496,9 @@ class TestJoinPlans:
         want = {(e("r1"), e("r1")), (e("r1"), e("r2"))}
         if not guard:
             want |= {(e("r4"), e("r4")), (e("r4"), e("r5"))}
-        assert got.rep_tuples == want
+        assert set(got) == want
         classes = close_classes((), db.domain)
-        want_reps, _ = naive_query(
+        want_reps = naive_query(
             rule.body, rule.head, db, classes, null_join_guard=guard
         )
         assert want_reps == want
@@ -522,7 +506,7 @@ class TestJoinPlans:
         delta = answers(
             rule.body, rule.head, ctx, EqRel(db.domain), dirty=everything
         )
-        assert delta.rep_tuples == want
+        assert set(delta) == want
 
     def test_atoms_sharing_no_variable_scan_every_row(self):
         spec, db = spec_db(
@@ -545,10 +529,10 @@ class TestJoinPlans:
         ps, qs = db.by_relation["P"], db.by_relation["Q"]
         # the whole product, nulls included (neither a nor b is a join
         # variable), each pair witnessed by its two rows
-        assert got.witnesses == {
+        assert got == {
             (p.args[0], q.args[0]): [(p, q)] for p in ps for q in qs
         }
-        assert list(got.witnesses) == [
+        assert list(got) == [
             (p.args[0], q.args[0]) for p in ps for q in qs
         ]
 
@@ -570,7 +554,7 @@ class TestJoinPlans:
             assert merge_candidates(spec.soft[0], ctx, eq, dirty) == set()
             assert dc_satisfied(spec.dcs[0], ctx, eq, dirty)
         rule = spec.soft[0]
-        assert answers(rule.body, rule.head, ctx, eq).rep_tuples == frozenset()
+        assert answers(rule.body, rule.head, ctx, eq) == {}
 
     CHAIN = (
         "relation P(pid: id, m: id) merge [pid];\n"
@@ -606,18 +590,18 @@ class TestJoinPlans:
         for a, b in pairs:
             eq.merge(a, b)
         full = answers(rule.body, rule.head, ctx, eq, witnesses=True)
-        want_reps, _ = naive_query(
+        want_reps = naive_query(
             rule.body, rule.head, db, close_classes(pairs, db.domain)
         )
-        assert full.rep_tuples == want_reps
-        matches = {w for ws in full.witnesses.values() for w in ws}
+        assert set(full) == want_reps
+        matches = {w for ws in full.values() for w in ws}
         for i, c in enumerate(db.consts):
             # only the matches on a row carrying raw id i, each once
             got = answers(
                 rule.body, rule.head, ctx, eq, witnesses=True,
                 dirty=frozenset({i}),
             )
-            found = {w for ws in got.witnesses.values() for w in ws}
+            found = {w for ws in got.values() for w in ws}
             assert found == {
                 m for m in matches if any(c in f.args for f in m)
             }, c
@@ -631,7 +615,7 @@ class TestJoinPlans:
             rule.body, rule.head, Context(db, spec), eq, witnesses=True
         )
         p1, p2, p3, m1, m3, q1, q2, q3 = self.CHAIN_FACTS
-        matches = [w for ws in got.witnesses.values() for w in ws]
+        matches = [w for ws in got.values() for w in ws]
         assert len(matches) == 5
         assert set(matches) == {
             # P(p2, m2) joins M(m1, a) through m1's class

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from entres.engine import DerivStep, MergeSets, Solution
 from entres.errors import NonEntityMerge, UnknownConstant
 from entres.explain import NodeKind, ProofNode, ProofTree, SimEdge
-from entres.matcher import AnswerSet, Context
+from entres.matcher import Context
 from entres.model import NULL, Constant, Database, EqRel, Fact, Kind, MergePair
-from entres.rules import Var, parse_spec
+from entres.rules import parse_spec
 
 from conftest import check_record, e, v
 from oracles import close_pairs
@@ -206,10 +206,6 @@ RECORDS = {
         "consistent", False,
     ),
     "Context": (lambda: Context(DB, SPEC), "null_join_guard", False),
-    "AnswerSet": (
-        lambda: AnswerSet((Var("x"),), frozenset({(e("a"),)})),
-        "tuples", frozenset(),
-    ),
     "SimEdge": (lambda: SimEdge("jw", v("x"), v("y"), 9000), "score", 100),
     "ProofNode": (
         lambda: ProofNode(NodeKind.FACT, fact=R_AX), "rule_label", "h"

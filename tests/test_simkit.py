@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entres._kernels_py as pure_kernels
-from entres import kernels, simkit
+from entres import kernels, matcher, simkit
 from entres.cli import ingest
 from entres.engine import enumerate_solutions, ub
 from entres.errors import DataError, MissingSimScore
@@ -458,6 +458,18 @@ class TestStrategies:
             found[name] = {s.pairs() for s in sols}
         assert found["all"] == found["cs"] == found["opt"]
         assert frozenset({MergePair.of(e("b1"), e("b2"))}) in found["all"]
+
+    def test_repeated_sim_opt_lays_out_no_new_body(
+        self, music_spec, music_db, music_table
+    ):
+        # the matcher keeps one layout per body object for good, so each
+        # call must evaluate the same body without similarity atoms
+        reg = build_registry(music_spec, music_db, table=music_table)
+        ctx = Context(music_db, music_spec)
+        sim_opt(ctx, reg)
+        held = len(matcher._LAYOUTS)
+        sim_opt(ctx, reg)
+        assert len(matcher._LAYOUTS) == held
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13, 21, 34])
     def test_probe_containment_and_call_budget(self, seed):
