@@ -352,14 +352,15 @@ def _export_store(store: SimStore, out: Path) -> list[Path]:
 
 
 def _prepare_sims(
-    args, ctx: Context
+    args, mode: str, ctx: Context
 ) -> tuple[object | None, SimStore | None]:
     """Resolver for the engine plus the materialized store (None for the
-    table strategy, which serves lookups directly)."""
+    table strategy, which serves lookups directly). Nothing is scored for
+    loose-ub, which drops every similarity atom."""
     from_table = args.sim.startswith("table:")
-    if not from_table and not any(
+    if not from_table and (mode == "loose-ub" or not any(
         rule.body.sim_atoms for rule in ctx.spec.all_rules()
-    ):
+    )):
         return None, None
     from . import simkit
 
@@ -455,7 +456,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     if mode == "explain":
         a, b = (_entity_by_text(db, text) for text in mode_arg)
     ctx = Context(db, spec, null_inequality=args.null_inequality)
-    sims, store = _prepare_sims(args, ctx)
+    sims, store = _prepare_sims(args, mode, ctx)
     ctx = ctx.replace(sims=sims)
     preprocess = time.perf_counter() - t0
 

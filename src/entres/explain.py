@@ -36,7 +36,7 @@ from .engine import Solution
 from .errors import NotInSolution
 from .matcher import Context, answers
 from .model import Constant, Fact, Kind, MergePair, Record
-from .rules import Rule, RuleBody, Specification, Var, analyse
+from .rules import Rule, Specification, Var, analyse, occurrences
 
 
 class NodeKind(Enum):
@@ -112,15 +112,6 @@ class _Edge:
         self.u = u
         self.v = v
         self.witnesses = witnesses
-
-
-def _occurrences(body: RuleBody) -> dict[Var, list[tuple[int, int]]]:
-    occ: dict[Var, list[tuple[int, int]]] = {}
-    for ai, atom in enumerate(body.rel_atoms):
-        for pi, term in enumerate(atom.args):
-            if isinstance(term, Var):
-                occ.setdefault(term, []).append((ai, pi))
-    return occ
 
 
 def _witness_key(w: tuple[Fact, ...]):
@@ -283,7 +274,7 @@ class _Builder:
         were read from the wanted constants, then the least witness."""
         rule = edge.rule
         lvar, rvar = rule.head if forward else (rule.head[1], rule.head[0])
-        occ = _occurrences(rule.body)
+        occ = occurrences(rule.body)
 
         def side_consts(w: tuple[Fact, ...], var) -> list[Constant]:
             return [w[ai].args[pi] for ai, pi in occ[var]]

@@ -1,10 +1,10 @@
 """Evaluate rule and constraint bodies in an evaluation context (database,
-specification, similarity resolver, null policies) against an equivalence
-relation.
+specification, similarity resolver, null inequality policy) against an
+equivalence relation.
 
 Evaluation is on canonical ids only: body constants are resolved to ids
-once, and bodies are joined with index nested loops comparing ints. Each
-body is laid out once (_Layout): every relational variable gets a slot
+once, and bodies are joined with index nested loops comparing ints. Equal
+bodies are laid out once (_Layout): every relational variable gets a slot
 number in order of first occurrence, and every constant the joins compare
 a slot after them, so a match is two flat lists indexed by slot, one of
 canonical ids and one of the raw ids the variables were bound to. Per pass
@@ -38,18 +38,12 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import AbstractSet, Iterator, Protocol, Sequence
 
 from .errors import MissingSimScore
 from .model import NULL, Constant, EqRel, Fact, Record
-from .rules import (
-    DenialConstraint,
-    Rule,
-    RuleBody,
-    Term,
-    Var,
-    join_vars,
-)
+from .rules import DenialConstraint, Rule, RuleBody, Term, Var, occurrences
 
 
 class SimResolver(Protocol):
@@ -61,13 +55,11 @@ class SimResolver(Protocol):
 class Context(Record):
     """What every evaluation reads besides the equivalence relation: the
     database, the specification, the similarity resolver (None when no
-    similarity atom is evaluated) and the null policies."""
+    similarity atom is evaluated) and the null inequality policy."""
 
-    __slots__ = ("db", "spec", "sims", "null_inequality", "null_join_guard")
+    __slots__ = ("db", "spec", "sims", "null_inequality")
 
-    _defaults = {
-        "sims": None, "null_inequality": "distinct", "null_join_guard": True,
-    }
+    _defaults = {"sims": None, "null_inequality": "distinct"}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
@@ -108,20 +100,15 @@ class _Layout:
     scored as written)."""
 
     __slots__ = (
-        "body", "relations", "vars", "slot", "consts", "atoms", "neqs",
-        "sims", "plans",
+        "relations", "vars", "slot", "consts", "atoms", "neqs", "sims",
+        "plans",
     )
 
     def __init__(self, body: RuleBody):
-        self.body = body  # held, so its id (the _LAYOUTS key) stays its own
         self.relations = tuple(a.relation for a in body.rel_atoms)
-        slot: dict[Var, int] = {}
-        for atom in body.rel_atoms:
-            for t in atom.args:
-                if isinstance(t, Var):
-                    slot.setdefault(t, len(slot))
-        self.vars: tuple[Var, ...] = tuple(slot)
-        self.slot = slot
+        occ = occurrences(body)
+        self.vars: tuple[Var, ...] = tuple(occ)
+        self.slot = slot = {v: i for i, v in enumerate(occ)}
         consts: dict[Constant, int] = {}
 
         def at(t: Term) -> int:
@@ -129,7 +116,7 @@ class _Layout:
                 return slot[t]
             return consts.setdefault(t, len(slot) + len(consts))
 
-        joins = join_vars(body)
+        joins = {v for v, ps in occ.items() if len(ps) > 1}
         self.atoms = tuple(
             tuple((p, at(t), t in joins) for p, t in enumerate(a.args))
             for a in body.rel_atoms
@@ -198,17 +185,8 @@ class _Layout:
         return steps
 
 
-#: body object id -> its layout. Keyed by identity because hashing a body
-#: walks every term in Python; the layout holds the body, so the id is not
-#: reused while the entry lives.
-_LAYOUTS: dict[int, _Layout] = {}
-
-
-def _layout(body: RuleBody) -> _Layout:
-    lay = _LAYOUTS.get(id(body))
-    if lay is None:
-        lay = _LAYOUTS[id(body)] = _Layout(body)
-    return lay
+#: one layout per equal body, however often a spec is parsed
+_layout = lru_cache(maxsize=None)(_Layout)
 
 
 class _Eval:
@@ -290,8 +268,8 @@ class _Eval:
         raws = [0] * len(lay.vars)  # the raw id each variable was bound to
         at = [0] * len(tables)
         # the id a join variable may not bind, and the one no inequality
-        # holds with (-1, no id, when the policy has none)
-        guard = self.null_id if self.ctx.null_join_guard else -1
+        # holds with (-1, no id, when the null inequality policy has none)
+        guard = self.null_id
         fail = self.null_id if self.ctx.null_inequality == "fail" else -1
         neqs, sims = lay.neqs, lay.sims
         for pin in (None,) if dirty is None else range(len(tables)):

@@ -24,7 +24,7 @@ import re
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -153,26 +153,27 @@ class Specification(Record):
 
 
 @lru_cache(maxsize=None)
-def join_vars(body: RuleBody) -> frozenset[Var]:
-    """Variables with two or more occurrences among the relational atoms;
-    these are the positions a Null binding must never flow through."""
-    counts: dict[Var, int] = {}
-    for atom in body.rel_atoms:
-        for t in atom.args:
+def occurrences(body: RuleBody) -> Mapping[Var, tuple[tuple[int, int], ...]]:
+    """Per variable, its (atom index, position) occurrences among the
+    relational atoms in body order, the variables in order of first
+    occurrence. A variable with two or more is a join variable, which a
+    Null binding must never flow through. Computed once per equal body and
+    shared, so read-only."""
+    occ: dict[Var, list[tuple[int, int]]] = {}
+    for ai, atom in enumerate(body.rel_atoms):
+        for pos, t in enumerate(atom.args):
             if isinstance(t, Var):
-                counts[t] = counts.get(t, 0) + 1
-    return frozenset(v for v, n in counts.items() if n >= 2)
+                occ.setdefault(t, []).append((ai, pos))
+    return MappingProxyType({v: tuple(ps) for v, ps in occ.items()})
 
 
-@lru_cache(maxsize=None)
 def var_positions(body: RuleBody) -> dict[Var, tuple[tuple[str, int], ...]]:
     """Relational (relation, position) occurrences per variable."""
-    occ: dict[Var, list[tuple[str, int]]] = {}
-    for atom in body.rel_atoms:
-        for i, t in enumerate(atom.args):
-            if isinstance(t, Var):
-                occ.setdefault(t, []).append((atom.relation, i))
-    return {v: tuple(ps) for v, ps in occ.items()}
+    atoms = body.rel_atoms
+    return {
+        v: tuple((atoms[ai].relation, pos) for ai, pos in ps)
+        for v, ps in occurrences(body).items()
+    }
 
 
 # ---------------------------------------------------------------- tokenizer

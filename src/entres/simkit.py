@@ -28,7 +28,7 @@ import re
 import threading
 from array import array
 from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -36,7 +36,7 @@ from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
 from .model import Constant, Database, Kind
-from .rules import RuleBody, Specification, Var, hundredths, var_positions
+from .rules import Specification, Var, hundredths, var_positions
 
 # ------------------------------------------------------------------- store
 
@@ -586,13 +586,6 @@ def sim_cs(
     return store
 
 
-@lru_cache(maxsize=None)
-def _without_sims(body: RuleBody) -> RuleBody:
-    """body without its similarity atoms, one object per equal body, so the
-    matcher lays it out once however often sim_opt runs."""
-    return body.replace(sim_atoms=())
-
-
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
@@ -611,7 +604,7 @@ def sim_opt(
     # misses among the atom's term pairs
     unscored = ctx.replace(sims=None)
     for rule in ctx.spec.all_rules():
-        body = _without_sims(rule.body)
+        body = rule.body.replace(sim_atoms=())
         for satom in rule.body.sim_atoms:
             found = answers(body, (satom.left, satom.right), unscored, e_ub)
             for a, b in sorted(found, key=_text_order):

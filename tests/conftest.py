@@ -1,5 +1,6 @@
-"""Shared fixtures: the music walkthrough bundle shipped under data/; and
-the check of the record semantics every immutable record class keeps."""
+"""Shared fixtures: the music walkthrough bundle shipped under data/; the
+check of the record semantics every immutable record class keeps; and the
+one Hypothesis profile of the suite."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import copy
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from entres.cli import ingest
 from entres.model import Constant, Kind, Record
@@ -15,6 +17,10 @@ from entres.simkit import SimTable, TableResolver
 
 ROOT = Path(__file__).resolve().parent.parent
 MUSIC = ROOT / "data" / "music"
+
+# every run draws the same examples and writes no example database
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def e(text: str) -> Constant:

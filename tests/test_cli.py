@@ -243,6 +243,23 @@ class TestModes:
         )
         assert ub_rows <= loose_rows
 
+    def test_loose_ub_under_every_strategy(self, tmp_path):
+        # loose-ub drops every similarity atom, so no strategy scores a pair
+        # and the table-backed function needs no table
+        def loose_ub(strategy, out):
+            return run(
+                "--spec", MUSIC / "music.er", "--data", MUSIC,
+                "--sim", strategy, "--mode", "loose-ub", "--out", out,
+            )
+
+        want = (GOLDEN / "music" / "loose-ub" / "loose-ub.tsv").read_text()
+        for k, strategy in enumerate(("all", "cs", "opt", SIM_ARG)):
+            assert loose_ub(strategy, tmp_path / str(k)) == 0
+            assert (tmp_path / str(k) / "loose-ub.tsv").read_text() == want
+        # a table is still read, so a missing one is still a data error
+        missing = f"table:{tmp_path / 'missing.tsv'}"
+        assert loose_ub(missing, tmp_path / "t") == 3
+
     def test_enumerate_and_maximal_files(self, tmp_path):
         out = tmp_path / "enum"
         assert run(*music_args("enumerate", out)) == 0
@@ -1000,9 +1017,7 @@ class TestMutatedInputs:
     a clean exit: success, a specification or data error, or no solution.
     An uncaught exception fails the test."""
 
-    @settings(
-        max_examples=300, derandomize=True, database=None, deadline=None,
-    )
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_every_run_exits_cleanly(self, data):
         name = data.draw(st.sampled_from(sorted(MUTABLE)))

@@ -205,7 +205,7 @@ RECORDS = {
                           frozenset(), True),
         "consistent", False,
     ),
-    "Context": (lambda: Context(DB, SPEC), "null_join_guard", False),
+    "Context": (lambda: Context(DB, SPEC), "null_inequality", "fail"),
     "SimEdge": (lambda: SimEdge("jw", v("x"), v("y"), 9000), "score", 100),
     "ProofNode": (
         lambda: ProofNode(NodeKind.FACT, fact=R_AX), "rule_label", "h"

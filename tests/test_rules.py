@@ -27,7 +27,7 @@ from entres.rules import (
     Var,
     _Token,
     analyse,
-    join_vars,
+    occurrences,
     parse_spec,
     validate_sim_safety,
     var_positions,
@@ -248,8 +248,22 @@ class TestBodyHelpers:
         r = rule_of(
             "hard h: R(x, a, b), R(y, a2, b), sim(a, a2) >= 50 => eq(x, y);"
         )
-        assert join_vars(r.body) == frozenset({Var("b")})
+        # each variable's (atom, position) occurrences in body order, the
+        # variables in order of first occurrence; b is the one join variable
+        assert list(occurrences(r.body).items()) == [
+            (Var("x"), ((0, 0),)),
+            (Var("a"), ((0, 1),)),
+            (Var("b"), ((0, 2), (1, 2))),
+            (Var("y"), ((1, 0),)),
+            (Var("a2"), ((1, 1),)),
+        ]
         assert var_positions(r.body)[Var("a2")] == (("R", 1),)
+        assert var_positions(r.body)[Var("b")] == (("R", 2), ("R", 2))
+        again = rule_of(
+            "hard h: R(x, a, b), R(y, a2, b), sim(a, a2) >= 50 => eq(x, y);"
+        )
+        assert again.body is not r.body
+        assert occurrences(again.body) is occurrences(r.body)
 
 
 class TestTransforms:
