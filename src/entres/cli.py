@@ -346,7 +346,7 @@ def _export_store(store: SimStore, out: Path) -> list[Path]:
                 cell = cells.get(s)
                 if cell is None:
                     cell = cells[s] = f"{s / 100:.2f}"
-                fh.write(f"{a.text}\t{b.text}\t{cell}\n")
+                fh.write(f"{a}\t{b}\t{cell}\n")
         written.append(path)
     return written
 

@@ -322,7 +322,7 @@ class _Builder:
             sa = self._sim_const(satom.left, occ, wit)
             sb = self._sim_const(satom.right, occ, wit)
             assert self.ctx.sims is not None
-            score = self.ctx.sims.score(satom.func_id, sa, sb)
+            score = self.ctx.sims.score(satom.func_id, sa.text, sb.text)
             children.append(
                 ProofNode(
                     kind=NodeKind.SIM,

@@ -8,11 +8,11 @@ bodies are laid out once (_Layout): every relational variable gets a slot
 number in order of first occurrence, and every constant the joins compare
 a slot after them, so a match is two flat lists indexed by slot, one of
 canonical ids and one of the raw ids the variables were bound to. Per pass
-a join plan, compiled once per body, pinned atom and relation sizes,
-fixes the atom order, the probe that selects each atom's rows, and which
-arguments bind a slot and which check one; one loop over a stack of row
-iterators runs it, and a slot is rebound in place when its step reads the
-next row, so backtracking undoes nothing.
+a join plan, compiled once per body, pinned atom and order of relation
+sizes, fixes the atom order, the probe that selects each atom's rows, and
+which arguments bind a slot and which check one; one loop over a stack of
+row iterators runs it, and a slot is rebound in place when its step reads
+the next row, so backtracking undoes nothing.
 
 Rows are read in the database's interned form (id tuples numbered as EqRel
 numbers the domain) and never rewritten: a row's canonical ids are looked
@@ -21,7 +21,7 @@ are read from the database's static per-position index, one entry per
 member. Semi-naive evaluation pins one atom to the rows that index gives
 for the dirty ids. Constants appear only at the boundary: answers() hands
 out its tuples as class representatives and its witnesses as facts, and a
-similarity atom scores the constants as written.
+similarity atom scores the texts of the constants as written.
 
 Conventions baked in here:
   - inequality atoms compare class representatives (a constant absent from
@@ -47,9 +47,10 @@ from .rules import DenialConstraint, Rule, RuleBody, Term, Var, occurrences
 
 
 class SimResolver(Protocol):
-    """Anything that can score a similarity function on two constants."""
+    """Anything that can score a similarity function on two texts. A null
+    operand never reaches it: the atom fails before it is scored."""
 
-    def score(self, func: str, a: Constant, b: Constant) -> int: ...
+    def score(self, func: str, a: str, b: str) -> int: ...
 
 
 class Context(Record):
@@ -130,19 +131,21 @@ class _Layout:
         )
         self.plans: dict[tuple[int | None, tuple[int, ...]], tuple] = {}
 
-    def plan(self, pin: int | None, sizes: tuple[int, ...]) -> tuple:
+    def plan(self, pin: int | None, ranks: tuple[int, ...]) -> tuple:
         """The join plan of one pass, compiled on first use: the pinned
         atom (if any) first, then repeatedly the atom with the most known
-        arguments, then the fewest rows (`sizes`, per atom), then the
-        lowest index. Per step: (atom, probe, args). The probe is the
-        (position, slot) whose value selects the step's rows through the
-        database's index: the first constant argument, else the first
-        variable an earlier step bound, else None for a scan of every row
-        (and for the pinned atom, whose rows the dirty ids select). The
-        args are the other arguments as (position, slot, kind): first
-        those that check a slot an earlier step or a constant filled, then
-        those that fill a slot, then repeats of a slot this step fills."""
-        steps = self.plans.get((pin, sizes))
+        arguments, then the fewest rows (`ranks`, per atom, the dense rank
+        of its relation's row count: a body holds one plan per pin and
+        order of sizes, not one per size), then the lowest index. Per step:
+        (atom, probe, args). The probe is the (position, slot) whose value
+        selects the step's rows through the database's index: the first
+        constant argument, else the first variable an earlier step bound,
+        else None for a scan of every row (and for the pinned atom, whose
+        rows the dirty ids select). The args are the other arguments as
+        (position, slot, kind): first those that check a slot an earlier
+        step or a constant filled, then those that fill a slot, then
+        repeats of a slot this step fills."""
+        steps = self.plans.get((pin, ranks))
         if steps is not None:
             return steps
         nv = len(self.vars)
@@ -152,7 +155,7 @@ class _Layout:
 
         def score(i: int) -> tuple[int, int, int]:
             known = sum(s in bound for _, s, _ in self.atoms[i])
-            return (known, -sizes[i], -i)
+            return (known, -ranks[i], -i)
 
         while remaining:
             i = max(remaining, key=score) if order or pin is None else pin
@@ -181,7 +184,7 @@ class _Layout:
                 i, probe[:2] if probe else None,
                 tuple(checks + fills + repeats),
             ))
-        steps = self.plans[pin, sizes] = tuple(order)
+        steps = self.plans[pin, ranks] = tuple(order)
         return steps
 
 
@@ -244,7 +247,7 @@ class _Eval:
                 raise MissingSimScore(
                     f"no similarity resolver supplied for {satom.func_id!r}"
                 )
-            if sims.score(satom.func_id, a, b) < satom.threshold:
+            if sims.score(satom.func_id, a.text, b.text) < satom.threshold:
                 return False
         return True
 
@@ -263,7 +266,8 @@ class _Eval:
         tables = [db.rows.get(rel) for rel in lay.relations]
         if None in tables:
             return  # a body relation without rows: no match, no index
-        sizes = tuple(map(len, tables))
+        sizes = sorted(set(map(len, tables)))
+        ranks = tuple([sizes.index(len(t)) for t in tables])
         canon, ids, lookups = self.e.canon_id, self.ids, self.lookups
         raws = [0] * len(lay.vars)  # the raw id each variable was bound to
         at = [0] * len(tables)
@@ -276,7 +280,7 @@ class _Eval:
             # per step: atom, its rows, args, and the probe's memo, index
             # column and slot (memo None: every row, or the pinned ones)
             steps = []
-            for ai, probe, args in lay.plan(pin, sizes):
+            for ai, probe, args in lay.plan(pin, ranks):
                 memo = col = None
                 slot = 0
                 if probe is not None:

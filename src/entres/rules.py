@@ -24,7 +24,7 @@ import re
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -36,7 +36,7 @@ from .errors import (
     UnsafeHeadVariable,
     decode_guard,
 )
-from .model import Constant, Kind, Record, entity, value
+from .model import Constant, Record, entity, value
 
 # ---------------------------------------------------------------- AST types
 
@@ -511,7 +511,9 @@ class _Parser:
 
 # --------------------------------------------------------------- validation
 
-_HINT_BACKEND = {
+#: the backend a bare `sim(...)` atom calls, by the hint of the columns it
+#: reads; `simkit.sim_all` scores those columns' values under it too
+HINT_BACKEND = {
     "num": "lev",
     "short": "jw",
     "long": "tfidf",
@@ -570,7 +572,7 @@ def _resolve_sim_atom(
         hints = {
             schema.decl(rel).hints[i] for rel, i in positions
         } or {"val"}
-        backends = {_HINT_BACKEND[h] for h in hints}
+        backends = {HINT_BACKEND[h] for h in hints}
         if len(backends) > 1:
             raise SpecValidationError(
                 f"{owner}: similarity atom spans attributes with conflicting "

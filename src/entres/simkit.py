@@ -35,53 +35,47 @@ from typing import Callable, Iterable, Iterator
 from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
-from .model import Constant, Database, Kind
-from .rules import Specification, Var, hundredths, var_positions
+from .model import Database, Kind
+from .rules import HINT_BACKEND, Specification, Var, hundredths, var_positions
 
 # ------------------------------------------------------------------- store
 
 
-def _pair_key(a: Constant, b: Constant) -> tuple[Constant, Constant]:
-    if a.kind is b.kind:  # every pair sim_all stores: order by text alone
-        return (a, b) if a.text <= b.text else (b, a)
-    return (a, b) if (a.kind.value, a.text) <= (b.kind.value, b.text) else (b, a)
-
-
-def _text_order(row: tuple[Constant, Constant, int]) -> tuple[str, str]:
-    return row[0].text, row[1].text
+def _pair_key(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
 
 
 class _Triangle:
-    """One function's scores of every pair drawn from a text-sorted list of
-    distinct value constants, reflexive pairs included: row i holds the
-    scores of values[i] against values[i:], each in 0..10000, so walking the
-    rows in order yields the pairs ordered by (left text, right text)."""
+    """One function's scores of every pair drawn from a sorted list of
+    distinct texts, reflexive pairs included: row i holds the scores of
+    texts[i] against texts[i:], each in 0..10000, so walking the rows in
+    order yields the pairs in (left, right) order."""
 
-    __slots__ = ("values", "index", "rows")
+    __slots__ = ("texts", "index", "rows")
 
-    def __init__(self, values: list[Constant], rows: list[array]):
-        self.values = values
-        self.index = {c: i for i, c in enumerate(values)}
+    def __init__(self, texts: list[str], rows: list[array]):
+        self.texts = texts
+        self.index = {t: i for i, t in enumerate(texts)}
         self.rows = rows
 
-    def get(self, a: Constant, b: Constant) -> int | None:
+    def get(self, a: str, b: str) -> int | None:
         i, j = self.index.get(a), self.index.get(b)
         if i is None or j is None:
             return None
         return self.rows[i][j - i] if i <= j else self.rows[j][i - j]
 
     def __len__(self) -> int:
-        return len(self.values) * (len(self.values) + 1) // 2
+        return len(self.texts) * (len(self.texts) + 1) // 2
 
-    def __iter__(self) -> Iterator[tuple[Constant, Constant, int]]:
-        values = self.values
+    def __iter__(self) -> Iterator[tuple[str, str, int]]:
+        texts = self.texts
         for i, row in enumerate(self.rows):
-            yield from zip(repeat(values[i]), values[i:], row)
+            yield from zip(repeat(texts[i]), texts[i:], row)
 
 
 class SimStore:
-    """Symmetric score cache keyed by (function id, canonical constant
-    pair), plus the number of scorer invocations spent filling it.
+    """Symmetric score cache keyed by (function id, text pair in text
+    order), plus the number of scorer invocations spent filling it.
 
     `sim_all` stores each function's scores as one `_Triangle`; `get` reads
     a function's triangle first and then the pair dict that `put` fills, so
@@ -90,11 +84,11 @@ class SimStore:
     __slots__ = ("_scores", "_tables", "calls")
 
     def __init__(self) -> None:
-        self._scores: dict[tuple[str, Constant, Constant], int] = {}
+        self._scores: dict[tuple[str, str, str], int] = {}
         self._tables: dict[str, _Triangle] = {}
         self.calls = 0
 
-    def get(self, func: str, a: Constant, b: Constant) -> int | None:
+    def get(self, func: str, a: str, b: str) -> int | None:
         table = self._tables.get(func)
         if table is not None:
             got = table.get(a, b)
@@ -102,40 +96,36 @@ class SimStore:
                 return got
         return self._scores.get((func, *_pair_key(a, b)))
 
-    def put(self, func: str, a: Constant, b: Constant, score: int) -> None:
+    def put(self, func: str, a: str, b: str, score: int) -> None:
         self._scores[(func, *_pair_key(a, b))] = score
 
     def __len__(self) -> int:
         return len(self._scores) + sum(map(len, self._tables.values()))
 
-    def _keys(self) -> Iterator[tuple[str, Constant, Constant]]:
+    def _keys(self) -> Iterator[tuple[str, str, str]]:
         yield from self._scores
         for func, table in self._tables.items():
             for a, b, _ in table:
                 yield func, a, b
 
-    def __iter__(self) -> Iterator[tuple[str, Constant, Constant]]:
-        return iter(sorted(
-            self._keys(),
-            key=lambda k: (k[0], k[1].text, k[2].text),
-        ))
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        return iter(sorted(self._keys()))
 
     def funcs(self) -> list[str]:
         return sorted({f for f, _, _ in self._scores}.union(self._tables))
 
-    def walk(self, func: str) -> Iterator[tuple[Constant, Constant, int]]:
-        """The (left, right, score) rows of one function, ordered by (left
-        text, right text); a triangle is walked in place, unsorted."""
+    def walk(self, func: str) -> Iterator[tuple[str, str, int]]:
+        """The (left, right, score) rows of one function, in (left, right)
+        order; a triangle is walked in place, unsorted."""
         loose = sorted(
-            ((a, b, s) for (f, a, b), s in self._scores.items() if f == func),
-            key=_text_order,
+            (a, b, s) for (f, a, b), s in self._scores.items() if f == func
         )
-        return heapq.merge(self._tables.get(func, ()), loose, key=_text_order)
+        return heapq.merge(self._tables.get(func, ()), loose)
 
-    def rows(self, func: str) -> list[tuple[Constant, Constant, int]]:
+    def rows(self, func: str) -> list[tuple[str, str, int]]:
         return list(self.walk(func))
 
-    def key_set(self) -> frozenset[tuple[str, Constant, Constant]]:
+    def key_set(self) -> frozenset[tuple[str, str, str]]:
         return frozenset(self._keys())
 
     def __repr__(self) -> str:
@@ -248,15 +238,6 @@ class SimTable:
 Scorer = Callable[[str, str], int]
 
 
-def _hinted_positions(spec: Specification, hints: set[str]) -> set[tuple[str, int]]:
-    return {
-        (r.name, i)
-        for r in spec.schema.relations
-        for i, h in enumerate(r.hints)
-        if h in hints
-    }
-
-
 def sim_functions(
     spec: Specification,
 ) -> dict[str, tuple[str, frozenset[tuple[str, int]]]]:
@@ -293,7 +274,7 @@ def build_registry(
         elif backend == "jw":
             registry[func_id] = kernels.jw_score
         elif backend == "tfidf":
-            corpus = [c.text for c in _position_values(db, positions)]
+            corpus = _position_values(db, positions)
             registry[func_id] = TfidfModel(corpus).score
         elif backend == "table":
             if table is None:
@@ -307,18 +288,19 @@ def build_registry(
 
 def _position_values(
     db: Database, positions: Iterable[tuple[str, int]]
-) -> list[Constant]:
+) -> list[str]:
+    """The sorted distinct texts of the value constants at the positions."""
     wanted: dict[str, set[int]] = {}
     for rel, pos in positions:
         wanted.setdefault(rel, set()).add(pos)
-    out: set[Constant] = set()
+    out: set[str] = set()
     for rel, cols in wanted.items():
         for fact in db.by_relation.get(rel, ()):
             for i in cols:
                 c = fact.args[i]
                 if c.kind is Kind.VALUE:
-                    out.add(c)
-    return sorted(out, key=lambda c: c.text)
+                    out.add(c.text)
+    return sorted(out)
 
 
 # --------------------------------------------------------------- resolvers
@@ -326,22 +308,19 @@ def _position_values(
 
 class StrictResolver:
     """Serve scores from a fixed store; a probe the store has never seen is
-    an error. Reflexive probes are answered 10000 and probes touching the
-    null constant 0, neither consulting the store."""
+    an error. A text compared with itself scores 10000 without a lookup."""
 
     __slots__ = ("store",)
 
     def __init__(self, store: SimStore):
         self.store = store
 
-    def score(self, func: str, a: Constant, b: Constant) -> int:
+    def score(self, func: str, a: str, b: str) -> int:
         if a == b:
             return 10000
-        if a.is_null() or b.is_null():
-            return 0
         got = self.store.get(func, a, b)
         if got is None:
-            raise MissingSimScore(f"{func}({a.text!r}, {b.text!r})")
+            raise MissingSimScore(f"{func}({a!r}, {b!r})")
         return got
 
 
@@ -355,11 +334,9 @@ class OnDemandResolver:
         self.store = store
         self.registry = registry
 
-    def score(self, func: str, a: Constant, b: Constant) -> int:
+    def score(self, func: str, a: str, b: str) -> int:
         if a == b:
             return 10000
-        if a.is_null() or b.is_null():
-            return 0
         got = self.store.get(func, a, b)
         if got is None:
             scorer = self.registry.get(func)
@@ -367,7 +344,7 @@ class OnDemandResolver:
                 raise MissingSimScore(
                     f"no scorer registered for function {func!r}"
                 )
-            got = scorer(a.text, b.text)
+            got = scorer(a, b)
             self.store.put(func, a, b, got)
             self.store.calls += 1
         return got
@@ -375,17 +352,15 @@ class OnDemandResolver:
 
 class TableResolver:
     """Answer every function from one lookup table; total (missing pairs
-    and null operands score 0), so it never raises."""
+    score 0), so it never raises."""
 
     __slots__ = ("table",)
 
     def __init__(self, table: SimTable):
         self.table = table
 
-    def score(self, func: str, a: Constant, b: Constant) -> int:
-        if a.is_null() or b.is_null():
-            return 0
-        return self.table.score(a.text, b.text)
+    def score(self, func: str, a: str, b: str) -> int:
+        return self.table.score(a, b)
 
 
 # -------------------------------------------------------------- strategies
@@ -396,48 +371,42 @@ def sim_all(
     spec: Specification,
     registry: dict[str, Scorer] | None = None,
 ) -> SimStore:
-    """Score every type-compatible value pair (reflexive included) for each
-    similarity function the specification mentions, counting the constants
-    its atoms take as operands (entity ones too) among the values. A
-    function scored by the built-in Jaro-Winkler kernel has its triangle
-    scored by `kernels.jw_rows`, which counts one scorer call per pair all
-    the same; a large triangle is split over the usable CPUs
-    (`_triangle_rows`)."""
+    """Score every text pair (reflexive included) for each similarity
+    function the specification mentions, over the sorted distinct texts of
+    the constants its atoms take as operands and of the values in its
+    columns: those its atoms read, and those whose hint routes a bare
+    `sim(...)` atom to it (`rules.HINT_BACKEND`). A function scored by the
+    built-in Jaro-Winkler kernel has its triangle scored by
+    `kernels.jw_rows`, which counts one scorer call per pair all the same;
+    a large triangle is split over the usable CPUs (`_triangle_rows`)."""
     from . import kernels
 
     registry = build_registry(spec, db) if registry is None else registry
-    # the constants each function's atoms take as operands (given no
-    # positions, a variable contributes nothing: its columns are counted
-    # through the function's positions below)
-    operands: dict[str, set[Constant]] = {}
+    operands: dict[str, set[str]] = {}
     for rule in spec.all_rules():
         for satom in rule.body.sim_atoms:
-            for term in (satom.left, satom.right):
-                operands.setdefault(satom.func_id, set()).update(
-                    _atom_side_values(db, {}, term)
-                )
+            operands.setdefault(satom.func_id, set()).update(
+                t.text for t in (satom.left, satom.right)
+                if not isinstance(t, Var)
+            )
     store = SimStore()
     for func_id, (backend, positions) in sim_functions(spec).items():
         scorer = registry.get(func_id)
         if scorer is None:
             continue
-        compatible: set[tuple[str, int]] = set(positions)
-        if func_id == "lev":
-            compatible |= _hinted_positions(spec, {"num"})
-        elif func_id == "jw":
-            compatible |= _hinted_positions(spec, {"short", "val"})
-        values = sorted(
-            operands[func_id].union(_position_values(db, compatible)),
-            key=lambda c: (c.text, c.kind.value),  # @a before a
+        # a bare atom calls the function named after its columns' backend
+        columns = positions.union(
+            (r.name, i) for r in spec.schema.relations
+            for i, h in enumerate(r.hints) if HINT_BACKEND[h] == func_id
         )
-        if not values:
+        texts = sorted(operands[func_id].union(_position_values(db, columns)))
+        if not texts:
             continue
         if scorer is kernels.jw_score:  # read here, so a rebound one matches
             score_rows = kernels.jw_rows
         else:
             score_rows = partial(kernels.map_rows, scorer)
-        rows = _triangle_rows(score_rows, [c.text for c in values])
-        table = _Triangle(values, rows)
+        table = _Triangle(texts, _triangle_rows(score_rows, texts))
         store._tables[func_id] = table
         store.calls += len(table)
     return store
@@ -555,10 +524,10 @@ def _atom_side_values(
     db: Database,
     body_occ: dict[Var, tuple[tuple[str, int], ...]],
     term,
-) -> list[Constant]:
+) -> list[str]:
     if isinstance(term, Var):
         return _position_values(db, body_occ.get(term, ()))
-    return [term]
+    return [term.text]
 
 
 def sim_cs(
@@ -581,7 +550,7 @@ def sim_cs(
             for a in left:
                 for b in right:
                     if store.get(satom.func_id, a, b) is None:
-                        store.put(satom.func_id, a, b, scorer(a.text, b.text))
+                        store.put(satom.func_id, a, b, scorer(a, b))
                         store.calls += 1
     return store
 
@@ -607,9 +576,10 @@ def sim_opt(
         body = rule.body.replace(sim_atoms=())
         for satom in rule.body.sim_atoms:
             found = answers(body, (satom.left, satom.right), unscored, e_ub)
-            for a, b in sorted(found, key=_text_order):
-                if a == b or a.is_null() or b.is_null():
-                    continue
+            for a, b in sorted(
+                (a.text, b.text) for a, b in found
+                if not (a.is_null() or b.is_null()) and a.text != b.text
+            ):
                 resolver.score(satom.func_id, a, b)
 
     return store

@@ -25,7 +25,7 @@ from entres.matcher import (
     merge_candidates,
     rule_satisfied,
 )
-from entres.model import Constant, Database, EqRel, Fact, MergePair
+from entres.model import Constant, Database, EqRel, MergePair
 from entres.rules import (
     DenialConstraint,
     Rule,
@@ -38,18 +38,24 @@ if TYPE_CHECKING:
     from entres.engine import Solution
 
 #: Similarity callback: (function id, left constant, right constant) -> score
-#: in hundredths. Must answer reflexive probes 10000 and null probes 0, the
-#: same contract the package resolvers follow.
+#: in hundredths. Must answer reflexive probes 10000 and null probes 0.
 SimFn = Callable[[str, Constant, Constant], int]
 
 INF = 10**9
 
 
 def simfn_of(resolver) -> SimFn | None:
-    """Adapt a package resolver to the oracle callback shape."""
+    """Adapt a package resolver, which scores two texts, to the oracle
+    callback shape: a null operand scores 0 without asking it."""
     if resolver is None:
         return None
-    return lambda func, a, b: resolver.score(func, a, b)
+
+    def simfn(func: str, a: Constant, b: Constant) -> int:
+        if a.is_null() or b.is_null():
+            return 0
+        return resolver.score(func, a.text, b.text)
+
+    return simfn
 
 
 # --------------------------------------------------------------- closures
@@ -606,7 +612,8 @@ def validate_proof_tree(
                 violations.append(f"{path}: similarity leaf has children")
             assert node.sim is not None
             if sims is not None:
-                actual = sims.score(node.sim.func, node.sim.left, node.sim.right)
+                sim = node.sim
+                actual = sims.score(sim.func, sim.left.text, sim.right.text)
                 if actual != node.sim.score:
                     violations.append(
                         f"{path}: recorded score {node.sim.score} but the "

@@ -421,14 +421,43 @@ class TestModes:
                 (out / f"{mode}.tsv").read_text() for mode in ("lb", "pm")
             ]
         assert outs["all"] == outs["cs"] == outs["opt"]
-        # a triangle orders a mixed-kind pair by text, the pair dict by
-        # kind first, so the stores are compared through get
         parsed = load_spec(str(spec))
         db = ingest(str(MUSIC), parsed.schema)
         every, crossed = sim_all(db, parsed), sim_cs(db, parsed)
-        assert any(e("zz") in k for k in crossed.key_set())
+        assert any("zz" in k[1:] for k in crossed.key_set())
+        assert crossed.key_set() <= every.key_set()
         for func, a, b in crossed.key_set():
             assert every.get(func, a, b) == crossed.get(func, a, b)
+
+    def test_sim_files_hold_one_row_per_text_pair(self, tmp_path, capsys):
+        # the entity constant @zz and the name zz have one text, so they
+        # make one pair: each strategy scores it once and writes one row
+        spec, d = bundle(
+            tmp_path,
+            "relation Band(bid: id, name: short) merge [bid];\n"
+            "soft s: Band(x, n), Band(y, m), sim(n, m) >= 90,\n"
+            "  sim(n, @zz) >= 0 ~> eq(x, y);\n",
+            Band="bid\tname\nb1\tzz\nb2\tzy\n",
+        )
+        scores = {}
+        for strategy in ("all", "cs", "opt"):
+            out = tmp_path / strategy
+            assert run("--spec", spec, "--data", d, "--sim", strategy,
+                       "--mode", "sim", "--out", out) == 0
+            lines = (out / "sim_jw.tsv").read_text().splitlines()
+            assert lines[0] == "left\tright\tscore"
+            rows = [line.split("\t") for line in lines[1:]]
+            assert all(a <= b for a, b, _ in rows)
+            assert rows == sorted(rows)
+            pairs = [(a, b) for a, b, _ in rows]
+            assert len(set(pairs)) == len(pairs)
+            n = len(rows)
+            assert f"sim: {n} scores from {n} calls" in capsys.readouterr().out
+            scores[strategy] = {(a, b): s for a, b, s in rows}
+        assert set(scores["all"]) == {("zy", "zy"), ("zy", "zz"), ("zz", "zz")}
+        assert set(scores["opt"]) <= set(scores["cs"]) <= set(scores["all"])
+        for found in (scores["cs"], scores["opt"]):
+            assert all(scores["all"][p] == s for p, s in found.items())
 
     def test_table_strategy_has_nothing_to_export(self, tmp_path, capsys):
         out = tmp_path / "simtab"
@@ -836,8 +865,7 @@ class TestOptionValues:
             store = materialize(db, lspec)
             files[strategy] = (out / "sim_jw.tsv").read_text().splitlines()
             assert files[strategy] == ["left\tright\tscore"] + [
-                f"{a.text}\t{b.text}\t{sc / 100:.2f}"
-                for a, b, sc in store.rows("jw")
+                f"{a}\t{b}\t{sc / 100:.2f}" for a, b, sc in store.rows("jw")
             ]
         assert len(files["cs"]) < len(files["all"])
         assert "marhta\tmartha\t96.11" in files["cs"]

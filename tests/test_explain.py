@@ -16,7 +16,6 @@ from entres.explain import (
     NodeKind,
     ProofNode,
     ProofTree,
-    SimEdge,
     proof_tree,
     rule_depth,
     to_dot,

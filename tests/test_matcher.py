@@ -13,8 +13,8 @@ from entres.matcher import (
     merge_candidates,
     rule_satisfied,
 )
-from entres.engine import solve_one
-from entres.model import NULL, Constant, Database, EqRel, Fact, Kind, MergePair
+from entres.engine import lb, solve_one
+from entres.model import NULL, Database, EqRel, Fact, MergePair
 from entres.rules import Var, parse_spec
 
 from conftest import MUSIC, e, v
@@ -305,8 +305,8 @@ class TestOriginalConstantScoring:
             self.probes = []
 
         def score(self, func, a, b):
-            self.probes.append((a.text, b.text))
-            if {a.text, b.text} == {"m1", "m2"}:
+            self.probes.append((a, b))
+            if {a, b} == {"m1", "m2"}:
                 return 7000
             return 10000 if a == b else 0
 
@@ -657,3 +657,24 @@ class TestLayouts:
         for _ in range(1000):
             assert cycle() == want
         assert _layout.cache_info().currsize == held
+
+    def test_plans_stop_growing_with_relation_sizes(self):
+        # a plan reads the relation sizes only through comparisons, so a
+        # body keeps one plan per pin and order of sizes, not one per size
+        spec = parse_spec(
+            "relation R(rid: id, k: val) merge [rid];\n"
+            "relation S(sid: id, k: val) merge [sid];\n"
+            "hard h: R(x, k), S(s, k), R(y, k) => eq(x, y);\n"
+        )
+        plans = _layout(spec.hard[0].body).plans
+        held = []
+        for n in range(1, 41):
+            db = Database(
+                [Fact("R", (e(f"r{i}"), v(f"k{i % 3}"))) for i in range(n)]
+                + [Fact("S", (e(f"s{i}"), v(f"k{i}"))) for i in range(2)]
+            )
+            lb(Context(db, spec))
+            held.append(len(plans))
+        # from three R rows on, R has more rows than S in every database
+        assert held[10:] == [held[10]] * 30
+        assert held[-1] <= 4 * 3  # (atoms + 1) pins times three orders

@@ -225,7 +225,7 @@ class TestTfidf:
         assert len(rows) == len(docs) * (len(docs) + 1) // 2
         # a new model per pair has no vector memoised
         assert rows == [
-            (a, b, TfidfModel(docs).score(a.text, b.text)) for a, b, _ in rows
+            (a, b, TfidfModel(docs).score(a, b)) for a, b, _ in rows
         ]
 
 
@@ -263,23 +263,21 @@ class TestSimTable:
 class TestSimStore:
     def test_canonical_keying(self):
         s = SimStore()
-        s.put("f", v("b"), v("a"), 123)
-        assert s.get("f", v("a"), v("b")) == 123
-        assert s.get("f", v("b"), v("a")) == 123
-        assert s.get("f", v("a"), v("z")) is None
-        assert s.get("g", v("a"), v("b")) is None
+        s.put("f", "b", "a", 123)
+        assert s.get("f", "a", "b") == 123
+        assert s.get("f", "b", "a") == 123
+        assert s.get("f", "a", "z") is None
+        assert s.get("g", "a", "b") is None
+        assert s.key_set() == {("f", "a", "b")}
 
     def test_sorted_views(self):
         s = SimStore()
-        s.put("f", v("z"), v("y"), 1)
-        s.put("f", v("a"), v("b"), 2)
-        s.put("g", v("m"), v("m"), 3)
+        s.put("f", "z", "y", 1)
+        s.put("f", "a", "b", 2)
+        s.put("g", "m", "m", 3)
         assert s.funcs() == ["f", "g"]
-        assert [(a.text, b.text, sc) for a, b, sc in s.rows("f")] == [
-            ("a", "b", 2),
-            ("y", "z", 1),
-        ]
-        assert len(list(s)) == 3
+        assert s.rows("f") == [("a", "b", 2), ("y", "z", 1)]
+        assert list(s) == [("f", "a", "b"), ("f", "y", "z"), ("g", "m", "m")]
         assert len(s.key_set()) == 3
 
     @staticmethod
@@ -304,7 +302,7 @@ class TestSimStore:
         ):
             for i, a in enumerate(texts):
                 for b in texts[i:]:
-                    loose.put(func, v(b), v(a), scorer(a, b))
+                    loose.put(func, b, a, scorer(a, b))
                     loose.calls += 1
         return table, loose
 
@@ -314,12 +312,11 @@ class TestSimStore:
         for func in ("jw", "lev", "tfidf"):
             for a in texts:
                 for b in texts:
-                    got = table.get(func, v(a), v(b))
-                    assert got == table.get(func, v(b), v(a))
-                    assert got == loose.get(func, v(a), v(b)), (func, a, b)
-        assert table.get("jw", v("martha"), v("marhta")) == 9611
-        assert table.get("jw", v("martha"), v("zzz")) is None
-        assert table.get("jw", e("martha"), v("marhta")) is None
+                    got = table.get(func, a, b)
+                    assert got == table.get(func, b, a)
+                    assert got == loose.get(func, a, b), (func, a, b)
+        assert table.get("jw", "martha", "marhta") == 9611
+        assert table.get("jw", "martha", "zzz") is None
         assert (len(table), table.calls) == (len(loose), loose.calls) == (9, 9)
         assert table.funcs() == loose.funcs() == ["jw", "lev"]
         for func in ("jw", "lev", "tfidf"):
@@ -330,10 +327,10 @@ class TestSimStore:
     def test_pairs_put_outside_the_table_merge_into_its_rows(self):
         table, loose = self.table_and_dict_stores()
         for store in (table, loose):
-            store.put("jw", v("zz"), v("a"), 5)
-            store.put("jw", v("martha"), v("n"), 6)
-            store.put("lev", v("1"), v("2"), 7)
-        assert table.get("jw", v("a"), v("zz")) == 5
+            store.put("jw", "zz", "a", 5)
+            store.put("jw", "martha", "n", 6)
+            store.put("lev", "1", "2", 7)
+        assert table.get("jw", "a", "zz") == 5
         assert len(table) == len(loose) == 12
         assert table.funcs() == loose.funcs()
         for func in ("jw", "lev"):
@@ -344,30 +341,29 @@ class TestSimStore:
 class TestResolvers:
     def test_strict_serves_and_refuses(self):
         s = SimStore()
-        s.put("f", v("a"), v("b"), 42)
+        s.put("f", "a", "b", 42)
         r = StrictResolver(s)
-        assert r.score("f", v("a"), v("b")) == 42
-        assert r.score("f", v("q"), v("q")) == 10000  # no store lookup
-        assert r.score("f", v("a"), NULL) == 0
-        with pytest.raises(MissingSimScore):
-            r.score("f", v("a"), v("z"))
+        assert r.score("f", "a", "b") == 42
+        assert r.score("f", "q", "q") == 10000  # no store lookup
+        with pytest.raises(MissingSimScore, match=r"f\('a', 'z'\)"):
+            r.score("f", "a", "z")
 
     def test_on_demand_computes_once(self):
         s = SimStore()
         r = OnDemandResolver(s, {"jw": kernels.jw_score})
-        assert r.score("jw", v("MARTHA"), v("MARHTA")) == 9611
+        assert r.score("jw", "MARTHA", "MARHTA") == 9611
         assert s.calls == 1
-        assert r.score("jw", v("MARHTA"), v("MARTHA")) == 9611
+        assert r.score("jw", "MARHTA", "MARTHA") == 9611
         assert s.calls == 1  # cache hit, no second kernel call
-        assert r.score("jw", v("x"), v("x")) == 10000
-        assert r.score("jw", v("x"), NULL) == 0
+        assert r.score("jw", "x", "x") == 10000
         assert s.calls == 1
+        assert len(s) == 1
 
     def test_table_resolver_is_total(self, music_table):
         r = TableResolver(music_table)
-        assert r.score("approx", v("Pink Floyd"), v("The Pink Floyd")) == 10000
-        assert r.score("approx", v("no"), v("entry")) == 0
-        assert r.score("approx", v("no"), NULL) == 0
+        assert r.score("approx", "Pink Floyd", "The Pink Floyd") == 10000
+        assert r.score("approx", "no", "entry") == 0
+        assert r.score("approx", "no", "no") == 10000
 
 
 class TestRegistryAndPositions:
