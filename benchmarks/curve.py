@@ -1,0 +1,215 @@
+#!/usr/bin/env python3
+"""Scaling curve of CLI `solve-one` on the benchmark's music instances.
+
+For each size, `resbench/gen.py` (imported as it is) builds
+`music(1, bands, 2, pairs=8*bands//9, triples=3)`, and each source tree
+named by `--tree LABEL=DIR` runs `python -m entres.cli --mode solve-one`
+on it (`--sim opt`) in a fresh process. The processes are spawned by
+`resbench/spawner.py`, so that wait4 reports each child's own peak RSS,
+and the trees take turns within each repeat. Every run's `solve-one.tsv`
+is checked against the planted answer.
+
+Per size and tree the JSON records, for each repeat, the wall time, the
+peak RSS, the `solve=` figure of the CLI's timing line and the status:
+`"ok"`, `"wrong"` (output differs from the planted answer), `"timeout"`
+(killed at --timeout) or, for a crash, the exit code and the last line of
+stderr. A size whose runs fail is kept, never dropped. Each tree's commit,
+whether its `src/` differs from that commit, and its kernel backend go in
+the header with the Python version and the machine.
+
+    python benchmarks/curve.py --tree parent=../parent --tree change=. \\
+        --bands 50,100,200,400 --repeat 3 --out BENCH_scaling.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "resbench"))
+
+import gen  # noqa: E402  (resbench/gen.py)
+
+
+def _git(tree: Path, *args: str) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", "-C", str(tree), *args],
+            capture_output=True, text=True, timeout=30, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _env(tree: Path) -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def _describe(tree: Path) -> dict:
+    """The tree's commit, whether its src/ differs from it, and the kernel
+    backend its package selects."""
+    backend = subprocess.run(
+        [sys.executable, "-c", "from entres import kernels; print(kernels.BACKEND)"],
+        env=_env(tree), capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.strip()
+    status = _git(tree, "status", "--porcelain", "--", "src")
+    return {
+        "commit": _git(tree, "rev-parse", "HEAD"),
+        "src_differs_from_commit": None if status is None else bool(status),
+        "kernels": backend,
+    }
+
+
+def _tsv(pairs) -> str:
+    rows = ["left\tright"] + [f"{a}\t{b}" for a, b in sorted(pairs)]
+    return "\n".join(rows) + "\n"
+
+
+class Spawner:
+    """Client of resbench/spawner.py: one job per line, one reply each."""
+
+    def __init__(self) -> None:
+        self.proc = subprocess.Popen(
+            [sys.executable, "-S", str(ROOT / "resbench" / "spawner.py")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+
+    def run(self, job: dict) -> dict:
+        self.proc.stdin.write(json.dumps(job) + "\n")
+        self.proc.stdin.flush()
+        reply = self.proc.stdout.readline()
+        if not reply:
+            raise RuntimeError("the spawner helper exited")
+        return json.loads(reply)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+        self.proc.stdout.close()
+
+
+def _solve_s(stdout: str) -> float | None:
+    """The solve= seconds of the CLI's timing line."""
+    for line in stdout.splitlines():
+        if line.startswith("timing:"):
+            for cell in line.split()[1:]:
+                key, _, value = cell.partition("=")
+                if key == "solve":
+                    return float(value.rstrip("s"))
+    return None
+
+
+def run_once(sp: Spawner, tree: Path, data: Path, work: Path, want: str,
+             timeout: float) -> dict:
+    out = work / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
+    argv = [sys.executable, "-m", "entres.cli", "--spec", str(data / "spec.er"),
+            "--data", str(data), "--sim", "opt", "--mode", "solve-one",
+            "--out", str(out)]
+    got = sp.run({"argv": argv, "env": _env(tree), "stdout": str(work / "stdout"),
+                  "stderr": str(work / "stderr"), "timeout": timeout})
+    stdout = (work / "stdout").read_text(encoding="utf-8", errors="replace")
+    cell = {"wall_s": round(got["wall"], 4),
+            "peak_rss_mb": round(got["maxrss_kib"] / 1024, 1)}
+    if got["killed"]:
+        cell["status"] = "timeout"
+    elif got["code"] != 0:
+        stderr = (work / "stderr").read_text(encoding="utf-8", errors="replace")
+        last = stderr.strip().splitlines()[-1:] or [""]
+        cell["status"] = f"exit {got['code']}: {last[0]}"
+    else:
+        path = out / "solve-one.tsv"
+        right = path.is_file() and path.read_text(encoding="utf-8") == want
+        cell["status"] = "ok" if right else "wrong"
+        cell["solve_s"] = _solve_s(stdout)
+    return cell
+
+
+def _summary(runs: list[dict]) -> dict:
+    ok = [r for r in runs if r["status"] == "ok"]
+    if len(ok) < len(runs):
+        return {"status": next(r["status"] for r in runs if r["status"] != "ok")}
+    return {
+        "status": "ok",
+        "wall_s": statistics.median(r["wall_s"] for r in ok),
+        "solve_s": statistics.median(r["solve_s"] for r in ok),
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in ok),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR",
+                   help="a source checkout to time, under a column label")
+    p.add_argument("--bands", default="50,100,200,400",
+                   help="comma-separated band counts (default: 50,100,200,400)")
+    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--timeout", type=float, default=300.0,
+                   help="seconds before a run is killed (default: 300)")
+    p.add_argument("--out", type=Path, help="JSON file (default: stdout)")
+    args = p.parse_args(argv)
+    trees = {}
+    for item in args.tree:
+        label, sep, path = item.partition("=")
+        if not sep or not label or label in trees:
+            p.error(f"--tree needs a new LABEL=DIR, got {item!r}")
+        trees[label] = Path(path).resolve()
+    sizes = [int(b) for b in args.bands.split(",")]
+
+    result = {
+        "what": "CLI solve-one --sim opt on gen.music(1, bands, 2, "
+                "pairs=8*bands//9, triples=3)",
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
+                   f"{platform.system()}",
+        "repeat": args.repeat,
+        "timeout_s": args.timeout,
+        "trees": {label: _describe(tree) for label, tree in trees.items()},
+        "cells": [],
+    }
+    sp = Spawner()
+    try:
+        with tempfile.TemporaryDirectory(prefix="entres-curve-") as tmp:
+            for bands in sizes:
+                inst = gen.music(1, bands, 2, pairs=8 * bands // 9, triples=3)
+                data = Path(tmp) / f"music-{bands}"
+                inst.write(data)
+                want = _tsv(inst.solve_one)
+                runs: dict[str, list[dict]] = {label: [] for label in trees}
+                for _ in range(args.repeat):
+                    for label, tree in trees.items():
+                        runs[label].append(run_once(
+                            sp, tree, data, Path(tmp) / label, want,
+                            args.timeout,
+                        ))
+                cell = {"bands": bands}
+                for label in trees:
+                    cell[label] = {**_summary(runs[label]), "runs": runs[label]}
+                result["cells"].append(cell)
+                print(json.dumps({"bands": bands, **{
+                    label: _summary(runs[label]) for label in trees
+                }}), file=sys.stderr)
+    finally:
+        sp.close()
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -353,28 +353,30 @@ def _export_store(store: SimStore, out: Path) -> list[Path]:
 
 def _prepare_sims(
     args, mode: str, ctx: Context
-) -> tuple[object | None, SimStore | None]:
-    """Resolver for the engine plus the materialized store (None for the
-    table strategy, which serves lookups directly). Nothing is scored for
+) -> tuple[Context, SimStore | None]:
+    """The context with the engine's resolver, and with sim_opt's ub
+    fixpoint under opt, plus the materialized store (None for the table
+    strategy, which serves lookups directly). Nothing is scored for
     loose-ub, which drops every similarity atom."""
     from_table = args.sim.startswith("table:")
     if not from_table and (mode == "loose-ub" or not any(
         rule.body.sim_atoms for rule in ctx.spec.all_rules()
     )):
-        return None, None
+        return ctx, None
     from . import simkit
 
     if from_table:  # loaded on every spec, so that a bad table fails on each
         table = simkit.SimTable.load(args.sim[len("table:"):])
-        return simkit.TableResolver(table), None
+        return ctx.replace(sims=simkit.TableResolver(table)), None
     _bind("sim_all", "sim_opt")
+    ub = None
     if args.sim == "all":
         store = sim_all(ctx.db, ctx.spec)
     elif args.sim == "cs":
         store = simkit.sim_cs(ctx.db, ctx.spec)
     else:
-        store = sim_opt(ctx)
-    return simkit.StrictResolver(store), store
+        store, ub = sim_opt(ctx)
+    return ctx.replace(sims=simkit.StrictResolver(store), ub=ub), store
 
 
 def _entity_by_text(db: Database, text: str) -> Constant:
@@ -456,8 +458,7 @@ def run(args, parser: argparse.ArgumentParser) -> int:
     if mode == "explain":
         a, b = (_entity_by_text(db, text) for text in mode_arg)
     ctx = Context(db, spec, null_inequality=args.null_inequality)
-    sims, store = _prepare_sims(args, mode, ctx)
-    ctx = ctx.replace(sims=sims)
+    ctx, store = _prepare_sims(args, mode, ctx)
     preprocess = time.perf_counter() - t0
 
     code = 0

@@ -21,14 +21,16 @@ rules.analyse. This module computes:
                  touch the classes its merges grew (see _Search);
   - possible_merges / certain_merges / is_possible: union over all
                  solutions and intersection over maximal solutions.
-                 These, maximal_solutions and merge_sets search one
-                 independent part at a time from the start, and every
-                 solution is one choice per part (see _Search.split).
-                 When the analysis finds that the specification splits,
-                 the parts are the classes the hard-saturated start
-                 leaves undecided, grouped so that no body match under ub
-                 reads two parts; otherwise the whole instance is one
-                 part. enumerate_solutions and solve_one always search
+                 These, maximal_solutions, merge_sets and solve_one
+                 search one independent part at a time from the start,
+                 and every solution is one choice per part (see
+                 _Search.split). When the analysis finds that the
+                 specification splits, the parts are the classes the
+                 hard-saturated start leaves undecided, grouped so that no
+                 body match under ub reads two parts; otherwise the whole
+                 instance is one part. A start with nothing to branch on
+                 is answered as it is, with no parts and no ub fixpoint.
+                 enumerate_solutions for more than one solution searches
                  the whole instance;
   - levels:      recursion depth of each merge (the round of the
                  rule-application chain that first produces it).
@@ -37,7 +39,7 @@ rules.analyse. This module computes:
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Collection, Iterable, Iterator
 
 from .errors import NotASolution
 from .matcher import (
@@ -139,7 +141,10 @@ def lb(ctx: Context) -> EqRel:
 
 def ub(ctx: Context) -> EqRel:
     """Fixpoint of every rule as hard, non-monotone inequalities dropped
-    (Analysis.ub): no solution merges more."""
+    (Analysis.ub): no solution merges more. A copy of the context's own
+    ub when it holds one (see Context)."""
+    if ctx.ub is not None:
+        return ctx.ub.clone()
     return _fixpoint(ctx, analyse(ctx.spec).ub)
 
 
@@ -202,12 +207,14 @@ class _Search:
         self.ctx = ctx
         self.an = analyse(ctx.spec)
         self.memo: set[frozenset[frozenset[int]]] = set()
+        #: the ids whose classes key the memo, or None for every id
+        self.ids: Collection[int] | None = None
 
     def root(self) -> _Node | None:
         """The node of the start state, hard-saturated when saturation is
         eager, or None when it fails a pruning constraint. Starts a new
-        memo."""
-        self.memo = set()
+        memo keyed by every class."""
+        self.memo, self.ids = set(), None
         start = self.ctx.identity()
         steps: list[DerivStep] = []
         if self.an.eager:
@@ -249,29 +256,35 @@ class _Search:
         return results
 
     def split(
-        self, stop_pair: MergePair | None = None
+        self, stop_pair: MergePair | None = None, limit: int | None = None
     ) -> tuple[Solution, list[list[_PartSolution]]] | None:
         """The root's state and, per independent part, the solutions that
-        differ from the root only within that part, each with the pairs it
-        merges there, searched from the root with its candidates cut down
-        to the part; None when the root fails a pruning constraint or a
-        part it searched has no solution. Given stop_pair, only the part
-        holding both its ids is searched, up to a solution that merges
-        them.
+        differ from the root only within that part (up to limit of them),
+        each with the pairs it merges there, searched from the root with
+        its candidates cut down to the part; None when the root fails a
+        pruning constraint or a part it searched has no solution. Given
+        stop_pair, only the part holding both its ids is searched, up to a
+        solution that merges them. A root with no candidate to branch on
+        has no part: it is the one solution or there is none.
 
         When the specification splits (Analysis.splits), the parts are
         _parts': a state between the root and ub is a solution iff its
         restriction to each part (the root elsewhere) is, as every body
         match reads the classes of one part only, besides classes no
         solution grows. For the same reason a child's new candidates lie in
-        its root's part, so only the root's are cut down. Otherwise the
-        whole instance is one part: the search might break a checked
-        constraint in every state, or (unless eager) start below a hard
-        answer, so the root's pairs count only once the part has a
+        its root's part, so only the root's are cut down, and every state a
+        part's search reaches differs from the root only in classes of the
+        part's ids, so each part has its own memo keyed by those classes.
+        Otherwise the whole instance is one part: the search might break a
+        checked constraint in every state, or (unless eager) start below a
+        hard answer, so the root's pairs count only once the part has a
         solution."""
         root = self.root()
         if root is None:
             return None
+        start = Solution(root.e, root.deriv)
+        if not any(root.cands):
+            return (start, []) if self._accepts(root) else None
         if self.an.splits:
             parts = _parts(self.ctx, root.e)
         else:
@@ -283,11 +296,12 @@ class _Search:
         for ids in parts:
             cands = [{p for p in got if p[0] in ids} for got in root.cands]
             node = self._node(root.e, root.deriv, cands)
-            sols = self.run(stop_pair=stop_pair, root=node)
+            self.memo, self.ids = set(), ids
+            sols = self.run(limit, stop_pair, node)
             if not sols:
                 return None
             found.append([(sol, _pairs_within(sol.eq, ids)) for sol in sols])
-        return Solution(root.e, root.deriv), found
+        return start, found
 
     def _child(self, parent: _Node, label: str, i: int, j: int) -> _Node | None:
         """Apply one answer to the parent's state, hard-saturate from the
@@ -312,7 +326,7 @@ class _Search:
         """The node for a new state, or None when the memo already holds
         it or a pruning constraint fails. The root passes no parent
         candidates and no dirty ids, and is evaluated in full."""
-        sig = e.signature()
+        sig = e.signature(self.ids)
         if sig in self.memo:
             return None
         self.memo.add(sig)
@@ -405,13 +419,30 @@ def _parts(ctx: Context, root: EqRel) -> list[set[int]]:
 
 def enumerate_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions with pairwise distinct merge sets (all of them
-    when n is None), in deterministic search order."""
-    return _Search(ctx).run(limit=n)
+    when n is None), in deterministic search order. The first alone
+    (n == 1) is searched part by part, see solve_one."""
+    if n != 1:
+        return _Search(ctx).run(limit=n)
+    split = _Search(ctx).split(limit=1)
+    if split is None:
+        return []
+    root, parts = split
+    return [_joined(root, (found[0][0] for found in parts))]
 
 
 def solve_one(ctx: Context) -> Solution | None:
     """Some solution, or None when the specification is inconsistent with
-    the data. Biased toward a subset-maximal one by the search order."""
+    the data. Biased toward a subset-maximal one by the search order.
+
+    It is the first solution the whole-instance search finds, searched one
+    part at a time: each part's first solution, joined (_Search.split),
+    whose derivation lists the root's steps and then each part's. When the
+    specification splits, a state's children, its pruning checks and its
+    acceptance each read the classes of one part only, besides classes no
+    solution grows. So the whole search, restricted to one part, visits
+    that part's states in the part's own search order, and its first
+    accepted state, restricted to a part, is that part's first accepted
+    state. Otherwise the whole instance is the one part."""
     found = enumerate_solutions(ctx, n=1)
     return found[0] if found else None
 

@@ -56,11 +56,14 @@ class SimResolver(Protocol):
 class Context(Record):
     """What every evaluation reads besides the equivalence relation: the
     database, the specification, the similarity resolver (None when no
-    similarity atom is evaluated) and the null inequality policy."""
+    similarity atom is evaluated) and the null inequality policy, plus the
+    ub fixpoint under them when it is already known (None otherwise), as
+    `simkit.sim_opt` computes it; `engine.ub` then copies it instead of
+    running the fixpoint again."""
 
-    __slots__ = ("db", "spec", "sims", "null_inequality")
+    __slots__ = ("db", "spec", "sims", "null_inequality", "ub")
 
-    _defaults = {"sims": None, "null_inequality": "distinct"}
+    _defaults = {"sims": None, "null_inequality": "distinct", "ub": None}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
@@ -69,6 +72,14 @@ class Context(Record):
                 f"unknown null inequality policy {self.null_inequality!r}; "
                 f"expected 'distinct' or 'fail'"
             )
+        if self.ub is not None:
+            self.require_domain(self.ub)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed. A ub belongs to the fields
+        it was computed under, so the copy keeps none unless given one."""
+        changes.setdefault("ub", None)
+        return super().replace(**changes)
 
     def require_domain(self, e: EqRel) -> None:
         """Raise ValueError unless e numbers the domain as the rows do."""

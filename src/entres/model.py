@@ -423,12 +423,19 @@ class EqRel:
                     pairs.add(MergePair.of(cls[i], cls[j]))
         return frozenset(pairs)
 
-    def signature(self) -> frozenset[frozenset[int]]:
-        """Hashable canonical form: the non-singleton classes as id sets."""
-        return frozenset(
-            frozenset(self.class_ids((r,)))
-            for r, size in enumerate(self._size) if size > 1
-        )
+    def signature(
+        self, ids: Iterable[int] | None = None
+    ) -> frozenset[frozenset[int]]:
+        """Hashable canonical form: the non-singleton classes as id sets;
+        given ids, only the classes of those ids, at a cost in their
+        number rather than in the domain's size."""
+        size = self._size
+        if ids is None:
+            roots: Iterable[int] = (r for r, s in enumerate(size) if s > 1)
+        else:
+            root = self._root
+            roots = {r for r in map(root.__getitem__, ids) if size[r] > 1}
+        return frozenset(frozenset(self.class_ids((r,))) for r in roots)
 
     def __contains__(self, pair: object) -> bool:
         if isinstance(pair, MergePair):

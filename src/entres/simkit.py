@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
-from .model import Database, Kind
+from .model import Database, EqRel, Kind
 from .rules import HINT_BACKEND, Specification, Var, hundredths, var_positions
 
 # ------------------------------------------------------------------- store
@@ -558,9 +558,12 @@ def sim_cs(
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
-) -> SimStore:
-    """Three-phase optimized materialization; returns the score store. The
-    context's own resolver is not consulted."""
+) -> tuple[SimStore, EqRel]:
+    """Three-phase optimized materialization; returns the score store and
+    phase 1's ub fixpoint. That is the ub under `StrictResolver(store)`
+    too, as the store holds every score the fixpoint probed, so the engine
+    can take it as that context's ub (see Context). The context's own
+    resolver is not consulted."""
     registry = build_registry(ctx.spec, ctx.db) if registry is None else registry
     store = SimStore()
     resolver = OnDemandResolver(store, registry)
@@ -582,4 +585,4 @@ def sim_opt(
             ):
                 resolver.score(satom.func_id, a, b)
 
-    return store
+    return store, e_ub

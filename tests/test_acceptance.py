@@ -190,7 +190,7 @@ def test_criterion_4_probe_thrift(bundle):
                 continue
             checked += 1
             store_cs = sim_cs(inst.db, inst.spec)
-            store_opt = sim_opt(inst.ctx)
+            store_opt, _ = sim_opt(inst.ctx)
             assert store_opt.calls <= store_cs.calls, inst.seed
             thrifty = {
                 s.pairs()

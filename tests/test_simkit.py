@@ -446,7 +446,7 @@ class TestStrategies:
         for name, store in (
             ("all", sim_all(db, spec)),
             ("cs", sim_cs(db, spec)),
-            ("opt", sim_opt(ctx)),
+            ("opt", sim_opt(ctx)[0]),
         ):
             sols = enumerate_solutions(
                 ctx.replace(sims=StrictResolver(store))
@@ -474,7 +474,7 @@ class TestStrategies:
             pytest.skip("this seed has no similarity atoms")
         store_all = inst.store
         store_cs = sim_cs(inst.db, inst.spec)
-        store_opt = sim_opt(inst.ctx)
+        store_opt, _ = sim_opt(inst.ctx)
         assert store_opt.key_set() <= store_cs.key_set() <= store_all.key_set()
         assert store_opt.calls <= store_cs.calls <= store_all.calls
 
@@ -483,7 +483,7 @@ class TestStrategies:
         inst = generate(seed)
         if inst.store is None:
             pytest.skip("this seed has no similarity atoms")
-        store_opt = sim_opt(inst.ctx)
+        store_opt, _ = sim_opt(inst.ctx)
         full = {
             s.pairs()
             for s in enumerate_solutions(

@@ -1,8 +1,9 @@
-"""pm, cm, maximal, merge_sets and is_possible search an instance one
-independent part at a time: several parts when the search is eager and
-every constraint prunes, and one part, the whole instance, otherwise.
-Their answers must equal the brute force and the whole-instance
-enumeration, with one part as with several."""
+"""pm, cm, maximal, merge_sets, is_possible and solve_one search an
+instance one independent part at a time: several parts when the search is
+eager and every constraint prunes, and one part, the whole instance,
+otherwise. Their answers must equal the brute force and the whole-instance
+search, with one part as with several. The parts are cut under the ub
+fixpoint, which `sim_opt` hands over with the context it was computed in."""
 
 import importlib.util
 import sys
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from entres import cli
+from entres import cli, engine
 from entres.engine import (
     _parts,
     _Search,
@@ -20,14 +21,21 @@ from entres.engine import (
     maximal_solutions,
     merge_sets,
     possible_merges,
+    solve_one,
     ub,
 )
 from entres.matcher import Context
 from entres.model import Database, Fact, MergePair
 from entres.rules import analyse, parse_spec
+from entres.simkit import StrictResolver, build_registry, sim_opt
 
 from conftest import ROOT, e, v
-from instances import generate_parts
+from instances import (
+    chain_instance,
+    generate,
+    generate_neq,
+    generate_parts,
+)
 from oracles import bruteforce_solutions, maximal_sets, pm_cm, verify_solution
 
 P = MergePair.of
@@ -202,3 +210,116 @@ def test_forty_free_pairs_finish(tmp_path, capsys):
     # about 1 s on a 2-core x86 container with the pure-Python kernels;
     # the unsplit search does not finish
     assert time.perf_counter() - start < 30
+
+
+def _first_matches_the_whole_search(ctx):
+    """solve_one, searched part by part, merges what the whole-instance
+    search's first solution merges, and its derivation replays."""
+    whole = _Search(ctx).run(limit=1)
+    sol = solve_one(ctx)
+    assert (sol is None) == (not whole)
+    if sol is not None:
+        assert sol.pairs() == whole[0].pairs()
+        assert verify_solution(ctx, sol)
+
+
+class TestFirstSolution:
+    """The first solution joined from each part's first solution equals
+    the whole-instance search's first solution on every family."""
+
+    @pytest.mark.parametrize("family, seeds", [
+        (generate, 50),
+        (lambda seed: generate(seed, hard_only=True), 50),
+        (generate_neq, 50),
+        (generate_parts, 25),
+        (lambda seed: generate_parts(seed, hub=True), 25),
+    ], ids=["generate", "hard-only", "neq", "disjoint", "hub"])
+    def test_split_first_equals_whole_first(self, family, seeds):
+        for seed in range(seeds):
+            _first_matches_the_whole_search(family(seed).ctx)
+
+    def test_chain_instances(self):
+        for depth in (1, 2, 5, 40):
+            _first_matches_the_whole_search(chain_instance(depth).ctx)
+
+    def test_parts_with_equal_keys_each_get_a_memo(self):
+        # merging a1 with a2, or b1 with b2, breaks d, so each part's first
+        # state is the root's: both part-local keys are empty, and a memo
+        # the parts shared would drop the second part
+        spec = parse_spec(
+            "relation R(rid: id, k: val, p: val) merge [rid];\n"
+            "soft s: R(x, k, p), R(y, k, p2) ~> eq(x, y);\n"
+            "deny d: R(x, k, p), R(x, k2, p2), p != p2;\n"
+        )
+        db = Database([
+            Fact("R", (e(f"{k}{i}"), v(k), v(f"p{i}")))
+            for k in ("a", "b") for i in (1, 2)
+        ])
+        ctx = Context(db, spec)
+        assert analyse(spec).splits
+        root, parts = _Search(ctx).split(limit=1)
+        ids = _parts(ctx, root.eq)
+        assert len(parts) == len(ids) == 2
+        keys = [found[0][0].eq.signature(i) for found, i in zip(parts, ids)]
+        assert keys == [frozenset(), frozenset()]
+        _first_matches_the_whole_search(ctx)
+        assert solve_one(ctx).pairs() == frozenset()
+
+    def test_a_root_with_nothing_to_branch_on_is_answered_as_it_is(
+        self, monkeypatch
+    ):
+        # a hard-only ladder: the root is the one solution, found with no
+        # parts and no ub fixpoint
+        ctx = chain_instance(30).ctx
+        want = _Search(ctx).run(limit=1)[0].pairs()
+
+        def unused(*args):
+            raise AssertionError("searched parts of a root with no candidate")
+
+        monkeypatch.setattr(engine, "_parts", unused)
+        monkeypatch.setattr(engine, "ub", unused)
+        assert not any(_Search(ctx).root().cands)
+        assert solve_one(ctx).pairs() == want
+        assert possible_merges(ctx) == certain_merges(ctx) == want
+        assert [s.pairs() for s in maximal_solutions(ctx)] == [want]
+        top = P(e("e30l"), e("e30r"))
+        assert is_possible(ctx, top) and top in want
+
+
+def _handed_ub_is_the_strict_ub(ctx, registry=None):
+    store, handed = sim_opt(ctx, registry)
+    strict = ctx.replace(sims=StrictResolver(store))
+    assert handed == ub(strict)
+    with_ub = strict.replace(ub=handed)
+    assert with_ub.ub is handed and ub(with_ub) == handed
+    assert ub(with_ub) is not handed  # a copy, which the caller may change
+    # a context that changes anything else drops the ub it was handed
+    assert with_ub.replace(sims=None).ub is None
+    return with_ub
+
+
+def test_sim_opt_hands_over_the_ub_of_its_context(
+    tmp_path, capsys, music_spec, music_db, music_table
+):
+    reg = build_registry(music_spec, music_db, table=music_table)
+    ctx = _handed_ub_is_the_strict_ub(Context(music_db, music_spec), reg)
+    assert possible_merges(ctx) == possible_merges(ctx.replace(sims=ctx.sims))
+    for make in (generate, generate_neq, generate_parts):
+        for seed in range(12):
+            inst = make(seed)
+            if inst.store is not None:
+                _handed_ub_is_the_strict_ub(inst.ctx)
+    # two databases in one process: each run computes the ub of its own
+    small = _gen().music(1, bands=4, band_copies=2, pairs=3, triples=2)
+    large = _gen().music(2, bands=9, band_copies=3, pairs=8, triples=1)
+    for inst, name in ((small, "small"), (large, "large"), (small, "again")):
+        inst.write(tmp_path / name)
+        argv = ["--spec", str(tmp_path / name / "spec.er"),
+                "--data", str(tmp_path / name)]
+        for mode in ("ub", "pm", "cm", "solve-one"):
+            out = tmp_path / name / mode
+            assert cli.main(argv + ["--mode", mode, "--out", str(out)]) == 0
+            attr = mode.replace("-", "_")
+            got = (out / f"{mode}.tsv").read_text()
+            assert got == _tsv(getattr(inst, attr)), (name, mode)
+    capsys.readouterr()
