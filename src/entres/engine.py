@@ -396,18 +396,20 @@ def _parts(ctx: Context, root: EqRel) -> list[set[int]]:
     order of their least id. Matches at ub cover those at every state
     between root and ub, as the specification is merge-monotone, and each
     merge within a ub class came from one of them, so no match of any such
-    state reads two parts."""
+    state reads two parts. Only the matches on a row touching an undecided
+    class can link two, so only those are evaluated."""
     u = ub(ctx)
     canon = u.canon_id
     undecided = {
         canon(i) for i in range(ctx.db.entities)
         if root.canon_id(i) != canon(i)
     }
+    members = u.class_ids(undecided)
     links = ctx.identity()
     spec = ctx.spec
     bodies = [r.body for r in spec.all_rules()] + [d.body for d in spec.dcs]
     for body in bodies:
-        for ids in matched_ids(body, ctx, u):
+        for ids in matched_ids(body, ctx, u, members):
             read = [c for c in map(canon, ids) if c in undecided]
             for c in read[1:]:
                 links.merge_ids(read[0], c)

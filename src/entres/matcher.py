@@ -440,11 +440,17 @@ def dc_satisfied(
     return True
 
 
-def matched_ids(body: RuleBody, ctx: Context, e: EqRel) -> Iterator[list[int]]:
+def matched_ids(
+    body: RuleBody,
+    ctx: Context,
+    e: EqRel,
+    dirty: AbstractSet[int] | None = None,
+) -> Iterator[list[int]]:
     """For every body match over (ctx.db, e), the raw ids of the rows it
-    reads, atom by atom."""
+    reads, atom by atom. With a dirty id set, only for the matches on a row
+    touching a dirty id (see _Eval.solutions)."""
     rows = ctx.db.rows
-    for _, at in _Eval(body, ctx, e).solutions():
+    for _, at in _Eval(body, ctx, e).solutions(dirty):
         yield [
             i for a, r in zip(body.rel_atoms, at) for i in rows[a.relation][r]
         ]
