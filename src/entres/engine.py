@@ -436,15 +436,16 @@ def solve_one(ctx: Context) -> Solution | None:
     """Some solution, or None when the specification is inconsistent with
     the data. Biased toward a subset-maximal one by the search order.
 
-    It is the first solution the whole-instance search finds, searched one
-    part at a time: each part's first solution, joined (_Search.split),
-    whose derivation lists the root's steps and then each part's. When the
-    specification splits, a state's children, its pruning checks and its
-    acceptance each read the classes of one part only, besides classes no
-    solution grows. So the whole search, restricted to one part, visits
-    that part's states in the part's own search order, and its first
-    accepted state, restricted to a part, is that part's first accepted
-    state. Otherwise the whole instance is the one part."""
+    It merges what the whole-instance search's first solution merges, but
+    is searched one part at a time: each part's first solution, joined
+    (_Search.split), so its derivation lists the root's steps and then
+    each part's. When the specification splits, a state's children, its
+    pruning checks and its acceptance each read the classes of one part
+    only, besides classes no solution grows. So the whole search,
+    restricted to one part, visits that part's states in the part's own
+    search order, and its first accepted state, restricted to a part, is
+    that part's first accepted state. Otherwise the whole instance is the
+    one part."""
     found = enumerate_solutions(ctx, n=1)
     return found[0] if found else None
 
