@@ -1,24 +1,34 @@
 #!/usr/bin/env python3
-"""Scaling curve of CLI `solve-one` on the benchmark's music instances.
+"""Scaling curves of CLI `solve-one` and `pm` on the benchmark's music
+instances.
 
 For each size, `resbench/gen.py` (imported as it is) builds
 `music(1, bands, 2, pairs=8*bands//9, triples=3)`, and each source tree
 named by `--tree LABEL=DIR` runs `python -m entres.cli --mode solve-one`
-on it (`--sim opt`) in a fresh process. The processes are spawned by
+on it (`--sim opt`) in a fresh process, at the `--bands` sizes, and
+`--mode pm` at the `--pm-bands` sizes. The processes are spawned by
 `resbench/spawner.py`, so that wait4 reports each child's own peak RSS,
-and the trees take turns within each repeat. Every run's `solve-one.tsv`
-is checked against the planted answer.
+and the trees take turns within each repeat. Every run's output is checked
+against the planted answer.
 
-Per size and tree the JSON records, for each repeat, the wall time, the
-peak RSS, the `solve=` figure of the CLI's timing line and the status:
+A run above 800 bands gets an address-space cap of `--cap-mb`: a small
+launcher sets `RLIMIT_AS` on itself and then execs the CLI, so the cap
+binds that child alone. Without it, a tree whose memory grows faster than
+the instance could take the machine's memory at the largest sizes.
+
+Per mode, size and tree the JSON records, for each repeat, the wall time,
+the peak RSS, the `solve=` figure of the CLI's timing line and the status:
 `"ok"`, `"wrong"` (output differs from the planted answer), `"timeout"`
-(killed at --timeout) or, for a crash, the exit code and the last line of
-stderr. A size whose runs fail is kept, never dropped. Each tree's commit,
-whether its `src/` differs from that commit, and its kernel backend go in
-the header with the Python version and the machine.
+(killed at --timeout), `"memory"` (a capped run that ran out of address
+space) or, for another crash, the exit code and the last line of stderr.
+A size whose runs fail is kept, never dropped, and the script exits 1
+when any run is not `"ok"`. Each tree's commit, whether its `src/` differs
+from that commit, and its kernel backend go in the header with the Python
+version and the machine.
 
     python benchmarks/curve.py --tree parent=../parent --tree change=. \\
-        --bands 50,100,200,400 --repeat 3 --out BENCH_scaling.json
+        --bands 50,100,200,400,800,1600,3200 --pm-bands 400,800,1600 \\
+        --repeat 3 --out BENCH_scaling.json
 """
 
 from __future__ import annotations
@@ -38,6 +48,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "resbench"))
 
 import gen  # noqa: E402  (resbench/gen.py)
+
+#: runs above this many bands get the address-space cap
+CAPPED_ABOVE = 800
+
+#: sets RLIMIT_AS to argv[1] bytes, then execs argv[2:]
+_LAUNCHER = (
+    "import os, resource, sys; cap = int(sys.argv[1]); "
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+    "os.execv(sys.argv[2], sys.argv[2:])"
+)
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -110,14 +130,17 @@ def _solve_s(stdout: str) -> float | None:
     return None
 
 
-def run_once(sp: Spawner, tree: Path, data: Path, work: Path, want: str,
-             timeout: float) -> dict:
+def run_once(sp: Spawner, tree: Path, mode: str, data: Path, work: Path,
+             want: str, timeout: float, cap_mb: int | None) -> dict:
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     argv = [sys.executable, "-m", "entres.cli", "--spec", str(data / "spec.er"),
-            "--data", str(data), "--sim", "opt", "--mode", "solve-one",
+            "--data", str(data), "--sim", "opt", "--mode", mode,
             "--out", str(out)]
+    if cap_mb is not None:
+        argv = [sys.executable, "-S", "-c", _LAUNCHER,
+                str(cap_mb * 1024 * 1024), *argv]
     got = sp.run({"argv": argv, "env": _env(tree), "stdout": str(work / "stdout"),
                   "stderr": str(work / "stderr"), "timeout": timeout})
     stdout = (work / "stdout").read_text(encoding="utf-8", errors="replace")
@@ -128,9 +151,12 @@ def run_once(sp: Spawner, tree: Path, data: Path, work: Path, want: str,
     elif got["code"] != 0:
         stderr = (work / "stderr").read_text(encoding="utf-8", errors="replace")
         last = stderr.strip().splitlines()[-1:] or [""]
-        cell["status"] = f"exit {got['code']}: {last[0]}"
+        if cap_mb is not None and last[0].startswith("MemoryError"):
+            cell["status"] = "memory"
+        else:
+            cell["status"] = f"exit {got['code']}: {last[0]}"
     else:
-        path = out / "solve-one.tsv"
+        path = out / f"{mode}.tsv"
         right = path.is_file() and path.read_text(encoding="utf-8") == want
         cell["status"] = "ok" if right else "wrong"
         cell["solve_s"] = _solve_s(stdout)
@@ -154,7 +180,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tree", action="append", required=True, metavar="LABEL=DIR",
                    help="a source checkout to time, under a column label")
     p.add_argument("--bands", default="50,100,200,400",
-                   help="comma-separated band counts (default: 50,100,200,400)")
+                   help="comma-separated band counts for solve-one "
+                        "(default: 50,100,200,400)")
+    p.add_argument("--pm-bands", default="",
+                   help="comma-separated band counts for pm (default: none)")
+    p.add_argument("--cap-mb", type=int, default=2048,
+                   help=f"address-space cap in MiB of a run above "
+                        f"{CAPPED_ABOVE} bands (default: 2048)")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds before a run is killed (default: 300)")
@@ -166,39 +198,44 @@ def main(argv: list[str] | None = None) -> int:
         if not sep or not label or label in trees:
             p.error(f"--tree needs a new LABEL=DIR, got {item!r}")
         trees[label] = Path(path).resolve()
-    sizes = [int(b) for b in args.bands.split(",")]
+    cells = [("solve-one", int(b)) for b in args.bands.split(",") if b]
+    cells += [("pm", int(b)) for b in args.pm_bands.split(",") if b]
 
     result = {
-        "what": "CLI solve-one --sim opt on gen.music(1, bands, 2, "
+        "what": "CLI solve-one and pm --sim opt on gen.music(1, bands, 2, "
                 "pairs=8*bands//9, triples=3)",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"{platform.system()}",
         "repeat": args.repeat,
         "timeout_s": args.timeout,
+        "cap_mb_above_800_bands": args.cap_mb,
         "trees": {label: _describe(tree) for label, tree in trees.items()},
         "cells": [],
     }
+    failed = False
     sp = Spawner()
     try:
         with tempfile.TemporaryDirectory(prefix="entres-curve-") as tmp:
-            for bands in sizes:
+            for mode, bands in cells:
                 inst = gen.music(1, bands, 2, pairs=8 * bands // 9, triples=3)
                 data = Path(tmp) / f"music-{bands}"
                 inst.write(data)
-                want = _tsv(inst.solve_one)
+                want = _tsv(getattr(inst, mode.replace("-", "_")))
+                cap = args.cap_mb if bands > CAPPED_ABOVE else None
                 runs: dict[str, list[dict]] = {label: [] for label in trees}
                 for _ in range(args.repeat):
                     for label, tree in trees.items():
                         runs[label].append(run_once(
-                            sp, tree, data, Path(tmp) / label, want,
-                            args.timeout,
+                            sp, tree, mode, data, Path(tmp) / label, want,
+                            args.timeout, cap,
                         ))
-                cell = {"bands": bands}
+                cell = {"mode": mode, "bands": bands}
                 for label in trees:
                     cell[label] = {**_summary(runs[label]), "runs": runs[label]}
+                    failed |= cell[label]["status"] != "ok"
                 result["cells"].append(cell)
-                print(json.dumps({"bands": bands, **{
+                print(json.dumps({"mode": mode, "bands": bands, **{
                     label: _summary(runs[label]) for label in trees
                 }}), file=sys.stderr)
     finally:
@@ -208,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
     else:
         args.out.write_text(text, encoding="utf-8")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -28,17 +28,19 @@ rules.analyse. This module computes:
                  specification splits, the parts are the classes the
                  hard-saturated start leaves undecided, grouped so that no
                  body match under ub reads two parts; otherwise the whole
-                 instance is one part. A start with nothing to branch on
-                 is answered as it is, with no parts and no ub fixpoint.
-                 enumerate_solutions for more than one solution searches
-                 the whole instance;
+                 instance is one part. A part's search is a lazy run that
+                 keeps of each state it accepts only the steps after the
+                 start's and the pairs merged within the part. A start
+                 with nothing to branch on is answered as it is, with no
+                 parts and no ub fixpoint. enumerate_solutions for more
+                 than one solution searches the whole instance;
   - levels:      recursion depth of each merge (the round of the
                  rule-application chain that first produces it).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import AbstractSet, Collection, Iterable, Iterator
 
 from .errors import NotASolution
@@ -157,23 +159,12 @@ def loose_ub(ctx: Context) -> EqRel:
 # ------------------------------------------------------------------ search
 
 
-class _Node:
-    """A search state on the DFS stack: its candidates per branching rule
-    (as canonical id pairs) and the sorted answers not yet tried."""
+class _Node(Record):
+    """A search state on the DFS stack: its relation, its derivation, its
+    candidates per branching rule (as canonical id pairs) and the iterator
+    of the sorted answers not yet tried."""
 
     __slots__ = ("e", "deriv", "cands", "todo")
-
-    def __init__(
-        self,
-        e: EqRel,
-        deriv: tuple[DerivStep, ...],
-        cands: list[set[tuple[int, int]]],
-        todo: Iterator[tuple[str, int, int]],
-    ):
-        self.e = e
-        self.deriv = deriv
-        self.cands = cands
-        self.todo = todo
 
 
 class _Search:
@@ -206,66 +197,56 @@ class _Search:
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self.an = analyse(ctx.spec)
-        self.memo: set[frozenset[frozenset[int]]] = set()
-        #: the ids whose classes key the memo, or None for every id
-        self.ids: Collection[int] | None = None
 
     def root(self) -> _Node | None:
         """The node of the start state, hard-saturated when saturation is
-        eager, or None when it fails a pruning constraint. Starts a new
-        memo keyed by every class."""
-        self.memo, self.ids = set(), None
+        eager, or None when it fails a pruning constraint. Its key goes to
+        a memo of its own: no state under it is the start state again."""
         start = self.ctx.identity()
         steps: list[DerivStep] = []
         if self.an.eager:
             hard = self.ctx.spec.hard
             for _ in _rounds(self.ctx, hard, start, record=steps):
                 pass
-        return self._enter(start, tuple(steps))
+        return self._enter(start, tuple(steps), set(), None)
 
     def run(
-        self,
-        limit: int | None = None,
-        stop_pair: MergePair | None = None,
-        root: _Node | None = None,
-    ) -> list[Solution]:
-        """Solutions in search order, from the given root node or else
-        from the start state, up to limit of them or to the first that
-        merges stop_pair."""
-        results: list[Solution] = []
-        if limit is not None and limit <= 0:
-            return results
-        if root is None:
-            root = self.root()
-        stack = [root] if root is not None else []
+        self, node: _Node, ids: Collection[int] | None = None
+    ) -> Iterator[_Node]:
+        """The accepted states under node, node itself last, in search
+        order. The run has its own memo, keyed by the classes of ids (of
+        every id when None). A child applies one answer to its parent's
+        state and hard-saturates from the merged class when saturation is
+        eager."""
+        ctx, memo = self.ctx, set()
+        stack = [node]
         while stack:
-            node = stack[-1]
-            step = next(node.todo, None)
-            if step is not None:
-                child = self._child(node, *step)
-                if child is not None:
-                    stack.append(child)
+            top = stack[-1]
+            step = next(top.todo, None)
+            if step is None:
+                stack.pop()
+                if self._accepts(top):
+                    yield top
                 continue
-            stack.pop()
-            if self._accepts(node):
-                results.append(Solution(node.e, node.deriv))
-                if len(results) == limit or (
-                    stop_pair is not None and stop_pair in node.e
-                ):
-                    break
-        return results
+            label, i, j = step
+            e = top.e.clone()
+            steps = [DerivStep(label, MergePair.of(e.const(i), e.const(j)))]
+            e.merge_ids(i, j)
+            dirty = e.class_ids((i,))
+            if self.an.eager:
+                grown = _rounds(ctx, ctx.spec.hard, e, dirty, record=steps)
+                dirty = dirty.union(*grown)
+            deriv = top.deriv + tuple(steps)
+            child = self._enter(e, deriv, memo, ids, top.cands, dirty)
+            if child is not None:
+                stack.append(child)
 
-    def split(
-        self, stop_pair: MergePair | None = None, limit: int | None = None
-    ) -> tuple[Solution, list[list[_PartSolution]]] | None:
-        """The root's state and, per independent part, the solutions that
-        differ from the root only within that part (up to limit of them),
-        each with the pairs it merges there, searched from the root with
-        its candidates cut down to the part; None when the root fails a
-        pruning constraint or a part it searched has no solution. Given
-        stop_pair, only the part holding both its ids is searched, up to a
-        solution that merges them. A root with no candidate to branch on
-        has no part: it is the one solution or there is none.
+    def split(self) -> tuple[_Node, Iterator[_Part]] | None:
+        """The root node and, lazily, each independent part's ids and
+        iterator of part solutions (see part), or None when the root fails
+        a pruning constraint. The root's candidates are cut down to every
+        part in one pass. A root with no candidate to branch on has no
+        part: it is the one solution, or None when it is no solution.
 
         When the specification splits (Analysis.splits), the parts are
         _parts': a state between the root and ub is a solution iff its
@@ -274,7 +255,7 @@ class _Search:
         solution grows. For the same reason a child's new candidates lie in
         its root's part, so only the root's are cut down, and every state a
         part's search reaches differs from the root only in classes of the
-        part's ids, so each part has its own memo keyed by those classes.
+        part's ids, so each part's run keys its memo by those classes.
         Otherwise the whole instance is one part: the search might break a
         checked constraint in every state, or (unless eager) start below a
         hard answer, so the root's pairs count only once the part has a
@@ -282,54 +263,53 @@ class _Search:
         root = self.root()
         if root is None:
             return None
-        start = Solution(root.e, root.deriv)
         if not any(root.cands):
-            return (start, []) if self._accepts(root) else None
+            return (root, iter(())) if self._accepts(root) else None
         if self.an.splits:
             parts = _parts(self.ctx, root.e)
         else:
             parts = [range(self.ctx.db.entities)]
-        if stop_pair is not None:
-            pair = {root.e.id_of(c) for c in stop_pair}
-            parts = [ids for ids in parts if pair.issubset(ids)]
-        found = []
-        for ids in parts:
-            cands = [{p for p in got if p[0] in ids} for got in root.cands]
-            node = self._node(root.e, root.deriv, cands)
-            self.memo, self.ids = set(), ids
-            sols = self.run(limit, stop_pair, node)
-            if not sols:
-                return None
-            found.append([(sol, _pairs_within(sol.eq, ids)) for sol in sols])
-        return start, found
+        index = {i: k for k, ids in enumerate(parts) for i in ids}
+        cut = [[set() for _ in root.cands] for _ in parts]
+        for r, got in enumerate(root.cands):
+            for p in got:
+                cut[index[p[0]]][r].add(p)
+        return root, (
+            (ids, self.part(root, ids, cands))
+            for ids, cands in zip(parts, cut)
+        )
 
-    def _child(self, parent: _Node, label: str, i: int, j: int) -> _Node | None:
-        """Apply one answer to the parent's state, hard-saturate from the
-        merged class when saturation is eager, and enter the result."""
-        e = parent.e.clone()
-        steps = [DerivStep(label, MergePair.of(e.const(i), e.const(j)))]
-        e.merge_ids(i, j)
-        dirty = e.class_ids((i,))
-        if self.an.eager:
-            dirty = dirty.union(
-                *_rounds(self.ctx, self.ctx.spec.hard, e, dirty, record=steps)
-            )
-        return self._enter(e, parent.deriv + tuple(steps), parent.cands, dirty)
+    def part(
+        self,
+        root: _Node,
+        ids: Collection[int],
+        cands: list[set[tuple[int, int]]],
+    ) -> Iterator[_PartSolution]:
+        """The solutions that differ from root only within the part ids,
+        searched from root with its candidates cut down to cands, each as
+        its steps after root's and the pairs it merges among ids; no
+        accepted state is kept once the next is searched for."""
+        start = len(root.deriv)
+        for node in self.run(self._node(root.e, root.deriv, cands), ids):
+            yield node.deriv[start:], _pairs_within(node.e, ids)
 
     def _enter(
         self,
         e: EqRel,
         deriv: tuple[DerivStep, ...],
+        memo: set[frozenset[frozenset[int]]],
+        ids: Collection[int] | None,
         parent_cands: list[set[tuple[int, int]]] | None = None,
         dirty: set[int] | None = None,
     ) -> _Node | None:
         """The node for a new state, or None when the memo already holds
-        it or a pruning constraint fails. The root passes no parent
-        candidates and no dirty ids, and is evaluated in full."""
-        sig = e.signature(self.ids)
-        if sig in self.memo:
+        its key (its partition of the classes of ids) or a pruning
+        constraint fails. The root passes no parent candidates and no
+        dirty ids, and is evaluated in full."""
+        sig = e.signature(ids)
+        if sig in memo:
             return None
-        self.memo.add(sig)
+        memo.add(sig)
         for dc in self.an.pruning:
             if not dc_satisfied(dc, self.ctx, e, dirty):
                 return None  # violation persists in the whole subtree
@@ -370,8 +350,11 @@ class _Search:
         )
 
 
-#: a solution of one part, with the pairs it merges within the part
-_PartSolution = tuple[Solution, frozenset[MergePair]]
+#: a solution of one part: its steps after the root's, and the pairs it
+#: merges within the part
+_PartSolution = tuple[tuple[DerivStep, ...], frozenset[MergePair]]
+#: a part's ids and the iterator of its solutions
+_Part = tuple[Collection[int], Iterator[_PartSolution]]
 
 
 def _pairs_within(e: EqRel, ids: Iterable[int]) -> frozenset[MergePair]:
@@ -423,13 +406,20 @@ def enumerate_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions with pairwise distinct merge sets (all of them
     when n is None), in deterministic search order. The first alone
     (n == 1) is searched part by part, see solve_one."""
+    if n is not None and n <= 0:
+        return []
+    search = _Search(ctx)
     if n != 1:
-        return _Search(ctx).run(limit=n)
-    split = _Search(ctx).split(limit=1)
+        root = search.root()
+        found = () if root is None else search.run(root)
+        return [Solution(s.e, s.deriv) for s in islice(found, n)]
+    split = search.split()
     if split is None:
         return []
     root, parts = split
-    return [_joined(root, (found[0][0] for found in parts))]
+    # each part's search, and its stack, is freed once it gave its first
+    firsts = [next(sols, None) for _, sols in parts]
+    return [] if None in firsts else [_joined(root, firsts)]
 
 
 def solve_one(ctx: Context) -> Solution | None:
@@ -437,15 +427,15 @@ def solve_one(ctx: Context) -> Solution | None:
     the data. Biased toward a subset-maximal one by the search order.
 
     It merges what the whole-instance search's first solution merges, but
-    is searched one part at a time: each part's first solution, joined
-    (_Search.split), so its derivation lists the root's steps and then
-    each part's. When the specification splits, a state's children, its
-    pruning checks and its acceptance each read the classes of one part
-    only, besides classes no solution grows. So the whole search,
-    restricted to one part, visits that part's states in the part's own
-    search order, and its first accepted state, restricted to a part, is
-    that part's first accepted state. Otherwise the whole instance is the
-    one part."""
+    is searched one part at a time: the root joined with each part's first
+    part solution (_Search.split), so its derivation lists the root's steps
+    and then each part's. When the specification splits, a state's
+    children, its pruning checks and its acceptance each read the classes
+    of one part only, besides classes no solution grows. So the whole
+    search, restricted to one part, visits that part's states in the
+    part's own search order, and its first accepted state, restricted to a
+    part, is that part's first accepted state. Otherwise the whole
+    instance is the one part."""
     found = enumerate_solutions(ctx, n=1)
     return found[0] if found else None
 
@@ -458,33 +448,34 @@ def _largest_first(sol: Solution):
 def _maximal(found: list[_PartSolution]) -> list[_PartSolution]:
     """The entries whose pairs no other entry's strictly contain."""
     return [
-        (sol, ps) for sol, ps in found if not any(ps < qs for _, qs in found)
+        (steps, ps) for steps, ps in found
+        if not any(ps < qs for _, qs in found)
     ]
 
 
-def _joined(root: Solution, sols: Iterable[Solution]) -> Solution:
-    """The state of solutions from disjoint parts, each extending root:
-    root's derivation followed by each one's own steps."""
-    e = root.eq.clone()
-    deriv = list(root.derivation)
-    for sol in sols:
-        for step in sol.derivation[len(root.derivation):]:
+def _joined(root: _Node, picks: Iterable[_PartSolution]) -> Solution:
+    """The root's state with the steps of part solutions from disjoint
+    parts replayed on a copy: root's derivation followed by each pick's."""
+    e = root.e.clone()
+    deriv = list(root.deriv)
+    for steps, _ in picks:
+        for step in steps:
             e.merge(step.pair.left, step.pair.right)
-            deriv.append(step)
+        deriv.extend(steps)
     return Solution(e, tuple(deriv))
 
 
 def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions whose merge sets are subset-maximal among all
-    solutions, largest first: the product of each part's maximal states
-    (see _Search.split)."""
+    solutions, largest first: the product of each part's maximal part
+    solutions (see _Search.split)."""
     if n is not None and n <= 0:
         return []
     split = _Search(ctx).split()
     if split is None:
         return []
     root, parts = split
-    per_part = [[sol for sol, _ in _maximal(found)] for found in parts]
+    per_part = [_maximal(list(sols)) for _, sols in parts]
     maxima = [_joined(root, pick) for pick in product(*per_part)]
     maxima.sort(key=_largest_first)
     return maxima if n is None else maxima[:n]
@@ -500,10 +491,14 @@ def _pm_cm(
     if split is None:
         return frozenset(), frozenset(), False
     root, parts = split
-    pm = root.pairs().union(*(ps for found in parts for _, ps in found))
-    cm = root.pairs().union(*(
-        frozenset.intersection(*(ps for _, ps in _maximal(found)))
-        for found in parts
+    found = [list(sols) for _, sols in parts]
+    if not all(found):
+        return frozenset(), frozenset(), False
+    pairs = root.e.nontrivial_pairs()
+    pm = pairs.union(*(ps for sols in found for _, ps in sols))
+    cm = pairs.union(*(
+        frozenset.intersection(*(ps for _, ps in _maximal(sols)))
+        for sols in found
     ))
     return pm, cm, True
 
@@ -531,13 +526,16 @@ def is_possible(
     if a not in ctx.db.domain or b not in ctx.db.domain:
         return False
     target = MergePair.of(a, b)
-    split = _Search(ctx).split(stop_pair=target)
+    split = _Search(ctx).split()
     if split is None:
         return False
     root, parts = split
-    return target in root.eq or any(
-        target in sol.eq for found in parts for sol, _ in found
-    )
+    both = {root.e.id_of(a), root.e.id_of(b)}
+    merged = target in root.e
+    for ids, sols in parts:
+        if both.issubset(ids):  # root's pairs count if the part has one
+            return any(merged or target in ps for _, ps in sols)
+    return merged
 
 
 def merge_sets(ctx: Context) -> MergeSets:

@@ -8,6 +8,8 @@ fixpoint, which `sim_opt` hands over with the context it was computed in."""
 import importlib.util
 import sys
 import time
+import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -26,7 +28,7 @@ from entres.engine import (
 )
 from entres.matcher import Context
 from entres.model import Database, Fact, MergePair
-from entres.rules import analyse, parse_spec
+from entres.rules import analyse, load_spec, parse_spec
 from entres.simkit import StrictResolver, build_registry, sim_opt
 
 from conftest import ROOT, e, v
@@ -212,14 +214,42 @@ def test_forty_free_pairs_finish(tmp_path, capsys):
     assert time.perf_counter() - start < 30
 
 
+def test_solve_one_memory_grows_linearly(tmp_path):
+    # a relation kept per part solution made the peak grow with parts
+    # times domain (x3.8 from 100 to 200 bands)
+    peaks = {}
+    for bands in (100, 200):
+        inst = _gen().music(1, bands, 2, pairs=8 * bands // 9, triples=3)
+        inst.write(tmp_path / str(bands))
+        spec = load_spec(str(tmp_path / str(bands) / "spec.er"))
+        ctx = Context(cli.ingest(str(tmp_path / str(bands)), spec.schema), spec)
+        store, handed = sim_opt(ctx)
+        ctx = ctx.replace(sims=StrictResolver(store), ub=handed)
+        tracemalloc.start()
+        try:
+            sol = solve_one(ctx)
+            peaks[bands] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(map(_text, sol.pairs())) == inst.solve_one
+    assert peaks[200] <= 2.5 * peaks[100], peaks
+
+
+def _whole_first(ctx):
+    """The state of the whole-instance search's first solution, or None."""
+    search = _Search(ctx)
+    root = search.root()
+    return None if root is None else next(search.run(root), None)
+
+
 def _first_matches_the_whole_search(ctx):
     """solve_one, searched part by part, merges what the whole-instance
     search's first solution merges, and its derivation replays."""
-    whole = _Search(ctx).run(limit=1)
+    whole = _whole_first(ctx)
     sol = solve_one(ctx)
-    assert (sol is None) == (not whole)
+    assert (sol is None) == (whole is None)
     if sol is not None:
-        assert sol.pairs() == whole[0].pairs()
+        assert sol.pairs() == whole.e.nontrivial_pairs()
         assert verify_solution(ctx, sol)
 
 
@@ -244,8 +274,9 @@ class TestFirstSolution:
 
     def test_parts_with_equal_keys_each_get_a_memo(self):
         # merging a1 with a2, or b1 with b2, breaks d, so each part's first
-        # state is the root's: both part-local keys are empty, and a memo
-        # the parts shared would drop the second part
+        # state is the root's: it merges no pair in the part, so both
+        # part-local keys are empty, and a memo the parts shared would drop
+        # the second part
         spec = parse_spec(
             "relation R(rid: id, k: val, p: val) merge [rid];\n"
             "soft s: R(x, k, p), R(y, k, p2) ~> eq(x, y);\n"
@@ -257,13 +288,34 @@ class TestFirstSolution:
         ])
         ctx = Context(db, spec)
         assert analyse(spec).splits
-        root, parts = _Search(ctx).split(limit=1)
-        ids = _parts(ctx, root.eq)
-        assert len(parts) == len(ids) == 2
-        keys = [found[0][0].eq.signature(i) for found, i in zip(parts, ids)]
-        assert keys == [frozenset(), frozenset()]
+        root, parts = _Search(ctx).split()
+        parts = list(parts)
+        assert [ids for ids, _ in parts] == _parts(ctx, root.e)
+        assert len(parts) == 2
+        assert [next(sols)[1] for _, sols in parts] == [frozenset()] * 2
         _first_matches_the_whole_search(ctx)
         assert solve_one(ctx).pairs() == frozenset()
+
+    @pytest.mark.parametrize("hub", [False, True], ids=["disjoint", "hub"])
+    def test_part_runs_keep_their_own_memos(self, hub):
+        # two part iterators of one search, advanced in turn, yield what
+        # each yields alone: neither run keys its memo by the other's ids
+        checked = 0
+        for seed in range(25):
+            ctx = generate_parts(seed, hub).ctx
+            split = _Search(ctx).split()
+            alone = [] if split is None else [list(sols) for _, sols in split[1]]
+            if len(alone) < 2:
+                continue
+            _, parts = _Search(ctx).split()
+            (_, first), (_, second), *_ = parts
+            got = [[], []]
+            for _ in range(max(map(len, alone[:2]))):
+                for out, sols in zip(got, (first, second)):
+                    out.extend(islice(sols, 1))
+            assert got == alone[:2], seed
+            checked += 1
+        assert checked >= 10
 
     def test_a_root_with_nothing_to_branch_on_is_answered_as_it_is(
         self, monkeypatch
@@ -271,7 +323,7 @@ class TestFirstSolution:
         # a hard-only ladder: the root is the one solution, found with no
         # parts and no ub fixpoint
         ctx = chain_instance(30).ctx
-        want = _Search(ctx).run(limit=1)[0].pairs()
+        want = _whole_first(ctx).e.nontrivial_pairs()
 
         def unused(*args):
             raise AssertionError("searched parts of a root with no candidate")
