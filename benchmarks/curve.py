@@ -209,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
                    f"{platform.system()}",
         "repeat": args.repeat,
         "timeout_s": args.timeout,
-        "cap_mb_above_800_bands": args.cap_mb,
+        f"cap_mb_above_{CAPPED_ABOVE}_bands": args.cap_mb,
         "trees": {label: _describe(tree) for label, tree in trees.items()},
         "cells": [],
     }
