@@ -11,7 +11,7 @@ on it (`--sim opt`) in a fresh process, at the `--bands` sizes, and
 and the trees take turns within each repeat. Every run's output is checked
 against the planted answer.
 
-A run above 800 bands gets an address-space cap of `--cap-mb`: a small
+A run above 800 bands gets an address-space cap of 2,048 MiB: a small
 launcher sets `RLIMIT_AS` on itself and then execs the CLI, so the cap
 binds that child alone. Without it, a tree whose memory grows faster than
 the instance could take the machine's memory at the largest sizes.
@@ -49,8 +49,9 @@ sys.path.insert(0, str(ROOT / "resbench"))
 
 import gen  # noqa: E402  (resbench/gen.py)
 
-#: runs above this many bands get the address-space cap
+#: runs above this many bands get an address-space cap of CAP_MB MiB
 CAPPED_ABOVE = 800
+CAP_MB = 2048
 
 #: sets RLIMIT_AS to argv[1] bytes, then execs argv[2:]
 _LAUNCHER = (
@@ -184,9 +185,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: 50,100,200,400)")
     p.add_argument("--pm-bands", default="",
                    help="comma-separated band counts for pm (default: none)")
-    p.add_argument("--cap-mb", type=int, default=2048,
-                   help=f"address-space cap in MiB of a run above "
-                        f"{CAPPED_ABOVE} bands (default: 2048)")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds before a run is killed (default: 300)")
@@ -209,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                    f"{platform.system()}",
         "repeat": args.repeat,
         "timeout_s": args.timeout,
-        f"cap_mb_above_{CAPPED_ABOVE}_bands": args.cap_mb,
+        f"cap_mb_above_{CAPPED_ABOVE}_bands": CAP_MB,
         "trees": {label: _describe(tree) for label, tree in trees.items()},
         "cells": [],
     }
@@ -222,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
                 data = Path(tmp) / f"music-{bands}"
                 inst.write(data)
                 want = _tsv(getattr(inst, mode.replace("-", "_")))
-                cap = args.cap_mb if bands > CAPPED_ABOVE else None
+                cap = CAP_MB if bands > CAPPED_ABOVE else None
                 runs: dict[str, list[dict]] = {label: [] for label in trees}
                 for _ in range(args.repeat):
                     for label, tree in trees.items():

@@ -41,7 +41,7 @@ rules.analyse. This module computes:
 from __future__ import annotations
 
 from itertools import combinations, islice, product
-from typing import AbstractSet, Collection, Iterable, Iterator
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator
 
 from .errors import NotASolution
 from .matcher import (
@@ -159,12 +159,23 @@ def loose_ub(ctx: Context) -> EqRel:
 # ------------------------------------------------------------------ search
 
 
-class _Node(Record):
-    """A search state on the DFS stack: its relation, its derivation, its
-    candidates per branching rule (as canonical id pairs) and the iterator
-    of the sorted answers not yet tried."""
+class _Node:
+    """A search state on the DFS stack: its candidates per branching rule
+    (as canonical id pairs) and the sorted answers not yet tried."""
 
     __slots__ = ("e", "deriv", "cands", "todo")
+
+    def __init__(
+        self,
+        e: EqRel,
+        deriv: tuple[DerivStep, ...],
+        cands: list[set[tuple[int, int]]],
+        todo: Iterator[tuple[str, int, int]],
+    ):
+        self.e = e
+        self.deriv = deriv
+        self.cands = cands
+        self.todo = todo
 
 
 class _Search:
@@ -402,24 +413,37 @@ def _parts(ctx: Context, root: EqRel) -> list[set[int]]:
     return list(parts.values())
 
 
+def _each_part(
+    ctx: Context, take: Callable[[Iterator[_PartSolution]], object]
+) -> tuple[_Node, list] | None:
+    """The root node and take of each part's solutions, one part after the
+    other (see _Search.split), or None when the root fails a pruning
+    constraint or a part has no solution; the parts after it are unsearched."""
+    split = _Search(ctx).split()
+    if split is None:
+        return None
+    root, parts = split
+    got = []
+    for _, sols in parts:
+        got.append(take(sols))
+        if not got[-1]:
+            return None
+    return root, got
+
+
 def enumerate_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     """Up to n solutions with pairwise distinct merge sets (all of them
     when n is None), in deterministic search order. The first alone
     (n == 1) is searched part by part, see solve_one."""
     if n is not None and n <= 0:
         return []
-    search = _Search(ctx)
     if n != 1:
+        search = _Search(ctx)
         root = search.root()
         found = () if root is None else search.run(root)
         return [Solution(s.e, s.deriv) for s in islice(found, n)]
-    split = search.split()
-    if split is None:
-        return []
-    root, parts = split
-    # each part's search, and its stack, is freed once it gave its first
-    firsts = [next(sols, None) for _, sols in parts]
-    return [] if None in firsts else [_joined(root, firsts)]
+    split = _each_part(ctx, lambda sols: next(sols, None))
+    return [] if split is None else [_joined(*split)]
 
 
 def solve_one(ctx: Context) -> Solution | None:
@@ -471,11 +495,10 @@ def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     solutions (see _Search.split)."""
     if n is not None and n <= 0:
         return []
-    split = _Search(ctx).split()
+    split = _each_part(ctx, lambda sols: _maximal(list(sols)))
     if split is None:
         return []
-    root, parts = split
-    per_part = [_maximal(list(sols)) for _, sols in parts]
+    root, per_part = split
     maxima = [_joined(root, pick) for pick in product(*per_part)]
     maxima.sort(key=_largest_first)
     return maxima if n is None else maxima[:n]
@@ -487,13 +510,10 @@ def _pm_cm(
     """Possible and certain merges, and whether a solution exists: pm is
     the root's pairs and those of every part's solutions, and cm the root's
     pairs and each part's certain ones (see _Search.split)."""
-    split = _Search(ctx).split()
+    split = _each_part(ctx, list)
     if split is None:
         return frozenset(), frozenset(), False
-    root, parts = split
-    found = [list(sols) for _, sols in parts]
-    if not all(found):
-        return frozenset(), frozenset(), False
+    root, found = split
     pairs = root.e.nontrivial_pairs()
     pm = pairs.union(*(ps for sols in found for _, ps in sols))
     cm = pairs.union(*(

@@ -152,6 +152,26 @@ class TestPartsFamily:
         _check(ctx, set())
         assert maximal_solutions(ctx) == []
 
+    def test_a_part_with_no_solution_ends_the_search(self, monkeypatch):
+        # no split instance has one (each part's root is a solution), so the
+        # first of two parts is made empty: the second is never searched
+        ctx = generate_parts(0, hub=False).ctx
+        root = _Search(ctx).root()
+        searched = []
+
+        def second():
+            searched.append(True)
+            yield (), frozenset()
+
+        monkeypatch.setattr(_Search, "split", lambda self: (
+            root, iter([(range(0), iter(())), (range(0), second())])
+        ))
+        assert enumerate_solutions(ctx, 1) == [] and solve_one(ctx) is None
+        assert maximal_solutions(ctx) == []
+        assert merge_sets(ctx).consistent is False
+        assert possible_merges(ctx) == certain_merges(ctx) == frozenset()
+        assert not searched
+
 
 class TestUnsplitPath:
     """Specifications that do not split are searched as one part."""
