@@ -18,7 +18,8 @@ rules.analyse. This module computes:
                  memoization on partition signatures. The search runs on
                  an explicit stack and is delta-driven: a child
                  re-evaluates rules and constraints only on rows that
-                 touch the classes its merges grew (see _Search);
+                 touch the classes its merges grew, and holds only its
+                 own steps (see _Search);
   - possible_merges / certain_merges / is_possible: union over all
                  solutions and intersection over maximal solutions.
                  These, maximal_solutions, merge_sets and solve_one
@@ -30,7 +31,8 @@ rules.analyse. This module computes:
                  body match under ub reads two parts; otherwise the whole
                  instance is one part. A part's search is a lazy run that
                  keeps of each state it accepts only the steps after the
-                 start's and the pairs merged within the part. A start
+                 start's and the pairs merged within the part; pm, cm and
+                 maximal_solutions read each part's maximal ones. A start
                  with nothing to branch on is answered as it is, with no
                  parts and no ub fixpoint. enumerate_solutions for more
                  than one solution searches the whole instance;
@@ -160,22 +162,20 @@ def loose_ub(ctx: Context) -> EqRel:
 
 
 class _Node:
-    """A search state on the DFS stack: its candidates per branching rule
-    (as canonical id pairs) and the sorted answers not yet tried."""
+    """A search state on the DFS stack: the steps that led to it from the
+    node below it, the answers it branches on (as (rule label, i, j), with
+    canonical ids i < j, the triples _rounds collects) and, in sorted
+    order, those not yet tried."""
 
-    __slots__ = ("e", "deriv", "cands", "todo")
+    __slots__ = ("e", "steps", "cands", "todo")
 
     def __init__(
-        self,
-        e: EqRel,
-        deriv: tuple[DerivStep, ...],
-        cands: list[set[tuple[int, int]]],
-        todo: Iterator[tuple[str, int, int]],
+        self, e: EqRel, steps: tuple[DerivStep, ...], cands: set[_Answer]
     ):
         self.e = e
-        self.deriv = deriv
+        self.steps = steps
         self.cands = cands
-        self.todo = todo
+        self.todo = iter(sorted(cands))
 
 
 class _Search:
@@ -194,10 +194,10 @@ class _Search:
     child uses a row touching one. So at a child:
 
       - hard saturation starts pinned to the dirty ids;
-      - a rule's candidates are the parent's, re-canonicalised and without
-        pairs now in one class, plus the answers of matches pinned to the
-        dirty ids. That needs the parent's matches to persist, so a rule
-        with a break (see Analysis) is evaluated in full instead;
+      - the answers are the parent's, re-canonicalised and without pairs
+        now in one class, plus those of matches pinned to the dirty ids.
+        That needs the parent's matches to persist, so a rule with a break
+        (see Analysis) is evaluated in full instead;
       - pruning constraints are checked only on matches pinned to the
         dirty ids, the checked ones in full once a state's subtree is done.
 
@@ -210,60 +210,66 @@ class _Search:
         self.an = analyse(ctx.spec)
 
     def root(self) -> _Node | None:
-        """The node of the start state, hard-saturated when saturation is
-        eager, or None when it fails a pruning constraint. Its key goes to
-        a memo of its own: no state under it is the start state again."""
+        """The node of the start state, holding the steps to it, hard-
+        saturated when saturation is eager, or None when it fails a pruning
+        constraint."""
         start = self.ctx.identity()
         steps: list[DerivStep] = []
         if self.an.eager:
             hard = self.ctx.spec.hard
             for _ in _rounds(self.ctx, hard, start, record=steps):
                 pass
-        return self._enter(start, tuple(steps), set(), None)
+        return self._enter(start, tuple(steps))
 
     def run(
         self, node: _Node, ids: Collection[int] | None = None
-    ) -> Iterator[_Node]:
+    ) -> Iterator[tuple[_Node, tuple[DerivStep, ...]]]:
         """The accepted states under node, node itself last, in search
-        order. The run has its own memo, keyed by the classes of ids (of
-        every id when None). A child applies one answer to its parent's
-        state and hard-saturates from the merged class when saturation is
-        eager."""
+        order, each with its derivation: the steps of every node on the
+        stack, from the bottom up. The run has its own memo, keyed by the
+        classes of ids (of every id when None) of a child's state once it
+        is saturated; a child whose key is there is dropped. A child
+        applies one answer to its parent's state and hard-saturates from
+        the merged class when saturation is eager."""
         ctx, memo = self.ctx, set()
         stack = [node]
         while stack:
             top = stack[-1]
             step = next(top.todo, None)
             if step is None:
-                stack.pop()
                 if self._accepts(top):
-                    yield top
+                    yield top, tuple(s for n in stack for s in n.steps)
+                stack.pop()
                 continue
             label, i, j = step
             e = top.e.clone()
-            steps = [DerivStep(label, MergePair.of(e.const(i), e.const(j)))]
             e.merge_ids(i, j)
             dirty = e.class_ids((i,))
+            steps: list[DerivStep] = []
             if self.an.eager:
                 grown = _rounds(ctx, ctx.spec.hard, e, dirty, record=steps)
                 dirty = dirty.union(*grown)
-            deriv = top.deriv + tuple(steps)
-            child = self._enter(e, deriv, memo, ids, top.cands, dirty)
+            key = e.signature(ids)
+            if key in memo:
+                continue
+            memo.add(key)
+            first = DerivStep(label, MergePair.of(e.const(i), e.const(j)))
+            child = self._enter(e, (first, *steps), top.cands, dirty)
             if child is not None:
                 stack.append(child)
 
     def split(self) -> tuple[_Node, Iterator[_Part]] | None:
         """The root node and, lazily, each independent part's ids and
         iterator of part solutions (see part), or None when the root fails
-        a pruning constraint. The root's candidates are cut down to every
-        part in one pass. A root with no candidate to branch on has no
-        part: it is the one solution, or None when it is no solution.
+        a pruning constraint. The root's answers are cut down to every part
+        in one pass. A root with no answer to branch on has no part: it is
+        the one solution, or None when it is no solution.
 
         When the specification splits (Analysis.splits), the parts are
         _parts': a state between the root and ub is a solution iff its
         restriction to each part (the root elsewhere) is, as every body
         match reads the classes of one part only, besides classes no
-        solution grows. For the same reason a child's new candidates lie in
+        solution grows. For the same reason a child's new answers lie in
         its root's part, so only the root's are cut down, and every state a
         part's search reaches differs from the root only in classes of the
         part's ids, so each part's run keys its memo by those classes.
@@ -274,93 +280,71 @@ class _Search:
         root = self.root()
         if root is None:
             return None
-        if not any(root.cands):
+        if not root.cands:
             return (root, iter(())) if self._accepts(root) else None
         if self.an.splits:
             parts = _parts(self.ctx, root.e)
         else:
             parts = [range(self.ctx.db.entities)]
         index = {i: k for k, ids in enumerate(parts) for i in ids}
-        cut = [[set() for _ in root.cands] for _ in parts]
-        for r, got in enumerate(root.cands):
-            for p in got:
-                cut[index[p[0]]][r].add(p)
+        cut: list[set[_Answer]] = [set() for _ in parts]
+        for c in root.cands:
+            cut[index[c[1]]].add(c)
         return root, (
             (ids, self.part(root, ids, cands))
             for ids, cands in zip(parts, cut)
         )
 
     def part(
-        self,
-        root: _Node,
-        ids: Collection[int],
-        cands: list[set[tuple[int, int]]],
+        self, root: _Node, ids: Collection[int], cands: set[_Answer]
     ) -> Iterator[_PartSolution]:
         """The solutions that differ from root only within the part ids,
-        searched from root with its candidates cut down to cands, each as
-        its steps after root's and the pairs it merges among ids; no
-        accepted state is kept once the next is searched for."""
-        start = len(root.deriv)
-        for node in self.run(self._node(root.e, root.deriv, cands), ids):
-            yield node.deriv[start:], _pairs_within(node.e, ids)
+        searched from root's state with its answers cut down to cands, each
+        as its steps after root's and the pairs it merges among ids; no
+        accepted state is kept once the next is searched for. The start
+        node holds no steps, so a derivation holds only the part's."""
+        for node, steps in self.run(_Node(root.e, (), cands), ids):
+            yield steps, _pairs_within(node.e, ids)
 
     def _enter(
         self,
         e: EqRel,
-        deriv: tuple[DerivStep, ...],
-        memo: set[frozenset[frozenset[int]]],
-        ids: Collection[int] | None,
-        parent_cands: list[set[tuple[int, int]]] | None = None,
+        steps: tuple[DerivStep, ...],
+        parent: AbstractSet[_Answer] = frozenset(),
         dirty: set[int] | None = None,
     ) -> _Node | None:
-        """The node for a new state, or None when the memo already holds
-        its key (its partition of the classes of ids) or a pruning
-        constraint fails. The root passes no parent candidates and no
-        dirty ids, and is evaluated in full."""
-        sig = e.signature(ids)
-        if sig in memo:
-            return None
-        memo.add(sig)
+        """The node for a new state, or None when a pruning constraint
+        fails. The root passes no parent answers and no dirty ids, and is
+        evaluated in full."""
         for dc in self.an.pruning:
             if not dc_satisfied(dc, self.ctx, e, dirty):
                 return None  # violation persists in the whole subtree
-        cands: list[set[tuple[int, int]]] = []
-        for k, rule in enumerate(self.an.branching):
-            if parent_cands is None or rule.label in self.an.breaks:
-                got = merge_candidates(rule, self.ctx, e)
-            else:
-                got = merge_candidates(rule, self.ctx, e, dirty)
-                for a, b in parent_cands[k]:
-                    a, b = e.canon_id(a), e.canon_id(b)
-                    if a != b:
-                        got.add((a, b) if a < b else (b, a))
-            cands.append(got)
-        return self._node(e, deriv, cands)
-
-    def _node(
-        self,
-        e: EqRel,
-        deriv: tuple[DerivStep, ...],
-        cands: list[set[tuple[int, int]]],
-    ) -> _Node:
-        todo = sorted({
-            (rule.label, i, j)
-            for rule, got in zip(self.an.branching, cands)
-            for i, j in got
-        })
-        return _Node(e, deriv, cands, iter(todo))
+        breaks = self.an.breaks
+        cands: set[_Answer] = set()
+        for rule in self.an.branching:
+            pinned = None if rule.label in breaks else dirty
+            got = merge_candidates(rule, self.ctx, e, pinned)
+            cands.update((rule.label, i, j) for i, j in got)
+        for label, a, b in parent:
+            a, b = e.canon_id(a), e.canon_id(b)
+            if a != b and label not in breaks:
+                cands.add((label, a, b) if a < b else (label, b, a))
+        return _Node(e, steps, cands)
 
     def _accepts(self, node: _Node) -> bool:
         """Whether a state whose subtree is done is a solution: it has no
-        hard answer left and passes the constraints that were not checked
-        on the way down."""
-        if any(node.cands[len(self.ctx.spec.soft):]):
+        hard answer left (one can remain only unless saturation is eager)
+        and passes the constraints that were not checked on the way down."""
+        hard = {rule.label for rule in self.ctx.spec.hard}
+        if not self.an.eager and any(c[0] in hard for c in node.cands):
             return False
         return all(
             dc_satisfied(dc, self.ctx, node.e) for dc in self.an.checked
         )
 
 
+#: a rule's answer: its label and a canonical id pair, smaller id first
+_Answer = tuple[str, int, int]
 #: a solution of one part: its steps after the root's, and the pairs it
 #: merges within the part
 _PartSolution = tuple[tuple[DerivStep, ...], frozenset[MergePair]]
@@ -441,7 +425,7 @@ def enumerate_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
         search = _Search(ctx)
         root = search.root()
         found = () if root is None else search.run(root)
-        return [Solution(s.e, s.deriv) for s in islice(found, n)]
+        return [Solution(node.e, deriv) for node, deriv in islice(found, n)]
     split = _each_part(ctx, lambda sols: next(sols, None))
     return [] if split is None else [_joined(*split)]
 
@@ -469,19 +453,17 @@ def _largest_first(sol: Solution):
     return (-len(ps), ps)
 
 
-def _maximal(found: list[_PartSolution]) -> list[_PartSolution]:
+def _maximal(sols: Iterable[_PartSolution]) -> list[_PartSolution]:
     """The entries whose pairs no other entry's strictly contain."""
-    return [
-        (steps, ps) for steps, ps in found
-        if not any(ps < qs for _, qs in found)
-    ]
+    found = list(sols)
+    return [s for s in found if not any(s[1] < ps for _, ps in found)]
 
 
 def _joined(root: _Node, picks: Iterable[_PartSolution]) -> Solution:
     """The root's state with the steps of part solutions from disjoint
     parts replayed on a copy: root's derivation followed by each pick's."""
     e = root.e.clone()
-    deriv = list(root.deriv)
+    deriv = list(root.steps)
     for steps, _ in picks:
         for step in steps:
             e.merge(step.pair.left, step.pair.right)
@@ -495,7 +477,7 @@ def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
     solutions (see _Search.split)."""
     if n is not None and n <= 0:
         return []
-    split = _each_part(ctx, lambda sols: _maximal(list(sols)))
+    split = _each_part(ctx, _maximal)
     if split is None:
         return []
     root, per_part = split
@@ -507,18 +489,18 @@ def maximal_solutions(ctx: Context, n: int | None = None) -> list[Solution]:
 def _pm_cm(
     ctx: Context,
 ) -> tuple[frozenset[MergePair], frozenset[MergePair], bool]:
-    """Possible and certain merges, and whether a solution exists: pm is
-    the root's pairs and those of every part's solutions, and cm the root's
-    pairs and each part's certain ones (see _Search.split)."""
-    split = _each_part(ctx, list)
+    """Possible and certain merges, and whether a solution exists, from
+    each part's maximal solutions (see _Search.split): pm is the root's
+    pairs and the union of every part's, as each solution lies within a
+    maximal one, and cm the root's pairs and each part's intersection."""
+    split = _each_part(ctx, _maximal)
     if split is None:
         return frozenset(), frozenset(), False
-    root, found = split
+    root, maxima = split
     pairs = root.e.nontrivial_pairs()
-    pm = pairs.union(*(ps for sols in found for _, ps in sols))
+    pm = pairs.union(*(ps for sols in maxima for _, ps in sols))
     cm = pairs.union(*(
-        frozenset.intersection(*(ps for _, ps in _maximal(sols)))
-        for sols in found
+        frozenset.intersection(*(ps for _, ps in sols)) for sols in maxima
     ))
     return pm, cm, True
 

@@ -398,16 +398,23 @@ class TestDeltaSearch:
             [Fact("C", (e(f"a{i:03}"), v(f"k{i:03}"))) for i in range(n)]
             + [Fact("C", (e(f"b{i:03}"), v(f"k{i:03}"))) for i in range(n)]
         )
+        ctx = Context(db, spec)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(250)
         try:
-            sol = solve_one(Context(db, spec))
+            sol = solve_one(ctx)
+            # solve_one searches one part per rung; the whole-instance
+            # search goes n nodes deep, one merge each, before it accepts
+            sols = enumerate_solutions(ctx, 2)
         finally:
             sys.setrecursionlimit(limit)
         assert sol is not None
         assert sol.pairs() == {
             P(e(f"a{i:03}"), e(f"b{i:03}")) for i in range(n)
         }
+        assert [len(s.pairs()) for s in sols] == [n, n - 1]
+        assert sols[0].pairs() == sol.pairs()
+        assert all(verify_solution(ctx, s) for s in sols)
 
 
 class TestInequalityFamily:

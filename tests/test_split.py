@@ -27,7 +27,7 @@ from entres.engine import (
     ub,
 )
 from entres.matcher import Context
-from entres.model import Database, Fact, MergePair
+from entres.model import Database, EqRel, Fact, MergePair
 from entres.rules import analyse, load_spec, parse_spec
 from entres.simkit import StrictResolver, build_registry, sim_opt
 
@@ -55,7 +55,9 @@ def _check(ctx, want):
     """Every part-by-part answer on ctx against the oracle's solution sets
     and against the whole-instance enumeration."""
     opm, ocm = pm_cm(want)
-    assert {s.pairs() for s in enumerate_solutions(ctx)} == want
+    sols = enumerate_solutions(ctx)
+    assert {s.pairs() for s in sols} == want
+    assert all(verify_solution(ctx, s) for s in sols)
     assert possible_merges(ctx) == opm
     assert certain_merges(ctx) == ocm
     ms = merge_sets(ctx)
@@ -256,10 +258,11 @@ def test_solve_one_memory_grows_linearly(tmp_path):
 
 
 def _whole_first(ctx):
-    """The state of the whole-instance search's first solution, or None."""
+    """The node of the whole-instance search's first solution, or None."""
     search = _Search(ctx)
     root = search.root()
-    return None if root is None else next(search.run(root), None)
+    found = () if root is None else search.run(root)
+    return next((node for node, _ in found), None)
 
 
 def _first_matches_the_whole_search(ctx):
@@ -356,6 +359,23 @@ class TestFirstSolution:
         assert [s.pairs() for s in maximal_solutions(ctx)] == [want]
         top = P(e("e30l"), e("e30r"))
         assert is_possible(ctx, top) and top in want
+
+
+def test_the_root_reads_no_signature(
+    monkeypatch, music_db, music_spec, music_sims
+):
+    # only a run's memo reads a key, and no run is keyed by the root's
+    calls = []
+    signature = EqRel.signature
+
+    def counted(self, ids=None):
+        calls.append(ids)
+        return signature(self, ids)
+
+    monkeypatch.setattr(EqRel, "signature", counted)
+    root = _Search(Context(music_db, music_spec, music_sims)).root()
+    assert root is not None and root.cands
+    assert calls == []
 
 
 def _handed_ub_is_the_strict_ub(ctx, registry=None):
