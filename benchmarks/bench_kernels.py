@@ -8,9 +8,12 @@ as the others score, and prints pairs/second; its compiled column is the
 row loop over the compiled `jw_score` that `entres.kernels` selects. The
 `jw_rows xK` row scores the same triangle as `sim all` does, split into K
 contiguous shares, one per usable CPU, the first in this process and the
-others in forked children (K = 1 when the triangle is below two minimum
-shares or one CPU is usable). Each kernel is checked against the fallback
-before it is timed, so a backend that disagrees fails the run. Usage:
+others in forked children (K = 1 when one CPU is usable). It splits
+whatever the share minimum of `sim all` (`simkit._MIN_JW_SHARE`), so that
+the log shows what the forks cost or save at this size. The `jw_rows 44` row scores the triangle of
+the first 44 of those strings, 990 pairs, where a row's fixed costs weigh
+most. Each kernel is checked against the fallback before it is timed, so a
+backend that disagrees fails the run. Usage:
 
     python benchmarks/bench_kernels.py [--pairs N] [--repeat K]
 """
@@ -36,6 +39,10 @@ except ImportError:
     _kernels = None
 
 ALPHABET = string.ascii_lowercase
+
+#: texts of the small triangle, 990 pairs, as many as the `sim all` of
+#: resbench's 3-band music companion scores
+SMALL = 44
 
 
 def make_pairs(n: int, rng: random.Random) -> list[tuple[str, str]]:
@@ -121,22 +128,25 @@ def main() -> None:
         print_row(name, args.pairs, py, c)
 
     texts = triangle_texts(pairs)
-    n = len(texts) * (len(texts) + 1) // 2
-    rows = kernels.map_rows(_kernels_py.jw_score, texts)
-    shares = len(simkit._share_bounds(len(texts))) - 1
-    for name, py_rows, c_rows in (
-        ("jw_rows", _kernels_py.jw_rows, kernels.jw_rows),
+    small = texts[:SMALL]
+    # one share per usable CPU, however few pairs each holds
+    shares = len(simkit._share_bounds(len(texts), 1)) - 1
+    for name, py_rows, c_rows, some in (
+        ("jw_rows", _kernels_py.jw_rows, kernels.jw_rows, texts),
         (f"jw_rows x{shares}",
-         partial(simkit._triangle_rows, _kernels_py.jw_rows),
-         partial(simkit._triangle_rows, kernels.jw_rows)),
+         partial(simkit._triangle_rows, _kernels_py.jw_rows, min_share=1),
+         partial(simkit._triangle_rows, kernels.jw_rows, min_share=1), texts),
+        (f"jw_rows {len(small)}", _kernels_py.jw_rows, kernels.jw_rows, small),
     ):
-        assert py_rows(texts) == rows
-        py = best_of(args.repeat, py_rows, texts)
+        n = len(some) * (len(some) + 1) // 2
+        rows = kernels.map_rows(_kernels_py.jw_score, some)
+        assert py_rows(some) == rows
+        py = best_of(args.repeat, py_rows, some)
         c = None
         if _kernels is not None:
             assert kernels.BACKEND == "c"
-            assert c_rows(texts) == rows
-            c = best_of(args.repeat, c_rows, texts)
+            assert c_rows(some) == rows
+            c = best_of(args.repeat, c_rows, some)
         print_row(name, n, py, c)
 
     if _kernels is None:

@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Scaling curves of CLI `solve-one` and `pm` on the benchmark's music
-instances.
+"""Scaling curves of CLI `solve-one`, `pm` and similarity scoring on the
+benchmark's music instances.
 
 For each size, `resbench/gen.py` (imported as it is) builds
 `music(1, bands, 2, pairs=8*bands//9, triples=3)`, and each source tree
 named by `--tree LABEL=DIR` runs `python -m entres.cli --mode solve-one`
 on it (`--sim opt`) in a fresh process, at the `--bands` sizes, and
-`--mode pm` at the `--pm-bands` sizes. The processes are spawned by
-`resbench/spawner.py`, so that wait4 reports each child's own peak RSS,
-and the trees take turns within each repeat. Every run's output is checked
-against the planted answer.
+`--mode pm` at the `--pm-bands` sizes. At the `--scoring-bands` sizes it
+builds the scoring workload's `music(1, bands, 2, pairs=8, triples=0)` and
+runs `--mode sim` twice, `sim-all` with `--sim all` and `sim-opt` with
+`--sim opt`. The processes are spawned by `resbench/spawner.py`, so that
+wait4 reports each child's own peak RSS, and the trees take turns within
+each repeat. Every run's output passes `resbench/run.py`'s `check` for its
+mode, imported as it is: a `solve-one` or `pm` file equals the planted
+answer, a `sim all` file holds one row per text pair, v(v+1)/2 for v
+texts, and both `sim` files score every planted similar pair at least
+`gen.SIM_THRESHOLD`.
 
 A run above 800 bands gets an address-space cap of 2,048 MiB: a small
 launcher sets `RLIMIT_AS` on itself and then execs the CLI, so the cap
@@ -17,9 +23,10 @@ binds that child alone. Without it, a tree whose memory grows faster than
 the instance could take the machine's memory at the largest sizes.
 
 Per mode, size and tree the JSON records, for each repeat, the wall time,
-the peak RSS, the `solve=` figure of the CLI's timing line and the status:
-`"ok"`, `"wrong"` (output differs from the planted answer), `"timeout"`
-(killed at --timeout), `"memory"` (a capped run that ran out of address
+the peak RSS, a figure of the CLI's timing line, `solve=` for `solve-one`
+and `pm` and `preprocess=` (ingest and scoring) for `sim-all` and
+`sim-opt`, and the status: `"ok"`, `"wrong"` (output fails the check),
+`"timeout"` (killed at --timeout), `"memory"` (a capped run that ran out of address
 space) or, for another crash, the exit code and the last line of stderr.
 A size whose runs fail is kept, never dropped, and the script exits 1
 when any run is not `"ok"`. Each tree's commit, whether its `src/` differs
@@ -28,7 +35,7 @@ version and the machine.
 
     python benchmarks/curve.py --tree parent=../parent --tree change=. \\
         --bands 50,100,200,400,800,1600,3200 --pm-bands 400,800,1600 \\
-        --repeat 3 --out BENCH_scaling.json
+        --scoring-bands 26,52,78 --repeat 3 --out BENCH_scaling.json
 """
 
 from __future__ import annotations
@@ -48,10 +55,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "resbench"))
 
 import gen  # noqa: E402  (resbench/gen.py)
+import run  # noqa: E402  (resbench/run.py)
 
 #: runs above this many bands get an address-space cap of CAP_MB MiB
 CAPPED_ABOVE = 800
 CAP_MB = 2048
+
+#: mode -> its CLI arguments, the `run.check` metric its output passes, and
+#: the figure of the CLI's timing line that the cell records
+MODES = {
+    "solve-one": (["--sim", "opt", "--mode", "solve-one"], "solve_one_s",
+                  "solve"),
+    "pm": (["--sim", "opt", "--mode", "pm"], "pm_s", "solve"),
+    "sim-all": (["--sim", "all", "--mode", "sim"], "sim_all_s", "preprocess"),
+    "sim-opt": (["--sim", "opt", "--mode", "sim"], "sim_opt_s", "preprocess"),
+}
 
 #: sets RLIMIT_AS to argv[1] bytes, then execs argv[2:]
 _LAUNCHER = (
@@ -92,9 +110,11 @@ def _describe(tree: Path) -> dict:
     }
 
 
-def _tsv(pairs) -> str:
-    rows = ["left\tright"] + [f"{a}\t{b}" for a, b in sorted(pairs)]
-    return "\n".join(rows) + "\n"
+def instance(mode: str, bands: int) -> gen.Instance:
+    """The music instance a cell of `mode` runs on."""
+    if mode.startswith("sim-"):
+        return gen.music(1, bands, 2, pairs=8, triples=0)
+    return gen.music(1, bands, 2, pairs=8 * bands // 9, triples=3)
 
 
 class Spawner:
@@ -120,25 +140,25 @@ class Spawner:
         self.proc.stdout.close()
 
 
-def _solve_s(stdout: str) -> float | None:
-    """The solve= seconds of the CLI's timing line."""
+def _timing_s(stdout: str, key: str) -> float | None:
+    """The seconds of `key` in the CLI's timing line."""
     for line in stdout.splitlines():
         if line.startswith("timing:"):
             for cell in line.split()[1:]:
-                key, _, value = cell.partition("=")
-                if key == "solve":
+                name, _, value = cell.partition("=")
+                if name == key:
                     return float(value.rstrip("s"))
     return None
 
 
 def run_once(sp: Spawner, tree: Path, mode: str, data: Path, work: Path,
-             want: str, timeout: float, cap_mb: int | None) -> dict:
+             inst: gen.Instance, timeout: float, cap_mb: int | None) -> dict:
     out = work / "out"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
+    args, metric, figure = MODES[mode]
     argv = [sys.executable, "-m", "entres.cli", "--spec", str(data / "spec.er"),
-            "--data", str(data), "--sim", "opt", "--mode", mode,
-            "--out", str(out)]
+            "--data", str(data), *args, "--out", str(out)]
     if cap_mb is not None:
         argv = [sys.executable, "-S", "-c", _LAUNCHER,
                 str(cap_mb * 1024 * 1024), *argv]
@@ -157,21 +177,21 @@ def run_once(sp: Spawner, tree: Path, mode: str, data: Path, work: Path,
         else:
             cell["status"] = f"exit {got['code']}: {last[0]}"
     else:
-        path = out / f"{mode}.tsv"
-        right = path.is_file() and path.read_text(encoding="utf-8") == want
-        cell["status"] = "ok" if right else "wrong"
-        cell["solve_s"] = _solve_s(stdout)
+        wrong = run.check(metric, inst, out, stdout)
+        cell["status"] = "ok" if wrong is None else "wrong"
+        cell[f"{figure}_s"] = _timing_s(stdout, figure)
     return cell
 
 
-def _summary(runs: list[dict]) -> dict:
+def _summary(mode: str, runs: list[dict]) -> dict:
     ok = [r for r in runs if r["status"] == "ok"]
     if len(ok) < len(runs):
         return {"status": next(r["status"] for r in runs if r["status"] != "ok")}
+    figure = f"{MODES[mode][2]}_s"
     return {
         "status": "ok",
         "wall_s": statistics.median(r["wall_s"] for r in ok),
-        "solve_s": statistics.median(r["solve_s"] for r in ok),
+        figure: statistics.median(r[figure] for r in ok),
         "peak_rss_mb": max(r["peak_rss_mb"] for r in ok),
     }
 
@@ -185,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: 50,100,200,400)")
     p.add_argument("--pm-bands", default="",
                    help="comma-separated band counts for pm (default: none)")
+    p.add_argument("--scoring-bands", default="",
+                   help="comma-separated band counts for sim-all and sim-opt "
+                        "(default: none)")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds before a run is killed (default: 300)")
@@ -198,10 +221,14 @@ def main(argv: list[str] | None = None) -> int:
         trees[label] = Path(path).resolve()
     cells = [("solve-one", int(b)) for b in args.bands.split(",") if b]
     cells += [("pm", int(b)) for b in args.pm_bands.split(",") if b]
+    cells += [(mode, int(b)) for b in args.scoring_bands.split(",") if b
+              for mode in ("sim-all", "sim-opt")]
 
     result = {
         "what": "CLI solve-one and pm --sim opt on gen.music(1, bands, 2, "
-                "pairs=8*bands//9, triples=3)",
+                "pairs=8*bands//9, triples=3); CLI --mode sim with --sim all "
+                "(sim-all) and --sim opt (sim-opt) on gen.music(1, bands, 2, "
+                "pairs=8, triples=0)",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"{platform.system()}",
@@ -216,25 +243,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="entres-curve-") as tmp:
             for mode, bands in cells:
-                inst = gen.music(1, bands, 2, pairs=8 * bands // 9, triples=3)
-                data = Path(tmp) / f"music-{bands}"
+                inst = instance(mode, bands)
+                data = Path(tmp) / f"{mode}-{bands}"
                 inst.write(data)
-                want = _tsv(getattr(inst, mode.replace("-", "_")))
                 cap = CAP_MB if bands > CAPPED_ABOVE else None
                 runs: dict[str, list[dict]] = {label: [] for label in trees}
                 for _ in range(args.repeat):
                     for label, tree in trees.items():
                         runs[label].append(run_once(
-                            sp, tree, mode, data, Path(tmp) / label, want,
+                            sp, tree, mode, data, Path(tmp) / label, inst,
                             args.timeout, cap,
                         ))
                 cell = {"mode": mode, "bands": bands}
                 for label in trees:
-                    cell[label] = {**_summary(runs[label]), "runs": runs[label]}
+                    cell[label] = {**_summary(mode, runs[label]),
+                                   "runs": runs[label]}
                     failed |= cell[label]["status"] != "ok"
                 result["cells"].append(cell)
                 print(json.dumps({"mode": mode, "bands": bands, **{
-                    label: _summary(runs[label]) for label in trees
+                    label: _summary(mode, runs[label]) for label in trees
                 }}), file=sys.stderr)
     finally:
         sp.close()

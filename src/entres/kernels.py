@@ -6,8 +6,9 @@ texts, start, stop)` scores rows start..stop-1 of a triangle (all rows by
 default): row i holds `score(texts[i], t)` for each t in `texts[i:]`, so
 that contiguous shares of one triangle can be scored apart. `jw_rows(texts,
 start, stop)` equals `map_rows(jw_score, texts, start, stop)`: with the
-compiled backend it is that row loop; the fallback finds a range's Jaro
-matches through character maps of `texts[start:]`."""
+compiled backend it is that row loop; the fallback matches each row's text
+against all of `texts[i:]` at once, in fixed-width bit lanes of Python ints
+(see `_kernels_py`)."""
 
 from __future__ import annotations
 

@@ -378,7 +378,9 @@ def sim_all(
     `sim(...)` atom to it (`rules.HINT_BACKEND`). A function scored by the
     built-in Jaro-Winkler kernel has its triangle scored by
     `kernels.jw_rows`, which counts one scorer call per pair all the same;
-    a large triangle is split over the usable CPUs (`_triangle_rows`)."""
+    a large triangle is split over the usable CPUs (`_triangle_rows`), in
+    shares of at least `_MIN_JW_SHARE` pairs for that kernel and
+    `_MIN_SHARE` for a scorer called once a pair."""
     from . import kernels
 
     registry = build_registry(spec, db) if registry is None else registry
@@ -403,23 +405,37 @@ def sim_all(
         if not texts:
             continue
         if scorer is kernels.jw_score:  # read here, so a rebound one matches
-            score_rows = kernels.jw_rows
+            score_rows, share = kernels.jw_rows, _MIN_JW_SHARE
         else:
-            score_rows = partial(kernels.map_rows, scorer)
-        table = _Triangle(texts, _triangle_rows(score_rows, texts))
+            score_rows, share = partial(kernels.map_rows, scorer), _MIN_SHARE
+        table = _Triangle(texts, _triangle_rows(score_rows, texts, share))
         store._tables[func_id] = table
         store.calls += len(table)
     return store
 
 
-#: The fewest pairs a share of a split triangle holds. In a 17 MB CLI
-#: process, forking a share, pinning it to a CPU, passing its rows back and
-#: reaping it takes about 3 ms. The pure-Python `jw_rows` scores a pair in
-#: about 4 us (`benchmarks/bench_kernels.py`, 2-core x86 container, CPython
-#: 3.11), so a minimum share takes about 35 ms. The compiled kernel's cost
-#: a pair is unmeasured, so whether a minimum share outweighs its fork with
-#: that backend is unverified.
+#: The fewest pairs a share of a split triangle holds where the row
+#: function calls its scorer once a pair (`kernels.map_rows`). In a 17 MB
+#: CLI process a forked share costs its parent about 4 ms beyond its work:
+#: the fork, pinning the child to a CPU, passing its rows back and the reap
+#: (a split whose row function does no work, 2-vCPU x86 container, CPython
+#: 3.11). The pure-Python Levenshtein kernel scores about 30k pairs a second
+#: (`benchmarks/bench_kernels.py`), so a minimum share takes about 250 ms.
+#: The compiled kernels' cost a pair is unmeasured.
 _MIN_SHARE = 8192
+
+#: The same for `kernels.jw_rows`. The pure-Python row kernel scores a pair
+#: of the scoring workload's triangle in about 0.5 us, so a minimum share
+#: takes about 33 ms, eight times its fork, and a split pays only on large
+#: triangles: there two shares of big-int work ran well under twice as fast
+#: as one. On the scoring workload's 53,956 pairs, CLI `sim all` split in
+#: two and on one CPU were within noise of each other (in five sets of 21 to
+#: 61 alternating runs, one CPU was ahead in three, by 4 to 18 ms, and the
+#: split in two, by 13 and 23 ms), so it stays on one CPU; on 453,628 pairs
+#: (78 bands) the split was ahead in both sets, by 20 and 100 ms.
+#: With the compiled kernels, `jw_rows` is the row loop over the compiled
+#: `jw_score`, whose cost a pair is unmeasured.
+_MIN_JW_SHARE = 65536
 
 
 def _usable_cpus() -> list[int] | None:
@@ -431,17 +447,17 @@ def _usable_cpus() -> list[int] | None:
         return None
 
 
-def _share_bounds(n: int) -> list[int]:
+def _share_bounds(n: int, min_share: int) -> list[int]:
     """Row boundaries 0 = b0 < b1 < ... < bk = n cutting an n-row triangle
     (row i holds n - i pairs) into the k contiguous shares of about equal
     pair count that `_triangle_rows` scores apart: k = min(usable CPUs,
-    pairs // _MIN_SHARE), and k = 1 where `os.fork` is missing or another
+    pairs // min_share), and k = 1 where `os.fork` is missing or another
     thread runs (a forked child holds no copy of another thread, nor of a
     lock one held)."""
     cpus = _usable_cpus()
     usable = (os.cpu_count() or 1) if cpus is None else len(cpus)
     total = n * (n + 1) // 2
-    shares = min(usable, total // _MIN_SHARE)
+    shares = min(usable, total // min_share)
     if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [0, n]
     bounds = [0]
@@ -457,9 +473,11 @@ def _share_bounds(n: int) -> list[int]:
 def _triangle_rows(
     score_rows: Callable[[list[str], int, int], list[array]],
     texts: list[str],
+    min_share: int,
 ) -> list[array]:
     """`score_rows(texts, 0, len(texts))`, the triangle's rows in order,
-    scored on every usable CPU when the triangle is large.
+    scored on every usable CPU when the triangle holds two shares of at
+    least `min_share` pairs.
 
     The rows are cut into the shares of `_share_bounds`. The parent scores
     the first share; each other share is scored in a forked child, which
@@ -476,7 +494,7 @@ def _triangle_rows(
     does not balance load (a cpuset with load balancing off) would keep a
     forked child on its parent's CPU."""
     n = len(texts)
-    bounds = _share_bounds(n)
+    bounds = _share_bounds(n, min_share)
     if len(bounds) == 2:
         return score_rows(texts, 0, n)
     import mmap  # here, so that a call that splits nothing does not load it

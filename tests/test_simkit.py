@@ -45,6 +45,13 @@ short_text = st.text(
 # a small alphabet with a repeated letter forces repeated characters, taken
 # window positions and transpositions in Jaro's matching
 jaro_text = st.text(alphabet="abcab é", max_size=16)
+# texts for every lane width of the bit-parallel `jw_rows`: 16, 32 and 64
+# bits, and the multiples of 64 above
+lane_text = st.one_of(
+    jaro_text,
+    st.text(alphabet="ab é☃", min_size=16, max_size=63),
+    st.text(alphabet="ab é☃", min_size=64, max_size=140),
+)
 
 SIMS = ROOT / "tests" / "golden" / "sims" / "data"
 
@@ -128,6 +135,28 @@ class TestKernels:
         start, stop = sorted(min(x, len(texts)) for x in (i, j))
         assert pure_kernels.jw_rows(texts, start, stop) == rows[start:stop]
         assert kernels.jw_rows(texts, start, stop) == rows[start:stop]
+
+    @given(
+        st.lists(lane_text, min_size=1, max_size=6),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    @example(["ab", "x" * 100, "ba", "a", "", "xx"], 0, 6)
+    @example(["abcabcabcabcab", "a" * 60 + "b", "ba"], 0, 4)
+    @settings(max_examples=100, deadline=None)
+    def test_jaro_winkler_rows_in_every_lane_width(self, texts, i, j):
+        """Texts of up to 140 characters in any order, some repeated and
+        some sharing a prefix of up to six characters with another; the
+        examples put one 100-character text among short ones, and a row
+        whose window passes the top of a 16-bit lane."""
+        texts = texts + texts[1::3] + [t[:6] + t[:1:-1] for t in texts[::2]]
+        start, stop = sorted(min(x, len(texts)) for x in (i, j))
+        want = [
+            [jw_reference(texts[k], b) for b in texts[k:]]
+            for k in range(start, stop)
+        ]
+        rows = pure_kernels.jw_rows(texts, start, stop)
+        assert [row.tolist() for row in rows] == want
 
     def test_jaro_winkler_on_every_music_value_pair(self, music_db):
         values = sorted(c.text for c in music_db.domain if c.kind is Kind.VALUE)
@@ -547,8 +576,10 @@ class TestSplitTriangle:
     one-process rows."""
 
     def test_sim_all_rows_equal_one_process_rows(self, monkeypatch):
-        texts = _words(200)  # 20,100 pairs
-        assert len(texts) * 201 // 2 >= 2 * simkit._MIN_SHARE
+        # enough texts for two shares of the Jaro-Winkler kernel
+        n = math.isqrt(4 * simkit._MIN_JW_SHARE) + 1
+        texts = _words(n)
+        assert n * (n + 1) // 2 >= 2 * simkit._MIN_JW_SHARE
         spec = parse_spec(
             "relation R(rid: id, a: short) merge [rid];\n"
             "soft s: R(x, a), R(y, b), sim(a, b) >= 90 ~> eq(x, y);\n"
@@ -567,33 +598,32 @@ class TestSplitTriangle:
         monkeypatch.setattr(os, "fork", counted_fork)
         cpus = simkit._usable_cpus()
         split = _split(sim_all, db, spec)
-        assert len(forked) == len(simkit._share_bounds(len(texts))) - 2
+        bounds = simkit._share_bounds(n, simkit._MIN_JW_SHARE)
+        assert len(forked) == len(bounds) - 2
         if len(cpus or ()) > 1 and threading.active_count() == 1:
             assert len(forked) == 1
             assert sorted(os.sched_getaffinity(0)) == cpus
-        monkeypatch.setattr(simkit, "_MIN_SHARE", len(texts) ** 2)
+        monkeypatch.setattr(simkit, "_MIN_JW_SHARE", n**2)
         forks = len(forked)
         one = sim_all(db, spec)
         assert len(forked) == forks
         assert split.rows("jw") == one.rows("jw")
-        assert split.calls == one.calls == len(split) == 20100
+        assert split.calls == one.calls == len(split) == n * (n + 1) // 2
         assert [r.tolist() for r in split._tables["jw"].rows] == [
             r.tolist() for r in kernels.jw_rows(texts)
         ]
 
-    def test_any_scorer_splits_alike(self, monkeypatch):
-        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
+    def test_any_scorer_splits_alike(self):
         texts = _words(30)  # 465 pairs
         want = lev_rows(texts, 0, len(texts))
         for i, a in enumerate(texts):
             assert want[i].tolist() == [
                 kernels.lev_score(a, b) for b in texts[i:]
             ]
-        assert _split(simkit._triangle_rows, lev_rows, texts) == want
+        assert _split(simkit._triangle_rows, lev_rows, texts, 16) == want
 
     @pytest.mark.parametrize("fault", ["raises", "short", "killed"])
-    def test_a_failed_child_share_is_scored_here(self, monkeypatch, capfd, fault):
-        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
+    def test_a_failed_child_share_is_scored_here(self, capfd, fault):
         parent = os.getpid()
 
         def score_rows(texts, start, stop):
@@ -607,27 +637,26 @@ class TestSplitTriangle:
             return rows[:-1]  # one row short
 
         texts = _words(30)
-        assert _split(simkit._triangle_rows, score_rows, texts) == score_rows(
-            texts, 0, len(texts)
-        )
+        assert _split(
+            simkit._triangle_rows, score_rows, texts, 16
+        ) == score_rows(texts, 0, len(texts))
         assert capfd.readouterr() == ("", "")
 
     def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("forked")
 
-        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
         monkeypatch.setattr(os, "fork", no_fork)
         texts = _words(30)
         want = lev_rows(texts, 0, len(texts))
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            assert _split(simkit._triangle_rows, lev_rows, texts) == want
+            assert _split(simkit._triangle_rows, lev_rows, texts, 16) == want
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
-            assert _split(simkit._triangle_rows, lev_rows, texts) == want
+            assert _split(simkit._triangle_rows, lev_rows, texts, 16) == want
         finally:
             release.set()
             other.join(timeout=30)
@@ -639,10 +668,9 @@ class TestSplitTriangle:
         def no_process():
             raise BlockingIOError("fork: resource temporarily unavailable")
 
-        monkeypatch.setattr(simkit, "_MIN_SHARE", 16)
         monkeypatch.setattr(os, "fork", no_process)
         texts = _words(30)
-        assert _split(simkit._triangle_rows, lev_rows, texts) == lev_rows(
+        assert _split(simkit._triangle_rows, lev_rows, texts, 16) == lev_rows(
             texts, 0, len(texts)
         )
 
@@ -651,9 +679,8 @@ class TestSplitTriangle:
         self, monkeypatch, cpus
     ):
         monkeypatch.setattr(simkit, "_usable_cpus", lambda: list(range(cpus)))
-        monkeypatch.setattr(simkit, "_MIN_SHARE", 10)
         for n in range(60):
-            bounds = simkit._share_bounds(n)
+            bounds = simkit._share_bounds(n, 10)
             shares = min(cpus, n * (n + 1) // 2 // 10)
             if shares < 2:
                 assert bounds == [0, n]
