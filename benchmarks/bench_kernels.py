@@ -10,10 +10,11 @@ row loop over the compiled `jw_score` that `entres.kernels` selects. The
 contiguous shares, one per usable CPU, the first in this process and the
 others in forked children (K = 1 when one CPU is usable). It splits
 whatever the share minimum of `sim all` (`simkit._MIN_JW_SHARE`), so that
-the log shows what the forks cost or save at this size. The `jw_rows 44` row scores the triangle of
-the first 44 of those strings, 990 pairs, where a row's fixed costs weigh
-most. Each kernel is checked against the fallback before it is timed, so a
-backend that disagrees fails the run. Usage:
+the log shows what the forks cost or save at this size. The `jw_rows 44`
+row scores the triangle of the first 44 of those strings, 990 pairs, where
+a row's fixed costs weigh most. Each kernel is checked against the
+fallback before it is timed, so a backend that disagrees fails the run.
+Usage:
 
     python benchmarks/bench_kernels.py [--pairs N] [--repeat K]
 """

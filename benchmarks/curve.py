@@ -26,8 +26,9 @@ Per mode, size and tree the JSON records, for each repeat, the wall time,
 the peak RSS, a figure of the CLI's timing line, `solve=` for `solve-one`
 and `pm` and `preprocess=` (ingest and scoring) for `sim-all` and
 `sim-opt`, and the status: `"ok"`, `"wrong"` (output fails the check),
-`"timeout"` (killed at --timeout), `"memory"` (a capped run that ran out of address
-space) or, for another crash, the exit code and the last line of stderr.
+`"timeout"` (killed at --timeout), `"memory"` (a capped run that ran out
+of address space) or, for another crash, the exit code and the last line
+of stderr.
 A size whose runs fail is kept, never dropped, and the script exits 1
 when any run is not `"ok"`. Each tree's commit, whether its `src/` differs
 from that commit, and its kernel backend go in the header with the Python

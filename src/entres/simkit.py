@@ -426,15 +426,15 @@ _MIN_SHARE = 8192
 
 #: The same for `kernels.jw_rows`. The pure-Python row kernel scores a pair
 #: of the scoring workload's triangle in about 0.5 us, so a minimum share
-#: takes about 33 ms, eight times its fork, and a split pays only on large
-#: triangles: there two shares of big-int work ran well under twice as fast
-#: as one. On the scoring workload's 53,956 pairs, CLI `sim all` split in
-#: two and on one CPU were within noise of each other (in five sets of 21 to
-#: 61 alternating runs, one CPU was ahead in three, by 4 to 18 ms, and the
-#: split in two, by 13 and 23 ms), so it stays on one CPU; on 453,628 pairs
-#: (78 bands) the split was ahead in both sets, by 20 and 100 ms.
-#: With the compiled kernels, `jw_rows` is the row loop over the compiled
-#: `jw_score`, whose cost a pair is unmeasured.
+#: takes about 33 ms, eight times its fork; on the same container two
+#: concurrent shares of its big-int work each ran at about half speed, so a
+#: split pays only on large triangles. On the scoring workload's 53,956
+#: pairs, CLI `sim all` split in two and on one CPU were within noise of
+#: each other (in five sets of 21 to 61 alternating runs, one CPU was ahead
+#: in three, by 4 to 18 ms, and the split in two, by 13 and 23 ms), so it
+#: stays on one CPU; on 453,628 pairs (78 bands) the split was ahead in both
+#: sets, by 20 and 100 ms. With the compiled kernels, `jw_rows` is the row
+#: loop over the compiled `jw_score`, whose cost a pair is unmeasured.
 _MIN_JW_SHARE = 65536
 
 
