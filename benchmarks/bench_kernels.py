@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled string kernels against the pure-Python fallback.
+"""Benchmark the string kernels of `entres.kernels`.
 
-Runs each pair kernel over the same randomized workload with both backends
-and prints calls/second plus the speedup. The `jw_rows` row scores the
-triangle of the first distinct strings of those pairs, about as many pairs
-as the others score, and prints pairs/second; its compiled column is the
-row loop over the compiled `jw_score` that `entres.kernels` selects. The
+Runs each pair kernel over the same randomized workload and prints
+pairs/second. The `jw_rows` row scores the triangle of the first distinct
+strings of those pairs, about as many pairs as the others score. The
 `jw_rows xK` row scores the same triangle as `sim all` does, split into K
 contiguous shares, one per usable CPU, the first in this process and the
 others in forked children (K = 1 when one CPU is usable). It splits
 whatever the share minimum of `sim all` (`simkit._MIN_JW_SHARE`), so that
 the log shows what the forks cost or save at this size. The `jw_rows 44`
 row scores the triangle of the first 44 of those strings, 990 pairs, where
-a row's fixed costs weigh most. Each kernel is checked against the
-fallback before it is timed, so a backend that disagrees fails the run.
+a row's fixed costs weigh most. Each row kernel is checked against the
+pair-by-pair row loop over `jw_score` before it is timed, so a row kernel
+that disagrees fails the run.
 Usage:
 
     python benchmarks/bench_kernels.py [--pairs N] [--repeat K]
@@ -32,12 +31,7 @@ from pathlib import Path
 # run from a source checkout: import the package from its src/ directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entres import _kernels_py, kernels, simkit
-
-try:
-    from entres import _kernels
-except ImportError:
-    _kernels = None
+from entres import kernels, simkit
 
 ALPHABET = string.ascii_lowercase
 
@@ -78,15 +72,8 @@ def sweep(fn, pairs: list[tuple[str, str]]) -> None:
         fn(a, b)
 
 
-def print_row(name: str, count: int, py: float, c: float | None) -> None:
-    """count per second on each backend, given each one's seconds (c is
-    None when the extension is not built), and the speedup."""
-    row = f"{name:<12} {count / py:>10.0f}/s"
-    if c is None:
-        row += f" {'(missing)':>12} {'-':>9}"
-    else:
-        row += f" {count / c:>10.0f}/s {py / c:>8.1f}x"
-    print(row)
+def print_row(name: str, count: int, seconds: float) -> None:
+    print(f"{name:<12} {count / seconds:>12.0f}")
 
 
 def triangle_texts(pairs: list[tuple[str, str]]) -> list[str]:
@@ -113,45 +100,26 @@ def main() -> None:
     pairs = make_pairs(args.pairs, random.Random(args.seed))
 
     print(f"{args.pairs} pairs, best of {args.repeat} sweeps\n")
-    header = f"{'kernel':<12} {'python':>12} {'compiled':>12} {'speedup':>9}"
+    header = f"{'kernel':<12} {'pairs/s':>12}"
     print(header)
     print("-" * len(header))
     for name in ("levenshtein", "lev_score", "jw_score"):
-        pfn = getattr(_kernels_py, name)
-        py = best_of(args.repeat, sweep, pfn, pairs)
-        c = None
-        if _kernels is not None:
-            # both backends must agree before timing means anything
-            cfn = getattr(_kernels, name)
-            for a, b in pairs[:500]:
-                assert cfn(a, b) == pfn(a, b), (name, a, b)
-            c = best_of(args.repeat, sweep, cfn, pairs)
-        print_row(name, args.pairs, py, c)
+        seconds = best_of(args.repeat, sweep, getattr(kernels, name), pairs)
+        print_row(name, args.pairs, seconds)
 
     texts = triangle_texts(pairs)
     small = texts[:SMALL]
     # one share per usable CPU, however few pairs each holds
     shares = len(simkit._share_bounds(len(texts), 1)) - 1
-    for name, py_rows, c_rows, some in (
-        ("jw_rows", _kernels_py.jw_rows, kernels.jw_rows, texts),
+    for name, score_rows, some in (
+        ("jw_rows", kernels.jw_rows, texts),
         (f"jw_rows x{shares}",
-         partial(simkit._triangle_rows, _kernels_py.jw_rows, min_share=1),
          partial(simkit._triangle_rows, kernels.jw_rows, min_share=1), texts),
-        (f"jw_rows {len(small)}", _kernels_py.jw_rows, kernels.jw_rows, small),
+        (f"jw_rows {len(small)}", kernels.jw_rows, small),
     ):
         n = len(some) * (len(some) + 1) // 2
-        rows = kernels.map_rows(_kernels_py.jw_score, some)
-        assert py_rows(some) == rows
-        py = best_of(args.repeat, py_rows, some)
-        c = None
-        if _kernels is not None:
-            assert kernels.BACKEND == "c"
-            assert c_rows(some) == rows
-            c = best_of(args.repeat, c_rows, some)
-        print_row(name, n, py, c)
-
-    if _kernels is None:
-        print("\ncompiled extension not built; only the fallback was timed")
+        assert score_rows(some) == kernels.map_rows(kernels.jw_score, some)
+        print_row(name, n, best_of(args.repeat, score_rows, some))
 
 
 if __name__ == "__main__":

@@ -335,18 +335,26 @@ def _check_sim_filenames(spec: Specification) -> None:
             )
 
 
+class _Cells(dict):
+    """Score -> its score cell, each distinct score formatted once."""
+
+    def __missing__(self, score: int) -> str:
+        cell = self[score] = f"{score / 100:.2f}"
+        return cell
+
+
 def _export_store(store: SimStore, out: Path) -> list[Path]:
+    """One sim file per function, the lines of one left text (a triangle
+    row) in one write."""
     written = []
-    cells: dict[int, str] = {}  # each distinct score formatted once
+    cells = _Cells()
     for func in store.funcs():
         path = out / _sim_filename(func)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("left\tright\tscore\n")
-            for a, b, s in store.walk(func):
-                cell = cells.get(s)
-                if cell is None:
-                    cell = cells[s] = f"{s / 100:.2f}"
-                fh.write(f"{a}\t{b}\t{cell}\n")
+            for a, pairs in store.walk(func):
+                lines = [f"{a}\t{b}\t{cells[s]}\n" for b, s in pairs]
+                fh.write("".join(lines))
         written.append(path)
     return written
 

@@ -29,7 +29,8 @@ import threading
 from array import array
 from collections import Counter
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import engine
@@ -71,6 +72,12 @@ class _Triangle:
         texts = self.texts
         for i, row in enumerate(self.rows):
             yield from zip(repeat(texts[i]), texts[i:], row)
+
+    def groups(self) -> Iterator[tuple[str, Iterator[tuple[str, int]]]]:
+        """Each row as texts[i] and its (right text, score) pairs."""
+        texts = self.texts
+        for i, row in enumerate(self.rows):
+            yield texts[i], zip(texts[i:], row)
 
 
 class SimStore:
@@ -114,16 +121,27 @@ class SimStore:
     def funcs(self) -> list[str]:
         return sorted({f for f, _, _ in self._scores}.union(self._tables))
 
-    def walk(self, func: str) -> Iterator[tuple[str, str, int]]:
-        """The (left, right, score) rows of one function, in (left, right)
-        order; a triangle is walked in place, unsorted."""
+    def walk(
+        self, func: str
+    ) -> Iterator[tuple[str, Iterable[tuple[str, int]]]]:
+        """One function's scores, one left text at a time in text order:
+        the left text and its (right text, score) pairs in text order. A
+        lone triangle yields its rows in place, unsorted; the pairs `put`
+        stored are sorted and merged in."""
+        table = self._tables.get(func)
         loose = sorted(
             (a, b, s) for (f, a, b), s in self._scores.items() if f == func
         )
-        return heapq.merge(self._tables.get(func, ()), loose)
+        if not loose:
+            return iter(()) if table is None else table.groups()
+        merged = heapq.merge(table or (), loose)
+        return (
+            (a, [(b, s) for _, b, s in row])
+            for a, row in groupby(merged, itemgetter(0))
+        )
 
     def rows(self, func: str) -> list[tuple[str, str, int]]:
-        return list(self.walk(func))
+        return [(a, b, s) for a, pairs in self.walk(func) for b, s in pairs]
 
     def key_set(self) -> frozenset[tuple[str, str, str]]:
         return frozenset(self._keys())
@@ -421,7 +439,6 @@ def sim_all(
 #: (a split whose row function does no work, 2-vCPU x86 container, CPython
 #: 3.11). The pure-Python Levenshtein kernel scores about 30k pairs a second
 #: (`benchmarks/bench_kernels.py`), so a minimum share takes about 250 ms.
-#: The compiled kernels' cost a pair is unmeasured.
 _MIN_SHARE = 8192
 
 #: The same for `kernels.jw_rows`. The pure-Python row kernel scores a pair
@@ -433,8 +450,7 @@ _MIN_SHARE = 8192
 #: each other (in five sets of 21 to 61 alternating runs, one CPU was ahead
 #: in three, by 4 to 18 ms, and the split in two, by 13 and 23 ms), so it
 #: stays on one CPU; on 453,628 pairs (78 bands) the split was ahead in both
-#: sets, by 20 and 100 ms. With the compiled kernels, `jw_rows` is the row
-#: loop over the compiled `jw_score`, whose cost a pair is unmeasured.
+#: sets, by 20 and 100 ms.
 _MIN_JW_SHARE = 65536
 
 
