@@ -4,15 +4,10 @@
 Runs each pair kernel over the same randomized workload and prints
 pairs/second. The `jw_rows` row scores the triangle of the first distinct
 strings of those pairs, about as many pairs as the others score. The
-`jw_rows xK` row scores the same triangle as `sim all` does, split into K
-contiguous shares, one per usable CPU, the first in this process and the
-others in forked children (K = 1 when one CPU is usable). It splits
-whatever the share minimum of `sim all` (`simkit._MIN_JW_SHARE`), so that
-the log shows what the forks cost or save at this size. The `jw_rows 44`
-row scores the triangle of the first 44 of those strings, 990 pairs, where
-a row's fixed costs weigh most. Each row kernel is checked against the
-pair-by-pair row loop over `jw_score` before it is timed, so a row kernel
-that disagrees fails the run.
+`jw_rows 44` row scores the triangle of the first 44 of those strings, 990
+pairs, where a row's fixed costs weigh most. Each row kernel is checked
+against the pair-by-pair row loop over `jw_score` before it is timed, so a
+row kernel that disagrees fails the run.
 Usage:
 
     python benchmarks/bench_kernels.py [--pairs N] [--repeat K]
@@ -25,13 +20,12 @@ import random
 import string
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 # run from a source checkout: import the package from its src/ directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from entres import kernels, simkit
+from entres import kernels
 
 ALPHABET = string.ascii_lowercase
 
@@ -109,17 +103,10 @@ def main() -> None:
 
     texts = triangle_texts(pairs)
     small = texts[:SMALL]
-    # one share per usable CPU, however few pairs each holds
-    shares = len(simkit._share_bounds(len(texts), 1)) - 1
-    for name, score_rows, some in (
-        ("jw_rows", kernels.jw_rows, texts),
-        (f"jw_rows x{shares}",
-         partial(simkit._triangle_rows, kernels.jw_rows, min_share=1), texts),
-        (f"jw_rows {len(small)}", kernels.jw_rows, small),
-    ):
+    for name, some in (("jw_rows", texts), (f"jw_rows {len(small)}", small)):
         n = len(some) * (len(some) + 1) // 2
-        assert score_rows(some) == kernels.map_rows(kernels.jw_score, some)
-        print_row(name, n, best_of(args.repeat, score_rows, some))
+        assert kernels.jw_rows(some) == kernels.map_rows(kernels.jw_score, some)
+        print_row(name, n, best_of(args.repeat, kernels.jw_rows, some))
 
 
 if __name__ == "__main__":

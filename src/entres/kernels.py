@@ -1,22 +1,19 @@
 """String similarity kernels.
 
 `levenshtein`, `lev_score` and `jw_score` score one pair. `map_rows(score,
-texts, start, stop)` scores rows start..stop-1 of a triangle (all rows by
-default): row i holds `score(texts[i], t)` for each t in `texts[i:]`, so
-that contiguous shares of one triangle can be scored apart. `jw_rows(texts,
-start, stop)` scores the Jaro-Winkler rows of `map_rows(jw_score, texts,
-start, stop)` without calling `jw_score`. Scores are fixed-point hundredths
-in [0, 10000], rounded half-up.
+texts)` scores the triangle of texts: row i holds `score(texts[i], t)` for
+each t in `texts[i:]`. `jw_rows(texts)` scores the Jaro-Winkler rows of
+`map_rows(jw_score, texts)` without calling `jw_score`. Scores are
+fixed-point hundredths in [0, 10000], rounded half-up.
 
 Jaro's greedy matching takes, for each character of a in order, the lowest
 free (not yet taken) equal character of b within the window, the positions
 at most max(len(a), len(b)) // 2 - 1 (at least 0) from its own. `jw_score`,
 which scores one pair, scans b's window with str.find. `jw_rows`, which
-scores the triangle of a list of strings or the contiguous range of its
-rows from `start` to `stop`, matches row i's text a against all of
-`texts[i:]` at once, in fixed-width lanes of one Python int (SWAR).
+scores the triangle of a list of strings, matches row i's text a against
+all of `texts[i:]` at once, in fixed-width lanes of one Python int (SWAR).
 
-Lanes. A text b of `texts[start:]` gets a lane of W bits, W the least of
+Lanes. A text b of `texts` gets a lane of W bits, W the least of
 16, 32, 64 or a multiple of 64 above len(b); bit k of the lane stands for
 b[k], and the top bit, the guard, is never a position. The texts of one
 width share one int, the last text in the lowest lane, so row i's texts,
@@ -58,7 +55,7 @@ bit-identical. (The code takes up to 3 * log2(W) + 3 bits, too many for a
 lane of 8.) An empty a matches nothing, so its row is 0 but for empty
 texts, which score 10000; a text equal to a matches each character in
 place, so it scores 10000 too. Hence `jw_rows` returns the rows of
-`map_rows(jw_score, texts, start, stop)`.
+`map_rows(jw_score, texts)`.
 """
 
 from __future__ import annotations
@@ -157,17 +154,12 @@ def jw_score(a: str, b: str) -> int:
 
 
 def map_rows(
-    score: Callable[[str, str], int],
-    texts: list[str],
-    start: int = 0,
-    stop: int | None = None,
+    score: Callable[[str, str], int], texts: list[str]
 ) -> list[array]:
-    """Rows start..stop-1 of the triangle, one `score` call a pair."""
-    if stop is None:
-        stop = len(texts)
+    """The rows of the triangle, one `score` call a pair."""
     return [
-        array("H", map(score, repeat(texts[i]), texts[i:]))
-        for i in range(start, stop)
+        array("H", map(score, repeat(a), texts[i:]))
+        for i, a in enumerate(texts)
     ]
 
 
@@ -219,7 +211,7 @@ class _Scores(dict):
 
 
 class _Lanes:
-    """The texts of one lane width among the columns: `members` are their
+    """The texts of one lane width among the texts: `members` are their
     indices, ascending, and lane q holds the text of members[n - 1 - q]."""
 
     def __init__(
@@ -334,36 +326,30 @@ class _Lanes:
         return list(map(scores.__getitem__, codes))
 
 
-def jw_rows(
-    texts: list[str], start: int = 0, stop: int | None = None
-) -> list[array]:
-    """Rows start..stop-1 of the triangle (all rows by default): row i holds
-    jw_score(texts[i], t) for each t in texts[i:].
+def jw_rows(texts: list[str]) -> list[array]:
+    """The rows of the triangle: row i holds jw_score(texts[i], t) for each
+    t in texts[i:].
 
     The lanes live for this one call: one `_Lanes` per lane width holds
-    texts[start:], and `order` maps each of those texts to its slot in
-    `flat`, where the widths' scores of one row are laid side by side."""
-    if stop is None:
-        stop = len(texts)
-    cols = texts[start:]
-    span = max(map(len, texts[start:stop]), default=0)
+    its texts, and `order` maps each text to its slot in `flat`, where the
+    widths' scores of one row are laid side by side."""
+    span = max(map(len, texts), default=0)
     by_width: dict[int, list[int]] = {}
-    for j, b in enumerate(cols):
+    for j, b in enumerate(texts):
         by_width.setdefault(_lane_width(len(b)), []).append(j)
     groups = []
-    order = [0] * len(cols)
+    order = [0] * len(texts)
     at = 0
     for width, members in sorted(by_width.items()):
-        groups.append((at, _Lanes(width, members, cols, span)))
+        groups.append((at, _Lanes(width, members, texts, span)))
         for q, j in enumerate(members):
             order[j] = at + q
         at += len(members)
-    flat = [0] * len(cols)
+    flat = [0] * len(texts)
     rows = []
-    for r in range(stop - start):
-        a = texts[start + r]
+    for r, a in enumerate(texts):
         if not a:
-            rows.append(array("H", [0 if b else 10000 for b in cols[r:]]))
+            rows.append(array("H", [0 if b else 10000 for b in texts[r:]]))
             continue
         for at, lanes in groups:
             first = bisect_left(lanes.members, r)

@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import re
-import threading
 from array import array
 from collections import Counter
-from functools import partial
-from itertools import accumulate, groupby, repeat
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -396,9 +393,7 @@ def sim_all(
     `sim(...)` atom to it (`rules.HINT_BACKEND`). A function scored by the
     built-in Jaro-Winkler kernel has its triangle scored by
     `kernels.jw_rows`, which counts one scorer call per pair all the same;
-    a large triangle is split over the usable CPUs (`_triangle_rows`), in
-    shares of at least `_MIN_JW_SHARE` pairs for that kernel and
-    `_MIN_SHARE` for a scorer called once a pair."""
+    any other scorer is called once a pair (`kernels.map_rows`)."""
     from . import kernels
 
     registry = build_registry(spec, db) if registry is None else registry
@@ -423,135 +418,13 @@ def sim_all(
         if not texts:
             continue
         if scorer is kernels.jw_score:  # read here, so a rebound one matches
-            score_rows, share = kernels.jw_rows, _MIN_JW_SHARE
+            rows = kernels.jw_rows(texts)
         else:
-            score_rows, share = partial(kernels.map_rows, scorer), _MIN_SHARE
-        table = _Triangle(texts, _triangle_rows(score_rows, texts, share))
+            rows = kernels.map_rows(scorer, texts)
+        table = _Triangle(texts, rows)
         store._tables[func_id] = table
         store.calls += len(table)
     return store
-
-
-#: The fewest pairs a share of a split triangle holds where the row
-#: function calls its scorer once a pair (`kernels.map_rows`). In a 17 MB
-#: CLI process a forked share costs its parent about 4 ms beyond its work:
-#: the fork, pinning the child to a CPU, passing its rows back and the reap
-#: (a split whose row function does no work, 2-vCPU x86 container, CPython
-#: 3.11). The pure-Python Levenshtein kernel scores about 30k pairs a second
-#: (`benchmarks/bench_kernels.py`), so a minimum share takes about 250 ms.
-_MIN_SHARE = 8192
-
-#: The same for `kernels.jw_rows`. The pure-Python row kernel scores a pair
-#: of the scoring workload's triangle in about 0.5 us, so a minimum share
-#: takes about 33 ms, eight times its fork; on the same container two
-#: concurrent shares of its big-int work each ran at about half speed, so a
-#: split pays only on large triangles. On the scoring workload's 53,956
-#: pairs, CLI `sim all` split in two and on one CPU were within noise of
-#: each other (in five sets of 21 to 61 alternating runs, one CPU was ahead
-#: in three, by 4 to 18 ms, and the split in two, by 13 and 23 ms), so it
-#: stays on one CPU; on 453,628 pairs (78 bands) the split was ahead in both
-#: sets, by 20 and 100 ms.
-_MIN_JW_SHARE = 65536
-
-
-def _usable_cpus() -> list[int] | None:
-    """The CPUs this process may run on, or None where the platform keeps
-    no affinity masks."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        return None
-
-
-def _share_bounds(n: int, min_share: int) -> list[int]:
-    """Row boundaries 0 = b0 < b1 < ... < bk = n cutting an n-row triangle
-    (row i holds n - i pairs) into the k contiguous shares of about equal
-    pair count that `_triangle_rows` scores apart: k = min(usable CPUs,
-    pairs // min_share), and k = 1 where `os.fork` is missing or another
-    thread runs (a forked child holds no copy of another thread, nor of a
-    lock one held)."""
-    cpus = _usable_cpus()
-    usable = (os.cpu_count() or 1) if cpus is None else len(cpus)
-    total = n * (n + 1) // 2
-    shares = min(usable, total // min_share)
-    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [0, n]
-    bounds = [0]
-    done = 0
-    for i in range(n - 1):
-        done += n - i
-        if len(bounds) < shares and done * shares >= total * len(bounds):
-            bounds.append(i + 1)
-    bounds.append(n)
-    return bounds
-
-
-def _triangle_rows(
-    score_rows: Callable[[list[str], int, int], list[array]],
-    texts: list[str],
-    min_share: int,
-) -> list[array]:
-    """`score_rows(texts, 0, len(texts))`, the triangle's rows in order,
-    scored on every usable CPU when the triangle holds two shares of at
-    least `min_share` pairs.
-
-    The rows are cut into the shares of `_share_bounds`. The parent scores
-    the first share; each other share is scored in a forked child, which
-    writes its rows' bytes, two a pair, into its own slice of one anonymous
-    shared map and leaves through `os._exit`, exit code 0 only once that
-    write is done, so it never prints, runs no `atexit` handler and flushes
-    no inherited buffer. The parent reaps every child in order, also when
-    it fails, and rebuilds a child's rows from its slice; a share whose
-    child exits non-zero is scored by the parent. A share of the wrong size
-    does not fit its slice, so its child exits non-zero.
-
-    Where affinity masks exist, each share runs pinned to its own usable
-    CPU, and the parent gets its mask back afterwards: a scheduler that
-    does not balance load (a cpuset with load balancing off) would keep a
-    forked child on its parent's CPU."""
-    n = len(texts)
-    bounds = _share_bounds(n, min_share)
-    if len(bounds) == 2:
-        return score_rows(texts, 0, n)
-    import mmap  # here, so that a call that splits nothing does not load it
-
-    first = bounds[1]
-    # row i's bytes (n - i pairs) start at offset at[i - first] of the map
-    at = list(accumulate(range(2 * (n - first), 0, -2), initial=0))
-    cpus = _usable_cpus()
-    forked: list[tuple[int, int, int]] = []  # start, stop, pid
-    with mmap.mmap(-1, at[-1]) as shared:
-        try:
-            if cpus is not None:
-                os.sched_setaffinity(0, cpus[:1])
-            for k, (start, stop) in enumerate(zip(bounds[1:], bounds[2:]), 1):
-                try:
-                    pid = os.fork()
-                except OSError:  # out of processes: the parent scores the rest
-                    break
-                if pid == 0:
-                    code = 1
-                    try:
-                        if cpus is not None:
-                            os.sched_setaffinity(0, cpus[k:k + 1])
-                        data = b"".join(score_rows(texts, start, stop))
-                        shared[at[start - first]:at[stop - first]] = data
-                        code = 0
-                    finally:
-                        os._exit(code)
-                forked.append((start, stop, pid))
-            rows = score_rows(texts, 0, first)
-        finally:  # reap every child, also when an exception cut in
-            statuses = [os.waitpid(pid, 0)[1] for _, _, pid in forked]
-            if cpus is not None:
-                os.sched_setaffinity(0, cpus)
-        for (start, stop, _), status in zip(forked, statuses):
-            if os.waitstatus_to_exitcode(status) != 0:
-                rows += score_rows(texts, start, stop)
-                continue
-            for i in range(start - first, stop - first):
-                rows.append(array("H", shared[at[i]:at[i + 1]]))
-    return rows + score_rows(texts, len(rows), n)  # shares no child took
 
 
 def _atom_side_values(

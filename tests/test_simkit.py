@@ -4,9 +4,6 @@ import math
 import os
 import random
 import re
-import signal
-import threading
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,44 +112,33 @@ class TestKernels:
         want = jw_reference(a, b)
         assert kernels.jw_score(a, b) == want
 
-    @given(
-        st.lists(jaro_text, max_size=6), st.integers(0, 6), st.integers(0, 6)
-    )
-    @example([], 0, 0)
-    @example(["", "a", "a", "", "aba", "baa"], 0, 6)
-    @example(["", "a", "a", "", "aba", "baa"], 2, 5)
+    @given(st.lists(jaro_text, max_size=6))
+    @example([])
+    @example(["", "a", "a", "", "aba", "baa"])
     @settings(max_examples=200, deadline=None)
-    def test_jaro_winkler_rows_match_window_scan(self, texts, i, j):
+    def test_jaro_winkler_rows_match_window_scan(self, texts):
         rows = kernels.jw_rows(texts)
         assert [len(row) for row in rows] == list(range(len(texts), 0, -1))
         for k, (a, row) in enumerate(zip(texts, rows)):
             want = [jw_reference(a, b) for b in texts[k:]]
             assert row.tolist() == want
             assert [kernels.jw_score(a, b) for b in texts[k:]] == want
-        # any contiguous range of rows, 0 <= start <= stop <= len(texts)
-        start, stop = sorted(min(x, len(texts)) for x in (i, j))
-        assert kernels.jw_rows(texts, start, stop) == rows[start:stop]
 
-    @given(
-        st.lists(lane_text, min_size=1, max_size=6),
-        st.integers(0, 12),
-        st.integers(0, 12),
-    )
-    @example(["ab", "x" * 100, "ba", "a", "", "xx"], 0, 6)
-    @example(["abcabcabcabcab", "a" * 60 + "b", "ba"], 0, 4)
+    @given(st.lists(lane_text, min_size=1, max_size=6))
+    @example(["ab", "x" * 100, "ba", "a", "", "xx"])
+    @example(["abcabcabcabcab", "a" * 60 + "b", "ba"])
     @settings(max_examples=100, deadline=None)
-    def test_jaro_winkler_rows_in_every_lane_width(self, texts, i, j):
+    def test_jaro_winkler_rows_in_every_lane_width(self, texts):
         """Texts of up to 140 characters in any order, some repeated and
         some sharing a prefix of up to six characters with another; the
         examples put one 100-character text among short ones, and a row
         whose window passes the top of a 16-bit lane."""
         texts = texts + texts[1::3] + [t[:6] + t[:1:-1] for t in texts[::2]]
-        start, stop = sorted(min(x, len(texts)) for x in (i, j))
         want = [
-            [jw_reference(texts[k], b) for b in texts[k:]]
-            for k in range(start, stop)
+            [jw_reference(a, b) for b in texts[k:]]
+            for k, a in enumerate(texts)
         ]
-        rows = kernels.jw_rows(texts, start, stop)
+        rows = kernels.jw_rows(texts)
         assert [row.tolist() for row in rows] == want
 
     def test_jaro_winkler_on_every_music_value_pair(self, music_db):
@@ -167,6 +153,14 @@ class TestKernels:
             for i, a in enumerate(values)
         ]
         assert [row.tolist() for row in kernels.jw_rows(values)] == want
+
+    def test_map_rows_scores_pair_by_pair(self):
+        texts = _words(30)  # 465 pairs
+        rows = kernels.map_rows(kernels.lev_score, texts)
+        assert [row.tolist() for row in rows] == [
+            [kernels.lev_score(a, b) for b in texts[i:]]
+            for i, a in enumerate(texts)
+        ]
 
     def test_backend_is_reported(self):
         assert kernels.BACKEND == "python"
@@ -445,6 +439,33 @@ class TestStrategies:
             assert rows.rows(func) == pairwise.rows(func)
         assert rows.calls == pairwise.calls == len(rows) > 0
 
+    def test_sim_all_scores_a_large_triangle_in_this_process(
+        self, monkeypatch
+    ):
+        # more than 2 x 65,536 pairs: a triangle this large is scored here
+        # too, with no process forked and no CPU pinned
+        n = 512
+        texts = _words(n)
+        assert n * (n + 1) // 2 > 2 * 65536
+        spec = parse_spec(
+            "relation R(rid: id, a: short) merge [rid];\n"
+            "soft s: R(x, a), R(y, b), sim(a, b) >= 90 ~> eq(x, y);\n"
+        )
+        db = Database([
+            Fact("R", (e(f"r{i}"), v(text))) for i, text in enumerate(texts)
+        ])
+
+        def refuse(*args):
+            raise AssertionError("a triangle left this process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        store = sim_all(db, spec)
+        assert store.calls == len(store) == n * (n + 1) // 2
+        assert [r.tolist() for r in store._tables["jw"].rows] == [
+            r.tolist() for r in kernels.jw_rows(texts)
+        ]
+
     def test_rule_crossproduct_count_on_music(
         self, music_spec, music_db, music_table
     ):
@@ -537,154 +558,3 @@ def _words(n: int) -> list[str]:
     while len(words) < n:
         words.add("".join(rng.choices("abcdefghij", k=rng.randint(3, 12))))
     return sorted(words)
-
-
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _open_fds() -> list[str] | None:
-    """This process's file descriptors, or None where /proc is absent."""
-    try:
-        return sorted(os.listdir("/proc/self/fd"))
-    except FileNotFoundError:
-        return None
-
-
-def _split(call, *args):
-    """`call(*args)`, checked to leave no child process and no new file
-    descriptor behind."""
-    fds = _open_fds()
-    out = call(*args)
-    _assert_no_child_left()
-    assert _open_fds() == fds
-    return out
-
-
-lev_rows = partial(kernels.map_rows, kernels.lev_score)
-
-
-class TestSplitTriangle:
-    """A large triangle is scored in contiguous row shares, the first in
-    this process and each other in a forked child, with rows equal to the
-    one-process rows."""
-
-    def test_sim_all_rows_equal_one_process_rows(self, monkeypatch):
-        # enough texts for two shares of the Jaro-Winkler kernel
-        n = math.isqrt(4 * simkit._MIN_JW_SHARE) + 1
-        texts = _words(n)
-        assert n * (n + 1) // 2 >= 2 * simkit._MIN_JW_SHARE
-        spec = parse_spec(
-            "relation R(rid: id, a: short) merge [rid];\n"
-            "soft s: R(x, a), R(y, b), sim(a, b) >= 90 ~> eq(x, y);\n"
-        )
-        db = Database([
-            Fact("R", (e(f"r{i}"), v(text))) for i, text in enumerate(texts)
-        ])
-        fork, forked = os.fork, []
-
-        def counted_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        cpus = simkit._usable_cpus()
-        split = _split(sim_all, db, spec)
-        bounds = simkit._share_bounds(n, simkit._MIN_JW_SHARE)
-        assert len(forked) == len(bounds) - 2
-        if len(cpus or ()) > 1 and threading.active_count() == 1:
-            assert len(forked) == 1
-            assert sorted(os.sched_getaffinity(0)) == cpus
-        monkeypatch.setattr(simkit, "_MIN_JW_SHARE", n**2)
-        forks = len(forked)
-        one = sim_all(db, spec)
-        assert len(forked) == forks
-        assert split.rows("jw") == one.rows("jw")
-        assert split.calls == one.calls == len(split) == n * (n + 1) // 2
-        assert [r.tolist() for r in split._tables["jw"].rows] == [
-            r.tolist() for r in kernels.jw_rows(texts)
-        ]
-
-    def test_any_scorer_splits_alike(self):
-        texts = _words(30)  # 465 pairs
-        want = lev_rows(texts, 0, len(texts))
-        for i, a in enumerate(texts):
-            assert want[i].tolist() == [
-                kernels.lev_score(a, b) for b in texts[i:]
-            ]
-        assert _split(simkit._triangle_rows, lev_rows, texts, 16) == want
-
-    @pytest.mark.parametrize("fault", ["raises", "short", "killed"])
-    def test_a_failed_child_share_is_scored_here(self, capfd, fault):
-        parent = os.getpid()
-
-        def score_rows(texts, start, stop):
-            rows = lev_rows(texts, start, stop)
-            if os.getpid() == parent:
-                return rows
-            if fault == "raises":
-                raise RuntimeError("a child's share fails")
-            if fault == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            return rows[:-1]  # one row short
-
-        texts = _words(30)
-        assert _split(
-            simkit._triangle_rows, score_rows, texts, 16
-        ) == score_rows(texts, 0, len(texts))
-        assert capfd.readouterr() == ("", "")
-
-    def test_one_cpu_or_a_second_thread_never_forks(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        texts = _words(30)
-        want = lev_rows(texts, 0, len(texts))
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            assert _split(simkit._triangle_rows, lev_rows, texts, 16) == want
-        release = threading.Event()
-        other = threading.Thread(target=release.wait, args=(30,))
-        other.start()
-        try:
-            assert _split(simkit._triangle_rows, lev_rows, texts, 16) == want
-        finally:
-            release.set()
-            other.join(timeout=30)
-        assert not other.is_alive()
-
-    def test_without_processes_this_process_scores_every_share(
-        self, monkeypatch
-    ):
-        def no_process():
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_process)
-        texts = _words(30)
-        assert _split(simkit._triangle_rows, lev_rows, texts, 16) == lev_rows(
-            texts, 0, len(texts)
-        )
-
-    @pytest.mark.parametrize("cpus", [2, 3, 4])
-    def test_shares_are_contiguous_with_about_equal_pair_counts(
-        self, monkeypatch, cpus
-    ):
-        monkeypatch.setattr(simkit, "_usable_cpus", lambda: list(range(cpus)))
-        for n in range(60):
-            bounds = simkit._share_bounds(n, 10)
-            shares = min(cpus, n * (n + 1) // 2 // 10)
-            if shares < 2:
-                assert bounds == [0, n]
-                continue
-            assert len(bounds) == shares + 1
-            assert bounds[0] == 0 and bounds[-1] == n
-            assert all(a < b for a, b in zip(bounds, bounds[1:]))
-            sizes = [
-                sum(n - i for i in range(a, b))
-                for a, b in zip(bounds, bounds[1:])
-            ]
-            assert max(sizes) - min(sizes) <= 2 * n, (n, bounds)
