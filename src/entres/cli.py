@@ -35,7 +35,7 @@ from .errors import (
     decode_guard,
 )
 from .matcher import Context
-from .model import NULL, Constant, Database, Fact, MergePair, entity, value
+from .model import Constant, Database, Kind, MergePair, entity
 from .rules import (
     RuleKind,
     Schema,
@@ -85,12 +85,6 @@ def _bind(*names: str) -> None:
 # ----------------------------------------------------------------- ingest
 
 
-def _cell(text: str, hint: str, null_token: str) -> Constant:
-    if text == null_token:
-        return NULL
-    return entity(text) if hint == "id" else value(text)
-
-
 def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
     """Load one `<Relation>.tsv` or `<Relation>.csv` per declared relation.
     The header row must equal the declared attribute names; cells equal to
@@ -98,7 +92,7 @@ def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
     entity references, all others values. Duplicate rows collapse. A
     quoted cell that holds a tab or a line break is a DataError, because
     the outputs are tab-separated lines."""
-    facts: list[Fact] = []
+    tables: dict[str, tuple[tuple[Kind, ...], list[list[str]]]] = {}
     root = Path(data_dir)
     for decl in schema.relations:
         path = None
@@ -112,6 +106,11 @@ def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
                 f"no {decl.name}.tsv or {decl.name}.csv under {root}"
             )
         delim = "\t" if path.suffix == ".tsv" else ","
+        kinds = tuple(
+            Kind.ENTITY if h == "id" else Kind.VALUE for h in decl.hints
+        )
+        rows: list[list[str]] = []
+        tables[decl.name] = (kinds, rows)
         with (
             open(path, newline="", encoding="utf-8") as fh,
             decode_guard(path, DataError),
@@ -138,11 +137,8 @@ def ingest(data_dir: str, schema: Schema, null_token: str = "") -> Database:
                             f"a line break, which tab-separated output "
                             f"cannot hold"
                         )
-                facts.append(Fact(decl.name, tuple(
-                    _cell(c, h, null_token)
-                    for c, h in zip(row, decl.hints)
-                )))
-    return Database(facts)
+                rows.append(row)
+    return Database.interned(tables, null_token)
 
 
 # ------------------------------------------------------- pairs and truth
@@ -363,8 +359,8 @@ def _prepare_sims(
     args, mode: str, ctx: Context
 ) -> tuple[Context, SimStore | None]:
     """The context with the engine's resolver, and with sim_opt's ub
-    fixpoint under opt, plus the materialized store (None for the table
-    strategy, which serves lookups directly). Nothing is scored for
+    fixpoint and root under opt, plus the materialized store (None for the
+    table strategy, which serves lookups directly). Nothing is scored for
     loose-ub, which drops every similarity atom."""
     from_table = args.sim.startswith("table:")
     if not from_table and (mode == "loose-ub" or not any(
@@ -377,14 +373,15 @@ def _prepare_sims(
         table = simkit.SimTable.load(args.sim[len("table:"):])
         return ctx.replace(sims=simkit.TableResolver(table)), None
     _bind("sim_all", "sim_opt")
-    ub = None
+    ub = root = None
     if args.sim == "all":
         store = sim_all(ctx.db, ctx.spec)
     elif args.sim == "cs":
         store = simkit.sim_cs(ctx.db, ctx.spec)
     else:
-        store, ub = sim_opt(ctx)
-    return ctx.replace(sims=simkit.StrictResolver(store), ub=ub), store
+        store, ub, root = sim_opt(ctx)
+    sims = simkit.StrictResolver(store)
+    return ctx.replace(sims=sims, ub=ub, root=root), store
 
 
 def _entity_by_text(db: Database, text: str) -> Constant:

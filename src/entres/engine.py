@@ -64,6 +64,11 @@ class DerivStep(Record):
     __slots__ = ("label", "pair")
 
 
+#: the search's start when saturation is eager: the identity closed under
+#: the hard rules, and the steps that close it, in order
+Root = tuple[EqRel, tuple[DerivStep, ...]]
+
+
 class Solution(Record):
     """A solution with the derivation that proves it is a candidate."""
 
@@ -129,9 +134,11 @@ def _rounds(
         yield dirty
 
 
-def _fixpoint(ctx: Context, rules: tuple[Rule, ...]) -> EqRel:
-    """The identity closed under the rules."""
-    e = ctx.identity()
+def _fixpoint(
+    ctx: Context, rules: tuple[Rule, ...], e: EqRel | None = None
+) -> EqRel:
+    """e, the identity when None, closed under the rules."""
+    e = ctx.identity() if e is None else e
     for _ in _rounds(ctx, rules, e):
         pass
     return e
@@ -143,13 +150,32 @@ def lb(ctx: Context) -> EqRel:
     return _fixpoint(ctx, analyse(ctx.spec).lb)
 
 
-def ub(ctx: Context) -> EqRel:
+def ub(ctx: Context, start: EqRel | None = None) -> EqRel:
     """Fixpoint of every rule as hard, non-monotone inequalities dropped
     (Analysis.ub): no solution merges more. A copy of the context's own
-    ub when it holds one (see Context)."""
+    ub when it holds one (see Context).
+
+    The chain runs from start, closed in place, or from the identity when
+    None; its first round is evaluated in full. start must lie below ub,
+    as the hard root does when saturation is eager (ub's rules include
+    every hard rule unchanged), so the least fixpoint above it is ub."""
     if ctx.ub is not None:
         return ctx.ub.clone()
-    return _fixpoint(ctx, analyse(ctx.spec).ub)
+    return _fixpoint(ctx, analyse(ctx.spec).ub, start)
+
+
+def hard_root(ctx: Context) -> Root:
+    """The identity closed under the hard rules, and the steps that close
+    it (see Root). A copy of the context's own root when it holds one (see
+    Context)."""
+    if ctx.root is not None:
+        e, steps = ctx.root
+        return e.clone(), steps
+    e = ctx.identity()
+    steps: list[DerivStep] = []
+    for _ in _rounds(ctx, ctx.spec.hard, e, record=steps):
+        pass
+    return e, tuple(steps)
 
 
 def loose_ub(ctx: Context) -> EqRel:
@@ -211,15 +237,11 @@ class _Search:
 
     def root(self) -> _Node | None:
         """The node of the start state, holding the steps to it, hard-
-        saturated when saturation is eager, or None when it fails a pruning
-        constraint."""
-        start = self.ctx.identity()
-        steps: list[DerivStep] = []
+        saturated (hard_root) when saturation is eager, or None when it
+        fails a pruning constraint."""
         if self.an.eager:
-            hard = self.ctx.spec.hard
-            for _ in _rounds(self.ctx, hard, start, record=steps):
-                pass
-        return self._enter(start, tuple(steps))
+            return self._enter(*hard_root(self.ctx))
+        return self._enter(self.ctx.identity(), ())
 
     def run(
         self, node: _Node, ids: Collection[int] | None = None

@@ -56,14 +56,19 @@ class SimResolver(Protocol):
 class Context(Record):
     """What every evaluation reads besides the equivalence relation: the
     database, the specification, the similarity resolver (None when no
-    similarity atom is evaluated) and the null inequality policy, plus the
-    ub fixpoint under them when it is already known (None otherwise), as
-    `simkit.sim_opt` computes it; `engine.ub` then copies it instead of
-    running the fixpoint again."""
+    similarity atom is evaluated) and the null inequality policy. Two
+    results computed under them travel with them once known, as
+    `simkit.sim_opt` computes both, and are None otherwise: the ub
+    fixpoint, which `engine.ub` then copies instead of running the
+    fixpoint again, and the root, the identity closed under the hard
+    rules with the steps that close it, which `engine.hard_root` copies
+    instead of saturating again."""
 
-    __slots__ = ("db", "spec", "sims", "null_inequality", "ub")
+    __slots__ = ("db", "spec", "sims", "null_inequality", "ub", "root")
 
-    _defaults = {"sims": None, "null_inequality": "distinct", "ub": None}
+    _defaults = {
+        "sims": None, "null_inequality": "distinct", "ub": None, "root": None,
+    }
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
@@ -74,11 +79,15 @@ class Context(Record):
             )
         if self.ub is not None:
             self.require_domain(self.ub)
+        if self.root is not None:
+            self.require_domain(self.root[0])
 
     def replace(self, **changes):
-        """A copy with the given fields changed. A ub belongs to the fields
-        it was computed under, so the copy keeps none unless given one."""
+        """A copy with the given fields changed. A ub or a root belongs to
+        the fields it was computed under, so the copy keeps neither unless
+        given it."""
         changes.setdefault("ub", None)
+        changes.setdefault("root", None)
         return super().replace(**changes)
 
     def require_domain(self, e: EqRel) -> None:
@@ -380,7 +389,7 @@ def answers(
     extra = {i: c for c, i in ev.absent.items()}  # ids above the domain's
     found: dict[tuple[int, ...], list[tuple[Fact, ...]]] = {}
     seen: set[tuple[int, ...]] = set()
-    facts = ctx.db.by_relation
+    facts = ctx.db.by_relation if witnesses else {}
     for ids, at in ev.solutions(dirty):
         wits = found.setdefault(tuple([ids[s] for s in picks]), [])
         # a match found again under another pin is witnessed once

@@ -10,9 +10,11 @@ database rule bodies are evaluated against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonEntityMerge, UnknownConstant
 
@@ -169,10 +171,6 @@ class Fact(Record):
         return f"{self.relation}({inner})"
 
 
-def _fact_key(f: Fact) -> tuple:
-    return (f.relation, tuple(_const_key(a) for a in f.args))
-
-
 class MergePair(Record):
     """Unordered non-reflexive pair of entity references, stored canonically
     with the lexicographically smaller text first."""
@@ -207,60 +205,138 @@ class MergePair(Record):
         return f"({self.left.text}, {self.right.text})"
 
 
+#: a constant's interning key, (kind name, text): `_const_key`, whose order
+#: numbers the domain
+_Key = tuple[str, str]
+_NULL_KEY: _Key = _const_key(NULL)
+_KINDS = {k.value: k for k in Kind}
+
+
+def _keyed(
+    kinds: Sequence[Kind], rows: Iterable[Sequence[str]], null_token: str
+) -> Iterator[tuple[_Key, ...]]:
+    """Each text row as its cells' keys, under the column kinds, a cell
+    equal to the null token as the null key."""
+    names = tuple([k.value for k in kinds])
+    for row in rows:
+        keys = tuple(zip(names, row))
+        if null_token in row:
+            keys = tuple([
+                _NULL_KEY if c == null_token else k for c, k in zip(row, keys)
+            ])
+        yield keys
+
+
 class Database:
     """Immutable fact store. Facts are deduplicated and kept in a fixed
     deterministic order; the domain is the set of constants occurring in
     facts.
 
     The interned form is built once: `consts` numbers the domain in the
-    sorted order EqRel uses and `ids` maps each constant to its number,
-    `rows[rel]` holds each fact of `by_relation[rel]` as a tuple of those
-    ids (same order), and `index[rel][pos][i]` lists, ascending, the
-    positions in `rows[rel]` of the rows whose argument at pos is id i.
-    Entity references sort first (by kind name), so they hold exactly the
-    ids below `entities`."""
+    sorted order EqRel uses, one Constant per constant, and `ids` maps
+    each constant to its number, `rows[rel]` holds each fact of
+    `by_relation[rel]` as a tuple of those ids (same order), and
+    `index[rel][pos][i]` lists, ascending, the positions in `rows[rel]` of
+    the rows whose argument at pos is id i. Entity references sort first
+    (by kind name), so they hold exactly the ids below `entities`. The
+    facts are built from the rows on first read."""
 
     __slots__ = (
-        "facts", "domain", "by_relation", "consts", "ids", "entities", "rows",
-        "index",
+        "domain", "consts", "ids", "entities", "rows", "index",
+        "_by_relation", "_facts",
     )
 
     def __init__(self, facts: Iterable[Fact] = ()):
-        ordered = sorted(set(facts), key=_fact_key)
-        self.facts: tuple[Fact, ...] = tuple(ordered)
-        grouped: dict[str, list[Fact]] = {}
-        dom: set[Constant] = set()
-        for f in self.facts:
-            grouped.setdefault(f.relation, []).append(f)
-            dom.update(f.args)
-        self.by_relation: dict[str, tuple[Fact, ...]] = {
-            r: tuple(fs) for r, fs in grouped.items()
+        tables: dict[str, list[tuple[_Key, ...]]] = {}
+        for f in facts:
+            tables.setdefault(f.relation, []).append(
+                tuple([_const_key(a) for a in f.args])
+            )
+        self._intern(tables)
+
+    @classmethod
+    def interned(
+        cls,
+        tables: Mapping[str, tuple[Sequence[Kind], Iterable[Sequence[str]]]],
+        null_token: str,
+    ) -> Database:
+        """The database of each relation's column kinds and text rows: a
+        cell equal to the null token is the null constant, any other one
+        the constant of its column's kind and its text. A relation with no
+        row gets no entry. One Constant is built per constant."""
+        db = object.__new__(cls)
+        db._intern({
+            r: _keyed(kinds, rows, null_token)
+            for r, (kinds, rows) in tables.items()
+        })
+        return db
+
+    def _intern(self, tables: dict[str, Iterable[tuple[_Key, ...]]]) -> None:
+        """Number the distinct keys in sorted order, one Constant each, and
+        each relation's distinct rows as sorted id tuples: ids follow the
+        keys' order, so the rows sort as their facts do by relation and
+        then by argument keys."""
+        distinct = {
+            r: found
+            for r, rows in sorted(tables.items()) if (found := set(rows))
         }
-        self.domain: frozenset[Constant] = frozenset(dom)
-        self.consts: tuple[Constant, ...] = tuple(sorted(dom, key=_const_key))
-        ids = self.ids = {c: i for i, c in enumerate(self.consts)}
-        self.entities: int = sum(c.is_entity() for c in self.consts)
+        keys = sorted(set(chain.from_iterable(
+            chain.from_iterable(distinct.values())
+        )))
+        self.consts: tuple[Constant, ...] = tuple([
+            NULL if k == _NULL_KEY else Constant(_KINDS[k[0]], k[1])
+            for k in keys
+        ])
+        self.ids: dict[Constant, int] = dict(
+            zip(self.consts, range(len(keys)))
+        )
+        self.domain: frozenset[Constant] = frozenset(self.ids)
+        # entity keys sort below the null key, every other key at or above
+        self.entities: int = bisect_left(keys, _NULL_KEY)
+        of = dict(zip(keys, range(len(keys)))).__getitem__
         self.rows: dict[str, tuple[tuple[int, ...], ...]] = {}
         self.index: dict[str, list[dict[int, list[int]]]] = {}
-        for r, fs in self.by_relation.items():
-            rows = tuple(tuple(ids[a] for a in f.args) for f in fs)
+        for r, found in distinct.items():
+            rows = self.rows[r] = tuple(sorted([
+                tuple(map(of, row)) for row in found
+            ]))
             cols: list[dict[int, list[int]]] = [
                 {} for _ in range(max(map(len, rows)))
             ]
             for k, row in enumerate(rows):
                 for col, i in zip(cols, row):
                     col.setdefault(i, []).append(k)
-            self.rows[r] = rows
             self.index[r] = cols
+        self._by_relation: dict[str, tuple[Fact, ...]] | None = None
+        self._facts: tuple[Fact, ...] | None = None
+
+    @property
+    def by_relation(self) -> dict[str, tuple[Fact, ...]]:
+        """Each relation's facts in the order of its rows, built from them
+        on first read and sharing the interned constants."""
+        if self._by_relation is None:
+            consts = self.consts.__getitem__
+            self._by_relation = {
+                r: tuple([Fact(r, tuple(map(consts, row))) for row in rows])
+                for r, rows in self.rows.items()
+            }
+        return self._by_relation
+
+    @property
+    def facts(self) -> tuple[Fact, ...]:
+        """Every fact, by relation name and then in row order."""
+        if self._facts is None:
+            self._facts = tuple(chain.from_iterable(self.by_relation.values()))
+        return self._facts
 
     def relations(self) -> tuple[str, ...]:
-        return tuple(sorted(self.by_relation))
+        return tuple(self.rows)
 
     def entity_refs(self) -> frozenset[Constant]:
         return frozenset(c for c in self.domain if c.is_entity())
 
     def __len__(self) -> int:
-        return len(self.facts)
+        return sum(map(len, self.rows.values()))
 
     def __contains__(self, fact: Fact) -> bool:
         return fact in set(self.by_relation.get(fact.relation, ()))
@@ -274,7 +350,7 @@ class Database:
         return hash(self.facts)
 
     def __repr__(self) -> str:
-        return f"Database({len(self.facts)} facts, {len(self.domain)} constants)"
+        return f"Database({len(self)} facts, {len(self.domain)} constants)"
 
 
 class EqRel:

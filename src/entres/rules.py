@@ -238,22 +238,19 @@ def _unquote(raw: str) -> str:
 
 
 def hundredths(text: str, what: str) -> int:
-    """A percentage in 0..100 with at most two decimals, in hundredths
-    (95.5 -> 9550). A ValueError names the `what` and the text."""
-    from decimal import Decimal, InvalidOperation
-
-    try:
-        d = Decimal(text)
-        if d.is_nan():  # NaN and sNaN do not compare
-            raise InvalidOperation
-    except InvalidOperation:
-        raise ValueError(f"bad {what} {text!r}") from None
-    if d < 0 or d > 100:
+    """A percentage in 0..100 with at most two decimals, written as ASCII
+    digits with an optional fraction (the specification's number token),
+    in hundredths (95.5 -> 9550). A ValueError names the `what` and the
+    text."""
+    whole, dot, frac = text.partition(".")
+    if not (text.isascii() and whole.isdigit() and (frac.isdigit() or not dot)):
+        raise ValueError(f"bad {what} {text!r}")
+    whole, frac = whole.lstrip("0"), frac.rstrip("0")
+    if len(whole) > 3 or int(whole or "0") + (frac != "") > 100:
         raise ValueError(f"{what} {text} outside [0, 100]")
-    scaled = d * 100
-    if scaled != scaled.to_integral_value():
+    if len(frac) > 2:
         raise ValueError(f"{what} {text} has more than two decimals")
-    return int(scaled)
+    return int(whole or "0") * 100 + int(frac.ljust(2, "0"))
 
 
 # ------------------------------------------------------------------- parser

@@ -34,7 +34,14 @@ from . import engine
 from .errors import DataError, MissingFile, MissingSimScore, decode_guard
 from .matcher import Context, answers
 from .model import Database, EqRel, Kind
-from .rules import HINT_BACKEND, Specification, Var, hundredths, var_positions
+from .rules import (
+    HINT_BACKEND,
+    Specification,
+    Var,
+    analyse,
+    hundredths,
+    var_positions,
+)
 
 # ------------------------------------------------------------------- store
 
@@ -308,14 +315,14 @@ def _position_values(
     wanted: dict[str, set[int]] = {}
     for rel, pos in positions:
         wanted.setdefault(rel, set()).add(pos)
-    out: set[str] = set()
+    ids: set[int] = set()
     for rel, cols in wanted.items():
-        for fact in db.by_relation.get(rel, ()):
-            for i in cols:
-                c = fact.args[i]
-                if c.kind is Kind.VALUE:
-                    out.add(c.text)
-    return sorted(out)
+        for i in cols:
+            ids.update([row[i] for row in db.rows.get(rel, ())])
+    consts = db.consts
+    return sorted({
+        consts[i].text for i in ids if consts[i].kind is Kind.VALUE
+    })
 
 
 # --------------------------------------------------------------- resolvers
@@ -465,18 +472,25 @@ def sim_cs(
 def sim_opt(
     ctx: Context,
     registry: dict[str, Scorer] | None = None,
-) -> tuple[SimStore, EqRel]:
-    """Three-phase optimized materialization; returns the score store and
-    phase 1's ub fixpoint. That is the ub under `StrictResolver(store)`
-    too, as the store holds every score the fixpoint probed, so the engine
-    can take it as that context's ub (see Context). The context's own
-    resolver is not consulted."""
+) -> tuple[SimStore, EqRel, engine.Root | None]:
+    """Three-phase optimized materialization; returns the score store,
+    phase 1's ub fixpoint and, when saturation is eager, the search's root
+    (`engine.hard_root`) that phase 1 starts from, else None. Both are
+    those under `StrictResolver(store)` too, as the store holds every
+    score they probed, so the engine can take them as that context's (see
+    Context). The context's own resolver is not consulted."""
     registry = build_registry(ctx.spec, ctx.db) if registry is None else registry
     store = SimStore()
     resolver = OnDemandResolver(store, registry)
 
-    # phase 1: upper-bound fixpoint with on-demand external calls
-    e_ub = engine.ub(ctx.replace(sims=resolver))
+    # phase 1: the hard rules' fixpoint when eager, and from it the
+    # upper-bound fixpoint, with on-demand external calls. When eager every
+    # body is monotone, so every match a round evaluates, from either
+    # start, holds at ub too, and phase 3 scores the pairs of every match
+    # at ub: the store ends as a chain from the identity leaves it
+    scored = ctx.replace(sims=resolver)
+    root = engine.hard_root(scored) if analyse(ctx.spec).eager else None
+    e_ub = engine.ub(scored, None if root is None else root[0].clone())
 
     # phases 2 and 3: per similarity atom, evaluate its rule's body without
     # similarity atoms once under the overapproximation, and score the
@@ -492,4 +506,4 @@ def sim_opt(
             ):
                 resolver.score(satom.func_id, a, b)
 
-    return store, e_ub
+    return store, e_ub, root

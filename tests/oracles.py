@@ -25,7 +25,7 @@ from entres.matcher import (
     merge_candidates,
     rule_satisfied,
 )
-from entres.model import Constant, Database, EqRel, MergePair
+from entres.model import Constant, Database, EqRel, Fact, MergePair
 from entres.rules import (
     DenialConstraint,
     Rule,
@@ -56,6 +56,50 @@ def simfn_of(resolver) -> SimFn | None:
         return resolver.score(func, a.text, b.text)
 
     return simfn
+
+
+# -------------------------------------------------------------- databases
+
+
+def database_fields(facts: Iterable[Fact]) -> dict[str, object]:
+    """Every field of a Database over the facts, built by sorting: the
+    distinct facts sorted by relation and then by their arguments' kind
+    names and texts, grouped per relation; the domain's constants sorted
+    the same way and numbered; each fact's row of numbers, and per
+    relation, position and number the rows holding it there."""
+    ordered = sorted(
+        set(facts), key=lambda f: (f.relation, tuple(map(_ckey, f.args)))
+    )
+    by_relation: dict[str, tuple[Fact, ...]] = {}
+    for f in ordered:
+        by_relation[f.relation] = by_relation.get(f.relation, ()) + (f,)
+    domain = frozenset(a for f in ordered for a in f.args)
+    consts = tuple(sorted(domain, key=_ckey))
+    ids = {c: i for i, c in enumerate(consts)}
+    rows = {
+        r: tuple(tuple(ids[a] for a in f.args) for f in fs)
+        for r, fs in by_relation.items()
+    }
+    index = {}
+    for r, rs in rows.items():
+        width = max(len(row) for row in rs)
+        index[r] = [{} for _ in range(width)]
+        for pos, col in enumerate(index[r]):
+            for i in sorted({row[pos] for row in rs if pos < len(row)}):
+                col[i] = [
+                    k for k, row in enumerate(rs)
+                    if pos < len(row) and row[pos] == i
+                ]
+    return {
+        "facts": tuple(ordered),
+        "by_relation": by_relation,
+        "domain": domain,
+        "consts": consts,
+        "ids": ids,
+        "entities": sum(c.is_entity() for c in consts),
+        "rows": rows,
+        "index": index,
+    }
 
 
 # --------------------------------------------------------------- closures

@@ -2,6 +2,7 @@
 codes, and rerun determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -23,11 +24,12 @@ from entres.cli import evaluate, ingest, load_truth, main, write_pairs
 from entres.errors import HeaderMismatch, MissingFile, RaggedRow
 from entres.explain import proof_tree, to_dot, to_json
 from entres.matcher import Context
-from entres.model import NULL, Fact, MergePair
+from entres.model import NULL, Database, Fact, MergePair
 from entres.rules import load_spec
 from entres.simkit import sim_all, sim_cs
 
 from conftest import MUSIC, ROOT, e, v
+from oracles import database_fields
 
 P = MergePair.of
 SIM_ARG = f"table:{MUSIC / 'simtable.tsv'}"
@@ -123,6 +125,102 @@ class TestIngest:
         )
         with pytest.raises(RaggedRow, match=r"Band\.tsv:2"):
             ingest(str(d), music_spec.schema)
+
+
+#: a schema whose relations read a text as an entity in one column and as a
+#: value in another, and one (T) that may have a header and no row
+_INTERN_SPEC = (
+    "relation R(rid: id, a: val, b: id) merge [rid];\n"
+    "relation S(sid: id, t: val) merge [sid];\n"
+    "relation T(x: id) merge [x];\n"
+)
+_INTERN_FIELDS = (
+    "facts", "by_relation", "domain", "consts", "ids", "entities", "rows",
+    "index",
+)
+
+
+def _interned_facts(spec, tables, token):
+    """The facts ingest reads from the tables: a null token cell is the
+    null constant, an id column's cell an entity, any other a value."""
+    facts = []
+    for decl in spec.schema.relations:
+        for row in tables.get(decl.name, ()):
+            facts.append(Fact(decl.name, tuple(
+                NULL if c == token else e(c) if h == "id" else v(c)
+                for c, h in zip(row, decl.hints)
+            )))
+    return facts
+
+
+def _same_as_reference(db, facts):
+    """db's every field equals the sort-based construction's, relations in
+    the same order, and its facts share one Constant per constant."""
+    want = database_fields(facts)
+    for field in _INTERN_FIELDS:
+        assert getattr(db, field) == want[field], field
+    assert list(db.rows) == list(want["rows"]) == list(db.by_relation)
+    assert len(db) == len(want["facts"]) and all(f in db for f in facts)
+    args = [a for f in db.facts for a in f.args]
+    assert len({id(a) for a in args}) == len(db.domain)
+    assert all(a is db.consts[db.ids[a]] for a in args)
+
+
+def _check_interned(tables, exts, token):
+    """ingest of the tables, each written as a CSV or a TSV file, and
+    Database of the facts it should read, against the reference."""
+    from entres.rules import parse_spec
+
+    spec = parse_spec(_INTERN_SPEC)
+    with tempfile.TemporaryDirectory() as tmp:
+        for decl, ext in zip(spec.schema.relations, exts):
+            path = Path(tmp) / f"{decl.name}.{ext}"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh, delimiter="\t" if ext == "tsv" else ",")
+                w.writerow(decl.attributes)
+                w.writerows(tables.get(decl.name, ()))
+        db = ingest(tmp, spec.schema, null_token=token)
+    facts = _interned_facts(spec, tables, token)
+    _same_as_reference(db, facts)
+    _same_as_reference(Database(facts), facts)
+    _same_as_reference(Database(reversed(facts)), facts)
+    return db
+
+
+_cell = st.sampled_from(["a", "b", "ab", "", "NA", "b a", "\u00e9"])
+
+
+class TestInternedDatabase:
+    """ingest and Database(facts) share one interning routine: one Constant
+    per constant, rows as sorted id tuples. Each field must equal the
+    construction that sorts Fact records (oracles.database_fields)."""
+
+    def test_named_cases(self):
+        tables = {
+            # a duplicate row, a null cell, a text both entity and value
+            "R": [("a", "b", "a"), ("a", "b", "a"), ("b", "", "NA")],
+            "S": [("NA", "a"), ("b a", "\u00e9")],
+        }
+        for exts in (("tsv",) * 3, ("csv",) * 3, ("csv", "tsv", "csv")):
+            for token in ("", "NA"):
+                db = _check_interned(tables, exts, token)
+                assert "T" not in db.rows  # a header and no row: no entry
+                assert {e("a"), v("a"), NULL} <= db.domain
+        db = _check_interned({}, ("tsv",) * 3, "")
+        assert db.rows == {} and db.consts == () and len(db) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries({
+            "R": st.lists(st.tuples(_cell, _cell, _cell), max_size=6),
+            "S": st.lists(st.tuples(_cell, _cell), max_size=4),
+            "T": st.lists(st.tuples(_cell), max_size=3),
+        }),
+        st.tuples(*[st.sampled_from(["tsv", "csv"])] * 3),
+        st.sampled_from(["", "NA", "b"]),
+    )
+    def test_generated_tables(self, tables, exts, token):
+        _check_interned(tables, exts, token)
 
 
 class TestTruthFiles:

@@ -95,6 +95,25 @@ class TestDatabase:
         # an id repeated in one row is listed once per position
         assert db.index["T"] == [{i[e("r0")]: [0]}, {i[e("r0")]: [0]}]
 
+    def test_membership(self):
+        facts = [
+            Fact("R", (e("r0"), v("x"))),
+            Fact("R", (e("r1"), v("x"))),
+            Fact("R", (e("r1"), v("y"))),
+            Fact("S", (e("r0"),)),
+        ]
+        db = Database(facts)
+        assert all(f in db for f in facts)
+        assert Fact("R", (e("r0"), v("y"))) not in db  # both ids, no row
+        assert Fact("S", (e("r1"),)) not in db
+        assert Fact("R", (e("r0"),)) not in db  # another arity
+        assert Fact("R", (e("r0"), v("x"), v("x"))) not in db
+        assert Fact("T", (e("r0"),)) not in db  # no such relation
+        # a constant outside the domain is no error
+        assert Fact("R", (e("r9"), v("x"))) not in db
+        assert Fact("R", (v("r0"), v("x"))) not in db
+        assert Fact("S", (NULL,)) not in db
+
 
 DOM = [e(f"c{i}") for i in range(8)] + [v("val"), NULL]
 

@@ -1,7 +1,11 @@
 """Rule language: parsing, validation, safety and monotonicity analysis,
 and the record semantics of its syntax tree."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entres.errors import (
     ArityMismatch,
@@ -27,6 +31,7 @@ from entres.rules import (
     Var,
     _Token,
     analyse,
+    hundredths,
     occurrences,
     parse_spec,
     validate_sim_safety,
@@ -89,6 +94,31 @@ class TestParsingGolden:
         assert r.body.rel_atoms[0].args[2].kind.value == "value"
 
 
+def _outcome(parse, text):
+    """parse's hundredths of text, or the message of its ValueError."""
+    try:
+        return parse(text, "threshold")
+    except ValueError as exc:
+        return str(exc)
+
+
+def _by_decimal(text):
+    """hundredths as exact Decimal arithmetic reads digits with an optional
+    fraction; any other spelling is no percentage."""
+    from decimal import Decimal, localcontext
+
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        return f"bad threshold {text!r}"
+    with localcontext() as exact:
+        exact.prec = len(text) + 3  # no rounding below 10**-2
+        d = Decimal(text)
+        if d > 100:
+            return f"threshold {text} outside [0, 100]"
+        if d * 100 != (d * 100).to_integral_value():
+            return f"threshold {text} has more than two decimals"
+        return int(d * 100)
+
+
 class TestThresholds:
     def test_integer_and_decimals_scale_to_hundredths(self):
         r = rule_of(
@@ -111,6 +141,38 @@ class TestThresholds:
             rule_of(
                 "hard h: R(x, a, b), R(y, a2, b), sim(a, a2) >= 101 => eq(x, y);"
             )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.from_regex(r"[0-9]{1,5}(\.[0-9]{1,5})?", fullmatch=True),
+        st.text("0123456789.+-eE_ \u0660\u0665", max_size=7),
+    ))
+    @example("100.00")
+    @example("95.500")
+    @example("100.01")
+    @example("101")
+    @example("99.999")
+    @example("0" * 5000 + "1")
+    @example("0." + "0" * 5000)
+    @example("99." + "9" * 28)
+    @example("+95")
+    @example("9.55E1")
+    @example(" 95")
+    @example("95.")
+    @example(".5")
+    @example("-0")
+    def test_hundredths_equals_exact_decimal_arithmetic(self, text):
+        # digits with an optional fraction are read exactly, every other
+        # spelling (signs, exponents, spaces, non-ASCII digits) is rejected
+        assert _by_decimal(text) == _outcome(hundredths, text)
+
+    @pytest.mark.parametrize(
+        "text", ["99." + "9" * 28, "1." + "0" * 28 + "1"]
+    )
+    def test_more_digits_than_decimal_precision_are_not_rounded(self, text):
+        # Decimal's default 28-digit context rounds both to two decimals
+        with pytest.raises(ValueError, match="more than two decimals"):
+            hundredths(text, "score")
 
     @pytest.mark.parametrize(
         "number", ["\u0660.\u0668", "\uff18\uff15", "8\u0665"]

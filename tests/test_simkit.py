@@ -519,7 +519,7 @@ class TestStrategies:
             pytest.skip("this seed has no similarity atoms")
         store_all = inst.store
         store_cs = sim_cs(inst.db, inst.spec)
-        store_opt, _ = sim_opt(inst.ctx)
+        store_opt = sim_opt(inst.ctx)[0]
         assert store_opt.key_set() <= store_cs.key_set() <= store_all.key_set()
         assert store_opt.calls <= store_cs.calls <= store_all.calls
 
@@ -528,7 +528,7 @@ class TestStrategies:
         inst = generate(seed)
         if inst.store is None:
             pytest.skip("this seed has no similarity atoms")
-        store_opt, _ = sim_opt(inst.ctx)
+        store_opt = sim_opt(inst.ctx)[0]
         full = {
             s.pairs()
             for s in enumerate_solutions(

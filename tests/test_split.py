@@ -3,7 +3,8 @@ instance one independent part at a time: several parts when the search is
 eager and every constraint prunes, and one part, the whole instance,
 otherwise. Their answers must equal the brute force and the whole-instance
 search, with one part as with several. The parts are cut under the ub
-fixpoint, which `sim_opt` hands over with the context it was computed in."""
+fixpoint, which `sim_opt` hands over with the context it was computed in,
+and the search starts from the hard-saturated root it hands over with it."""
 
 import importlib.util
 import sys
@@ -19,6 +20,7 @@ from entres.engine import (
     _Search,
     certain_merges,
     enumerate_solutions,
+    hard_root,
     is_possible,
     maximal_solutions,
     merge_sets,
@@ -245,8 +247,8 @@ def test_solve_one_memory_grows_linearly(tmp_path):
         inst.write(tmp_path / str(bands))
         spec = load_spec(str(tmp_path / str(bands) / "spec.er"))
         ctx = Context(cli.ingest(str(tmp_path / str(bands)), spec.schema), spec)
-        store, handed = sim_opt(ctx)
-        ctx = ctx.replace(sims=StrictResolver(store), ub=handed)
+        store, handed, root = sim_opt(ctx)
+        ctx = ctx.replace(sims=StrictResolver(store), ub=handed, root=root)
         tracemalloc.start()
         try:
             sol = solve_one(ctx)
@@ -379,7 +381,7 @@ def test_the_root_reads_no_signature(
 
 
 def _handed_ub_is_the_strict_ub(ctx, registry=None):
-    store, handed = sim_opt(ctx, registry)
+    store, handed, _ = sim_opt(ctx, registry)
     strict = ctx.replace(sims=StrictResolver(store))
     assert handed == ub(strict)
     with_ub = strict.replace(ub=handed)
@@ -415,3 +417,94 @@ def test_sim_opt_hands_over_the_ub_of_its_context(
             got = (out / f"{mode}.tsv").read_text()
             assert got == _tsv(getattr(inst, attr)), (name, mode)
     capsys.readouterr()
+
+
+def _handed_root_is_the_fresh_root(ctx, registry=None):
+    """sim_opt's root on ctx, None unless saturation is eager, else the
+    state and steps a fresh search under its store starts from; no search
+    from the context it is handed to changes it. Returns the store and
+    that context."""
+    store, handed_ub, handed = sim_opt(ctx, registry)
+    strict = ctx.replace(sims=StrictResolver(store))
+    if not analyse(ctx.spec).eager:
+        assert handed is None
+        return store, strict.replace(ub=handed_ub)
+    e, steps = handed
+    assert (e, steps) == hard_root(strict)
+    # the ub fixpoint from the root is the one from the identity
+    assert handed_ub == ub(strict, e.clone()) == ub(strict)
+    fresh = _Search(strict).root()
+    with_root = strict.replace(ub=handed_ub, root=handed)
+    assert with_root.root is handed and with_root.replace(sims=None).root is None
+    got = _Search(with_root).root()
+    assert (got is None) == (fresh is None)
+    if fresh is not None:
+        assert (fresh.e, fresh.steps) == (e, steps)
+        assert (got.e, got.steps, got.cands) == (e, steps, fresh.cands)
+        assert got.e is not e  # a copy, which the search may change
+    kept = e.clone()
+    first, pm = solve_one(with_root), possible_merges(with_root)
+    want = solve_one(strict)
+    assert (first is None) == (want is None)
+    if first is not None:
+        assert (first.eq, first.derivation) == (want.eq, want.derivation)
+    assert pm == possible_merges(strict)
+    assert certain_merges(with_root) == certain_merges(strict)
+    assert e == kept and handed[0] is e
+    return store, with_root
+
+
+class TestHandedRoot:
+    """With eager saturation, sim_opt hard-saturates the identity, hands
+    the state and its steps to the search and runs the ub fixpoint on from
+    there; the search starts from a copy instead of saturating again."""
+
+    def test_music_bundle(self, music_spec, music_db, music_table):
+        reg = build_registry(music_spec, music_db, table=music_table)
+        store, ctx = _handed_root_is_the_fresh_root(
+            Context(music_db, music_spec), reg
+        )
+        assert ctx.root is not None
+        # the chain from the root scores what the chain from the identity did
+        assert (store.calls, len(store)) == (5, 5)
+
+    def test_ub_runs_on_from_a_copy_of_the_root(
+        self, monkeypatch, music_spec, music_db, music_table
+    ):
+        starts = []
+
+        def spy(ctx, start=None):
+            starts.append((start, None if start is None else start.clone()))
+            return ub(ctx, start)
+
+        monkeypatch.setattr(engine, "ub", spy)
+        reg = build_registry(music_spec, music_db, table=music_table)
+        _, _, (e, _) = sim_opt(Context(music_db, music_spec), reg)
+        [(start, at_call)] = starts
+        assert at_call == e and start is not e
+
+    def test_similarity_families(self):
+        eager = {True: 0, False: 0}
+        for make in (generate, generate_neq, generate_parts):
+            for seed in range(12):
+                inst = make(seed)
+                if inst.store is not None:
+                    _handed_root_is_the_fresh_root(inst.ctx)
+                    eager[analyse(inst.spec).eager] += 1
+        assert eager[True] and eager[False], eager
+
+    def test_two_databases_in_one_process(self, tmp_path, capsys):
+        # each run searches from the root of its own data
+        small = _gen().music(1, bands=4, band_copies=2, pairs=3, triples=2)
+        large = _gen().music(2, bands=9, band_copies=3, pairs=8, triples=1)
+        for inst, name in ((large, "large"), (small, "small"), (large, "again")):
+            inst.write(tmp_path / name)
+            argv = ["--spec", str(tmp_path / name / "spec.er"),
+                    "--data", str(tmp_path / name)]
+            for mode in ("solve-one", "pm", "solve-one"):
+                out = tmp_path / name / mode
+                assert cli.main(argv + ["--mode", mode, "--out", str(out)]) == 0
+                got = (out / f"{mode}.tsv").read_text()
+                want = getattr(inst, mode.replace("-", "_"))
+                assert got == _tsv(want), (name, mode)
+        capsys.readouterr()
