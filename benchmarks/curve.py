@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Scaling curves of CLI `solve-one`, `pm` and similarity scoring on the
-benchmark's music instances.
+benchmark's music instances, and of `lb`, `levels` and `explain` on its
+recursion ladders.
 
 For each size, `resbench/gen.py` (imported as it is) builds
 `music(1, bands, 2, pairs=8*bands//9, triples=3)`, and each source tree
@@ -9,26 +10,32 @@ on it (`--sim opt`) in a fresh process, at the `--bands` sizes, and
 `--mode pm` at the `--pm-bands` sizes. At the `--scoring-bands` sizes it
 builds the scoring workload's `music(1, bands, 2, pairs=8, triples=0)` and
 runs `--mode sim` twice, `sim-all` with `--sim all` and `sim-opt` with
-`--sim opt`. The processes are spawned by `resbench/spawner.py`, so that
-wait4 reports each child's own peak RSS, and the trees take turns within
-each repeat. Every run's output passes `resbench/run.py`'s `check` for its
-mode, imported as it is: a `solve-one` or `pm` file equals the planted
-answer, a `sim all` file holds one row per text pair, v(v+1)/2 for v
-texts, and both `sim` files score every planted similar pair at least
-`gen.SIM_THRESHOLD`.
+`--sim opt`. At the `--cascade-depths` depths it builds the cascade
+workload's `ladder(1, depth)` and runs `--mode lb`, `--mode levels` and
+`--mode explain:a,b` on its top pair. The processes are spawned by
+`resbench/spawner.py`, so that wait4 reports each child's own peak RSS,
+and the trees take turns within each repeat. Every run's output passes
+`resbench/run.py`'s `check` for its mode, imported as it is: a
+`solve-one`, `pm`, `lb` or `levels` file equals the planted answer, a
+`sim all` file holds one row per text pair, v(v+1)/2 for v texts, both
+`sim` files score every planted similar pair at least
+`gen.SIM_THRESHOLD`, and `explain` reports the planted rule-depth and
+writes both files.
 
-A run above 800 bands gets an address-space cap of 2,048 MiB: a small
-launcher sets `RLIMIT_AS` on itself and then execs the CLI, so the cap
-binds that child alone. Without it, a tree whose memory grows faster than
-the instance could take the machine's memory at the largest sizes.
+A run above 800 bands or 800 levels gets an address-space cap of
+2,048 MiB: a small launcher sets `RLIMIT_AS` on itself and then execs the
+CLI, so the cap binds that child alone. Without it, a tree whose memory
+grows faster than the instance could take the machine's memory at the
+largest sizes.
 
 Per mode, size and tree the JSON records, for each repeat, the wall time,
 the peak RSS, a figure of the CLI's timing line, `solve=` for `solve-one`
-and `pm` and `preprocess=` (ingest and scoring) for `sim-all` and
-`sim-opt`, and the status: `"ok"`, `"wrong"` (output fails the check),
-`"timeout"` (killed at --timeout), `"memory"` (a capped run that ran out
-of address space) or, for another crash, the exit code and the last line
-of stderr.
+and `pm`, `preprocess=` (ingest and scoring) for `sim-all` and `sim-opt`
+and `fixpoint=` for `lb` and `levels` (none for `explain`, whose tree and
+files the line does not time), and the status: `"ok"`, `"wrong"` (output
+fails the check), `"timeout"` (killed at --timeout), `"memory"` (a capped
+run that ran out of address space) or, for another crash, the exit code
+and the last line of stderr.
 A size whose runs fail is kept, never dropped, and the script exits 1
 when any run is not `"ok"`. Each tree's commit, whether its `src/` differs
 from that commit, and its kernel backend go in the header with the Python
@@ -36,7 +43,8 @@ version and the machine.
 
     python benchmarks/curve.py --tree parent=../parent --tree change=. \\
         --bands 50,100,200,400,800,1600,3200 --pm-bands 400,800,1600 \\
-        --scoring-bands 26,52,78 --repeat 3 --out BENCH_scaling.json
+        --scoring-bands 26,52,78 --cascade-depths 100,400,1100,2000 \\
+        --repeat 3 --out BENCH_scaling.json
 """
 
 from __future__ import annotations
@@ -58,19 +66,26 @@ sys.path.insert(0, str(ROOT / "resbench"))
 import gen  # noqa: E402  (resbench/gen.py)
 import run  # noqa: E402  (resbench/run.py)
 
-#: runs above this many bands get an address-space cap of CAP_MB MiB
+#: runs above this many bands or levels get an address-space cap of CAP_MB MiB
 CAPPED_ABOVE = 800
 CAP_MB = 2048
 
-#: mode -> its CLI arguments, the `run.check` metric its output passes, and
-#: the figure of the CLI's timing line that the cell records
+#: mode -> its CLI arguments (`run_once` names the top pair for `explain`),
+#: the `run.check` metric its output passes, and the figure of the CLI's
+#: timing line that the cell records, if any
 MODES = {
     "solve-one": (["--sim", "opt", "--mode", "solve-one"], "solve_one_s",
                   "solve"),
     "pm": (["--sim", "opt", "--mode", "pm"], "pm_s", "solve"),
     "sim-all": (["--sim", "all", "--mode", "sim"], "sim_all_s", "preprocess"),
     "sim-opt": (["--sim", "opt", "--mode", "sim"], "sim_opt_s", "preprocess"),
+    "lb": (["--mode", "lb"], "lb_s", "fixpoint"),
+    "levels": (["--mode", "levels"], "levels_s", "fixpoint"),
+    "explain": ([], "explain_s", None),
 }
+
+#: the modes that run on ladders; a size is then a depth, not a band count
+CASCADE = ("lb", "levels", "explain")
 
 #: sets RLIMIT_AS to argv[1] bytes, then execs argv[2:]
 _LAUNCHER = (
@@ -111,11 +126,14 @@ def _describe(tree: Path) -> dict:
     }
 
 
-def instance(mode: str, bands: int) -> gen.Instance:
-    """The music instance a cell of `mode` runs on."""
+def instance(mode: str, size: int) -> gen.Instance:
+    """The instance a cell of `mode` runs on: a ladder of that depth for the
+    cascade modes, else a music instance of that many bands."""
+    if mode in CASCADE:
+        return gen.ladder(1, size)
     if mode.startswith("sim-"):
-        return gen.music(1, bands, 2, pairs=8, triples=0)
-    return gen.music(1, bands, 2, pairs=8 * bands // 9, triples=3)
+        return gen.music(1, size, 2, pairs=8, triples=0)
+    return gen.music(1, size, 2, pairs=8 * size // 9, triples=3)
 
 
 class Spawner:
@@ -158,6 +176,8 @@ def run_once(sp: Spawner, tree: Path, mode: str, data: Path, work: Path,
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     args, metric, figure = MODES[mode]
+    if mode == "explain":
+        args = ["--mode", "explain:" + ",".join(inst.top_pair)]
     argv = [sys.executable, "-m", "entres.cli", "--spec", str(data / "spec.er"),
             "--data", str(data), *args, "--out", str(out)]
     if cap_mb is not None:
@@ -180,7 +200,8 @@ def run_once(sp: Spawner, tree: Path, mode: str, data: Path, work: Path,
     else:
         wrong = run.check(metric, inst, out, stdout)
         cell["status"] = "ok" if wrong is None else "wrong"
-        cell[f"{figure}_s"] = _timing_s(stdout, figure)
+        if figure is not None:
+            cell[f"{figure}_s"] = _timing_s(stdout, figure)
     return cell
 
 
@@ -188,13 +209,13 @@ def _summary(mode: str, runs: list[dict]) -> dict:
     ok = [r for r in runs if r["status"] == "ok"]
     if len(ok) < len(runs):
         return {"status": next(r["status"] for r in runs if r["status"] != "ok")}
-    figure = f"{MODES[mode][2]}_s"
-    return {
-        "status": "ok",
-        "wall_s": statistics.median(r["wall_s"] for r in ok),
-        figure: statistics.median(r[figure] for r in ok),
-        "peak_rss_mb": max(r["peak_rss_mb"] for r in ok),
-    }
+    summary = {"status": "ok",
+               "wall_s": statistics.median(r["wall_s"] for r in ok)}
+    if MODES[mode][2] is not None:
+        figure = f"{MODES[mode][2]}_s"
+        summary[figure] = statistics.median(r[figure] for r in ok)
+    summary["peak_rss_mb"] = max(r["peak_rss_mb"] for r in ok)
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -209,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--scoring-bands", default="",
                    help="comma-separated band counts for sim-all and sim-opt "
                         "(default: none)")
+    p.add_argument("--cascade-depths", default="",
+                   help="comma-separated ladder depths for lb, levels and "
+                        "explain (default: none)")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--timeout", type=float, default=300.0,
                    help="seconds before a run is killed (default: 300)")
@@ -224,18 +248,22 @@ def main(argv: list[str] | None = None) -> int:
     cells += [("pm", int(b)) for b in args.pm_bands.split(",") if b]
     cells += [(mode, int(b)) for b in args.scoring_bands.split(",") if b
               for mode in ("sim-all", "sim-opt")]
+    cells += [(mode, int(d)) for d in args.cascade_depths.split(",") if d
+              for mode in CASCADE]
 
     result = {
         "what": "CLI solve-one and pm --sim opt on gen.music(1, bands, 2, "
                 "pairs=8*bands//9, triples=3); CLI --mode sim with --sim all "
                 "(sim-all) and --sim opt (sim-opt) on gen.music(1, bands, 2, "
-                "pairs=8, triples=0)",
+                "pairs=8, triples=0); CLI lb, levels and explain (top pair) "
+                "on gen.ladder(1, depth)",
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                    f"{platform.system()}",
         "repeat": args.repeat,
         "timeout_s": args.timeout,
         f"cap_mb_above_{CAPPED_ABOVE}_bands": CAP_MB,
+        f"cap_mb_above_{CAPPED_ABOVE}_levels": CAP_MB,
         "trees": {label: _describe(tree) for label, tree in trees.items()},
         "cells": [],
     }
@@ -243,11 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     sp = Spawner()
     try:
         with tempfile.TemporaryDirectory(prefix="entres-curve-") as tmp:
-            for mode, bands in cells:
-                inst = instance(mode, bands)
-                data = Path(tmp) / f"{mode}-{bands}"
+            for mode, size in cells:
+                inst = instance(mode, size)
+                data = Path(tmp) / f"{mode}-{size}"
                 inst.write(data)
-                cap = CAP_MB if bands > CAPPED_ABOVE else None
+                cap = CAP_MB if size > CAPPED_ABOVE else None
                 runs: dict[str, list[dict]] = {label: [] for label in trees}
                 for _ in range(args.repeat):
                     for label, tree in trees.items():
@@ -255,13 +283,14 @@ def main(argv: list[str] | None = None) -> int:
                             sp, tree, mode, data, Path(tmp) / label, inst,
                             args.timeout, cap,
                         ))
-                cell = {"mode": mode, "bands": bands}
+                unit = "depth" if mode in CASCADE else "bands"
+                cell = {"mode": mode, unit: size}
                 for label in trees:
                     cell[label] = {**_summary(mode, runs[label]),
                                    "runs": runs[label]}
                     failed |= cell[label]["status"] != "ok"
                 result["cells"].append(cell)
-                print(json.dumps({"mode": mode, "bands": bands, **{
+                print(json.dumps({"mode": mode, unit: size, **{
                     label: _summary(mode, runs[label]) for label in trees
                 }}), file=sys.stderr)
     finally:

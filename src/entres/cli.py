@@ -534,9 +534,14 @@ def run(args, parser: argparse.ArgumentParser) -> int:
             _bind("proof_tree", "rule_depth", "to_dot", "to_json")
             tree = proof_tree(ctx, sol, (a, b))
             dot_dest = out / "explain.dot"
-            dot_dest.write_text(to_dot(tree, spec), encoding="utf-8")
             json_dest = out / "explain.json"
-            json_dest.write_text(to_json(tree) + "\n", encoding="utf-8")
+            with (
+                open(dot_dest, "w", encoding="utf-8") as dot_fh,
+                open(json_dest, "w", encoding="utf-8") as json_fh,
+            ):
+                to_dot(tree, spec, dot_fh)
+                to_json(tree, json_fh)
+                json_fh.write("\n")
             print(
                 f"explain ({a.text}, {b.text}): rule-depth "
                 f"{rule_depth(tree)} -> {dot_dest}, {json_dest}"

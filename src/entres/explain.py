@@ -22,15 +22,17 @@ by closing a round are decomposed into transitive nodes over that round's
 direct edges. A round evaluates only the matches touching a class the round
 before grew; each grown id's history of (round, canonical id) gives, by
 binary search, the classes any round started from. Trees are assembled
-and rendered on explicit stacks, so depth does not grow the Python stack.
+and rendered on explicit stacks, so depth does not grow the Python stack,
+and the renderers write their text to a file as they walk the tree.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import Generator
+from typing import Generator, TextIO
 
 from .engine import Solution
 from .errors import NotInSolution
@@ -369,12 +371,18 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(tree: ProofTree, spec: Specification | None = None) -> str:
+def to_dot(
+    tree: ProofTree, spec: Specification | None = None, fh: TextIO | None = None
+) -> str | None:
     """Deterministic DOT rendering: merge nodes as ellipses, fact and
     similarity leaves as boxes, rule nodes annotated with their rule label
     and optional description. Nodes are numbered in preorder, and each edge
-    is listed once its child's subtree has been."""
-    lines = ["digraph proof {", "  rankdir=TB;"]
+    is listed once its child's subtree has been. With `fh`, the text is
+    written to it as the tree is walked and None is returned; only the edge
+    lines, which follow every node, are held until the end."""
+    out = io.StringIO() if fh is None else fh
+    write = out.write
+    write("digraph proof {\n  rankdir=TB;\n")
     edges: list[str] = []
     counter = 0
     # a node to number, with its parent's name, or an edge to list
@@ -399,46 +407,59 @@ def to_dot(tree: ProofTree, spec: Specification | None = None) -> str:
             label += f"\\n[{_dot_escape(note)}]"
         elif node.kind is NodeKind.TRANSITIVE:
             label += "\\n[transitive]"
-        lines.append(f'  {name} [label="{label}", shape={shape}];')
+        write(f'  {name} [label="{label}", shape={shape}];\n')
         if parent is not None:
-            todo.append(f"  {parent} -> {name};")
+            todo.append(f"  {parent} -> {name};\n")
         todo.extend((ch, name) for ch in reversed(node.children))
-    lines.extend(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for line in edges:
+        write(line)
+    write("}\n")
+    return out.getvalue() if fh is None else None
 
 
-def to_json(tree: ProofTree) -> str:
+def to_json(tree: ProofTree, fh: TextIO | None = None) -> str | None:
     """Nested JSON rendering of the tree (kind, label, children, plus the
     rule label and similarity score where they apply): exactly the text of
     json.dumps(..., indent=2, sort_keys=True), written from an explicit
-    stack so tree depth does not grow the Python stack."""
-    out: list[str] = []
-    # text to write, or a node to open at its indentation depth
-    todo: list[str | tuple[ProofNode, int]] = [(tree.root, 0)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, depth = item
+    stack so tree depth does not grow the Python stack. With `fh`, the text
+    is written to it as the tree is walked and None is returned; the stack
+    holds each open node and the index of its next child, and a node's
+    indentation follows from its place on the stack."""
+    out = io.StringIO() if fh is None else fh
+    write = out.write
+    nodes: list[ProofNode] = []
+    nexts: list[int] = []
+
+    def open_node(node: ProofNode) -> None:
+        # "children" sorts before every other key
+        write("{")
+        if node.children:
+            write("\n" + "  " * (2 * len(nodes) + 1) + '"children": [')
+        nodes.append(node)
+        nexts.append(0)
+
+    open_node(tree.root)
+    while nodes:
+        node, i = nodes[-1], nexts[-1]
+        depth = 2 * (len(nodes) - 1)
         pad = "\n" + "  " * (depth + 1)
+        if i < len(node.children):
+            nexts[-1] = i + 1
+            write("," * (i > 0) + pad + "  ")
+            open_node(node.children[i])
+            continue
+        nodes.pop()
+        nexts.pop()
         fields: dict = {"kind": node.kind.value, "label": node.label()}
         if node.rule_label is not None:
             fields["rule"] = node.rule_label
         if node.sim is not None:
             fields["func"] = node.sim.func
             fields["score"] = node.sim.score
-        # "children" sorts before every other key
-        parts: list[str | tuple[ProofNode, int]] = ["{"]
         if node.children:
-            parts.append(pad + '"children": [')
-            for i, ch in enumerate(node.children):
-                parts += ["," * (i > 0) + pad + "  ", (ch, depth + 2)]
-            parts.append(pad + "],")
-        parts.append(",".join(
+            write(pad + "],")
+        write(",".join(
             f"{pad}{json.dumps(key)}: {json.dumps(val)}"
             for key, val in sorted(fields.items())
         ) + "\n" + "  " * depth + "}")
-        todo.extend(reversed(parts))
-    return "".join(out)
+    return out.getvalue() if fh is None else None

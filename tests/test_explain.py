@@ -1,7 +1,9 @@
 """Proof trees: construction, validation, minimal depth, rendering."""
 
 import hashlib
+import io
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -339,6 +341,13 @@ class TestFamilyProperty:
         )
 
 
+def _written(writer, *args) -> str:
+    """The text a writer sends to an output file."""
+    buf = io.StringIO()
+    assert writer(*args, fh=buf) is None
+    return buf.getvalue()
+
+
 def _ladder_tree(depth: int) -> ProofTree:
     """The proof tree of chain_instance(depth)'s top pair, built directly:
     the p1 node of the base pair under one q1 node per rung."""
@@ -392,12 +401,14 @@ class TestDeepOutput:
         for tree in (golden_tree, closure, _ladder_tree(5)):
             want = json.dumps(_as_dict(tree.root), indent=2, sort_keys=True)
             assert to_json(tree) == want
+            assert _written(to_json, tree) == want
 
     def test_deep_json_matches_json_dumps(self):
         # the indented text grows with depth squared (270 MB at 3,000
         # levels), so this depth stays at about twice where json's encoder fails
         tree = _ladder_tree(1000)
         got = to_json(tree)
+        assert _written(to_json, tree) == got
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(20_000)
         try:
@@ -412,13 +423,32 @@ class TestDeepOutput:
         inst = chain_instance(depth)
         assert rule_depth(tree) == depth
         assert validate_proof_tree(tree, inst.db, inst.spec) == []
-        lines = to_dot(tree, inst.spec).splitlines()
+        text = to_dot(tree, inst.spec)
+        assert _written(to_dot, tree, inst.spec) == text
+        lines = text.splitlines()
         nodes = 3 * depth  # a rule node and two fact leaves per level
         assert len(lines) == 2 + nodes + (nodes - 1) + 1
         # preorder numbering; an edge is listed after its child's subtree
         edges = lines[2 + nodes:-1]
         assert edges[:3] == ["  n0 -> n1;", "  n0 -> n2;", "  n3 -> n4;"]
         assert edges[-3:] == ["  n6 -> n9;", "  n3 -> n6;", "  n0 -> n3;"]
+
+    def test_writers_memory_grows_linearly(self):
+        # the indented text grows with depth squared (9.9 to 59 MiB from
+        # 400 to 1,000 levels), so a writer that held it could not pass
+        spec = chain_instance(2).spec
+        for writer, args in ((to_json, ()), (to_dot, (spec,))):
+            peaks = {}
+            for depth in (500, 1000):
+                tree = _ladder_tree(depth)
+                with open(os.devnull, "w", encoding="utf-8") as fh:
+                    tracemalloc.start()
+                    try:
+                        assert writer(tree, *args, fh=fh) is None
+                        peaks[depth] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+            assert peaks[1000] <= 2.5 * peaks[500], peaks
 
     def test_deep_validation_reports_in_preorder(self):
         tree = _ladder_tree(3000)
