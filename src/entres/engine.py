@@ -48,6 +48,7 @@ from typing import AbstractSet, Callable, Collection, Iterable, Iterator
 from .errors import NotASolution
 from .matcher import (
     Context,
+    _Eval,
     dc_satisfied,
     matched_ids,
     merge_candidates,
@@ -109,15 +110,20 @@ def _rounds(
     matches on a row touching one (as a saturated state is after merges
     whose classes dirty covers), and evaluates in full otherwise.
 
+    Each rule's evaluator (matcher._Eval) is built once, at the start of
+    the chain, and refreshed with the grown classes' ids after each round,
+    so a round pays for its matches, not for the evaluators' set-up.
+
     within, when given, admits only answers that relation relates (it must
     be over the database's domain, as e is); record, when given, receives a
     DerivStep for every applied merge."""
     if within is not None:
         ctx.require_domain(within)
+    evs = [_Eval(rule.body, ctx, e, rule.head) for rule in rules]
     while True:
         found: set[tuple[str, int, int]] = set()
-        for rule in rules:
-            for i, j in merge_candidates(rule, ctx, e, dirty):
+        for rule, ev in zip(rules, evs):
+            for i, j in merge_candidates(rule, ctx, e, dirty, ev):
                 if within is None or within.canon_id(i) == within.canon_id(j):
                     found.add((rule.label, i, j))
         merged: list[int] = []
@@ -131,6 +137,8 @@ def _rounds(
         if not merged:
             return
         dirty = e.class_ids(merged)
+        for ev in evs:
+            ev.refresh(dirty)
         yield dirty
 
 
@@ -146,7 +154,12 @@ def _fixpoint(
 
 def lb(ctx: Context) -> EqRel:
     """Least fixpoint of the merge-monotone hard rules (Analysis.lb):
-    merges present in every solution."""
+    merges present in every solution. A copy of the relation of the
+    context's root when it holds one (see Context): a root is handed over
+    only when saturation is eager, and then every hard rule is monotone,
+    so the root is that fixpoint."""
+    if ctx.root is not None:
+        return ctx.root[0].clone()
     return _fixpoint(ctx, analyse(ctx.spec).lb)
 
 

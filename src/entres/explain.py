@@ -36,7 +36,7 @@ from typing import Generator, TextIO
 
 from .engine import Solution
 from .errors import NotInSolution
-from .matcher import Context, answers
+from .matcher import Context, _Eval, answers
 from .model import Constant, Fact, Kind, MergePair, Record
 from .rules import Rule, Specification, Var, analyse, occurrences
 
@@ -103,7 +103,8 @@ def rule_depth(tree: ProofTree | ProofNode) -> int:
 class _Edge:
     """One round's rule answer, as the canonical ids of its two classes
     under the relation the round started from, with its witnesses (each
-    the tuple of facts one match read, in body order)."""
+    the tuple of facts one match read, in body order), in row order (see
+    matcher.answers)."""
 
     __slots__ = ("rule", "u", "v", "witnesses")
 
@@ -114,13 +115,6 @@ class _Edge:
         self.u = u
         self.v = v
         self.witnesses = witnesses
-
-
-def _witness_key(w: tuple[Fact, ...]):
-    return tuple(
-        (f.relation,) + tuple((c.kind.value, c.text) for c in f.args)
-        for f in w
-    )
 
 
 class _Builder:
@@ -136,24 +130,28 @@ class _Builder:
         self.history: dict[int, list[tuple[int, int]]] = {}
         rules = analyse(ctx.spec).promoted
         self.e = e = ctx.identity()
+        # one evaluator per rule for the whole chain, as engine._rounds
+        evs = [_Eval(rule.body, ctx, e, rule.head) for rule in rules]
         dirty = None
         while True:
             edges: list[_Edge] = []
-            for rule in rules:
+            for rule, ev in zip(rules, evs):
                 found = answers(
-                    rule.body, rule.head, ctx, e, witnesses=True, dirty=dirty
+                    rule.body, rule.head, ctx, e,
+                    witnesses=True, dirty=dirty, ev=ev,
                 )
                 for (u, v), ws in sorted(
                     found.items(), key=lambda t: (t[0][0].text, t[0][1].text)
                 ):
                     if u != v and sol.eq.same(u, v):  # so both are entities
-                        wits = sorted(ws, key=_witness_key)
-                        edges.append(_Edge(rule, e.id_of(u), e.id_of(v), wits))
+                        edges.append(_Edge(rule, e.id_of(u), e.id_of(v), ws))
             merged = [ed.u for ed in edges if e.merge_ids(ed.u, ed.v)]
             if not merged:
                 break
             self.edges.append(edges)
             dirty = e.class_ids(merged)
+            for ev in evs:
+                ev.refresh(dirty)
             for i in dirty:
                 h = self.history.setdefault(i, [])
                 h.append((len(self.edges), e.canon_id(i)))
@@ -293,12 +291,10 @@ class _Builder:
 
         def rank(w: tuple[Fact, ...]):
             ol, orr = choice(w)
-            return (
-                ol != want_left,
-                want_right is not None and orr != want_right,
-                _witness_key(w),
-            )
+            return ol != want_left, want_right is not None and orr != want_right
 
+        # min keeps the first of equal ranks, the least witness, as the
+        # witnesses come in row order (see answers)
         wit = min(edge.witnesses, key=rank)
         o_left, o_right = choice(wit)
 

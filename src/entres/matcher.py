@@ -20,8 +20,16 @@ up when the row is visited, and the rows whose argument lies in a class
 are read from the database's static per-position index, one entry per
 member. Semi-naive evaluation pins one atom to the rows that index gives
 for the dirty ids. Constants appear only at the boundary: answers() hands
-out its tuples as class representatives and its witnesses as facts, and a
-similarity atom scores the texts of the constants as written.
+out its tuples as class representatives and its witnesses as facts, in
+row order, and a similarity atom scores the texts of the constants as
+written.
+
+A rule-application chain (engine._rounds, explain's replay of it) merges
+into one relation between its rounds and keeps one evaluator (_Eval) per
+rule for all of them: its tables, plan steps, constant slots and probe
+memo outlive a round, and _Eval.refresh drops the memo entries of the
+grown classes and re-resolves the constants, so a round pays for its
+matches, not for setting evaluators up.
 
 Conventions baked in here:
   - inequality atoms compare class representatives (a constant absent from
@@ -213,31 +221,50 @@ _layout = lru_cache(maxsize=None)(_Layout)
 
 
 class _Eval:
-    """One body evaluation over (ctx.db, e), on canonical ids only. Resolves
-    body constants once (one absent from the data to a fresh id no row
-    carries) and reads the database's interned rows as they are, looking up
-    the canonical id of an argument when its row is visited."""
+    """One body's evaluation over (ctx.db, e), on canonical ids only.
+    Resolves the body's constants and, given a head, the head's (`picks`
+    lists the head's slots; a constant absent from the data gets a fresh
+    id no row carries), and reads the database's interned rows as they
+    are, looking up the canonical id of an argument when its row is
+    visited. A chain that merges into e keeps one evaluator per body for
+    all its rounds and calls refresh after each round's merges."""
 
-    __slots__ = ("lay", "ctx", "e", "absent", "null_id", "ids", "lookups")
+    __slots__ = (
+        "lay", "ctx", "e", "absent", "null_id", "ids", "fixed", "picks",
+        "lookups", "tables", "ranks", "steps",
+    )
 
-    def __init__(self, body: RuleBody, ctx: Context, e: EqRel):
+    def __init__(
+        self, body: RuleBody, ctx: Context, e: EqRel, head: Sequence[Term] = ()
+    ):
         ctx.require_domain(e)
         self.lay = lay = _layout(body)
         self.ctx = ctx
         self.e = e
         self.absent: dict[Constant, int] = {}
         self.null_id = self.resolve(NULL)
+        # every slot's id: the join fills the variables', refresh the
+        # constants' (fixed: each slot of a constant in the data, its raw id)
+        self.ids = [0] * len(lay.vars)
+        self.fixed: list[tuple[int, int]] = []
+        for c in lay.consts:
+            self.slot(c)
+        self.picks = [self.slot(t) for t in head]
         # per (relation, position): canonical id -> the rows of its class
         self.lookups: dict[tuple[str, int], dict[int, Sequence[int]]] = {}
-        # every slot's id: the join fills the variables', constants' are fixed
-        self.ids = [0] * len(lay.vars) + [self.resolve(c) for c in lay.consts]
+        tables = [ctx.db.rows.get(rel) for rel in lay.relations]
+        # None: a body relation without rows, so no match and no index
+        self.tables = None if None in tables else tables
+        sizes = sorted(set(map(len, self.tables or ())))
+        self.ranks = tuple([sizes.index(len(t)) for t in self.tables or ()])
+        self.steps: dict[int | None, list[tuple]] = {}  # per pin
 
     def resolve(self, c: Constant) -> int:
-        """A constant's canonical id, or the fresh id of one absent from
-        the data."""
+        """A constant's raw id, or the fresh id of one absent from the
+        data."""
         cid = self.e.try_id(c)
         if cid is not None:
-            return self.e.canon_id(cid)
+            return cid
         return self.absent.setdefault(c, len(self.e) + len(self.absent))
 
     def slot(self, term: Term) -> int:
@@ -245,8 +272,25 @@ class _Eval:
         or one added for a constant."""
         if isinstance(term, Var):
             return self.lay.slot[term]
-        self.ids.append(self.resolve(term))
+        cid = self.resolve(term)
+        if cid < len(self.e):
+            self.fixed.append((len(self.ids), cid))
+            cid = self.e.canon_id(cid)
+        self.ids.append(cid)
         return len(self.ids) - 1
+
+    def refresh(self, dirty: AbstractSet[int]) -> None:
+        """Bring the evaluator up to date with merges into e whose grown
+        classes' members are the dirty ids: drop the probe memo's entries
+        of those ids, which include each grown class's canonical id (an id
+        that stops being canonical never is again, so no other entry goes
+        stale), and re-resolve the canonical ids of the constants."""
+        for memo in self.lookups.values():
+            for i in dirty:
+                memo.pop(i, None)
+        canon, ids = self.e.canon_id, self.ids
+        for s, cid in self.fixed:
+            ids[s] = canon(cid)
 
     def _neq_ok(self, fail: int) -> bool:
         ids = self.ids
@@ -280,42 +324,32 @@ class _Eval:
         reused: read them before the next match. With a dirty id set,
         evaluates semi-naively: each relational atom in turn is pinned to
         the rows with a dirty id among their arguments, read from the
-        database's index, so only matches on such a row are found, and a
-        match on several of them once per pin."""
-        lay, db = self.lay, self.ctx.db
-        tables = [db.rows.get(rel) for rel in lay.relations]
-        if None in tables:
-            return  # a body relation without rows: no match, no index
-        sizes = sorted(set(map(len, tables)))
-        ranks = tuple([sizes.index(len(t)) for t in tables])
-        canon, ids, lookups = self.e.canon_id, self.ids, self.lookups
+        database's index once per relation, so only matches on such a row
+        are found, and a match on several of them once per pin."""
+        if self.tables is None:
+            return
+        lay, index = self.lay, self.ctx.db.index
+        canon, ids = self.e.canon_id, self.ids
         raws = [0] * len(lay.vars)  # the raw id each variable was bound to
-        at = [0] * len(tables)
+        at = [0] * len(lay.relations)
         # the id a join variable may not bind, and the one no inequality
         # holds with (-1, no id, when the null inequality policy has none)
         guard = self.null_id
         fail = self.null_id if self.ctx.null_inequality == "fail" else -1
         neqs, sims = lay.neqs, lay.sims
-        for pin in (None,) if dirty is None else range(len(tables)):
-            # per step: atom, its rows, args, and the probe's memo, index
-            # column and slot (memo None: every row, or the pinned ones)
-            steps = []
-            for ai, probe, args in lay.plan(pin, ranks):
-                memo = col = None
-                slot = 0
-                if probe is not None:
-                    pos, slot = probe
-                    rel = lay.relations[ai]
-                    memo = lookups.setdefault((rel, pos), {})
-                    col = db.index[rel][pos]
-                steps.append((ai, tables[ai], args, memo, col, slot))
+        touched: dict[str, list[int]] = {}  # per relation, the pinned rows
+        for pin in (None,) if dirty is None else range(len(self.tables)):
+            steps = self.steps.get(pin) or self._plan(pin)
             if pin is None:
                 first = self._rows(steps[0])
             else:
-                first = sorted({
-                    r for col in db.index[lay.relations[pin]]
-                    for i in dirty for r in col.get(i, ())
-                })
+                rel = lay.relations[pin]
+                first = touched.get(rel)
+                if first is None:
+                    first = touched[rel] = sorted({
+                        r for col in index[rel]
+                        for i in dirty for r in col.get(i, ())
+                    })
             its = [iter(first)] + [iter(())] * (len(steps) - 1)
             last = len(steps) - 1
             k = 0
@@ -346,6 +380,23 @@ class _Eval:
                 else:
                     k -= 1
 
+    def _plan(self, pin: int | None) -> list[tuple]:
+        """The steps of the pin's plan, built on first use: per step, the
+        atom, its rows, its args, and the probe's memo, index column and
+        slot (memo None: every row, or the pinned ones)."""
+        lay, index = self.lay, self.ctx.db.index
+        steps = self.steps[pin] = []
+        for ai, probe, args in lay.plan(pin, self.ranks):
+            memo = col = None
+            slot = 0
+            if probe is not None:
+                pos, slot = probe
+                rel = lay.relations[ai]
+                memo = self.lookups.setdefault((rel, pos), {})
+                col = index[rel][pos]
+            steps.append((ai, self.tables[ai], args, memo, col, slot))
+        return steps
+
     def _rows(self, step: tuple) -> Sequence[int]:
         """The rows a plan step visits: every row, or, ascending, those
         whose probed argument is in the class of the probe slot's id (none
@@ -375,32 +426,40 @@ def answers(
     *,
     witnesses: bool = False,
     dirty: AbstractSet[int] | None = None,
+    ev: _Eval | None = None,
 ) -> dict[tuple[Constant, ...], list[tuple[Fact, ...]]]:
     """The head tuples derivable from body matches over (ctx.db, e), each
     mapped to its matches. A tuple holds class representatives (a body
     constant absent from the data stands for itself); a match is the tuple
     of facts it read, one per relational atom in body order, and the lists
-    stay empty unless witnesses is true. With a dirty id set, only the
-    matches on a row touching a dirty id are evaluated (see
-    _Eval.solutions); each match is witnessed once."""
-    ev = _Eval(body, ctx, e)
-    picks = [ev.slot(t) for t in head]
+    stay empty unless witnesses is true. Each list is in row order (by each
+    atom's position in db.rows, atom by atom), which is the order of the
+    facts' (kind, text) argument keys, as rows are sorted id tuples and ids
+    follow those keys. With a dirty id set, only the matches on a row
+    touching a dirty id are evaluated (see _Eval.solutions); each match is
+    witnessed once. ev is the evaluator of (body, head) over (ctx, e) that
+    a chain reuses across its rounds (see _Eval.refresh); a fresh one when
+    None."""
+    if ev is None:
+        ev = _Eval(body, ctx, e, head)
+    picks = ev.picks
     domain, n = e.domain, len(e.domain)
     extra = {i: c for c, i in ev.absent.items()}  # ids above the domain's
-    found: dict[tuple[int, ...], list[tuple[Fact, ...]]] = {}
-    seen: set[tuple[int, ...]] = set()
-    facts = ctx.db.by_relation if witnesses else {}
+    # per answer, the rows of its matches (a match found again under
+    # another pin adds nothing)
+    found: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for ids, at in ev.solutions(dirty):
-        wits = found.setdefault(tuple([ids[s] for s in picks]), [])
-        # a match found again under another pin is witnessed once
-        if witnesses and (rows := tuple(at)) not in seen:
-            seen.add(rows)
-            wits.append(tuple(
-                facts[a.relation][r] for a, r in zip(body.rel_atoms, rows)
-            ))
+        got = found.setdefault(tuple([ids[s] for s in picks]), set())
+        if witnesses:
+            got.add(tuple(at))
+    facts = ctx.db.by_relation if witnesses else {}
+    tables = [facts.get(a.relation) for a in body.rel_atoms]
     return {
-        tuple([domain[i] if i < n else extra[i] for i in ids]): ws
-        for ids, ws in found.items()
+        tuple([domain[i] if i < n else extra[i] for i in ids]): [
+            tuple([t[r] for t, r in zip(tables, rows)])
+            for rows in sorted(got)
+        ]
+        for ids, got in found.items()
     }
 
 
@@ -409,12 +468,15 @@ def merge_candidates(
     ctx: Context,
     e: EqRel,
     dirty: AbstractSet[int] | None = None,
+    ev: _Eval | None = None,
 ) -> set[tuple[int, int]]:
     """Distinct-class entity answer pairs of a merge rule, as canonical id
     pairs (smaller id first). With a dirty id set, only from the matches on
-    a row touching a dirty id (see _Eval.solutions)."""
-    ev = _Eval(rule.body, ctx, e)
-    x, y = map(ev.slot, rule.head)
+    a row touching a dirty id (see _Eval.solutions). ev is the rule's
+    evaluator over (ctx, e) that a chain reuses (see answers)."""
+    if ev is None:
+        ev = _Eval(rule.body, ctx, e, rule.head)
+    x, y = ev.picks
     entities = ctx.db.entities
     out: set[tuple[int, int]] = set()
     for ids, _ in ev.solutions(dirty):
@@ -426,8 +488,8 @@ def merge_candidates(
 
 def rule_satisfied(rule: Rule, ctx: Context, e: EqRel) -> bool:
     """True iff every answer pair of the rule is already within one class."""
-    ev = _Eval(rule.body, ctx, e)
-    x, y = map(ev.slot, rule.head)
+    ev = _Eval(rule.body, ctx, e, rule.head)
+    x, y = ev.picks
     for ids, _ in ev.solutions():
         if ids[x] != ids[y]:
             return False

@@ -24,7 +24,8 @@ from entres.explain import (
     to_json,
 )
 from entres.matcher import Context
-from entres.model import EqRel, Fact, MergePair
+from entres.model import Database, EqRel, Fact, MergePair
+from entres.rules import parse_spec
 
 from conftest import e, v
 from instances import chain_instance, generate, generate_neq
@@ -133,6 +134,31 @@ class TestTransitiveTrees:
             t = proof_tree(Context(db, free, sims), sol, pair)
             assert validate_proof_tree(t, db, free, sims) == []
             assert rule_depth(t) == lm[pair]
+
+
+class TestChainThroughGrownClasses:
+    """The builder runs its chain with one evaluator per rule, refreshed
+    after every round as engine's chain is: a merge that needs a class
+    grown mid-chain gets its tree."""
+
+    def test_body_constant_merged_mid_chain(self):
+        # round 1 merges m2 into m1's class, so only round 2 reads p1's
+        # row through the body constant @m2
+        spec = parse_spec(
+            "relation P(pid: id, m: id) merge [pid];\n"
+            "relation M(mid: id, k: val) merge [mid];\n"
+            "hard hm: M(a, k), M(b, k) => eq(a, b);\n"
+            "hard hp: P(x, @m2), P(y, @m2) => eq(x, y);\n"
+        )
+        db = Database([
+            Fact("M", (e("m1"), v("u"))), Fact("M", (e("m2"), v("u"))),
+            Fact("P", (e("p1"), e("m1"))), Fact("P", (e("p2"), e("m2"))),
+        ])
+        ctx = Context(db, spec)
+        sol = solve_one(ctx)
+        t = proof_tree(ctx, sol, (e("p1"), e("p2")))
+        assert rule_depth(t) == levels(ctx, sol)[P(e("p1"), e("p2"))] == 2
+        assert validate_proof_tree(t, db, spec, None) == []
 
 
 class TestRequestValidation:

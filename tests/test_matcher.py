@@ -7,18 +7,19 @@ import pytest
 
 from entres.matcher import (
     Context,
+    _Eval,
     _layout,
     answers,
     dc_satisfied,
     merge_candidates,
     rule_satisfied,
 )
-from entres.engine import lb, solve_one
+from entres.engine import DerivStep, _rounds, hard_root, lb, solve_one
 from entres.model import NULL, Database, EqRel, Fact, MergePair
-from entres.rules import Var, parse_spec
+from entres.rules import Var, analyse, parse_spec
 
 from conftest import MUSIC, e, v
-from instances import generate
+from instances import chain_instance, generate, generate_neq, generate_parts
 from oracles import (
     close_classes,
     naive_candidates,
@@ -678,3 +679,208 @@ class TestLayouts:
         # from three R rows on, R has more rows than S in every database
         assert held[10:] == [held[10]] * 30
         assert held[-1] <= 4 * 3  # (atoms + 1) pins times three orders
+
+
+class TestReusedEvaluator:
+    """A chain builds each rule's evaluator once and refreshes it after
+    each round's merges: the probe memo forgets the grown classes, and the
+    body's and head's constants get their new canonical ids."""
+
+    STAR = (
+        "relation A(aid: id, m: id) merge [aid];\n"
+        "relation B(bid: id, m: id) merge [bid];\n"
+        "hard h: A(x, m), B(y, m) => eq(x, y);\n"
+    )
+
+    def test_a_grown_class_is_probed_through_its_new_members(self):
+        # a1's A row reaches m1's class through m2, b1's B row through m3:
+        # once m2 and m3 join m1's class, whose rows both memos hold under
+        # the canonical id m1, a1 and b1 match under either pin only
+        # through the members the memos did not list
+        spec, db = spec_db(self.STAR, [
+            Fact("A", (e("a0"), e("m1"))), Fact("B", (e("b0"), e("m1"))),
+            Fact("A", (e("a1"), e("m2"))), Fact("B", (e("b1"), e("m3"))),
+        ])
+        rule, ctx, eq = spec.hard[0], Context(db, spec), EqRel(db.domain)
+        ev = _Eval(rule.body, ctx, eq, rule.head)
+        m1 = eq.id_of(e("m1"))
+        # pinned to m1, each atom's rows probe the other's memo for m1
+        got = merge_candidates(rule, ctx, eq, {m1}, ev)
+        assert {len(memo) for memo in ev.lookups.values()} == {1}
+
+        def pair(a, b):
+            return tuple(sorted((eq.id_of(e(a)), eq.id_of(e(b)))))
+
+        assert got == {pair("a0", "b0")}
+        eq.merge(e("m1"), e("m2"))
+        eq.merge(e("m1"), e("m3"))
+        dirty = eq.class_ids((m1,))
+        ev.refresh(dirty)
+        got = merge_candidates(rule, ctx, eq, dirty, ev)
+        assert pair("a1", "b1") in got
+        assert got == merge_candidates(rule, ctx, eq, dirty)
+        assert got == {
+            pair(a, b) for a in ("a0", "a1") for b in ("b0", "b1")
+        }
+
+    CONST = (
+        "relation P(pid: id, m: id) merge [pid];\n"
+        "relation M(mid: id, k: val) merge [mid];\n"
+        "hard hm: M(a, k), M(b, k) => eq(a, b);\n"
+        "hard hp: P(x, @m2), P(y, @m2) => eq(x, y);\n"
+    )
+
+    def test_a_body_constant_merged_mid_chain(self):
+        # round 1 merges m2 into m1's class, so @m2's canonical id becomes
+        # m1's; only in round 2 can hp read p1's row through it
+        spec, db = spec_db(self.CONST, [
+            Fact("M", (e("m1"), v("u"))), Fact("M", (e("m2"), v("u"))),
+            Fact("P", (e("p1"), e("m1"))), Fact("P", (e("p2"), e("m2"))),
+        ])
+        ctx = Context(db, spec)
+        eq = ctx.identity()
+        steps = []
+        grown = list(_rounds(ctx, spec.hard, eq, record=steps))
+        assert [s.label for s in steps] == ["hm", "hp"]
+        assert len(grown) == 2
+        assert eq.same(e("p1"), e("p2"))
+        assert lb(ctx) == eq
+        # and through one evaluator, refreshed by hand
+        rule = spec.hard[1]
+        eq = ctx.identity()
+        ev = _Eval(rule.body, ctx, eq, rule.head)
+        assert merge_candidates(rule, ctx, eq, None, ev) == set()
+        eq.merge(e("m1"), e("m2"))
+        dirty = eq.class_ids((eq.id_of(e("m1")),))
+        ev.refresh(dirty)
+        p1, p2 = eq.id_of(e("p1")), eq.id_of(e("p2"))
+        assert merge_candidates(rule, ctx, eq, dirty, ev) == {(p1, p2)}
+
+    def test_a_head_constant_gets_one_slot_per_evaluator(self):
+        spec, db = spec_db(self.CONST, [
+            Fact("M", (e("m1"), v("u"))), Fact("M", (e("m2"), v("u"))),
+            Fact("P", (e("p1"), e("m1"))), Fact("P", (e("p2"), e("m2"))),
+        ])
+        ctx, rule = Context(db, spec), spec.hard[1]
+        eq = ctx.identity()
+        head = (Var("x"), e("m2"))
+        ev = _Eval(rule.body, ctx, eq, head)
+        held = len(ev.ids)
+        for _ in range(3):
+            got = answers(rule.body, head, ctx, eq, ev=ev)
+            assert got == {(e("p2"), e("m2")): []}
+        assert len(ev.ids) == held
+        eq.merge(e("m1"), e("m2"))
+        ev.refresh(eq.class_ids((eq.id_of(e("m1")),)))
+        got = answers(rule.body, head, ctx, eq, ev=ev)
+        assert got == answers(rule.body, head, ctx, eq)
+        # the head's @m2 now reads as its class representative, m1
+        assert set(got) == {(e("p1"), e("m1")), (e("p2"), e("m1"))}
+
+
+def _reference_rounds(ctx, rules, e, dirty=None, within=None, record=None):
+    """engine._rounds with a fresh evaluator for every rule in every
+    round, as each round built before evaluators were kept for a chain."""
+    while True:
+        found = set()
+        for rule in rules:
+            for i, j in merge_candidates(rule, ctx, e, dirty):
+                if within is None or within.canon_id(i) == within.canon_id(j):
+                    found.add((rule.label, i, j))
+        merged = []
+        for label, i, j in sorted(found):
+            if e.merge_ids(i, j):
+                merged.append(i)
+                if record is not None:
+                    record.append(
+                        DerivStep(label, MergePair.of(e.const(i), e.const(j)))
+                    )
+        if not merged:
+            return
+        dirty = e.class_ids(merged)
+        yield dirty
+
+
+def _witness_key(w):
+    """A witness's facts in the order of their (kind, text) keys."""
+    return tuple(
+        (f.relation,) + tuple((c.kind.value, c.text) for c in f.args)
+        for f in w
+    )
+
+
+_MAKERS = {
+    "generate": generate,
+    "hard-only": lambda seed: generate(seed, hard_only=True),
+    "neq": generate_neq,
+    "parts": generate_parts,
+    "hub": lambda seed: generate_parts(seed, hub=True),
+    "ladder": chain_instance,
+}
+_FAMILIES = (
+    [("generate", seed) for seed in range(40)]
+    + [("hard-only", seed) for seed in range(40, 55)]
+    + [("neq", seed) for seed in range(25)]
+    + [("parts", seed) for seed in range(4)]
+    + [("hub", seed) for seed in range(4)]
+    + [("ladder", depth) for depth in (1, 3, 6)]
+)
+
+
+class TestChainFamilies:
+    """Properties of the reused evaluators over the instance families."""
+
+    @pytest.mark.parametrize("family, seed", _FAMILIES)
+    def test_rounds_match_fresh_evaluators_every_round(self, family, seed):
+        inst = _MAKERS[family](seed)
+        ctx, an = inst.ctx, analyse(inst.spec)
+        sol = solve_one(ctx)
+        rng = random.Random(inst.seed)
+        # the chains of lb, ub, levels (with and without a solution to stay
+        # within) and hard_root, from the identity
+        runs = [
+            (rules, None, None, None)
+            for rules in (an.lb, an.ub, an.promoted, inst.spec.hard)
+        ]
+        if sol is not None:
+            runs.append((an.promoted, None, None, sol.eq))
+        # and the search's: a hard-saturated state with one more merge,
+        # saturated from its class
+        root, _ = hard_root(ctx)
+        ents = list(range(ctx.db.entities))
+        for _ in range(3):
+            if len(ents) > 1:
+                i, j = rng.sample(ents, 2)
+                start = root.clone()
+                start.merge_ids(i, j)
+                dirty = start.class_ids((i,))
+                runs.append((inst.spec.hard, start, dirty, None))
+        for rules, start, dirty, within in runs:
+            e1 = ctx.identity() if start is None else start.clone()
+            e2 = ctx.identity() if start is None else start.clone()
+            got, want = [], []
+            grown = list(_rounds(ctx, rules, e1, dirty, within, got))
+            assert grown == list(
+                _reference_rounds(ctx, rules, e2, dirty, within, want)
+            )
+            assert got == want
+            assert e1 == e2
+
+    @pytest.mark.parametrize("family, seed", _FAMILIES)
+    def test_witnesses_come_in_fact_key_order(self, family, seed):
+        inst = _MAKERS[family](seed)
+        ctx = inst.ctx
+        rng = random.Random(inst.seed)
+        eq = ctx.identity()
+        ents = list(range(ctx.db.entities))
+        for _ in range(rng.randrange(4)):
+            if len(ents) > 1:
+                eq.merge_ids(*rng.sample(ents, 2))
+        some = frozenset(rng.sample(range(len(eq)), min(3, len(eq))))
+        for rule in analyse(inst.spec).promoted:
+            for dirty in (None, some):
+                got = answers(
+                    rule.body, rule.head, ctx, eq, witnesses=True, dirty=dirty
+                )
+                for ws in got.values():
+                    assert ws == sorted(set(ws), key=_witness_key)

@@ -22,6 +22,7 @@ from entres.engine import (
     enumerate_solutions,
     hard_root,
     is_possible,
+    lb,
     maximal_solutions,
     merge_sets,
     possible_merges,
@@ -436,6 +437,9 @@ def _handed_root_is_the_fresh_root(ctx, registry=None):
     fresh = _Search(strict).root()
     with_root = strict.replace(ub=handed_ub, root=handed)
     assert with_root.root is handed and with_root.replace(sims=None).root is None
+    # lb copies the root, the fixpoint of the hard rules when eager
+    got = lb(with_root)
+    assert got == lb(strict) == e and got is not e
     got = _Search(with_root).root()
     assert (got is None) == (fresh is None)
     if fresh is not None:
@@ -482,6 +486,36 @@ class TestHandedRoot:
         _, _, (e, _) = sim_opt(Context(music_db, music_spec), reg)
         [(start, at_call)] = starts
         assert at_call == e and start is not e
+
+    def test_lb_runs_its_fixpoint_only_without_a_root(
+        self, monkeypatch, music_spec, music_db, music_table
+    ):
+        runs = []
+        fixpoint = engine._fixpoint
+
+        def spy(ctx, rules, e=None):
+            runs.append(rules)
+            return fixpoint(ctx, rules, e)
+
+        monkeypatch.setattr(engine, "_fixpoint", spy)
+        reg = build_registry(music_spec, music_db, table=music_table)
+        store, handed_ub, root = sim_opt(Context(music_db, music_spec), reg)
+        ctx = Context(
+            music_db, music_spec, StrictResolver(store), ub=handed_ub,
+            root=root,
+        )
+        runs.clear()
+        assert lb(ctx) == lb(ctx.replace()) == root[0]
+        assert runs == [analyse(music_spec).lb]
+        # a rule with a break: no root is handed, and lb runs its fixpoint
+        inst = generate_neq(0)
+        an = analyse(inst.spec)
+        assert not an.eager
+        _, handed_ub, root = sim_opt(inst.ctx)
+        assert root is None
+        runs.clear()
+        got = lb(inst.ctx.replace(ub=handed_ub))
+        assert runs == [an.lb] and got == lb(inst.ctx)
 
     def test_similarity_families(self):
         eager = {True: 0, False: 0}
